@@ -1,8 +1,12 @@
-//! Post-hoc trace analysis: every quantity the paper's evaluation plots.
+//! Trace analysis: every quantity the paper's evaluation plots.
 //!
-//! Two equivalent computation paths exist: the multi-pass trace analyzers
-//! in the per-metric modules (the oracle), and the single-pass
-//! [`streaming`] observer used by memory-bounded sweeps.
+//! Run summaries come from one implementation, the single-pass
+//! [`streaming`] observer: [`summarize`] replays a stored trace through
+//! it, and streaming sweeps feed it a run's trace before dropping the run.
+//! The per-metric modules hold post-hoc analyzers over a whole trace (loop
+//! forensics, path histories, the fig5/fig7 time series, ...) for callers
+//! that want more than a scalar per run; the test suite composes them into
+//! the reference oracle the observer is checked against.
 
 use std::fmt;
 

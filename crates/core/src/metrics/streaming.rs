@@ -1,22 +1,17 @@
-//! Single-pass streaming computation of [`RunSummary`].
+//! Single-pass computation of [`RunSummary`].
 //!
-//! [`summarize`](crate::metrics::summary::summarize) makes seven
-//! independent passes over a run's trace and needs the whole
-//! [`Trace`](netsim::trace::Trace) alive while it works. For sweeps that
-//! only need per-run scalars (every figure's aggregation path) that is
-//! wasteful twice over: CPU, because the trace is scanned repeatedly, and
-//! memory, because a 100-run sweep keeps 100 full traces alive until
-//! aggregation. [`SummaryObserver`] recomputes every metric as an online
-//! fold — one `observe` call per [`TraceEvent`], in trace order — so a
-//! sweep worker can fold a finished run and immediately discard it.
+//! [`SummaryObserver`] computes every metric the paper reports as an
+//! online fold: one [`observe`](SummaryObserver::observe) call per
+//! [`TraceEvent`], in trace order. [`summarize`] is one such pass over a
+//! run's stored trace. Streaming sweeps fold each finished run and drop it
+//! straight away, so a 100-run sweep never holds 100 traces.
 //!
-//! The observer is **not** an approximation: for every trace produced by
-//! [`run`](crate::runner::run) it yields a [`RunSummary`] exactly equal
-//! (including float bit-patterns — summation orders are preserved) to the
-//! trace-based oracle. `summarize` remains the reference implementation;
-//! the equality is enforced by tests over every protocol family.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! Each fold mirrors one of the post-hoc analyzers in the sibling modules
+//! (drops, loops, path history, switch-overs, stretch, routing convergence
+//! and mean delay) with the same summation order, so the result is equal
+//! to theirs bit for bit. The test suite keeps the seven-pass composition
+//! of those analyzers as its reference oracle and checks the equality
+//! across every protocol family; golden summaries pin the values.
 
 use netsim::dense::DenseMap;
 use netsim::ident::{NodeId, PacketId};
@@ -30,16 +25,27 @@ use topology::shortest_path::bfs;
 use crate::metrics::convergence::{FibReplay, PathOutcome};
 use crate::metrics::MetricsError;
 use crate::metrics::drops::DropCounts;
-use crate::metrics::summary::RunSummary;
+use crate::metrics::summary::{summarize, RunSummary};
 use crate::runner::{Flow, RunResult};
 
-/// In-flight per-packet loop-forensics state (dropped as soon as the
-/// packet resolves, unlike the post-hoc analyzer which retains every
-/// packet's full hop log until the end).
+/// In-flight per-packet loop-forensics state (recycled for another packet
+/// as soon as this one resolves, unlike the post-hoc analyzer which
+/// retains every packet's full hop log until the end).
 #[derive(Default)]
 struct PacketLog {
     visited: Vec<NodeId>,
     looped: bool,
+}
+
+/// The entry for `id` in a table indexed by packet id, growing the table
+/// on first touch. Packet ids are dense from 0 within a run, so the table
+/// ends as long as the run's packet count.
+fn entry<T: Default>(table: &mut Vec<T>, id: PacketId) -> &mut T {
+    let i = id.index();
+    if i >= table.len() {
+        table.resize_with(i + 1, T::default);
+    }
+    &mut table[i]
 }
 
 /// Incrementally folds a run's [`TraceEvent`]s into a [`RunSummary`].
@@ -67,15 +73,21 @@ pub struct SummaryObserver {
     last_outcome: Option<PathOutcome>,
     transient_paths: usize,
     last_path_change: SimTime,
-    // Loop forensics (in-flight packets only).
-    packet_logs: BTreeMap<PacketId, PacketLog>,
+    // Loop forensics of in-flight packets: `log_of[id]` is 1 + the
+    // packet's slot in `logs` (0 = none). A resolved packet's slot goes on
+    // `free_logs`, so `logs` grows only to the peak number of packets in
+    // flight.
+    log_of: Vec<u32>,
+    logs: Vec<PacketLog>,
+    free_logs: Vec<u32>,
     looped_packets: u64,
     loop_escapes: u64,
     // Switch-over windows for the flow's destination, keyed by node.
     open_windows: DenseMap<SimTime>,
     max_switchover_s: f64,
-    // Stretch of the flow's delivered packets.
-    flow_packets: BTreeSet<PacketId>,
+    // Stretch of the flow's delivered packets; `flow_packets[id]` marks
+    // the flow's own packets.
+    flow_packets: Vec<bool>,
     stretch_sum: f64,
     stretch_count: u64,
     // End of the run = timestamp of the last event seen.
@@ -128,12 +140,14 @@ impl SummaryObserver {
             last_outcome: None,
             transient_paths: 0,
             last_path_change: t_fail,
-            packet_logs: BTreeMap::new(),
+            log_of: Vec::new(),
+            logs: Vec::new(),
+            free_logs: Vec::new(),
             looped_packets: 0,
             loop_escapes: 0,
             open_windows: DenseMap::new(),
             max_switchover_s: 0.0,
-            flow_packets: BTreeSet::new(),
+            flow_packets: Vec::new(),
             stretch_sum: 0.0,
             stretch_count: 0,
             last_event_time: None,
@@ -166,18 +180,17 @@ impl SummaryObserver {
 
         match event {
             TraceEvent::PacketInjected { id, src, dst, .. } => {
-                self.packet_logs.entry(*id).or_default().visited.push(*src);
+                self.log_mut(*id).visited.push(*src);
                 if *src == self.flow.sender && *dst == self.flow.receiver {
-                    self.flow_packets.insert(*id);
+                    *entry(&mut self.flow_packets, *id) = true;
                 }
             }
             TraceEvent::PacketForwarded { id, next_hop, .. } => {
-                let log = self.packet_logs.entry(*id).or_default();
-                if !log.looped && log.visited.contains(next_hop) {
-                    log.looped = true;
-                    self.looped_packets += 1;
-                }
+                let log = self.log_mut(*id);
+                let newly_looped = !log.looped && log.visited.contains(next_hop);
+                log.looped |= newly_looped;
                 log.visited.push(*next_hop);
+                self.looped_packets += u64::from(newly_looped);
             }
             TraceEvent::PacketDelivered {
                 time,
@@ -189,12 +202,10 @@ impl SummaryObserver {
                 self.delivered += 1;
                 self.delay_sum += time.saturating_since(*sent_at).as_secs_f64();
                 self.delay_count += 1;
-                if let Some(log) = self.packet_logs.remove(id) {
-                    if log.looped {
-                        self.loop_escapes += 1;
-                    }
+                if self.release_log(*id) {
+                    self.loop_escapes += 1;
                 }
-                if self.flow_packets.contains(id) {
+                if self.flow_packets.get(id.index()).copied().unwrap_or(false) {
                     let optimal = if *time < self.t_fail {
                         self.dist_before
                     } else {
@@ -212,7 +223,7 @@ impl SummaryObserver {
                     DropReason::QueueOverflow => self.drops.queue_overflow += 1,
                     DropReason::Impaired => self.drops.impaired += 1,
                 }
-                self.packet_logs.remove(id);
+                self.release_log(*id);
             }
             TraceEvent::RouteChanged {
                 time,
@@ -242,6 +253,37 @@ impl SummaryObserver {
             }
             _ => {}
         }
+    }
+
+    /// The loop log of in-flight packet `id`, started on first touch.
+    fn log_mut(&mut self, id: PacketId) -> &mut PacketLog {
+        let slot = entry(&mut self.log_of, id);
+        if *slot == 0 {
+            let free = match self.free_logs.pop() {
+                Some(free) => free,
+                None => {
+                    self.logs.push(PacketLog::default());
+                    (self.logs.len() - 1) as u32
+                }
+            };
+            *slot = free + 1;
+        }
+        &mut self.logs[(*slot - 1) as usize]
+    }
+
+    /// Ends `id`'s loop log, returning whether the packet looped.
+    fn release_log(&mut self, id: PacketId) -> bool {
+        let Some(slot) = self.log_of.get_mut(id.index()).filter(|s| **s != 0) else {
+            return false;
+        };
+        let free = *slot - 1;
+        *slot = 0;
+        let log = &mut self.logs[free as usize];
+        let looped = log.looped;
+        log.visited.clear();
+        log.looped = false;
+        self.free_logs.push(free);
+        looped
     }
 
     /// Closes every open fold and produces the summary.
@@ -282,55 +324,12 @@ impl SummaryObserver {
     }
 }
 
-/// Computes a finished run's summary through the streaming observer.
-///
-/// Produces a value equal to
-/// [`summarize`](crate::metrics::summary::summarize) in a single pass
-/// over the trace; used by the streaming sweep mode, where the
-/// [`RunResult`] (and its trace) is dropped right after this call.
+/// The summary of a finished run; the same function as [`summarize`],
+/// kept under the name the streaming sweep mode and the benchmarks use.
 ///
 /// # Errors
 ///
 /// See [`SummaryObserver::new`].
 pub fn summarize_streaming(result: &RunResult) -> Result<RunSummary, MetricsError> {
-    let mut observer = SummaryObserver::new(
-        &result.graph,
-        &result.failure.edges,
-        result.flows[0],
-        result.t_fail,
-        result.detection,
-    )?;
-    for event in &result.trace {
-        observer.observe(event);
-    }
-    Ok(observer.finish(&result.stats))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::experiment::ExperimentConfig;
-    use crate::metrics::summary::summarize;
-    use crate::protocols::ProtocolKind;
-    use crate::runner::run;
-    use topology::mesh::MeshDegree;
-
-    #[test]
-    fn streaming_equals_trace_oracle_on_a_paper_run() {
-        let result = run(&ExperimentConfig::paper(ProtocolKind::Spf, MeshDegree::D4, 3)).unwrap();
-        assert_eq!(
-            summarize_streaming(&result).unwrap(),
-            summarize(&result).unwrap()
-        );
-    }
-
-    #[test]
-    fn streaming_matches_on_a_low_degree_run() {
-        let result = run(&ExperimentConfig::paper(ProtocolKind::Rip, MeshDegree::D3, 5)).unwrap();
-        let stream = summarize_streaming(&result).unwrap();
-        let oracle = summarize(&result).unwrap();
-        assert_eq!(stream, oracle);
-        // The fold must keep only in-flight packet state, never the trace.
-        assert!(stream.injected > 0);
-    }
+    summarize(result)
 }

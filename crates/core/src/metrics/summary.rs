@@ -2,12 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::metrics::convergence::{path_history, routing_convergence_time};
-use crate::metrics::drops::{count_delivered, count_drops, DropCounts};
-use crate::metrics::loops::analyze_loops;
-use crate::metrics::series::mean_delay;
-use crate::metrics::stretch::{flow_stretch, mean_stretch};
-use crate::metrics::switchover::{stats_for_dest, switch_overs};
+use crate::metrics::drops::DropCounts;
+use crate::metrics::streaming::SummaryObserver;
 use crate::metrics::MetricsError;
 use crate::runner::RunResult;
 
@@ -56,7 +52,8 @@ impl RunSummary {
     }
 }
 
-/// Computes the full summary of a finished run.
+/// Computes the full summary of a finished run: one pass of a
+/// [`SummaryObserver`] over the stored trace.
 ///
 /// # Errors
 ///
@@ -79,50 +76,17 @@ impl RunSummary {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn summarize(result: &RunResult) -> Result<RunSummary, MetricsError> {
-    let drops = count_drops(&result.trace);
-    let loops = analyze_loops(&result.trace);
-    let flow = result.flows[0];
-    let history = path_history(
-        &result.trace,
-        result.graph.num_nodes(),
-        flow.sender,
-        flow.receiver,
-        result.t_fail,
-    );
-    let windows = switch_overs(&result.trace, result.t_fail);
-    let run_end = result
-        .trace
-        .events()
-        .last()
-        .map_or(result.t_fail, netsim::trace::TraceEvent::time);
-    let switchover = stats_for_dest(&windows, flow.receiver, run_end);
-    let stretch = flow_stretch(
-        &result.trace,
+    let mut observer = SummaryObserver::new(
         &result.graph,
         &result.failure.edges,
-        flow.sender,
-        flow.receiver,
+        result.flows[0],
         result.t_fail,
+        result.detection,
     )?;
-    Ok(RunSummary {
-        injected: result.stats.packets_injected,
-        delivered: count_delivered(&result.trace),
-        drops,
-        routing_convergence_s: routing_convergence_time(
-            &result.trace,
-            result.t_fail,
-            result.detection,
-        ),
-        forwarding_convergence_s: history.convergence_delay(result.t_fail, result.detection),
-        transient_paths: history.transient_path_count(),
-        looped_packets: loops.looped_packets() as u64,
-        loop_escapes: loops.escaped() as u64,
-        mean_delay_s: mean_delay(&result.trace),
-        max_switchover_s: switchover.max_s,
-        mean_stretch: mean_stretch(&stretch),
-        control_messages: result.stats.control_messages_sent,
-        control_bytes: result.stats.control_bytes_sent,
-    })
+    for event in &result.trace {
+        observer.observe(event);
+    }
+    Ok(observer.finish(&result.stats))
 }
 
 #[cfg(test)]

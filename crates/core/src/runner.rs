@@ -7,7 +7,7 @@ use std::fmt;
 use netsim::error::{BuildError, EventBudgetExceeded};
 use netsim::ident::NodeId;
 use netsim::rng::SimRng;
-use netsim::simulator::SimStats;
+use netsim::simulator::{CbrSource, SimStats};
 use netsim::time::{SimDuration, SimTime};
 use netsim::trace::{Trace, TraceEvent};
 use topology::graph::Graph;
@@ -297,17 +297,15 @@ pub fn run_observed(
         TrafficMode::Cbr => {
             let gap = SimDuration::from_nanos(1_000_000_000 / config.traffic.rate_pps);
             for flow in &flows {
-                let mut t = t_start;
-                while t < t_end {
-                    sim.schedule_packet(
-                        t,
-                        flow.sender,
-                        flow.receiver,
-                        config.traffic.packet_bytes,
-                        config.traffic.ttl,
-                    );
-                    t += gap;
-                }
+                sim.schedule_cbr(CbrSource {
+                    src: flow.sender,
+                    dst: flow.receiver,
+                    start: t_start,
+                    end: t_end,
+                    gap,
+                    size_bytes: config.traffic.packet_bytes,
+                    ttl: config.traffic.ttl,
+                })?;
             }
         }
         TrafficMode::Poisson => {

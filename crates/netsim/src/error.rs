@@ -21,6 +21,8 @@ pub enum BuildError {
     NoSuchLink(LinkId),
     /// The network had no nodes.
     EmptyNetwork,
+    /// A constant-bit-rate source was given a zero inter-packet gap.
+    ZeroCbrGap,
 }
 
 impl fmt::Display for BuildError {
@@ -34,6 +36,7 @@ impl fmt::Display for BuildError {
             BuildError::NoSuchNode(n) => write!(f, "no such node {n}"),
             BuildError::NoSuchLink(l) => write!(f, "no such link {l}"),
             BuildError::EmptyNetwork => write!(f, "network has no nodes"),
+            BuildError::ZeroCbrGap => write!(f, "CBR source has a zero inter-packet gap"),
         }
     }
 }

@@ -82,6 +82,8 @@ pub use link::LinkConfig;
 pub use packet::{DropReason, Packet, DEFAULT_TTL};
 pub use protocol::{Payload, RoutingProtocol, SharedPayload, TimerId, TimerToken};
 pub use rng::SimRng;
-pub use simulator::{AppContext, ForwardingPath, ProtocolContext, SimStats, Simulator, SimulatorBuilder};
+pub use simulator::{
+    AppContext, CbrSource, ForwardingPath, ProtocolContext, SimStats, Simulator, SimulatorBuilder,
+};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceConfig, TraceEvent};

@@ -1,6 +1,7 @@
 //! The simulation engine: world assembly, the event loop, the data plane
 //! and the protocol context.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::app::AppAgent;
@@ -45,6 +46,38 @@ struct LinkInfo {
     ba: ChannelId,
     config: LinkConfig,
     up: bool,
+}
+
+/// A constant-bit-rate traffic source: one `src` → `dst` packet every
+/// `gap`, the first at `start`, the last strictly before `end`.
+///
+/// Registered with [`Simulator::schedule_cbr`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CbrSource {
+    /// Injecting router.
+    pub src: NodeId,
+    /// Destination router.
+    pub dst: NodeId,
+    /// Injection time of the first packet.
+    pub start: SimTime,
+    /// No packet is injected at or after this time.
+    pub end: SimTime,
+    /// Inter-packet gap; must be positive.
+    pub gap: SimDuration,
+    /// Packet size.
+    pub size_bytes: u32,
+    /// Initial TTL.
+    pub ttl: u8,
+}
+
+/// A registered [`CbrSource`] and the packet ids and calendar sequence
+/// numbers reserved for its ticks.
+#[derive(Debug, Clone, Copy)]
+struct CbrState {
+    source: CbrSource,
+    ticks: u64,
+    first_packet: u64,
+    first_seq: u64,
 }
 
 /// Aggregate counters updated online (cheap, always on).
@@ -261,6 +294,7 @@ impl SimulatorBuilder {
             apps: (0..n).map(|_| None).collect(),
             queue: EventQueue::new(),
             timers: TimerSlab::new(),
+            cbr_sources: Vec::new(),
             next_packet: 0,
             rng: SimRng::seed_from(self.seed),
             // A dedicated stream for impairment decisions, seeded
@@ -285,6 +319,7 @@ pub struct Simulator {
     apps: Vec<Option<Box<dyn AppAgent>>>,
     queue: EventQueue,
     timers: TimerSlab,
+    cbr_sources: Vec<CbrState>,
     next_packet: u64,
     rng: SimRng,
     impairment_rng: SimRng,
@@ -537,6 +572,60 @@ impl Simulator {
         id
     }
 
+    /// Registers a constant-bit-rate source and returns the ids of the
+    /// packets it will inject.
+    ///
+    /// The result is indistinguishable from calling
+    /// [`schedule_packet`](Self::schedule_packet) once per tick, at
+    /// `start`, `start + gap`, … below `end`: the packet ids and the
+    /// calendar sequence numbers those calls would have taken are reserved
+    /// now, so every id and every same-instant tie comes out the same. Only
+    /// the source's next tick sits in the calendar, however, so a long
+    /// high-rate flow costs one pending event instead of one per packet.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::NoSuchNode`] if either endpoint does not exist, and
+    /// [`BuildError::ZeroCbrGap`] if `gap` is zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the first tick (`start`, when `start < end`) is in the
+    /// past.
+    pub fn schedule_cbr(&mut self, source: CbrSource) -> Result<Range<PacketId>, BuildError> {
+        for node in [source.src, source.dst] {
+            if node.index() >= self.nodes.len() {
+                return Err(BuildError::NoSuchNode(node));
+            }
+        }
+        if source.gap.is_zero() {
+            return Err(BuildError::ZeroCbrGap);
+        }
+        let span = source.end.as_nanos().saturating_sub(source.start.as_nanos());
+        let ticks = span.div_ceil(source.gap.as_nanos());
+        let first_packet = self.next_packet;
+        self.next_packet += ticks;
+        let first_seq = self.queue.reserve(ticks);
+        if ticks > 0 {
+            let index = self.cbr_sources.len();
+            self.cbr_sources.push(CbrState {
+                source,
+                ticks,
+                first_packet,
+                first_seq,
+            });
+            self.queue.schedule_reserved(
+                source.start,
+                first_seq,
+                EventKind::CbrTick {
+                    source: index,
+                    tick: 0,
+                },
+            );
+        }
+        Ok(PacketId::new(first_packet)..PacketId::new(self.next_packet))
+    }
+
     /// Convenience: schedules a packet with the study defaults
     /// (1000 bytes, TTL 127).
     pub fn schedule_default_packet(&mut self, at: SimTime, src: NodeId, dst: NodeId) -> PacketId {
@@ -654,21 +743,14 @@ impl Simulator {
     /// after `until`, then advances the clock to `until` so follow-up
     /// interactions (installing agents, scheduling traffic) happen at the
     /// window boundary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`Simulator::start`].
     pub fn run_until(&mut self, until: SimTime) {
         assert!(self.started, "call Simulator::start before run_until");
-        while let Some(t) = self.queue.peek_time() {
-            if t > until {
-                break;
-            }
-            let Some((t, kind)) = self.queue.pop() else {
-                break;
-            };
-            self.stats.events_processed += 1;
-            self.obs_event_start(t);
-            self.handle(kind);
-            self.obs_exit();
-        }
-        self.queue.advance_to(until);
+        // A budget of `u64::MAX` events never runs out.
+        let _ = self.run_loop(Some(until), u64::MAX);
     }
 
     /// Like [`Simulator::run_until`], but guarded by an event-budget
@@ -691,8 +773,32 @@ impl Simulator {
         max_events: u64,
     ) -> Result<(), EventBudgetExceeded> {
         assert!(self.started, "call Simulator::start before run_until_budgeted");
+        self.run_loop(Some(until), max_events)
+    }
+
+    /// Runs until the calendar drains completely; the clock stays at the
+    /// last processed event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`Simulator::start`].
+    pub fn run_to_completion(&mut self) {
+        assert!(self.started, "call Simulator::start before run_to_completion");
+        // A budget of `u64::MAX` events never runs out.
+        let _ = self.run_loop(None, u64::MAX);
+    }
+
+    /// The event loop behind every `run_*` method: processes events up to
+    /// and including `until` (all of them for `None`) while fewer than
+    /// `max_events` have been processed over the engine's lifetime. A
+    /// bounded run that finishes advances the clock to `until`.
+    fn run_loop(
+        &mut self,
+        until: Option<SimTime>,
+        max_events: u64,
+    ) -> Result<(), EventBudgetExceeded> {
         while let Some(t) = self.queue.peek_time() {
-            if t > until {
+            if until.is_some_and(|until| t > until) {
                 break;
             }
             if self.stats.events_processed >= max_events {
@@ -709,20 +815,10 @@ impl Simulator {
             self.handle(kind);
             self.obs_exit();
         }
-        self.queue.advance_to(until);
-        Ok(())
-    }
-
-    /// Runs until the calendar drains completely; the clock stays at the
-    /// last processed event.
-    pub fn run_to_completion(&mut self) {
-        assert!(self.started, "call Simulator::start before run_to_completion");
-        while let Some((t, kind)) = self.queue.pop() {
-            self.stats.events_processed += 1;
-            self.obs_event_start(t);
-            self.handle(kind);
-            self.obs_exit();
+        if let Some(until) = until {
+            self.queue.advance_to(until);
         }
+        Ok(())
     }
 
     // ---- internal machinery ----------------------------------------------
@@ -768,16 +864,8 @@ impl Simulator {
 
     fn handle(&mut self, kind: EventKind) {
         match kind {
-            EventKind::InjectPacket { packet } => {
-                self.stats.packets_injected += 1;
-                self.record(TraceEvent::PacketInjected {
-                    time: self.now(),
-                    id: packet.id,
-                    src: packet.src,
-                    dst: packet.dst,
-                });
-                self.forward_packet(packet.src, packet);
-            }
+            EventKind::InjectPacket { packet } => self.inject(packet),
+            EventKind::CbrTick { source, tick } => self.on_cbr_tick(source, tick),
             EventKind::FrameSerialized { channel, epoch } => {
                 self.on_frame_serialized(channel, epoch);
             }
@@ -807,6 +895,41 @@ impl Simulator {
                 self.on_node_restart(node, protocol.0);
             }
         }
+    }
+
+    /// A traffic source hands `packet` to its attachment router.
+    fn inject(&mut self, packet: Packet) {
+        self.stats.packets_injected += 1;
+        self.record(TraceEvent::PacketInjected {
+            time: self.now(),
+            id: packet.id,
+            src: packet.src,
+            dst: packet.dst,
+        });
+        self.forward_packet(packet.src, packet);
+    }
+
+    /// Tick `tick` of CBR source `index`: keeps the source's next tick
+    /// pending under its reserved sequence number, then injects this
+    /// tick's packet.
+    fn on_cbr_tick(&mut self, index: usize, tick: u64) {
+        let state = self.cbr_sources[index];
+        let source = state.source;
+        let next = tick + 1;
+        if next < state.ticks {
+            self.queue.schedule_reserved(
+                source.start + source.gap * next,
+                state.first_seq + next,
+                EventKind::CbrTick {
+                    source: index,
+                    tick: next,
+                },
+            );
+        }
+        let id = PacketId::new(state.first_packet + tick);
+        let packet = Packet::new(id, source.src, source.dst, self.now(), source.size_bytes)
+            .with_ttl(source.ttl);
+        self.inject(packet);
     }
 
     fn apply_impairment(&mut self, link: LinkId, impairment: Impairment) {
@@ -1394,14 +1517,7 @@ impl AppContext<'_> {
         let packet = Packet::new(id, self.node, dst, self.sim.now(), size_bytes)
             .with_ttl(ttl)
             .with_tag(tag);
-        self.sim.stats.packets_injected += 1;
-        self.sim.record(TraceEvent::PacketInjected {
-            time: self.sim.now(),
-            id,
-            src: self.node,
-            dst,
-        });
-        self.sim.forward_packet(self.node, packet);
+        self.sim.inject(packet);
         id
     }
 

@@ -2,8 +2,9 @@
 
 use netsim::ident::NodeId;
 use netsim::link::LinkConfig;
+use netsim::packet::DEFAULT_TTL;
 use netsim::protocol::RoutingProtocol;
-use netsim::simulator::{ProtocolContext, Simulator, SimulatorBuilder};
+use netsim::simulator::{CbrSource, ProtocolContext, SimStats, Simulator, SimulatorBuilder};
 use netsim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -425,4 +426,159 @@ proptest! {
         prop_assert!(shared_count > 0, "the sharing path never fired");
         prop_assert_eq!(cloned_count, 0u64, "per-link clones must not count as shared");
     }
+}
+
+/// One CBR flow of [`cbr_run`]: endpoints as ring positions, then first
+/// tick in ms, gap in µs and tick count.
+type CbrFlow = ((u32, u32), (u64, u64, u64));
+
+/// Runs CBR `flows` over a ring with a link failure scheduled *before* the
+/// flows are registered and a recovery plus a stray packet scheduled
+/// *after*, all landing exactly on a tick of the first flow. The flows are
+/// registered lazily with `schedule_cbr` or eagerly, one `schedule_packet`
+/// per tick. Returns the rendered trace, the id range of each non-empty
+/// flow, the engine counters without the calendar high water, and the
+/// high water.
+fn cbr_run(
+    n: u32,
+    seed: u64,
+    flows: &[CbrFlow],
+    tie_tick: u64,
+    lazy: bool,
+) -> (String, Vec<(u64, u64)>, SimStats, u64) {
+    let (mut sim, nodes) = ring(n, seed);
+    let node = |i: u32| nodes[(i % n) as usize];
+    let (_, (start0, gap0, _)) = flows[0];
+    let tie = SimTime::from_millis(start0) + SimDuration::from_micros(gap0) * tie_tick;
+    let failed = sim.link_between(node(0), node(1)).unwrap();
+    sim.schedule_link_failure(tie, failed).unwrap();
+
+    let mut ids = Vec::new();
+    for &((src, dst), (start_ms, gap_us, ticks)) in flows {
+        let start = SimTime::from_millis(start_ms);
+        let gap = SimDuration::from_micros(gap_us);
+        let end = start + gap * ticks;
+        if lazy {
+            let range = sim
+                .schedule_cbr(CbrSource {
+                    src: node(src),
+                    dst: node(dst),
+                    start,
+                    end,
+                    gap,
+                    size_bytes: 1000,
+                    ttl: DEFAULT_TTL,
+                })
+                .unwrap();
+            if range.start != range.end {
+                ids.push((range.start.index() as u64, range.end.index() as u64));
+            }
+        } else {
+            let mut range = None;
+            let mut t = start;
+            while t < end {
+                let id = sim.schedule_packet(t, node(src), node(dst), 1000, DEFAULT_TTL);
+                let id = id.index() as u64;
+                range.get_or_insert((id, id)).1 = id + 1;
+                t += gap;
+            }
+            ids.extend(range);
+        }
+    }
+
+    sim.schedule_link_recovery(tie, failed).unwrap();
+    sim.schedule_default_packet(tie, node(2), node(0));
+    // Stop mid-flow once, then drain: pending ticks must survive a
+    // window boundary.
+    sim.run_until(tie);
+    sim.run_to_completion();
+    let mut stats = sim.stats();
+    let high_water = stats.queue_high_water;
+    stats.queue_high_water = 0;
+    (sim.trace().render_lines(), ids, stats, high_water)
+}
+
+fn cbr_flow() -> impl Strategy<Value = CbrFlow> {
+    // Few distinct starts and gaps, so flows often share both and their
+    // ticks tie at the same instants.
+    (
+        (0u32..12, 1u32..12),
+        (
+            prop::sample::select(vec![5u64, 10, 12]),
+            prop::sample::select(vec![250u64, 800, 1_000, 3_000]),
+            0u64..60,
+        ),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A lazy CBR source is indistinguishable from scheduling every packet
+    /// up front: byte-identical traces (every same-instant tie included),
+    /// the same packet ids and the same counters, from a smaller calendar.
+    #[test]
+    fn lazy_cbr_matches_eager_packets(
+        n in 3u32..9,
+        seed in 0u64..500,
+        first in cbr_flow(),
+        rest in prop::collection::vec(cbr_flow(), 0..4),
+        tie_tick in 0u64..40,
+    ) {
+        // The first two flows always share start and gap.
+        let ((src, dst), (start, gap, ticks)) = first;
+        let mut flows = vec![first, ((dst, src), (start, gap, ticks / 2 + 1))];
+        flows.extend(rest);
+        let (lazy_trace, lazy_ids, lazy_stats, lazy_hw) = cbr_run(n, seed, &flows, tie_tick, true);
+        let (eager_trace, eager_ids, eager_stats, eager_hw) =
+            cbr_run(n, seed, &flows, tie_tick, false);
+        prop_assert_eq!(&lazy_ids, &eager_ids);
+        prop_assert_eq!(lazy_stats, eager_stats);
+        prop_assert!(lazy_hw <= eager_hw, "lazy {} > eager {}", lazy_hw, eager_hw);
+        if lazy_trace != eager_trace {
+            let line = lazy_trace
+                .lines()
+                .zip(eager_trace.lines())
+                .position(|(a, b)| a != b)
+                .unwrap_or(0);
+            prop_assert!(
+                false,
+                "traces diverge at line {}: lazy {:?} vs eager {:?}",
+                line + 1,
+                lazy_trace.lines().nth(line),
+                eager_trace.lines().nth(line)
+            );
+        }
+    }
+}
+
+#[test]
+fn cbr_source_rejects_bad_input() {
+    use netsim::error::BuildError;
+    let (mut sim, nodes) = ring(4, 1);
+    let source = CbrSource {
+        src: nodes[0],
+        dst: nodes[2],
+        start: SimTime::from_millis(1),
+        end: SimTime::from_millis(10),
+        gap: SimDuration::ZERO,
+        size_bytes: 1000,
+        ttl: DEFAULT_TTL,
+    };
+    assert_eq!(sim.schedule_cbr(source), Err(BuildError::ZeroCbrGap));
+    let unknown = NodeId::new(99);
+    assert_eq!(
+        sim.schedule_cbr(CbrSource { dst: unknown, ..source }),
+        Err(BuildError::NoSuchNode(unknown))
+    );
+    // An empty window reserves nothing and schedules nothing.
+    let empty = CbrSource {
+        gap: SimDuration::from_millis(1),
+        end: source.start,
+        ..source
+    };
+    let ids = sim.schedule_cbr(empty).unwrap();
+    assert_eq!(ids.start, ids.end);
+    sim.run_to_completion();
+    assert_eq!(sim.stats().events_processed, 0);
 }

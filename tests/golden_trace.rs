@@ -1,12 +1,15 @@
 //! Golden-trace regression tests: one small fixed-seed run per paper
 //! protocol, with the full `TraceEvent` stream pinned as a compressed
-//! fixture under `tests/golden/`.
+//! fixture under `tests/golden/`, and the run's `RunSummary` pinned next
+//! to it as `<name>.summary.txt`. One more summary fixture pins a loaded
+//! run (5 flows × 400 pps, the fig5/fig7 load).
 //!
 //! Any engine change that reorders events, alters a tie-break, or drifts
 //! a timer shows up here as a byte-level diff of the rendered trace —
-//! *before* it can silently shift the paper's figures. The fixtures are
-//! compressed with the dependency-free `obs` codec, so they stay small
-//! enough to commit.
+//! *before* it can silently shift the paper's figures. Any metrics change
+//! that moves a reported number, down to the last bit of a float, shows
+//! up as a summary diff. The trace fixtures are compressed with the
+//! dependency-free `obs` codec, so they stay small enough to commit.
 //!
 //! To regenerate after an *intentional* behavior change:
 //!
@@ -40,31 +43,55 @@ fn golden_config(protocol: ProtocolKind) -> ExperimentConfig {
     cfg
 }
 
-fn fixture_path(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+/// The golden scenario under the load of the fig5/fig7 timelines: 5 CBR
+/// flows at 400 pps each.
+fn loaded_config() -> ExperimentConfig {
+    let mut cfg = golden_config(ProtocolKind::Bgp);
+    cfg.traffic.flows = 5;
+    cfg.traffic.rate_pps = 400;
+    cfg
+}
+
+/// With `GOLDEN_REGEN` set, writes `bytes` as the fixture
+/// `tests/golden/<file>` and returns `None`; otherwise returns the
+/// committed fixture.
+fn golden_fixture(file: &str, bytes: &[u8]) -> Option<Vec<u8>> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join(format!("{name}.trace.lz"))
+        .join(file);
+    if std::env::var_os("GOLDEN_REGEN").is_some() {
+        std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("create dir");
+        std::fs::write(&path, bytes).expect("write fixture");
+        return None;
+    }
+    Some(std::fs::read(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden fixture {} ({e}); run GOLDEN_REGEN=1 cargo test --test golden_trace",
+            path.display()
+        )
+    }))
+}
+
+/// Pins `summarize`'s output for one run. `{:#?}` prints every float in
+/// its shortest round-trip form, so equal text means equal bits.
+fn check_golden_summary(cfg: &ExperimentConfig, name: &str) {
+    let result = run(cfg).expect("golden run succeeds");
+    let rendered = format!("{:#?}\n", summarize(&result).expect("summary"));
+    let Some(golden) = golden_fixture(&format!("{name}.summary.txt"), rendered.as_bytes()) else {
+        return;
+    };
+    let golden = String::from_utf8(golden).expect("fixture is utf-8");
+    assert_eq!(rendered, golden, "{name}: summary differs from the golden fixture");
 }
 
 fn check_golden(protocol: ProtocolKind, name: &str) {
     let cfg = golden_config(protocol);
     let result = run(&cfg).expect("golden run succeeds");
     let rendered = result.trace.render_lines();
-    let path = fixture_path(name);
-
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("create dir");
-        std::fs::write(&path, obs::codec::compress(rendered.as_bytes()))
-            .expect("write fixture");
+    let file = format!("{name}.trace.lz");
+    let Some(compressed) = golden_fixture(&file, &obs::codec::compress(rendered.as_bytes())) else {
         return;
-    }
-
-    let compressed = std::fs::read(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); run GOLDEN_REGEN=1 cargo test --test golden_trace",
-            path.display()
-        )
-    });
+    };
     let golden = obs::codec::decompress(&compressed).expect("fixture decompresses");
     let golden = String::from_utf8(golden).expect("fixture is utf-8");
     if rendered != golden {
@@ -114,4 +141,29 @@ fn golden_scenario_is_deterministic() {
     let a = run(&golden_config(ProtocolKind::Dbf)).expect("run");
     let b = run(&golden_config(ProtocolKind::Dbf)).expect("run");
     assert_eq!(a.trace.render_lines(), b.trace.render_lines());
+}
+
+#[test]
+fn golden_summary_rip() {
+    check_golden_summary(&golden_config(ProtocolKind::Rip), "rip");
+}
+
+#[test]
+fn golden_summary_dbf() {
+    check_golden_summary(&golden_config(ProtocolKind::Dbf), "dbf");
+}
+
+#[test]
+fn golden_summary_bgp() {
+    check_golden_summary(&golden_config(ProtocolKind::Bgp), "bgp");
+}
+
+#[test]
+fn golden_summary_bgp3() {
+    check_golden_summary(&golden_config(ProtocolKind::Bgp3), "bgp3");
+}
+
+#[test]
+fn golden_summary_loaded() {
+    check_golden_summary(&loaded_config(), "loaded");
 }
