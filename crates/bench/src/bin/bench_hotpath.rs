@@ -29,8 +29,17 @@
 //! `--smoke` is the CI mode (3 timing runs); the default is 30.
 //! `--jobs` is accepted for interface uniformity and ignored — timing
 //! runs alone. When `results/bench_hotpath_baseline.json` exists, the
-//! measured median is compared against its `events_per_sec_median`
-//! and the process exits nonzero on a >20% regression.
+//! process exits nonzero on either of two regressions:
+//!
+//! - the measured median is more than 20% below its
+//!   `events_per_sec_median` (a wall-clock trend, so the gate is loose);
+//! - with `counter_runs` timing runs (the smoke count), the DBF leg's
+//!   exact `events_processed` total or peak calendar high water is above
+//!   `counter_events_total` or `counter_queue_high_water`. These counts
+//!   are the same on every machine, so any rise is a real change in the
+//!   engine's work; a change that raises one on purpose re-blesses the
+//!   committed count and says why. A fall is reported, not failed, so
+//!   the committed counts only ever ratchet down.
 
 use std::time::Instant;
 
@@ -50,6 +59,8 @@ const REGRESSION_FLOOR: f64 = 0.8;
 
 struct TimingLeg {
     events_total: u64,
+    /// Peak calendar high water over the runs.
+    queue_high_water: u64,
     elapsed_ns_total: u64,
     events_per_sec: Vec<f64>,
     payloads_shared: u64,
@@ -60,6 +71,7 @@ struct TimingLeg {
 fn dbf_timing_leg(runs: usize) -> TimingLeg {
     let mut leg = TimingLeg {
         events_total: 0,
+        queue_high_water: 0,
         elapsed_ns_total: 0,
         events_per_sec: Vec::with_capacity(runs),
         payloads_shared: 0,
@@ -72,6 +84,7 @@ fn dbf_timing_leg(runs: usize) -> TimingLeg {
         let elapsed_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let events = result.stats.events_processed;
         leg.events_total += events;
+        leg.queue_high_water = leg.queue_high_water.max(result.stats.queue_high_water);
         leg.elapsed_ns_total += elapsed_ns;
         leg.events_per_sec
             .push(events as f64 / (elapsed_ns.max(1) as f64 / 1e9));
@@ -170,12 +183,12 @@ fn median(values: &[f64]) -> f64 {
     }
 }
 
-/// Reads `events_per_sec_median` from the committed baseline, if any.
+/// Reads the integer field `key` of the committed baseline `text`.
 /// Unlike telemetry JSONL, the committed file is pretty-printed, so the
 /// parser here tolerates whitespace between the colon and the number.
-fn baseline_median(path: &str) -> Option<u64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let start = text.find("\"events_per_sec_median\"")? + "\"events_per_sec_median\"".len();
+fn baseline_field(text: &str, key: &str) -> Option<u64> {
+    let quoted = format!("\"{key}\"");
+    let start = text.find(&quoted)? + quoted.len();
     let rest = text[start..].trim_start_matches(|c: char| c == ':' || c.is_whitespace());
     let end = rest
         .find(|c: char| !c.is_ascii_digit())
@@ -254,12 +267,41 @@ fn main() {
         interner.payloads_shared, interner.messages_sent
     );
 
-    let baseline = baseline_median("results/bench_hotpath_baseline.json");
+    let baseline_text =
+        std::fs::read_to_string("results/bench_hotpath_baseline.json").unwrap_or_default();
+    let field = |key: &str| baseline_field(&baseline_text, key);
+    let baseline = field("events_per_sec_median");
     let regressed = baseline
         .is_some_and(|b| eps_median < REGRESSION_FLOOR * b as f64);
     if let Some(b) = baseline {
         println!("\nbaseline events/sec median: {b} (gate: fail below {:.0})",
             REGRESSION_FLOOR * b as f64);
+    }
+    let mut counters_rose = false;
+    if field("counter_runs") == Some(runs as u64) {
+        for (name, measured, key) in [
+            (
+                "events processed",
+                timing.events_total,
+                "counter_events_total",
+            ),
+            (
+                "calendar high water",
+                timing.queue_high_water,
+                "counter_queue_high_water",
+            ),
+        ] {
+            let Some(committed) = field(key) else {
+                continue;
+            };
+            let verdict = match measured.cmp(&committed) {
+                std::cmp::Ordering::Greater => "ROSE: fails the ratchet",
+                std::cmp::Ordering::Less => "fell: re-bless the committed count",
+                std::cmp::Ordering::Equal => "unchanged",
+            };
+            println!("counter {name}: {measured} (committed {committed}, {verdict})");
+            counters_rose |= measured > committed;
+        }
     }
 
     let fanout_json: Vec<String> = fanout
@@ -274,7 +316,8 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"runs\": {runs},\n  \"smoke\": {smoke},\n  \"degree\": \"{DEGREE}\",\n  \
-         \"dbf\": {{\n    \"events_total\": {},\n    \"elapsed_ns_total\": {},\n    \
+         \"dbf\": {{\n    \"events_total\": {},\n    \"queue_high_water\": {},\n    \
+         \"elapsed_ns_total\": {},\n    \
          \"events_per_sec_median\": {:.0},\n    \"events_per_sec_min\": {:.0},\n    \
          \"events_per_sec_max\": {:.0},\n    \"control_messages_sent\": {},\n    \
          \"control_payloads_shared\": {}\n  }},\n  \
@@ -282,8 +325,10 @@ fn main() {
          \"bgp_interner\": {{\n    \"hits\": {},\n    \"misses\": {},\n    \
          \"hit_rate_pct\": {:.2},\n    \"control_messages_sent\": {},\n    \
          \"control_payloads_shared\": {}\n  }},\n  \
-         \"baseline_events_per_sec_median\": {},\n  \"regressed\": {regressed}\n}}\n",
+         \"baseline_events_per_sec_median\": {},\n  \"regressed\": {regressed},\n  \
+         \"counters_rose\": {counters_rose}\n}}\n",
         timing.events_total,
+        timing.queue_high_water,
         timing.elapsed_ns_total,
         eps_median,
         eps_min,
@@ -307,6 +352,14 @@ fn main() {
              committed baseline {}",
             baseline.unwrap_or(0)
         );
+    }
+    if counters_rose {
+        eprintln!(
+            "REGRESSION: an exact DBF work counter rose above its committed count \
+             (results/bench_hotpath_baseline.json)"
+        );
+    }
+    if regressed || counters_rose {
         std::process::exit(1);
     }
 }

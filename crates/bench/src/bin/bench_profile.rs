@@ -8,6 +8,10 @@
 //! attribution means the four phases partition the instrumented time —
 //! a phase never counts its children.
 //!
+//! Each row also gives the exact event count and how many of those events
+//! were stale timer pops (cancelled or superseded timers, which do no
+//! work), so the tombstone share of "events" is a measured count.
+//!
 //! ```text
 //! bench_profile [--smoke] [runs] [--jobs N]
 //! ```
@@ -38,6 +42,9 @@ struct Profile {
     protocol: &'static str,
     /// (calls, exclusive ns) per entry of [`PHASES`].
     phases: Vec<(u64, u64)>,
+    /// Events processed, stale timer pops included.
+    events: u64,
+    stale_timer_pops: u64,
 }
 
 fn wall_recorder() -> Box<Recorder> {
@@ -49,11 +56,14 @@ fn wall_recorder() -> Box<Recorder> {
 
 fn profile_protocol(protocol: ProtocolKind, degree: MeshDegree, runs: usize) -> Profile {
     let mut recorder = wall_recorder();
+    let (mut events, mut stale_timer_pops) = (0, 0);
     for i in 0..runs {
         let cfg = ExperimentConfig::paper(protocol, degree, point_seed(degree, i));
         let (result, returned) = run_observed(&cfg, Some(recorder))
             .unwrap_or_else(|e| panic!("{protocol} run {i} failed: {e}"));
         recorder = returned.expect("recorder returned on success");
+        events += result.stats.events_processed;
+        stale_timer_pops += result.stats.stale_timer_pops;
         recorder.enter(METRIC_FOLDING);
         let summary = summarize_streaming(&result)
             .unwrap_or_else(|e| panic!("{protocol} run {i}: {e}"));
@@ -66,6 +76,8 @@ fn profile_protocol(protocol: ProtocolKind, degree: MeshDegree, runs: usize) -> 
             .iter()
             .map(|name| (recorder.calls(name), recorder.exclusive_ns(name)))
             .collect(),
+        events,
+        stale_timer_pops,
     }
 }
 
@@ -113,6 +125,7 @@ fn main() {
             .chain(PHASES.iter().flat_map(|p| {
                 [format!("{p} (ms)"), format!("{p} calls")]
             }))
+            .chain(["events".to_string(), "stale timer pops".to_string()])
             .collect(),
     );
     for profile in &profiles {
@@ -121,6 +134,12 @@ fn main() {
             row.push(format!("{:.3}", ns as f64 / 1e6));
             row.push(calls.to_string());
         }
+        row.push(profile.events.to_string());
+        row.push(format!(
+            "{} ({:.1}%)",
+            profile.stale_timer_pops,
+            100.0 * profile.stale_timer_pops as f64 / profile.events.max(1) as f64
+        ));
         table.push_row(row);
     }
     println!("{}", table.render());
@@ -140,8 +159,11 @@ fn main() {
                 })
                 .collect();
             format!(
-                "    {{\"protocol\": \"{}\", \"phases\": [\n{}\n    ]}}",
+                "    {{\"protocol\": \"{}\", \"events_processed\": {}, \"stale_timer_pops\": {}, \
+                 \"phases\": [\n{}\n    ]}}",
                 profile.protocol,
+                profile.events,
+                profile.stale_timer_pops,
                 phases.join(",\n")
             )
         })

@@ -50,7 +50,7 @@ fn last_route_change(sim: &Simulator) -> f64 {
             TraceEvent::RouteChanged { time, .. } => Some(time.as_secs_f64()),
             _ => None,
         })
-        .next_back()
+        .last()
         .unwrap_or(0.0)
 }
 

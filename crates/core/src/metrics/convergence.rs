@@ -83,10 +83,10 @@ pub fn routing_convergence_time(trace: &Trace, t_fail: SimTime, detection: SimDu
     let last = trace
         .iter()
         .filter_map(|e| match e {
-            TraceEvent::RouteChanged { time, .. } if *time >= t_fail => Some(*time),
+            TraceEvent::RouteChanged { time, .. } if time >= t_fail => Some(time),
             _ => None,
         })
-        .next_back();
+        .last();
     match last {
         Some(t) => t.saturating_since(detect_at).as_secs_f64(),
         None => 0.0,
@@ -145,7 +145,7 @@ pub fn path_history(
     let mut events = trace.iter().peekable();
     // Build the pre-failure state.
     while let Some(e) = events.next_if(|e| e.time() < t_fail) {
-        replay.apply(e);
+        replay.apply(&e);
     }
     let mut last_outcome = replay.walk(src, dst);
     let mut timeline = vec![(t_fail, last_outcome.clone())];
@@ -153,7 +153,7 @@ pub fn path_history(
         if !matches!(event, TraceEvent::RouteChanged { .. }) {
             continue;
         }
-        replay.apply(event);
+        replay.apply(&event);
         let outcome = replay.walk(src, dst);
         if outcome != last_outcome {
             timeline.push((event.time(), outcome.clone()));

@@ -90,24 +90,24 @@ pub fn analyze_loops(trace: &Trace) -> LoopReport {
     for event in trace {
         match event {
             TraceEvent::PacketInjected { id, src, .. } => {
-                logs.entry(*id).or_default().visited.push(*src);
+                logs.entry(id).or_default().visited.push(src);
             }
             TraceEvent::PacketForwarded { id, next_hop, .. } => {
-                let log = logs.entry(*id).or_default();
-                if log.pivot.is_none() && log.visited.contains(next_hop) {
+                let log = logs.entry(id).or_default();
+                if log.pivot.is_none() && log.visited.contains(&next_hop) {
                     // visited = [source, hop1, ..., hopK]; the revisiting
                     // hop is K+1, so K hops preceded it.
-                    log.pivot = Some((*next_hop, log.visited.len() as u32 - 1));
+                    log.pivot = Some((next_hop, log.visited.len() as u32 - 1));
                 }
-                log.visited.push(*next_hop);
+                log.visited.push(next_hop);
             }
             TraceEvent::PacketDelivered { id, .. } => {
-                if let Some(log) = logs.get_mut(id) {
+                if let Some(log) = logs.get_mut(&id) {
                     log.fate = Some(LoopFate::Escaped);
                 }
             }
             TraceEvent::PacketDropped { id, reason, .. } => {
-                if let Some(log) = logs.get_mut(id) {
+                if let Some(log) = logs.get_mut(&id) {
                     log.fate = Some(match reason {
                         DropReason::TtlExpired => LoopFate::TtlKilled,
                         _ => LoopFate::OtherDrop,

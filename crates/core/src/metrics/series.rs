@@ -42,7 +42,7 @@ pub fn throughput_series(
     let mut counts = vec![0u64; (to_s - from_s) as usize];
     for event in trace {
         if let TraceEvent::PacketDelivered { time, .. } = event {
-            if let Some(bucket) = bucket_of(*time, t_fail, from_s, to_s) {
+            if let Some(bucket) = bucket_of(time, t_fail, from_s, to_s) {
                 counts[(bucket - from_s) as usize] += 1;
             }
         }
@@ -69,9 +69,9 @@ pub fn delay_series(
     let mut count = vec![0u64; buckets];
     for event in trace {
         if let TraceEvent::PacketDelivered { time, sent_at, .. } = event {
-            if let Some(bucket) = bucket_of(*time, t_fail, from_s, to_s) {
+            if let Some(bucket) = bucket_of(time, t_fail, from_s, to_s) {
                 let ix = (bucket - from_s) as usize;
-                sum[ix] += time.saturating_since(*sent_at).as_secs_f64();
+                sum[ix] += time.saturating_since(sent_at).as_secs_f64();
                 count[ix] += 1;
             }
         }
@@ -92,7 +92,7 @@ pub fn mean_delay(trace: &Trace) -> Option<f64> {
     let mut count = 0u64;
     for event in trace {
         if let TraceEvent::PacketDelivered { time, sent_at, .. } = event {
-            sum += time.saturating_since(*sent_at).as_secs_f64();
+            sum += time.saturating_since(sent_at).as_secs_f64();
             count += 1;
         }
     }

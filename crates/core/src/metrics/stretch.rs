@@ -69,17 +69,17 @@ pub fn flow_stretch(
     for event in trace {
         match event {
             TraceEvent::PacketInjected { id, src: s, dst: d, .. }
-                if *s == src && *d == dst =>
+                if s == src && d == dst =>
             {
-                flow_packets.insert(*id, ());
+                flow_packets.insert(id, ());
             }
             TraceEvent::PacketDelivered { time, id, hops, .. }
-                if flow_packets.contains_key(id) =>
+                if flow_packets.contains_key(&id) =>
             {
-                let optimal = if *time < t_fail { before } else { after };
+                let optimal = if time < t_fail { before } else { after };
                 out.push(PacketStretch {
-                    time: *time,
-                    hops: *hops,
+                    time,
+                    hops,
                     optimal,
                 });
             }

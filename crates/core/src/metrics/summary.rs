@@ -84,7 +84,7 @@ pub fn summarize(result: &RunResult) -> Result<RunSummary, MetricsError> {
         result.detection,
     )?;
     for event in &result.trace {
-        observer.observe(event);
+        observer.observe(&event);
     }
     Ok(observer.finish(&result.stats))
 }

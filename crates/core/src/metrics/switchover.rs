@@ -54,17 +54,17 @@ pub fn switch_overs(trace: &Trace, from: SimTime) -> Vec<SwitchOver> {
         };
         match new {
             None => {
-                if *time >= from {
-                    open.entry((*node, *dest)).or_insert(*time);
+                if time >= from {
+                    open.entry((node, dest)).or_insert(time);
                 }
             }
             Some(_) => {
-                if let Some(began) = open.remove(&(*node, *dest)) {
+                if let Some(began) = open.remove(&(node, dest)) {
                     windows.push(SwitchOver {
-                        node: *node,
-                        dest: *dest,
+                        node,
+                        dest,
                         began,
-                        ended: Some(*time),
+                        ended: Some(time),
                     });
                 }
             }

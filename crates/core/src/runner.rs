@@ -230,7 +230,7 @@ pub fn run_observed(
     // ---- Warm-up: run until no FIB has changed for `quiet`. -------------
     let quiet = config.warmup.quiet;
     let deadline = SimTime::ZERO + config.warmup.max;
-    let mut cursor = 0usize; // first unscanned trace event
+    let mut cursor = sim.trace().end(); // first unscanned trace event
     let mut last_change = SimTime::ZERO;
     let mut now = SimTime::ZERO;
     loop {
@@ -239,13 +239,13 @@ pub fn run_observed(
             return Err(RunError::NotQuiescent { deadline });
         }
         sim.run_until_budgeted(now, config.watchdog.max_events)?;
-        let events = sim.trace().events();
-        for event in &events[cursor..] {
+        let trace = sim.trace();
+        for event in trace.iter_from(cursor) {
             if matches!(event, TraceEvent::RouteChanged { .. }) {
                 last_change = event.time();
             }
         }
-        cursor = events.len();
+        cursor = trace.end();
         if now.saturating_since(last_change) >= quiet {
             break;
         }

@@ -174,12 +174,12 @@ impl GoBackNSource {
     }
 
     fn arm_rto(&mut self, ctx: &mut AppContext<'_>) {
-        if let Some(old) = self.rto_timer.take() {
-            ctx.cancel_timer(old);
-        }
+        let old = self.rto_timer.take();
         if self.base < self.config.total_packets {
             self.rto_timer =
-                Some(ctx.set_timer(self.current_rto, TimerToken::compose(TIMER_RTO, 0)));
+                Some(ctx.reset_timer(old, self.current_rto, TimerToken::compose(TIMER_RTO, 0)));
+        } else if let Some(old) = old {
+            ctx.cancel_timer(old);
         }
     }
 }

@@ -29,9 +29,9 @@ pub fn summarize_by_passes(result: &RunResult) -> Result<RunSummary, MetricsErro
     let windows = switch_overs(&result.trace, result.t_fail);
     let run_end = result
         .trace
-        .events()
+        .iter()
         .last()
-        .map_or(result.t_fail, netsim::trace::TraceEvent::time);
+        .map_or(result.t_fail, |e| e.time());
     let switchover = stats_for_dest(&windows, flow.receiver, run_end);
     let stretch = flow_stretch(
         &result.trace,

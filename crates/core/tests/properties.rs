@@ -75,7 +75,7 @@ proptest! {
 
         let mut replay = FibReplay::new(mesh.graph().num_nodes());
         for event in sim.trace() {
-            replay.apply(event);
+            replay.apply(&event);
         }
         for src in mesh.graph().nodes() {
             for dst in mesh.graph().nodes() {

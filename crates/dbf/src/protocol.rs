@@ -146,17 +146,24 @@ impl Dbf {
     /// destination with no selected route is announced with an infinite
     /// metric, which is how withdrawals reach neighbors whose caches would
     /// otherwise hold the stale finite entry forever.
+    ///
+    /// `only` (ascending, as [`Dbf::changed_dests`] returns it) restricts
+    /// the advertisement to those destinations; it is walked instead of
+    /// the whole table, in the table's destination order.
     fn build_entries<'a>(
         &'a self,
         neighbor: NodeId,
         only: Option<&'a [NodeId]>,
     ) -> impl Iterator<Item = DvEntry> + 'a {
-        self.selected.iter().enumerate().filter_map(move |(i, slot)| {
-            let dest = NodeId::new(i as u32);
-            if only.is_some_and(|set| !set.contains(&dest)) {
-                return None;
-            }
-            let metric = match slot {
+        debug_assert!(only.is_none_or(|dests| dests.windows(2).all(|w| w[0] < w[1])));
+        let all = only
+            .is_none()
+            .then(|| (0..self.selected.len()).map(|i| NodeId::new(i as u32)))
+            .into_iter()
+            .flatten();
+        let chosen = only.into_iter().flatten().copied();
+        all.chain(chosen).filter_map(move |dest| {
+            let metric = match self.selected.get(dest.index())? {
                 None => Metric::INFINITY,
                 Some(route) => {
                     let toward_neighbor = route.next_hop == Some(neighbor);
@@ -210,13 +217,12 @@ impl Dbf {
     }
 
     fn refresh_neighbor_timer(&mut self, ctx: &mut ProtocolContext<'_>, neighbor: NodeId) {
-        let id = ctx.set_timer(
+        let id = ctx.reset_timer(
+            self.neighbor_timers.get(neighbor).copied(),
             self.config.neighbor_timeout,
             TimerToken::compose(timer::NEIGHBOR_TIMEOUT, neighbor.index() as u64),
         );
-        if let Some(old) = self.neighbor_timers.insert(neighbor, id) {
-            ctx.cancel_timer(old);
-        }
+        self.neighbor_timers.insert(neighbor, id);
     }
 
     fn drop_neighbor(&mut self, ctx: &mut ProtocolContext<'_>, neighbor: NodeId) {
@@ -347,6 +353,30 @@ mod tests {
         };
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn triggered_filter_restricts_destinations() {
+        let n = NodeId::new;
+        let route = |metric, next| {
+            Some(SelectedRoute {
+                metric: Metric::new(metric),
+                next_hop: Some(n(next)),
+            })
+        };
+        let mut dbf = Dbf::new();
+        dbf.selected = vec![None, route(2, 5), route(1, 6), route(4, 6)];
+        let only = [n(0), n(2), n(3)];
+        let entries: Vec<DvEntry> = dbf.build_entries(n(6), Some(&only)).collect();
+        let dests: Vec<NodeId> = entries.iter().map(|e| e.dest).collect();
+        assert_eq!(dests, only);
+        // The same entries, in the same order, as filtering the full
+        // advertisement.
+        let filtered: Vec<DvEntry> = dbf
+            .build_entries(n(6), None)
+            .filter(|e| only.contains(&e.dest))
+            .collect();
+        assert_eq!(entries, filtered);
     }
 
     #[test]

@@ -11,16 +11,33 @@
 //! sift operations therefore move 24-byte keys instead of the large event
 //! enum, and popped slots are recycled so a steady-state run stops
 //! allocating once the calendar reaches its high-water mark.
+//!
+//! Next to the heap sit two FIFO *lanes* (`Lane`) for the two frame
+//! events whose delay is nearly always the same: a clean link's
+//! propagation delay and a data packet's serialization delay. A lane
+//! takes its delay `d` from its first event; an event pushed onto it is
+//! due at `now + d`. The clock never runs backwards and every push takes
+//! a fresh, strictly larger sequence number, so each lane is already
+//! sorted by `(time, seq)` and costs O(1) per push and pop instead of a
+//! heap sift. An event whose delay differs from its lane's (an impaired
+//! link, a different bandwidth, an ACK-sized frame) goes to the heap, so
+//! lanes are an optimisation only: `EventQueue::pop` takes the least
+//! `(time, seq)` of the heap top and the two lane heads, and the total
+//! pop order is exactly the order a heap alone would give.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::ident::{LinkId, NodeId};
 use crate::impairment::Impairment;
 use crate::link::Frame;
 use crate::packet::Packet;
 use crate::protocol::{RoutingProtocol, TimerId};
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
+
+/// The total order of the calendar: an event's due time, then the
+/// sequence number that breaks same-instant ties in schedule order.
+pub(crate) type EventKey = (SimTime, u64);
 
 /// A fresh protocol instance carried by a [`EventKind::NodeRestart`] event.
 ///
@@ -81,6 +98,12 @@ struct HeapKey {
     slot: u32,
 }
 
+impl HeapKey {
+    fn key(&self) -> EventKey {
+        (self.time, self.seq)
+    }
+}
+
 impl PartialEq for HeapKey {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
@@ -104,17 +127,37 @@ impl Ord for HeapKey {
 }
 
 /// Slots pre-allocated on construction. Real runs outgrow this: the fig3–7
-/// runs on the 7×7 mesh peak between a few hundred and about 18k pending
-/// events (median about 2.6k in the committed telemetry; RIP at degree 3
-/// reaches 16515 in slot 0), and a 15×15 degree-8 run reaches about 375k.
-/// Past this size the heap, slab and free list grow by doubling and keep
-/// their capacity for the rest of the run.
+/// runs on the 7×7 mesh peak between a few hundred and about 3k pending
+/// events (RIP at degree 3 peaks highest), and a 15×15 degree-8 run
+/// reaches about 53k. Past this size the heap, slab and free list grow by
+/// doubling and keep their capacity for the rest of the run.
 const INITIAL_CAPACITY: usize = 1024;
+
+/// A FIFO lane of the calendar (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lane {
+    /// `FrameArrived` events of clean links: the propagation delay.
+    Arrival,
+    /// `FrameSerialized` events of data frames: the serialization delay
+    /// of the data packet size.
+    DataSerialization,
+}
+
+/// The keys of one lane, in `(time, seq)` order by construction.
+#[derive(Debug, Default)]
+struct FifoLane {
+    /// The delay every key in the lane was scheduled with; set by the
+    /// lane's first event.
+    delay: Option<SimDuration>,
+    keys: VecDeque<HeapKey>,
+}
 
 /// A deterministic future-event list.
 #[derive(Debug)]
 pub(crate) struct EventQueue {
     heap: BinaryHeap<HeapKey>,
+    /// Indexed by [`Lane`].
+    lanes: [FifoLane; 2],
     /// Payload slab indexed by `HeapKey::slot`; `None` marks a free slot.
     slab: Vec<Option<EventKind>>,
     /// Recyclable slab slots (popped events release theirs).
@@ -135,6 +178,7 @@ impl EventQueue {
     pub(crate) fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(INITIAL_CAPACITY),
+            lanes: [FifoLane::default(), FifoLane::default()],
             slab: Vec::with_capacity(INITIAL_CAPACITY),
             free: Vec::with_capacity(INITIAL_CAPACITY),
             next_seq: 0,
@@ -185,7 +229,39 @@ impl EventQueue {
             self.now
         );
         debug_assert!(seq < self.next_seq, "sequence number {seq} was never reserved");
-        let slot = match self.free.pop() {
+        let slot = self.store(kind);
+        self.heap.push(HeapKey {
+            time: at,
+            seq,
+            slot,
+        });
+        self.note_len();
+    }
+
+    /// Schedules `kind` at `now + delay` on `lane`, or on the heap when
+    /// `delay` is not the lane's delay. Either way the event takes the
+    /// next sequence number and pops exactly where
+    /// [`schedule`](Self::schedule) would put it.
+    pub(crate) fn schedule_after(&mut self, lane: Lane, delay: SimDuration, kind: EventKind) {
+        let at = self.now + delay;
+        let seq = self.reserve(1);
+        let fifo = &mut self.lanes[lane as usize];
+        if *fifo.delay.get_or_insert(delay) != delay {
+            self.schedule_reserved(at, seq, kind);
+            return;
+        }
+        let slot = self.store(kind);
+        self.lanes[lane as usize].keys.push_back(HeapKey {
+            time: at,
+            seq,
+            slot,
+        });
+        self.note_len();
+    }
+
+    /// Puts `kind` in a free slab slot and returns the slot.
+    fn store(&mut self, kind: EventKind) -> u32 {
+        match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = Some(kind);
                 slot
@@ -195,35 +271,54 @@ impl EventQueue {
                 self.slab.push(Some(kind));
                 slot
             }
-        };
-        self.heap.push(HeapKey {
-            time: at,
-            seq,
-            slot,
-        });
-        self.high_water = self.high_water.max(self.heap.len() as u64);
+        }
     }
 
-    /// Pops the next event, advancing the clock to its timestamp.
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        let key = self.heap.pop()?;
+    fn note_len(&mut self) {
+        self.high_water = self.high_water.max(self.len() as u64);
+    }
+
+    /// Pops the next event, advancing the clock to its timestamp. Returns
+    /// the event's sequence number too, so a handler can tell which of
+    /// several events standing for the same thing it was handed.
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, EventKind)> {
+        let mut next = self.heap.peek().map(HeapKey::key);
+        let mut from_lane = None;
+        for (ix, lane) in self.lanes.iter().enumerate() {
+            if let Some(head) = lane.keys.front() {
+                if next.is_none_or(|k| head.key() < k) {
+                    next = Some(head.key());
+                    from_lane = Some(ix);
+                }
+            }
+        }
+        let key = match from_lane {
+            Some(ix) => self.lanes[ix].keys.pop_front(),
+            None => self.heap.pop(),
+        }?;
         debug_assert!(key.time >= self.now, "event queue went backwards");
         self.now = key.time;
         let kind = self.slab[key.slot as usize]
             .take()
-            .expect("heap key points at an occupied slab slot");
+            .expect("calendar key points at an occupied slab slot");
         self.free.push(key.slot);
-        Some((key.time, kind))
+        Some((key.time, key.seq, kind))
     }
 
     /// Timestamp of the next event without popping it.
     pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        let heads = self.lanes.iter().filter_map(|lane| lane.keys.front());
+        self.heap
+            .peek()
+            .into_iter()
+            .chain(heads)
+            .map(|k| k.time)
+            .min()
     }
 
-    /// Number of pending events.
+    /// Number of pending events, heap and lanes together.
     pub(crate) fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lanes.iter().map(|lane| lane.keys.len()).sum::<usize>()
     }
 
     /// Peak number of simultaneously pending events over the queue's life.
@@ -268,7 +363,7 @@ mod tests {
         q.schedule(SimTime::from_secs(1), marker(1));
         q.schedule(SimTime::from_secs(2), marker(2));
         let order: Vec<u32> = std::iter::from_fn(|| q.pop())
-            .map(|(_, k)| channel_of(&k))
+            .map(|(_, _, k)| channel_of(&k))
             .collect();
         assert_eq!(order, [1, 2, 3]);
     }
@@ -281,7 +376,7 @@ mod tests {
             q.schedule(t, marker(i));
         }
         let order: Vec<u32> = std::iter::from_fn(|| q.pop())
-            .map(|(_, k)| channel_of(&k))
+            .map(|(_, _, k)| channel_of(&k))
             .collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
@@ -311,7 +406,7 @@ mod tests {
         // slab must not grow beyond that high-water mark.
         for i in 0..100 {
             q.schedule(SimTime::from_secs(i + 1), marker(i as u32));
-            let (_, kind) = q.pop().unwrap();
+            let (_, _, kind) = q.pop().unwrap();
             assert_eq!(channel_of(&kind), i as u32);
         }
         assert_eq!(q.len(), 0);
@@ -342,7 +437,7 @@ mod tests {
             eager.schedule(SimTime::from_millis(ms), marker(id));
         }
         let eager_order: Vec<(SimTime, u32)> = std::iter::from_fn(|| eager.pop())
-            .map(|(t, k)| (t, channel_of(&k)))
+            .map(|(t, _, k)| (t, channel_of(&k)))
             .collect();
 
         let mut lazy = EventQueue::new();
@@ -355,7 +450,7 @@ mod tests {
             lazy.schedule(SimTime::from_millis(ms), marker(id));
         }
         let mut lazy_order = Vec::new();
-        while let Some((t, kind)) = lazy.pop() {
+        while let Some((t, _, kind)) = lazy.pop() {
             let id = channel_of(&kind);
             if id < TICKS {
                 assert!(lazy.len() <= before.len() + after.len(), "one tick pending at most");
@@ -370,13 +465,132 @@ mod tests {
         assert!(lazy.high_water() < eager.high_water());
     }
 
+    /// One step of [`lanes_pop_like_a_heap_only_queue`].
+    type Op = (u8, u64, usize);
+
+    /// Lane delays in µs: two equal entries so most pushes match the
+    /// lane's delay, and others that do not (they must go to the heap).
+    const ARRIVAL_US: [u64; 4] = [1_000, 1_000, 0, 800];
+    const SERIALIZATION_US: [u64; 4] = [800, 800, 1_000, 2_000];
+
+    /// Runs `ops` against a queue that uses its lanes and a reference that
+    /// schedules the same events on the heap alone, comparing every pop.
+    fn run_against_heap_only(ops: &[Op]) -> Result<usize, String> {
+        let mut fast = EventQueue::new();
+        let mut heap_only = EventQueue::new();
+        let mut reserved = Vec::new();
+        let mut popped = 0;
+        let mut next_id = 0;
+        let mut id = || {
+            next_id += 1;
+            next_id
+        };
+        let mut check_pop = |fast: &mut EventQueue, heap_only: &mut EventQueue| {
+            if fast.peek_time() != heap_only.peek_time() {
+                return Err(format!(
+                    "peek {:?} vs {:?}",
+                    fast.peek_time(),
+                    heap_only.peek_time()
+                ));
+            }
+            let a = fast.pop().map(|(t, seq, k)| (t, seq, channel_of(&k)));
+            let b = heap_only.pop().map(|(t, seq, k)| (t, seq, channel_of(&k)));
+            if a != b {
+                return Err(format!("pop {a:?} vs heap-only {b:?}"));
+            }
+            popped += usize::from(a.is_some());
+            Ok(a.is_some())
+        };
+        for &(op, arg, pick) in ops {
+            let now = fast.now();
+            match op {
+                0 => {
+                    let (at, m) = (now + SimDuration::from_micros(arg * 100), id());
+                    fast.schedule(at, marker(m));
+                    heap_only.schedule(at, marker(m));
+                }
+                1 | 2 => {
+                    let (lane, delays) = if op == 1 {
+                        (Lane::Arrival, ARRIVAL_US)
+                    } else {
+                        (Lane::DataSerialization, SERIALIZATION_US)
+                    };
+                    let delay = SimDuration::from_micros(delays[pick % delays.len()]);
+                    let m = id();
+                    fast.schedule_after(lane, delay, marker(m));
+                    heap_only.schedule(now + delay, marker(m));
+                }
+                3 => {
+                    let n = arg % 3 + 1;
+                    let first = fast.reserve(n);
+                    if heap_only.reserve(n) != first {
+                        return Err("reserved numbers differ".into());
+                    }
+                    reserved.extend(first..first + n);
+                }
+                4 if !reserved.is_empty() => {
+                    let seq = reserved.swap_remove(pick % reserved.len());
+                    let (at, m) = (now + SimDuration::from_micros(arg * 100), id());
+                    fast.schedule_reserved(at, seq, marker(m));
+                    heap_only.schedule_reserved(at, seq, marker(m));
+                }
+                _ => {
+                    check_pop(&mut fast, &mut heap_only)?;
+                }
+            }
+            if fast.len() != heap_only.len() {
+                return Err(format!("len {} vs {}", fast.len(), heap_only.len()));
+            }
+        }
+        while check_pop(&mut fast, &mut heap_only)? {}
+        if fast.high_water() != heap_only.high_water() {
+            return Err("high water differs".into());
+        }
+        Ok(popped)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Lanes never change the pop order: any interleaving of heap
+        /// events, lane pushes (with matching and mismatched delays) and
+        /// reserved sequence numbers pops the same `(time, seq, payload)`
+        /// sequence as a queue that schedules everything on the heap.
+        #[test]
+        fn lanes_pop_like_a_heap_only_queue(
+            ops in proptest::prop::collection::vec((0u8..7, 0u64..30, 0usize..8), 1..160),
+        ) {
+            let outcome = run_against_heap_only(&ops);
+            proptest::prop_assert!(outcome.is_ok(), "{:?} for {:?}", outcome, ops);
+        }
+    }
+
+    #[test]
+    fn lane_events_tie_with_heap_events_in_schedule_order() {
+        let mut q = EventQueue::new();
+        let d = SimDuration::from_millis(1);
+        q.schedule(SimTime::from_millis(1), marker(0));
+        q.schedule_after(Lane::Arrival, d, marker(1));
+        q.schedule(SimTime::from_millis(1), marker(2));
+        q.schedule_after(Lane::DataSerialization, d, marker(3));
+        // A different delay than the lane's first one goes to the heap.
+        q.schedule_after(Lane::Arrival, SimDuration::ZERO, marker(4));
+        assert_eq!(q.lanes[Lane::Arrival as usize].keys.len(), 1);
+        assert_eq!(q.len(), 5);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
+            .map(|(_, _, k)| channel_of(&k))
+            .collect();
+        assert_eq!(order, [4, 0, 1, 2, 3]);
+        assert_eq!(q.high_water(), 5);
+    }
+
     #[test]
     fn peek_matches_pop() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(700), marker(0));
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(700)));
         assert_eq!(q.len(), 1);
-        let (t, _) = q.pop().unwrap();
+        let (t, _, _) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_millis(700));
         assert!(q.pop().is_none());
     }

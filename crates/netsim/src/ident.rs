@@ -59,6 +59,12 @@ macro_rules! impl_id {
             pub const fn index(self) -> usize {
                 self.0 as usize
             }
+
+            /// Returns the raw value the identifier was created from.
+            #[must_use]
+            pub const fn raw(self) -> $raw {
+                self.0
+            }
         }
 
         impl fmt::Display for $ty {

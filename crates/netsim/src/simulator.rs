@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use crate::app::AppAgent;
 use crate::error::{BuildError, EventBudgetExceeded};
-use crate::event::{EventKind, EventQueue, FreshProtocol};
+use crate::event::{EventKey, EventKind, EventQueue, FreshProtocol, Lane};
 use crate::fib::Fib;
 use crate::ident::{ChannelId, LinkId, NodeId, PacketId};
 use crate::impairment::{Impairment, PPM_SCALE};
@@ -15,7 +15,7 @@ use crate::packet::{DropReason, Packet, DEFAULT_TTL};
 use crate::protocol::{RoutingProtocol, SharedPayload, TimerId, TimerToken};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::timers::{TimerEntry, TimerSlab, TimerTarget};
+use crate::timers::{TimerEntry, TimerPop, TimerSlab, TimerTarget};
 use crate::trace::{Trace, TraceConfig, TraceEvent};
 
 /// A router in the simulated network.
@@ -83,8 +83,15 @@ struct CbrState {
 /// Aggregate counters updated online (cheap, always on).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Events processed by the engine.
+    /// Events processed by the engine, [`stale_timer_pops`] included.
+    ///
+    /// [`stale_timer_pops`]: SimStats::stale_timer_pops
     pub events_processed: u64,
+    /// Processed `TimerFired` events that fired nothing: the timer had
+    /// been cancelled or had fired, or a re-arm had moved it (an earlier
+    /// deadline leaves the old event behind; a later one re-queues it when
+    /// the old deadline pops).
+    pub stale_timer_pops: u64,
     /// Data packets injected by traffic sources.
     pub packets_injected: u64,
     /// Data packets delivered to their destination.
@@ -807,12 +814,12 @@ impl Simulator {
                     at: self.now(),
                 });
             }
-            let Some((t, kind)) = self.queue.pop() else {
+            let Some((t, seq, kind)) = self.queue.pop() else {
                 break;
             };
             self.stats.events_processed += 1;
             self.obs_event_start(t);
-            self.handle(kind);
+            self.handle((t, seq), kind);
             self.obs_exit();
         }
         if let Some(until) = until {
@@ -862,7 +869,8 @@ impl Simulator {
         }
     }
 
-    fn handle(&mut self, kind: EventKind) {
+    /// Processes `kind`, popped under calendar key `key`.
+    fn handle(&mut self, key: EventKey, kind: EventKind) {
         match kind {
             EventKind::InjectPacket { packet } => self.inject(packet),
             EventKind::CbrTick { source, tick } => self.on_cbr_tick(source, tick),
@@ -870,8 +878,14 @@ impl Simulator {
                 self.on_frame_serialized(channel, epoch);
             }
             EventKind::FrameArrived { channel, frame } => self.on_frame_arrived(channel, frame),
-            EventKind::TimerFired { node, timer } => {
-                if let Some(entry) = self.timers.take(timer) {
+            EventKind::TimerFired { node, timer } => match self.timers.on_pop(timer, key) {
+                TimerPop::Stale => self.stats.stale_timer_pops += 1,
+                TimerPop::Moved((at, seq)) => {
+                    self.stats.stale_timer_pops += 1;
+                    self.queue
+                        .schedule_reserved(at, seq, EventKind::TimerFired { node, timer });
+                }
+                TimerPop::Fire(entry) => {
                     debug_assert_eq!(entry.owner, node);
                     match entry.target {
                         TimerTarget::Protocol => {
@@ -882,7 +896,7 @@ impl Simulator {
                         }
                     }
                 }
-            }
+            },
             EventKind::LinkFail { link } => self.on_link_fail(link),
             EventKind::LinkRecover { link } => self.on_link_recover(link),
             EventKind::LinkStateDetected { node, link, up } => {
@@ -986,9 +1000,9 @@ impl Simulator {
             return;
         };
         if let Some(d) = next_delay {
+            let data = matches!(ch.transmitting, Some(Frame::Data(_)));
             let epoch = ch.epoch;
-            self.queue
-                .schedule(now + d, EventKind::FrameSerialized { channel, epoch });
+            self.schedule_serialized(channel, epoch, d, data);
         }
         let ch = &self.channels[channel.index()];
         if !ch.up {
@@ -996,15 +1010,18 @@ impl Simulator {
             return;
         }
         let imp = ch.config.impairment;
-        let base_arrival = now + ch.config.propagation_delay;
+        let propagation = ch.config.propagation_delay;
         if imp.is_noop() {
             // The clean-link fast path draws nothing from the impairment
             // RNG, keeping unimpaired runs bit-identical.
-            self.queue
-                .schedule(base_arrival, EventKind::FrameArrived { channel, frame });
+            self.queue.schedule_after(
+                Lane::Arrival,
+                propagation,
+                EventKind::FrameArrived { channel, frame },
+            );
             return;
         }
-        self.impaired_departure(channel, frame, base_arrival, imp);
+        self.impaired_departure(channel, frame, now + propagation, imp);
     }
 
     /// Applies loss, jitter and reordering to a frame leaving the
@@ -1161,19 +1178,95 @@ impl Simulator {
     }
 
     fn offer_frame(&mut self, channel: ChannelId, frame: Frame, from: NodeId) {
-        let now = self.now();
+        let data = matches!(frame, Frame::Data(_));
         let epoch = self.channels[channel.index()].epoch;
         match self.channels[channel.index()].offer(frame) {
-            EnqueueOutcome::StartTransmit(d) => {
-                self.queue
-                    .schedule(now + d, EventKind::FrameSerialized { channel, epoch });
-            }
+            EnqueueOutcome::StartTransmit(d) => self.schedule_serialized(channel, epoch, d, data),
             EnqueueOutcome::Queued => {}
             EnqueueOutcome::Dropped(frame) => match frame {
                 Frame::Data(packet) => self.record_drop(packet, from, DropReason::QueueOverflow),
                 Frame::Control(_) => self.stats.control_messages_lost += 1,
             },
         }
+    }
+
+    /// Schedules the end of a frame's serialization, `delay` from now.
+    /// Data frames share one serialization delay on a uniform network, so
+    /// they go to their FIFO lane; control frames vary in size and go to
+    /// the heap.
+    fn schedule_serialized(
+        &mut self,
+        channel: ChannelId,
+        epoch: u64,
+        delay: SimDuration,
+        data: bool,
+    ) {
+        let kind = EventKind::FrameSerialized { channel, epoch };
+        if data {
+            self.queue
+                .schedule_after(Lane::DataSerialization, delay, kind);
+        } else {
+            self.queue.schedule(self.now() + delay, kind);
+        }
+    }
+
+    /// Arms `owner`'s timer `id` to fire `after` from now with `token`, in
+    /// place when `id` is still armed (see [`crate::timers`]), and returns
+    /// its id. Like cancelling `id` and arming a fresh timer, it takes one
+    /// calendar sequence number, so every later event's number is the same
+    /// either way.
+    fn reset_timer(
+        &mut self,
+        id: Option<TimerId>,
+        owner: NodeId,
+        target: TimerTarget,
+        after: SimDuration,
+        token: TimerToken,
+    ) -> TimerId {
+        let at = self.now() + after;
+        if let Some(id) = id {
+            match self.timers.get_mut(id) {
+                Some(entry) if entry.owner == owner && entry.target == target => {
+                    let due = (at, self.queue.reserve(1));
+                    entry.token = token;
+                    entry.due = due;
+                    if due < entry.queued {
+                        entry.queued = due;
+                        self.queue.schedule_reserved(
+                            at,
+                            due.1,
+                            EventKind::TimerFired {
+                                node: owner,
+                                timer: id,
+                            },
+                        );
+                    }
+                    return id;
+                }
+                // Somebody else's timer: cancel it, as cancel-and-set would.
+                Some(_) => {
+                    let _ = self.timers.take(id);
+                }
+                None => {}
+            }
+        }
+        let due = (at, self.queue.reserve(1));
+        let id = self.timers.insert(TimerEntry {
+            owner,
+            token,
+            target,
+            due,
+            queued: due,
+        });
+        self.queue.schedule_reserved(
+            at,
+            due.1,
+            EventKind::TimerFired {
+                node: owner,
+                timer: id,
+            },
+        );
+        id
     }
 
     fn on_link_fail(&mut self, link: LinkId) {
@@ -1416,20 +1509,27 @@ impl ProtocolContext<'_> {
     /// Arms a one-shot timer `after` from now; the token is returned in
     /// [`RoutingProtocol::on_timer`].
     pub fn set_timer(&mut self, after: SimDuration, token: TimerToken) -> TimerId {
-        let id = self.sim.timers.insert(TimerEntry {
-            owner: self.node,
-            token,
-            target: TimerTarget::Protocol,
-        });
-        let at = self.sim.now() + after;
-        self.sim.queue.schedule(
-            at,
-            EventKind::TimerFired {
-                node: self.node,
-                timer: id,
-            },
-        );
-        id
+        self.reset_timer(None, after, token)
+    }
+
+    /// Re-arms timer `id` to fire `after` from now with `token`, and
+    /// returns its id; with `None`, or an id that already fired or was
+    /// cancelled, it arms a fresh timer like
+    /// [`set_timer`](Self::set_timer).
+    ///
+    /// Behaves exactly like cancelling `id` and then calling `set_timer`
+    /// — the same firing instant and the same place among same-instant
+    /// events — but keeps the id and leaves no cancelled event behind in
+    /// the calendar for a later deadline. Use it for timeouts refreshed on
+    /// every message.
+    pub fn reset_timer(
+        &mut self,
+        id: Option<TimerId>,
+        after: SimDuration,
+        token: TimerToken,
+    ) -> TimerId {
+        self.sim
+            .reset_timer(id, self.node, TimerTarget::Protocol, after, token)
     }
 
     /// Cancels a pending timer; cancelling an already-fired timer is a
@@ -1524,20 +1624,18 @@ impl AppContext<'_> {
     /// Arms a one-shot timer; the token returns in
     /// [`AppAgent::on_timer`].
     pub fn set_timer(&mut self, after: SimDuration, token: TimerToken) -> TimerId {
-        let id = self.sim.timers.insert(TimerEntry {
-            owner: self.node,
-            token,
-            target: TimerTarget::App,
-        });
-        let at = self.sim.now() + after;
-        self.sim.queue.schedule(
-            at,
-            EventKind::TimerFired {
-                node: self.node,
-                timer: id,
-            },
-        );
-        id
+        self.reset_timer(None, after, token)
+    }
+
+    /// Re-arms timer `id` (or arms a fresh one); see
+    /// [`ProtocolContext::reset_timer`].
+    pub fn reset_timer(
+        &mut self,
+        id: Option<TimerId>,
+        after: SimDuration,
+        token: TimerToken,
+    ) -> TimerId {
+        self.sim.reset_timer(id, self.node, TimerTarget::App, after, token)
     }
 
     /// Cancels a pending timer; harmless if it already fired.

@@ -6,6 +6,20 @@
 //! message counts (for routing load) and link events. Metrics are computed
 //! from the trace by the `convergence` crate, never online, so a single run
 //! can answer every question the paper asks.
+//!
+//! A [`Trace`] keeps its records in a compact byte encoding instead of a
+//! `Vec<TraceEvent>`: a kind byte, the time since the previous record
+//! and the fields, each as a LEB128 varint. A typical record takes 6–12
+//! bytes where a `TraceEvent` takes 40. The bytes go into fixed-size
+//! chunks that are never reallocated, so a trace holds about as much
+//! memory as its records need: no buffer doubles past its content or is
+//! copied to grow, and a run's peak memory follows its trace length
+//! smoothly. Readers get the records back by value, in order, from
+//! [`Trace::iter`]; the encoding is exact, so a decoded record equals
+//! the one recorded.
+
+use std::fmt;
+use std::iter::FusedIterator;
 
 use serde::{Deserialize, Serialize};
 
@@ -14,7 +28,7 @@ use crate::packet::DropReason;
 use crate::time::SimTime;
 
 /// One record in a simulation trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceEvent {
     /// A traffic source handed a packet to its first router.
     PacketInjected {
@@ -277,10 +291,28 @@ impl Default for TraceConfig {
     }
 }
 
-/// An append-only record of everything observable in a run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// An append-only record of everything observable in a run, stored in
+/// the compact encoding described in the module docs.
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
+    /// The encoded records, in time order, in chunks of at most
+    /// [`CHUNK_BYTES`]; a record never straddles two chunks.
+    chunks: Vec<Vec<u8>>,
+    /// Number of records.
+    len: usize,
+    /// Time of the last record; the next record's time is encoded as
+    /// the difference from it.
+    last: u64,
+}
+
+/// A position in a [`Trace`]: [`Trace::iter_from`] reads only the
+/// records appended after it was taken with [`Trace::end`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TraceCursor {
+    chunk: usize,
+    offset: usize,
+    index: usize,
+    time: u64,
 }
 
 impl Trace {
@@ -302,38 +334,157 @@ impl Trace {
             events.windows(2).all(|w| w[0].time() <= w[1].time()),
             "trace events must be in time order"
         );
-        Trace { events }
+        let mut trace = Trace::new();
+        for event in events {
+            trace.push(event);
+        }
+        trace
     }
 
     pub(crate) fn push(&mut self, event: TraceEvent) {
         debug_assert!(
-            self.events.last().is_none_or(|e| e.time() <= event.time()),
+            self.last <= event.time().as_nanos(),
             "trace must be appended in time order"
         );
-        self.events.push(event);
-    }
-
-    /// All records in time order.
-    #[must_use]
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+        let mut record = Record::new(kind_code(&event));
+        // Wrapping differences keep the encoding exact for any input.
+        let delta = |from: u64, to: SimTime| to.as_nanos().wrapping_sub(from);
+        record.put(delta(self.last, event.time()));
+        match event {
+            TraceEvent::PacketInjected { id, src, dst, .. } => {
+                record.put(id.raw());
+                record.put_node(src);
+                record.put_node(dst);
+            }
+            TraceEvent::PacketForwarded {
+                id, node, next_hop, ..
+            } => {
+                record.put(id.raw());
+                record.put_node(node);
+                record.put_node(next_hop);
+            }
+            TraceEvent::PacketDelivered {
+                time,
+                id,
+                node,
+                hops,
+                sent_at,
+            } => {
+                record.put(id.raw());
+                record.put_node(node);
+                record.put(u64::from(hops));
+                record.put(delta(sent_at.as_nanos(), time));
+            }
+            TraceEvent::PacketDropped {
+                time,
+                id,
+                node,
+                reason,
+                sent_at,
+            } => {
+                record.put(id.raw());
+                record.put_node(node);
+                record.put(reason as u64);
+                record.put(delta(sent_at.as_nanos(), time));
+            }
+            TraceEvent::RouteChanged {
+                node,
+                dest,
+                old,
+                new,
+                ..
+            } => {
+                record.put_node(node);
+                record.put_node(dest);
+                record.put_hop(old);
+                record.put_hop(new);
+            }
+            TraceEvent::ControlSent {
+                from, to, bytes, ..
+            } => {
+                record.put_node(from);
+                record.put_node(to);
+                record.put(u64::from(bytes));
+            }
+            TraceEvent::LinkFailed { link, a, b, .. }
+            | TraceEvent::LinkRecovered { link, a, b, .. } => {
+                record.put(u64::from(link.raw()));
+                record.put_node(a);
+                record.put_node(b);
+            }
+            TraceEvent::LinkStateDetected {
+                node, neighbor, up, ..
+            } => {
+                record.put_node(node);
+                record.put_node(neighbor);
+                record.put(u64::from(up));
+            }
+            TraceEvent::ImpairmentChanged { link, loss_ppm, .. } => {
+                record.put(u64::from(link.raw()));
+                record.put(u64::from(loss_ppm));
+            }
+            TraceEvent::NodeRestarted { node, .. } => record.put_node(node),
+        }
+        let record = record.bytes();
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.capacity() - chunk.len() >= record.len() => {
+                chunk.extend_from_slice(record);
+            }
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK_BYTES);
+                chunk.extend_from_slice(record);
+                self.chunks.push(chunk);
+            }
+        }
+        self.len += 1;
+        self.last = event.time().as_nanos();
     }
 
     /// Number of records.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.len
     }
 
     /// Returns `true` if nothing was recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len == 0
     }
 
-    /// Iterates over records.
-    pub fn iter(&self) -> std::slice::Iter<'_, TraceEvent> {
-        self.events.iter()
+    /// Iterates over the records in time order.
+    #[must_use]
+    pub fn iter(&self) -> Iter<'_> {
+        self.iter_from(TraceCursor::default())
+    }
+
+    /// The position after the last record so far.
+    #[must_use]
+    pub fn end(&self) -> TraceCursor {
+        TraceCursor {
+            chunk: self.chunks.len().saturating_sub(1),
+            offset: self.chunks.last().map_or(0, Vec::len),
+            index: self.len,
+            time: self.last,
+        }
+    }
+
+    /// Iterates over the records appended after `cursor` was taken from
+    /// this trace with [`Trace::end`].
+    #[must_use]
+    pub fn iter_from(&self, cursor: TraceCursor) -> Iter<'_> {
+        debug_assert!(cursor.index <= self.len, "cursor of a longer trace");
+        let (bytes, rest) = match self.chunks.get(cursor.chunk..) {
+            Some([first, rest @ ..]) => (&first[cursor.offset..], rest),
+            _ => (&[][..], &[][..]),
+        };
+        Iter {
+            bytes,
+            rest,
+            pos: 0,
+            time: cursor.time,
+            remaining: self.len - cursor.index,
+        }
     }
 
     /// Renders the whole trace as stable text, one
@@ -342,35 +493,299 @@ impl Trace {
     #[must_use]
     pub fn render_lines(&self) -> String {
         let mut out = String::new();
-        for event in &self.events {
+        for event in self {
             out.push_str(&event.render_line());
             out.push('\n');
         }
         out
     }
 
-    /// Counts records by kind — a quick sanity profile of a run.
+    /// Counts records by kind — a quick sanity profile of a run. Reads
+    /// only the kind byte and skips the rest of each record.
     #[must_use]
     pub fn census(&self) -> TraceCensus {
         let mut census = TraceCensus::default();
-        for event in &self.events {
-            match event {
-                TraceEvent::PacketInjected { .. } => census.injected += 1,
-                TraceEvent::PacketForwarded { .. } => census.forwarded += 1,
-                TraceEvent::PacketDelivered { .. } => census.delivered += 1,
-                TraceEvent::PacketDropped { .. } => census.dropped += 1,
-                TraceEvent::RouteChanged { .. } => census.route_changes += 1,
-                TraceEvent::ControlSent { .. } => census.control_sent += 1,
-                TraceEvent::LinkFailed { .. } => census.link_failures += 1,
-                TraceEvent::LinkRecovered { .. } => census.link_recoveries += 1,
-                TraceEvent::LinkStateDetected { .. } => census.detections += 1,
-                TraceEvent::ImpairmentChanged { .. } => census.impairment_changes += 1,
-                TraceEvent::NodeRestarted { .. } => census.node_restarts += 1,
+        let mut bytes = self.chunks.iter().flatten();
+        while let Some(&kind) = bytes.next() {
+            let (counter, fields) = match kind {
+                PACKET_INJECTED => (&mut census.injected, 4),
+                PACKET_FORWARDED => (&mut census.forwarded, 4),
+                PACKET_DELIVERED => (&mut census.delivered, 5),
+                PACKET_DROPPED => (&mut census.dropped, 5),
+                ROUTE_CHANGED => (&mut census.route_changes, 5),
+                CONTROL_SENT => (&mut census.control_sent, 4),
+                LINK_FAILED => (&mut census.link_failures, 4),
+                LINK_RECOVERED => (&mut census.link_recoveries, 4),
+                LINK_STATE_DETECTED => (&mut census.detections, 4),
+                IMPAIRMENT_CHANGED => (&mut census.impairment_changes, 3),
+                _ => (&mut census.node_restarts, 2),
+            };
+            *counter += 1;
+            // Every varint ends at the first byte below 0x80.
+            for _ in 0..fields {
+                for b in bytes.by_ref() {
+                    if b & 0x80 == 0 {
+                        break;
+                    }
+                }
             }
         }
         census
     }
 }
+
+impl fmt::Debug for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self).finish()
+    }
+}
+
+// Kind bytes of the encoding, in `TraceEvent` declaration order.
+const PACKET_INJECTED: u8 = 0;
+const PACKET_FORWARDED: u8 = 1;
+const PACKET_DELIVERED: u8 = 2;
+const PACKET_DROPPED: u8 = 3;
+const ROUTE_CHANGED: u8 = 4;
+const CONTROL_SENT: u8 = 5;
+const LINK_FAILED: u8 = 6;
+const LINK_RECOVERED: u8 = 7;
+const LINK_STATE_DETECTED: u8 = 8;
+const IMPAIRMENT_CHANGED: u8 = 9;
+const NODE_RESTARTED: u8 = 10;
+
+fn kind_code(event: &TraceEvent) -> u8 {
+    match event {
+        TraceEvent::PacketInjected { .. } => PACKET_INJECTED,
+        TraceEvent::PacketForwarded { .. } => PACKET_FORWARDED,
+        TraceEvent::PacketDelivered { .. } => PACKET_DELIVERED,
+        TraceEvent::PacketDropped { .. } => PACKET_DROPPED,
+        TraceEvent::RouteChanged { .. } => ROUTE_CHANGED,
+        TraceEvent::ControlSent { .. } => CONTROL_SENT,
+        TraceEvent::LinkFailed { .. } => LINK_FAILED,
+        TraceEvent::LinkRecovered { .. } => LINK_RECOVERED,
+        TraceEvent::LinkStateDetected { .. } => LINK_STATE_DETECTED,
+        TraceEvent::ImpairmentChanged { .. } => IMPAIRMENT_CHANGED,
+        TraceEvent::NodeRestarted { .. } => NODE_RESTARTED,
+    }
+}
+
+/// Longest encoded record: a kind byte and five varints of at most ten
+/// bytes each (a `PacketDelivered` or `PacketDropped`).
+const MAX_RECORD: usize = 1 + 5 * 10;
+
+/// Capacity of one trace chunk: about 6k typical records, and below the
+/// size at which the system allocator maps a block of its own, so the
+/// chunks of one run are reused by the next.
+const CHUNK_BYTES: usize = 64 * 1024;
+
+/// One record being encoded, so that it is appended to the trace with a
+/// single copy.
+struct Record {
+    buf: [u8; MAX_RECORD],
+    len: usize,
+}
+
+impl Record {
+    fn new(kind: u8) -> Self {
+        let mut buf = [0; MAX_RECORD];
+        buf[0] = kind;
+        Record { buf, len: 1 }
+    }
+
+    /// Appends `v` as a LEB128 varint: seven bits a byte, low bits
+    /// first, the high bit set on every byte but the last.
+    fn put(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf[self.len] = (v & 0x7f) as u8 | 0x80;
+            self.len += 1;
+            v >>= 7;
+        }
+        self.buf[self.len] = v as u8;
+        self.len += 1;
+    }
+
+    fn put_node(&mut self, node: NodeId) {
+        self.put(u64::from(node.raw()));
+    }
+
+    /// `None` as 0, `Some(n)` as `n + 1`.
+    fn put_hop(&mut self, hop: Option<NodeId>) {
+        self.put(hop.map_or(0, |n| u64::from(n.raw()) + 1));
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
+/// Iterator over a [`Trace`]'s records, decoded in time order.
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    /// The chunk being decoded.
+    bytes: &'a [u8],
+    /// The chunks after it.
+    rest: &'a [Vec<u8>],
+    /// Read position in `bytes`.
+    pos: usize,
+    /// Time of the previously decoded record.
+    time: u64,
+    remaining: usize,
+}
+
+impl Iter<'_> {
+    #[inline]
+    fn get(&mut self) -> u64 {
+        let b = self.bytes[self.pos];
+        self.pos += 1;
+        if b < 0x80 {
+            return u64::from(b);
+        }
+        let mut v = u64::from(b & 0x7f);
+        let mut shift = 7;
+        loop {
+            let b = self.bytes[self.pos];
+            self.pos += 1;
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+
+    /// A field that was encoded from a `u32`.
+    #[inline]
+    fn get_u32(&mut self) -> u32 {
+        let v = self.get();
+        debug_assert!(u32::try_from(v).is_ok(), "u32 field out of range");
+        v as u32
+    }
+
+    #[inline]
+    fn node(&mut self) -> NodeId {
+        NodeId::new(self.get_u32())
+    }
+
+    #[inline]
+    fn hop(&mut self) -> Option<NodeId> {
+        match self.get() {
+            0 => None,
+            n => Some(NodeId::new((n - 1) as u32)),
+        }
+    }
+
+    #[inline]
+    fn packet(&mut self) -> PacketId {
+        PacketId::new(self.get())
+    }
+
+    /// The injection time of a packet record at `time`.
+    #[inline]
+    fn sent_at(&mut self, time: SimTime) -> SimTime {
+        SimTime::from_nanos(time.as_nanos().wrapping_sub(self.get()))
+    }
+}
+
+impl Iterator for Iter<'_> {
+    type Item = TraceEvent;
+
+    #[inline]
+    fn next(&mut self) -> Option<TraceEvent> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        if self.pos == self.bytes.len() {
+            if let [next, rest @ ..] = self.rest {
+                (self.bytes, self.rest, self.pos) = (next, rest, 0);
+            }
+        }
+        let kind = self.bytes[self.pos];
+        self.pos += 1;
+        self.time = self.time.wrapping_add(self.get());
+        let time = SimTime::from_nanos(self.time);
+        let event = match kind {
+            PACKET_INJECTED => TraceEvent::PacketInjected {
+                time,
+                id: self.packet(),
+                src: self.node(),
+                dst: self.node(),
+            },
+            PACKET_FORWARDED => TraceEvent::PacketForwarded {
+                time,
+                id: self.packet(),
+                node: self.node(),
+                next_hop: self.node(),
+            },
+            PACKET_DELIVERED => TraceEvent::PacketDelivered {
+                time,
+                id: self.packet(),
+                node: self.node(),
+                hops: self.get_u32(),
+                sent_at: self.sent_at(time),
+            },
+            PACKET_DROPPED => TraceEvent::PacketDropped {
+                time,
+                id: self.packet(),
+                node: self.node(),
+                reason: DropReason::ALL[self.get() as usize],
+                sent_at: self.sent_at(time),
+            },
+            ROUTE_CHANGED => TraceEvent::RouteChanged {
+                time,
+                node: self.node(),
+                dest: self.node(),
+                old: self.hop(),
+                new: self.hop(),
+            },
+            CONTROL_SENT => TraceEvent::ControlSent {
+                time,
+                from: self.node(),
+                to: self.node(),
+                bytes: self.get_u32(),
+            },
+            LINK_FAILED => TraceEvent::LinkFailed {
+                time,
+                link: LinkId::new(self.get_u32()),
+                a: self.node(),
+                b: self.node(),
+            },
+            LINK_RECOVERED => TraceEvent::LinkRecovered {
+                time,
+                link: LinkId::new(self.get_u32()),
+                a: self.node(),
+                b: self.node(),
+            },
+            LINK_STATE_DETECTED => TraceEvent::LinkStateDetected {
+                time,
+                node: self.node(),
+                neighbor: self.node(),
+                up: self.get() != 0,
+            },
+            IMPAIRMENT_CHANGED => TraceEvent::ImpairmentChanged {
+                time,
+                link: LinkId::new(self.get_u32()),
+                loss_ppm: self.get_u32(),
+            },
+            _ => {
+                debug_assert_eq!(kind, NODE_RESTARTED, "unknown trace record kind");
+                TraceEvent::NodeRestarted {
+                    time,
+                    node: self.node(),
+                }
+            }
+        };
+        Some(event)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
+impl FusedIterator for Iter<'_> {}
 
 /// Per-kind record counts of a trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -400,11 +815,11 @@ pub struct TraceCensus {
 }
 
 impl<'a> IntoIterator for &'a Trace {
-    type Item = &'a TraceEvent;
-    type IntoIter = std::slice::Iter<'a, TraceEvent>;
+    type Item = TraceEvent;
+    type IntoIter = Iter<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.events.iter()
+        self.iter()
     }
 }
 
@@ -428,7 +843,7 @@ mod tests {
             b: NodeId::new(1),
         });
         assert_eq!(t.len(), 2);
-        assert_eq!(t.events()[0].time(), SimTime::from_secs(1));
+        assert_eq!(t.iter().next().map(|e| e.time()), Some(SimTime::from_secs(1)));
         assert_eq!(t.iter().count(), 2);
         assert!(!t.is_empty());
     }
@@ -516,5 +931,328 @@ mod tests {
             "drop t=3000000 id=p3 node=n2 reason=NoRoute sent=1000000"
         );
         assert_eq!(t.render_lines(), text);
+    }
+
+    /// One record of every kind, with field values at the edges of
+    /// their ranges: `u64::MAX` ids, `u32::MAX` nodes and counters, and
+    /// a `sent_at` later than the record's time.
+    fn every_kind_at_the_edges() -> Vec<TraceEvent> {
+        let n = NodeId::new(u32::MAX);
+        let t = SimTime::from_nanos(u64::MAX);
+        vec![
+            TraceEvent::PacketInjected {
+                time: SimTime::ZERO,
+                id: PacketId::new(u64::MAX),
+                src: NodeId::new(0),
+                dst: n,
+            },
+            TraceEvent::PacketForwarded {
+                time: SimTime::from_nanos(1),
+                id: PacketId::new(0),
+                node: n,
+                next_hop: NodeId::new(127),
+            },
+            TraceEvent::PacketDelivered {
+                time: SimTime::from_nanos(128),
+                id: PacketId::new(1 << 35),
+                node: NodeId::new(128),
+                hops: u32::MAX,
+                sent_at: t,
+            },
+            TraceEvent::PacketDropped {
+                time: SimTime::from_secs(3),
+                id: PacketId::new(7),
+                node: NodeId::new(3),
+                reason: DropReason::Impaired,
+                sent_at: SimTime::ZERO,
+            },
+            TraceEvent::RouteChanged {
+                time: SimTime::from_secs(3),
+                node: NodeId::new(1),
+                dest: n,
+                old: Some(n),
+                new: None,
+            },
+            TraceEvent::RouteChanged {
+                time: SimTime::from_secs(3),
+                node: NodeId::new(1),
+                dest: NodeId::new(0),
+                old: None,
+                new: Some(NodeId::new(0)),
+            },
+            TraceEvent::ControlSent {
+                time: SimTime::from_secs(4),
+                from: NodeId::new(2),
+                to: NodeId::new(3),
+                bytes: u32::MAX,
+            },
+            TraceEvent::LinkFailed {
+                time: SimTime::from_secs(5),
+                link: LinkId::new(u32::MAX),
+                a: NodeId::new(0),
+                b: n,
+            },
+            TraceEvent::LinkRecovered {
+                time: SimTime::from_secs(6),
+                link: LinkId::new(0),
+                a: n,
+                b: NodeId::new(0),
+            },
+            TraceEvent::LinkStateDetected {
+                time: SimTime::from_secs(6),
+                node: NodeId::new(4),
+                neighbor: NodeId::new(5),
+                up: true,
+            },
+            TraceEvent::LinkStateDetected {
+                time: SimTime::from_secs(6),
+                node: NodeId::new(5),
+                neighbor: NodeId::new(4),
+                up: false,
+            },
+            TraceEvent::ImpairmentChanged {
+                time: SimTime::from_secs(7),
+                link: LinkId::new(9),
+                loss_ppm: 1_000_000,
+            },
+            TraceEvent::NodeRestarted { time: t, node: n },
+        ]
+    }
+
+    #[test]
+    fn every_kind_decodes_to_the_recorded_event() {
+        let events = every_kind_at_the_edges();
+        let trace = Trace::from_events(events.clone());
+        assert_eq!(trace.len(), events.len());
+        assert_eq!(trace.iter().len(), events.len());
+        assert_eq!(trace.iter().collect::<Vec<_>>(), events);
+        assert_eq!(format!("{trace:?}"), format!("{events:?}"));
+    }
+
+    /// Counts the decoded records by kind, the slow way.
+    fn decoded_census(trace: &Trace) -> TraceCensus {
+        let mut c = TraceCensus::default();
+        for event in trace {
+            *match event {
+                TraceEvent::PacketInjected { .. } => &mut c.injected,
+                TraceEvent::PacketForwarded { .. } => &mut c.forwarded,
+                TraceEvent::PacketDelivered { .. } => &mut c.delivered,
+                TraceEvent::PacketDropped { .. } => &mut c.dropped,
+                TraceEvent::RouteChanged { .. } => &mut c.route_changes,
+                TraceEvent::ControlSent { .. } => &mut c.control_sent,
+                TraceEvent::LinkFailed { .. } => &mut c.link_failures,
+                TraceEvent::LinkRecovered { .. } => &mut c.link_recoveries,
+                TraceEvent::LinkStateDetected { .. } => &mut c.detections,
+                TraceEvent::ImpairmentChanged { .. } => &mut c.impairment_changes,
+                TraceEvent::NodeRestarted { .. } => &mut c.node_restarts,
+            } += 1;
+        }
+        c
+    }
+
+    #[test]
+    fn census_skips_records_without_decoding_them() {
+        let trace = Trace::from_events(every_kind_at_the_edges());
+        let census = trace.census();
+        assert_eq!(census, decoded_census(&trace));
+        assert_eq!(
+            (census.route_changes, census.detections, census.node_restarts),
+            (2, 2, 1)
+        );
+    }
+
+    #[test]
+    fn records_never_straddle_chunks() {
+        // Enough records for several chunks, every kind in turn.
+        let kinds = every_kind_at_the_edges();
+        let mut events = Vec::new();
+        let mut time = SimTime::ZERO;
+        for i in 0..40_000u64 {
+            let mut event = kinds[i as usize % kinds.len()];
+            time += crate::time::SimDuration::from_nanos(i % 977);
+            set_time(&mut event, time);
+            events.push(event);
+        }
+        let mut trace = Trace::new();
+        let mut cursors = Vec::new();
+        for (i, &event) in events.iter().enumerate() {
+            if i % 4099 == 0 {
+                cursors.push((i, trace.end()));
+            }
+            trace.push(event);
+        }
+        assert!(trace.chunks.len() > 2, "{} chunks", trace.chunks.len());
+        assert!(trace.chunks.iter().all(|c| c.len() <= CHUNK_BYTES));
+        assert_eq!(trace.iter().collect::<Vec<_>>(), events);
+        assert_eq!(trace.census(), decoded_census(&trace));
+        for (i, cursor) in cursors {
+            assert!(trace.iter_from(cursor).eq(events[i..].iter().copied()));
+        }
+    }
+
+    fn set_time(event: &mut TraceEvent, at: SimTime) {
+        match event {
+            TraceEvent::PacketInjected { time, .. }
+            | TraceEvent::PacketForwarded { time, .. }
+            | TraceEvent::PacketDelivered { time, .. }
+            | TraceEvent::PacketDropped { time, .. }
+            | TraceEvent::RouteChanged { time, .. }
+            | TraceEvent::ControlSent { time, .. }
+            | TraceEvent::LinkFailed { time, .. }
+            | TraceEvent::LinkRecovered { time, .. }
+            | TraceEvent::LinkStateDetected { time, .. }
+            | TraceEvent::ImpairmentChanged { time, .. }
+            | TraceEvent::NodeRestarted { time, .. } => *time = at,
+        }
+    }
+
+    #[test]
+    fn drop_reasons_encode_as_their_reporting_index() {
+        for (i, reason) in DropReason::ALL.into_iter().enumerate() {
+            assert_eq!(reason as usize, i);
+        }
+    }
+
+    #[test]
+    fn iter_from_reads_only_what_followed_the_cursor() {
+        let events = every_kind_at_the_edges();
+        let mut trace = Trace::new();
+        let empty = trace.end();
+        for &event in &events[..4] {
+            trace.push(event);
+        }
+        let cursor = trace.end();
+        assert_eq!(trace.iter_from(cursor).count(), 0);
+        for &event in &events[4..] {
+            trace.push(event);
+        }
+        assert_eq!(trace.iter_from(cursor).collect::<Vec<_>>(), events[4..]);
+        assert_eq!(trace.iter_from(empty).collect::<Vec<_>>(), events);
+        assert_eq!(trace.iter_from(trace.end()).next(), None);
+    }
+
+    #[test]
+    fn records_are_compact() {
+        // A forwarding hop 1 ms after the previous record takes 8 bytes
+        // where a `TraceEvent` takes 40.
+        let mut trace = Trace::new();
+        trace.push(TraceEvent::ControlSent {
+            time: SimTime::from_secs(3),
+            from: NodeId::new(1),
+            to: NodeId::new(2),
+            bytes: 24,
+        });
+        let encoded = |t: &Trace| t.chunks.iter().map(Vec::len).sum::<usize>();
+        let before = encoded(&trace);
+        trace.push(TraceEvent::PacketForwarded {
+            time: SimTime::from_secs(3) + crate::time::SimDuration::from_millis(1),
+            id: PacketId::new(1000),
+            node: NodeId::new(10),
+            next_hop: NodeId::new(11),
+        });
+        // Kind 1 + delta 1e6 ns (3) + id 1000 (2) + two nodes (1 + 1).
+        assert_eq!(encoded(&trace) - before, 8);
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 40);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Any time-ordered sequence of records decodes to itself.
+        #[test]
+        fn encoding_round_trips(
+            raw in proptest::prop::collection::vec(
+                (0u8..11, 0u64..u64::MAX, 0u64..u64::MAX),
+                0..64,
+            ),
+            steps in proptest::prop::collection::vec(0u64..1 << 40, 64..65),
+        ) {
+            let mut time = 0u64;
+            let events: Vec<TraceEvent> = raw
+                .iter()
+                .zip(&steps)
+                .map(|(&(kind, big, other), &step)| {
+                    time = time.saturating_add(step);
+                    arbitrary_event(kind, SimTime::from_nanos(time), big, other)
+                })
+                .collect();
+            let trace = Trace::from_events(events.clone());
+            proptest::prop_assert_eq!(trace.iter().collect::<Vec<_>>(), events);
+        }
+    }
+
+    /// A record of kind `kind` built from raw values: `big` is the
+    /// packet id, `other` the injection time and, split in halves, the
+    /// 32-bit fields.
+    fn arbitrary_event(kind: u8, time: SimTime, big: u64, other: u64) -> TraceEvent {
+        let (x, y) = (other as u32, (other >> 32) as u32);
+        let (id, a, b) = (PacketId::new(big), NodeId::new(x), NodeId::new(y));
+        let sent_at = SimTime::from_nanos(other);
+        let hop = |v: u32| (!v.is_multiple_of(3)).then(|| NodeId::new(v));
+        match kind {
+            0 => TraceEvent::PacketInjected {
+                time,
+                id,
+                src: a,
+                dst: b,
+            },
+            1 => TraceEvent::PacketForwarded {
+                time,
+                id,
+                node: a,
+                next_hop: b,
+            },
+            2 => TraceEvent::PacketDelivered {
+                time,
+                id,
+                node: a,
+                hops: y,
+                sent_at,
+            },
+            3 => TraceEvent::PacketDropped {
+                time,
+                id,
+                node: a,
+                reason: DropReason::ALL[y as usize % DropReason::ALL.len()],
+                sent_at,
+            },
+            4 => TraceEvent::RouteChanged {
+                time,
+                node: a,
+                dest: b,
+                old: hop(x),
+                new: hop(y),
+            },
+            5 => TraceEvent::ControlSent {
+                time,
+                from: a,
+                to: b,
+                bytes: y,
+            },
+            6 => TraceEvent::LinkFailed {
+                time,
+                link: LinkId::new(x),
+                a,
+                b,
+            },
+            7 => TraceEvent::LinkRecovered {
+                time,
+                link: LinkId::new(y),
+                a,
+                b,
+            },
+            8 => TraceEvent::LinkStateDetected {
+                time,
+                node: a,
+                neighbor: b,
+                up: big.is_multiple_of(2),
+            },
+            9 => TraceEvent::ImpairmentChanged {
+                time,
+                link: LinkId::new(x),
+                loss_ppm: y,
+            },
+            _ => TraceEvent::NodeRestarted { time, node: a },
+        }
     }
 }

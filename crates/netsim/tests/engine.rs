@@ -86,7 +86,7 @@ fn packets_cross_a_line_with_correct_latency() {
         .trace()
         .iter()
         .find_map(|e| match e {
-            TraceEvent::PacketDelivered { time, hops, .. } => Some((*time, *hops)),
+            TraceEvent::PacketDelivered { time, hops, .. } => Some((time, hops)),
             _ => None,
         })
         .expect("delivery event");
@@ -182,8 +182,8 @@ fn detection_events_fire_on_both_endpoints() {
         .iter()
         .filter_map(|e| match e {
             TraceEvent::LinkStateDetected { node, up, time, .. } => {
-                assert_eq!(*time, SimTime::from_millis(1050));
-                Some((*node, *up))
+                assert_eq!(time, SimTime::from_millis(1050));
+                Some((node, up))
             }
             _ => None,
         })
@@ -264,7 +264,7 @@ fn same_seed_reproduces_identical_traces() {
             sim.schedule_default_packet(SimTime::from_millis(10 * i), nodes[0], nodes[2]);
         }
         sim.run_to_completion();
-        format!("{:?}", sim.trace().events())
+        format!("{:?}", sim.trace())
     };
     assert_eq!(run(7), run(7));
     assert_eq!(run(9), run(9));
@@ -333,6 +333,75 @@ fn timers_fire_and_cancelled_timers_do_not() {
     assert_eq!(sim.stats().control_messages_lost, 0);
 }
 
+/// Re-arms one timer later, then earlier, from `on_start`, and records
+/// the ids `reset_timer` returned and when the timer fired.
+#[derive(Default)]
+struct Refresher {
+    ids: Vec<netsim::protocol::TimerId>,
+    fired: Vec<(SimTime, u64)>,
+}
+
+impl RoutingProtocol for Refresher {
+    fn name(&self) -> &'static str {
+        "refresher"
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn on_start(&mut self, ctx: &mut ProtocolContext<'_>) {
+        let id = ctx.set_timer(SimDuration::from_secs(10), TimerToken::compose(1, 1));
+        let later = ctx.reset_timer(
+            Some(id),
+            SimDuration::from_secs(20),
+            TimerToken::compose(1, 2),
+        );
+        let earlier = ctx.reset_timer(
+            Some(id),
+            SimDuration::from_secs(5),
+            TimerToken::compose(1, 3),
+        );
+        self.ids = vec![id, later, earlier];
+    }
+
+    fn on_timer(&mut self, ctx: &mut ProtocolContext<'_>, token: TimerToken) {
+        self.fired.push((ctx.now(), token.arg()));
+    }
+}
+
+#[test]
+fn reset_timer_moves_the_deadline_in_place() {
+    let mut b = SimulatorBuilder::new();
+    let node = b.add_node();
+    let mut sim = b.build().unwrap();
+    sim.install_protocol(node, Box::new(Refresher::default()))
+        .unwrap();
+    sim.start();
+    sim.run_to_completion();
+    let stats = sim.stats();
+    let proto = sim
+        .protocol(node)
+        .unwrap()
+        .as_any()
+        .downcast_ref::<Refresher>()
+        .unwrap();
+    assert!(
+        proto.ids.iter().all(|&id| id == proto.ids[0]),
+        "the id is kept"
+    );
+    assert_eq!(
+        proto.fired,
+        [(SimTime::from_secs(5), 3)],
+        "fires once, at the last deadline"
+    );
+    // Moving the deadline earlier pushed a second event; the first one
+    // (at 10 s) pops stale. Cancel-and-set would have left two stale ones.
+    assert_eq!(stats.events_processed, 2);
+    assert_eq!(stats.stale_timer_pops, 1);
+    assert_eq!(stats.queue_high_water, 2);
+}
+
 #[test]
 fn control_messages_are_counted_and_sized() {
     let mut b = SimulatorBuilder::new();
@@ -349,7 +418,7 @@ fn control_messages_are_counted_and_sized() {
         .trace()
         .iter()
         .filter_map(|e| match e {
-            TraceEvent::ControlSent { bytes, .. } => Some(u64::from(*bytes)),
+            TraceEvent::ControlSent { bytes, .. } => Some(u64::from(bytes)),
             _ => None,
         })
         .sum();

@@ -90,7 +90,10 @@ pub fn decide_entry(current: Option<(Metric, bool)>, offered: Metric) -> EntryDe
 /// configured split-horizon rule.
 ///
 /// `only` restricts the advertisement to the given destinations (triggered
-/// updates carry only changed routes).
+/// updates carry only changed routes). It must be ascending, as
+/// [`RipTable::changed_dests`] returns it: the restricted advertisement
+/// walks `only` instead of the whole table, in time linear in its length,
+/// and keeps the table's destination order.
 #[must_use]
 pub fn build_entries(
     table: &RipTable,
@@ -98,9 +101,13 @@ pub fn build_entries(
     mode: SplitHorizon,
     only: Option<&[NodeId]>,
 ) -> Vec<DvEntry> {
-    table
-        .iter()
-        .filter(|(dest, _)| only.is_none_or(|set| set.contains(dest)))
+    debug_assert!(only.is_none_or(|dests| dests.windows(2).all(|w| w[0] < w[1])));
+    let all = only.is_none().then(|| table.iter()).into_iter().flatten();
+    let chosen = only
+        .into_iter()
+        .flatten()
+        .filter_map(|&dest| Some((dest, table.get(dest)?)));
+    all.chain(chosen)
         .filter_map(|(dest, route)| {
             let toward_neighbor = route.next_hop == Some(neighbor);
             let metric = match (toward_neighbor, mode) {
@@ -239,15 +246,14 @@ impl Rip {
     }
 
     fn refresh_timeout(&mut self, ctx: &mut ProtocolContext<'_>, dest: NodeId) {
-        let timeout = self.config.route_timeout;
-        let new_timer = ctx.set_timer(
-            timeout,
+        let old = self.table.get(dest).and_then(|route| route.timeout_timer);
+        let timer = ctx.reset_timer(
+            old,
+            self.config.route_timeout,
             TimerToken::compose(timer::TIMEOUT, dest.index() as u64),
         );
         if let Some(route) = self.table.get_mut(dest) {
-            if let Some(old) = route.timeout_timer.replace(new_timer) {
-                ctx.cancel_timer(old);
-            }
+            route.timeout_timer = Some(timer);
             if let Some(gc) = route.gc_timer.take() {
                 ctx.cancel_timer(gc);
             }

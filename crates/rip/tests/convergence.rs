@@ -311,8 +311,8 @@ fn rip_messages_never_exceed_25_entries_on_the_wire() {
     let mut seen_large = false;
     for event in sim.trace() {
         if let netsim::trace::TraceEvent::ControlSent { bytes, .. } = event {
-            assert!(*bytes <= 524, "oversized RIP message: {bytes} bytes");
-            if *bytes == 524 {
+            assert!(bytes <= 524, "oversized RIP message: {bytes} bytes");
+            if bytes == 524 {
                 seen_large = true;
             }
         }

@@ -55,7 +55,7 @@ fn main() -> Result<(), RunError> {
                 format!("DROP     {id} at {node} ({reason})")
             }
             TraceEvent::RouteChanged { node, dest, old, new, .. } => {
-                let fmt = |h: &Option<netsim::ident::NodeId>| {
+                let fmt = |h: Option<netsim::ident::NodeId>| {
                     h.map_or("-".to_string(), |n| n.to_string())
                 };
                 format!(
@@ -72,7 +72,7 @@ fn main() -> Result<(), RunError> {
             TraceEvent::LinkStateDetected { node, neighbor, up, .. } => {
                 format!(
                     "detect   {node} sees link to {neighbor} {}",
-                    if *up { "UP" } else { "DOWN" }
+                    if up { "UP" } else { "DOWN" }
                 )
             }
             TraceEvent::ImpairmentChanged { link, loss_ppm, .. } => {

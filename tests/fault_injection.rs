@@ -148,7 +148,7 @@ fn node_crash_restart_recovers_with_cold_state() {
         .trace
         .iter()
         .find_map(|e| match e {
-            TraceEvent::NodeRestarted { time, node } if *node == restart.node => Some(*time),
+            TraceEvent::NodeRestarted { time, node } if node == restart.node => Some(time),
             _ => None,
         })
         .expect("NodeRestarted event present");
@@ -391,7 +391,7 @@ fn crash_restart_landing_on_a_timer_tick_wipes_the_pending_timer() {
         .trace()
         .iter()
         .filter_map(|e| match e {
-            netsim::trace::TraceEvent::ControlSent { time, from, .. } if *from == nodes[0] => {
+            netsim::trace::TraceEvent::ControlSent { time, from, .. } if from == nodes[0] => {
                 Some(time.as_nanos() / 1_000_000_000)
             }
             _ => None,
