@@ -1,6 +1,5 @@
 //! The BGP protocol engine.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use netsim::dense::{DenseMap, DenseSet};
@@ -14,7 +13,7 @@ use routing_core::path::{AsPath, PathInterner};
 use crate::config::{BgpConfig, MraiScope};
 use crate::flap::{FlapDamper, FlapEvent, ReuseOutcome};
 use crate::message::{BgpUpdate, INLINE_DESTS};
-use crate::rib::{select, AdjRibIn, BestRoute};
+use crate::rib::{AdjRibIn, BestRoute};
 
 mod timer {
     /// MRAI expiry, per-neighbor scope. arg = epoch << 24 | neighbor.
@@ -59,6 +58,12 @@ pub struct Bgp {
     changed_batch: Vec<NodeId>,
     /// Destinations that became unreachable during the current event.
     withdrawn_batch: Vec<NodeId>,
+    /// `send_routes`' `(path, dest)` pairs, kept between calls so grouping
+    /// an update does not allocate.
+    groups: Vec<(AsPath, NodeId)>,
+    /// The destinations a per-neighbor MRAI expiry releases, kept between
+    /// expiries.
+    released: Vec<NodeId>,
 }
 
 impl Bgp {
@@ -102,6 +107,8 @@ impl Bgp {
             interner: PathInterner::new(),
             changed_batch: Vec::new(),
             withdrawn_batch: Vec::new(),
+            groups: Vec::new(),
+            released: Vec::new(),
         }
     }
 
@@ -127,16 +134,14 @@ impl Bgp {
         if dest == ctx.node() {
             return;
         }
-        let best = select(
-            self.adj_in
-                .candidates(dest, |n| ctx.neighbor_up(n) && !self.flap.is_suppressed(n, dest)),
-        )
-        .map(
-            |(neighbor, path)| BestRoute {
+        let flap = &self.flap;
+        let best = self
+            .adj_in
+            .best(dest, ctx.peers(), |n| !flap.is_suppressed(n, dest))
+            .map(|(neighbor, path)| BestRoute {
                 path: path.clone(),
                 next_hop: Some(neighbor),
-            },
-        );
+            });
         if self.loc_rib[dest.index()] == best {
             return;
         }
@@ -183,63 +188,77 @@ impl Bgp {
     /// Sends the current state of `dests` to `neighbor`: announcements
     /// grouped by path (one update per distinct path, as BGP requires) and
     /// a withdrawal for anything with no best route.
+    ///
+    /// Updates go out in ascending path order, each listing its
+    /// destinations in `dests` order: a stable sort of the `(path, dest)`
+    /// pairs by path, then one update per run of equal paths.
     fn send_routes(&mut self, ctx: &mut ProtocolContext<'_>, neighbor: NodeId, dests: &[NodeId]) {
-        // The destination lists are built as `InlineVec` from the start and
-        // *moved* into the update, so a short announcement never allocates.
-        let mut groups: BTreeMap<AsPath, InlineVec<NodeId, INLINE_DESTS>> = BTreeMap::new();
+        let mut groups = std::mem::take(&mut self.groups);
         let mut withdrawn: InlineVec<NodeId, INLINE_DESTS> = InlineVec::new();
         for &dest in dests {
             if dest == neighbor {
                 continue; // a peer needs no route to itself
             }
             match self.announce_path(dest) {
-                Some(path) => groups.entry(path).or_default().push(dest),
+                Some(path) => groups.push((path, dest)),
                 None => withdrawn.push(dest),
             }
         }
-        for (path, announced) in groups {
+        groups.sort_by(|a, b| a.0.cmp(&b.0));
+        for run in groups.chunk_by(|a, b| a.0 == b.0) {
+            let announced: InlineVec<NodeId, INLINE_DESTS> =
+                run.iter().map(|&(_, dest)| dest).collect();
+            let path = run[0].0.clone();
             ctx.send_reliable(neighbor, Arc::new(BgpUpdate::announce(path, announced)));
         }
+        groups.clear();
+        self.groups = groups;
         if !withdrawn.is_empty() {
             ctx.send_reliable(neighbor, Arc::new(BgpUpdate::withdraw(withdrawn)));
         }
     }
 
     /// Flushes the event's batches: withdrawals immediately, announcements
-    /// through the MRAI state machine.
+    /// through the MRAI state machine. The emptied batches are kept for
+    /// the next event.
     fn after_changes(&mut self, ctx: &mut ProtocolContext<'_>) {
-        let withdrawn = std::mem::take(&mut self.withdrawn_batch);
-        if !withdrawn.is_empty() {
-            for neighbor in ctx.neighbors() {
-                if ctx.neighbor_up(neighbor) {
-                    let for_peer: InlineVec<NodeId, INLINE_DESTS> = withdrawn
+        if !self.withdrawn_batch.is_empty() {
+            for slot in 0..ctx.peers().len() {
+                let peer = ctx.peers()[slot];
+                if peer.up {
+                    let for_peer: InlineVec<NodeId, INLINE_DESTS> = self
+                        .withdrawn_batch
                         .iter()
                         .copied()
-                        .filter(|&d| d != neighbor)
+                        .filter(|&d| d != peer.neighbor)
                         .collect();
                     if !for_peer.is_empty() {
-                        ctx.send_reliable(neighbor, Arc::new(BgpUpdate::withdraw(for_peer)));
+                        ctx.send_reliable(peer.neighbor, Arc::new(BgpUpdate::withdraw(for_peer)));
                     }
                 }
             }
+            self.withdrawn_batch.clear();
         }
-        let batch = std::mem::take(&mut self.changed_batch);
-        if batch.is_empty() {
+        if self.changed_batch.is_empty() {
             return;
         }
-        for neighbor in ctx.neighbors() {
-            if !ctx.neighbor_up(neighbor) {
+        let mut batch = std::mem::take(&mut self.changed_batch);
+        for slot in 0..ctx.peers().len() {
+            let peer = ctx.peers()[slot];
+            if !peer.up {
                 continue;
             }
             match self.config.mrai_scope {
-                MraiScope::PerNeighbor => self.offer_batch_per_neighbor(ctx, neighbor, &batch),
+                MraiScope::PerNeighbor => self.offer_batch_per_neighbor(ctx, peer.neighbor, &batch),
                 MraiScope::PerNeighborDestination => {
                     for &dest in &batch {
-                        self.offer_one_per_pair(ctx, neighbor, dest);
+                        self.offer_one_per_pair(ctx, peer.neighbor, dest);
                     }
                 }
             }
         }
+        batch.clear();
+        self.changed_batch = batch;
     }
 
     fn offer_batch_per_neighbor(
@@ -314,6 +333,11 @@ impl Bgp {
     }
 }
 
+/// Whether this router perceives its link to `neighbor` as up.
+fn peer_up(ctx: &ProtocolContext<'_>, neighbor: NodeId) -> bool {
+    ctx.peers().iter().any(|p| p.neighbor == neighbor && p.up)
+}
+
 impl Default for Bgp {
     fn default() -> Self {
         Bgp::new()
@@ -331,7 +355,7 @@ impl RoutingProtocol for Bgp {
 
     fn on_start(&mut self, ctx: &mut ProtocolContext<'_>) {
         let n = ctx.num_nodes();
-        self.adj_in = AdjRibIn::new(n);
+        self.adj_in = AdjRibIn::new(n, ctx.peers().len());
         self.loc_rib = vec![None; n];
         self.announce_cache = vec![None; n];
         let origin = self.interner.origin(ctx.node());
@@ -349,14 +373,18 @@ impl RoutingProtocol for Bgp {
             debug_assert!(false, "BGP received a non-BGP payload");
             return;
         };
+        let Some(slot) = ctx.peers().iter().position(|p| p.neighbor == from) else {
+            debug_assert!(false, "BGP update from non-neighbor {from}");
+            return;
+        };
         for &dest in &update.withdrawn {
             if dest == ctx.node() {
                 continue;
             }
-            if self.adj_in.get(from, dest).is_some() {
+            if self.adj_in.get(slot, dest).is_some() {
                 self.record_flap(ctx, from, dest, FlapEvent::Withdrawal);
             }
-            self.adj_in.set(from, dest, None);
+            self.adj_in.set(slot, dest, None);
             self.re_decide(ctx, dest);
         }
         if let Some(path) = &update.path {
@@ -376,7 +404,7 @@ impl RoutingProtocol for Bgp {
                     continue;
                 }
                 if self.flap.is_enabled() {
-                    let previous = self.adj_in.get(from, dest);
+                    let previous = self.adj_in.get(slot, dest);
                     match (&filtered, previous) {
                         // The loop-filtered "withdrawal" of a stored path.
                         (None, Some(_)) => {
@@ -391,7 +419,7 @@ impl RoutingProtocol for Bgp {
                         _ => {}
                     }
                 }
-                self.adj_in.set(from, dest, filtered.clone());
+                self.adj_in.set(slot, dest, filtered.clone());
                 self.re_decide(ctx, dest);
             }
         }
@@ -410,19 +438,20 @@ impl RoutingProtocol for Bgp {
                     return;
                 };
                 let _ = damper.on_window_expired();
-                let pending: Vec<NodeId> = self
-                    .pending
-                    .remove(neighbor)
-                    .map(|s| s.iter().collect())
-                    .unwrap_or_default();
-                if !pending.is_empty() && ctx.neighbor_up(neighbor) {
-                    self.send_routes(ctx, neighbor, &pending);
+                let mut released = std::mem::take(&mut self.released);
+                if let Some(set) = self.pending.remove(neighbor) {
+                    released.extend(set.iter());
+                }
+                if !released.is_empty() && peer_up(ctx, neighbor) {
+                    self.send_routes(ctx, neighbor, &released);
                     if let Some(damper) = self.dampers.get_mut(neighbor) {
                         let window = damper.reopen(ctx.rng());
                         let arg = (self.epoch(neighbor) << 24) | neighbor.index() as u64;
                         ctx.set_timer(window, TimerToken::compose(timer::MRAI_NEIGHBOR, arg));
                     }
                 }
+                released.clear();
+                self.released = released;
             }
             timer::MRAI_PAIR => {
                 let dest = NodeId::new((token.arg() & 0xf_ffff) as u32);
@@ -443,7 +472,7 @@ impl RoutingProtocol for Bgp {
                     .pair_pending
                     .get_mut(neighbor)
                     .is_some_and(|s| s.remove(dest));
-                if was_pending && ctx.neighbor_up(neighbor) {
+                if was_pending && peer_up(ctx, neighbor) {
                     self.send_routes(ctx, neighbor, &[dest]);
                     if let Some(damper) =
                         self.pair_dampers.get_mut(neighbor).and_then(|m| m.get_mut(dest))
@@ -484,7 +513,9 @@ impl RoutingProtocol for Bgp {
         // Session reset: forget everything the peer told us and everything
         // we owed it.
         *self.epochs.get_or_insert_with(neighbor, || 0) += 1;
-        self.adj_in.clear_neighbor(neighbor);
+        if let Some(slot) = ctx.peers().iter().position(|p| p.neighbor == neighbor) {
+            self.adj_in.clear_neighbor(slot);
+        }
         self.dampers.remove(neighbor);
         self.pending.remove(neighbor);
         self.pair_dampers.remove(neighbor);

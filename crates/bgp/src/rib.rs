@@ -4,77 +4,93 @@
 //! neighbor cache) and the Loc-RIB of selected best paths. Selection is the
 //! study's shortest-path policy: fewest ASes, ties to the lowest neighbor
 //! id.
+//!
+//! # Layout
+//!
+//! Neighbors are addressed by *slot*: a link's position in
+//! [`ProtocolContext::peers`](netsim::simulator::ProtocolContext::peers),
+//! fixed for the whole run. The Adj-RIB-In is one flat table,
+//! `paths[dest * degree + slot]`, so the decision process for one
+//! destination reads one contiguous row, zipped with the peer slice.
+//!
+//! Visiting candidates in slot order rather than neighbor-id order cannot
+//! change the outcome: [`select`] takes the minimum over `(path length,
+//! neighbor id)`, and neighbor ids are unique, so that order is total and
+//! every visiting order finds the same minimum.
 
-use netsim::dense::DenseMap;
 use netsim::ident::NodeId;
+use netsim::simulator::Peer;
 use routing_core::path::AsPath;
 
-/// Paths received from each neighbor, per destination.
-///
-/// Stored as a [`DenseMap`] of per-neighbor slot vectors: neighbor ids are
-/// dense, so the tree the old `BTreeMap` maintained bought nothing, and
-/// iteration stays in ascending neighbor id order (identical candidate
-/// order, identical traces).
+/// Paths received from each neighbor, one row per destination and one
+/// column per neighbor slot.
 #[derive(Debug, Clone, Default)]
 pub struct AdjRibIn {
-    /// `paths[neighbor][dest]` = last announced path (already
+    /// `paths[dest * degree + slot]` = last announced path (already
     /// loop-filtered: a path containing the local AS is stored as `None`).
-    paths: DenseMap<Vec<Option<AsPath>>>,
-    num_dests: usize,
+    paths: Vec<Option<AsPath>>,
+    degree: usize,
 }
 
 impl AdjRibIn {
-    /// Creates tables for `num_dests` destinations.
+    /// Creates empty tables for `num_dests` destinations and `degree`
+    /// neighbor slots.
     #[must_use]
-    pub fn new(num_dests: usize) -> Self {
+    pub fn new(num_dests: usize, degree: usize) -> Self {
         AdjRibIn {
-            paths: DenseMap::new(),
-            num_dests,
+            paths: vec![None; num_dests * degree],
+            degree,
         }
     }
 
-    /// Records `path` as the latest announcement from `neighbor` for
-    /// `dest`; `None` is a withdrawal.
+    /// Records `path` as the latest announcement from the neighbor in
+    /// `slot` for `dest`; `None` is a withdrawal.
     ///
     /// # Panics
     ///
-    /// Panics if `dest` is out of range.
-    pub fn set(&mut self, neighbor: NodeId, dest: NodeId, path: Option<AsPath>) {
-        assert!(dest.index() < self.num_dests, "{dest} out of range");
-        let num_dests = self.num_dests;
-        let table = self
-            .paths
-            .get_or_insert_with(neighbor, || vec![None; num_dests]);
-        table[dest.index()] = path;
+    /// Panics if `dest` or `slot` is out of range.
+    pub fn set(&mut self, slot: usize, dest: NodeId, path: Option<AsPath>) {
+        assert!(slot < self.degree, "slot {slot} out of range");
+        self.paths[dest.index() * self.degree + slot] = path;
     }
 
-    /// The stored path from `neighbor` for `dest`.
+    /// The stored path from the neighbor in `slot` for `dest`.
     #[must_use]
-    pub fn get(&self, neighbor: NodeId, dest: NodeId) -> Option<&AsPath> {
-        self.paths.get(neighbor)?.get(dest.index())?.as_ref()
+    pub fn get(&self, slot: usize, dest: NodeId) -> Option<&AsPath> {
+        self.row(dest).get(slot)?.as_ref()
     }
 
-    /// Drops everything learned from `neighbor` (session reset).
-    pub fn clear_neighbor(&mut self, neighbor: NodeId) {
-        self.paths.remove(neighbor);
+    /// Drops everything learned from the neighbor in `slot` (session
+    /// reset).
+    pub fn clear_neighbor(&mut self, slot: usize) {
+        if slot < self.degree {
+            for row in self.paths.chunks_exact_mut(self.degree) {
+                row[slot] = None;
+            }
+        }
     }
 
-    /// Iterates over `(neighbor, path)` candidates for `dest`, restricted
-    /// by `usable`.
-    pub fn candidates<'a, F>(
+    /// The stored paths for `dest`, indexed by slot (empty for an unknown
+    /// destination).
+    #[must_use]
+    pub fn row(&self, dest: NodeId) -> &[Option<AsPath>] {
+        let start = dest.index() * self.degree;
+        self.paths.get(start..start + self.degree).unwrap_or(&[])
+    }
+
+    /// The best stored path for `dest` ([`select`]) among perceived-up
+    /// peers whose neighbor passes `usable`. `peers` is the router's peer
+    /// slice, slot for slot with the table.
+    pub fn best<'a>(
         &'a self,
         dest: NodeId,
-        usable: F,
-    ) -> impl Iterator<Item = (NodeId, &'a AsPath)> + 'a
-    where
-        F: Fn(NodeId) -> bool + 'a,
-    {
-        self.paths.iter().filter_map(move |(neighbor, table)| {
-            if !usable(neighbor) {
-                return None;
-            }
-            table.get(dest.index())?.as_ref().map(|p| (neighbor, p))
-        })
+        peers: &[Peer],
+        usable: impl Fn(NodeId) -> bool,
+    ) -> Option<(NodeId, &'a AsPath)> {
+        select(peers.iter().zip(self.row(dest)).filter_map(|(peer, path)| {
+            let path = path.as_ref()?;
+            (peer.up && usable(peer.neighbor)).then_some((peer.neighbor, path))
+        }))
     }
 }
 
@@ -111,27 +127,59 @@ mod tests {
         AsPath::from_hops(hops.iter().map(|&h| n(h)).collect())
     }
 
-    #[test]
-    fn set_get_clear_round_trip() {
-        let mut rib = AdjRibIn::new(4);
-        rib.set(n(1), n(3), Some(path(&[1, 3])));
-        assert_eq!(rib.get(n(1), n(3)), Some(&path(&[1, 3])));
-        rib.set(n(1), n(3), None);
-        assert_eq!(rib.get(n(1), n(3)), None);
-        rib.set(n(1), n(2), Some(path(&[1, 2])));
-        rib.clear_neighbor(n(1));
-        assert_eq!(rib.get(n(1), n(2)), None);
+    fn peer(neighbor: u32, up: bool) -> Peer {
+        Peer {
+            neighbor: n(neighbor),
+            cost: 1,
+            up,
+        }
     }
 
     #[test]
-    fn candidates_filter_unusable_neighbors() {
-        let mut rib = AdjRibIn::new(4);
-        rib.set(n(1), n(3), Some(path(&[1, 3])));
-        rib.set(n(2), n(3), Some(path(&[2, 0, 3])));
-        assert_eq!(rib.candidates(n(3), |_| true).count(), 2);
-        let only: Vec<_> = rib.candidates(n(3), |nb| nb == n(2)).collect();
-        assert_eq!(only.len(), 1);
-        assert_eq!(only[0].0, n(2));
+    fn set_get_clear_round_trip() {
+        let mut rib = AdjRibIn::new(4, 2);
+        rib.set(1, n(3), Some(path(&[1, 3])));
+        assert_eq!(rib.get(1, n(3)), Some(&path(&[1, 3])));
+        rib.set(1, n(3), None);
+        assert_eq!(rib.get(1, n(3)), None);
+        rib.set(1, n(2), Some(path(&[1, 2])));
+        rib.set(0, n(2), Some(path(&[2])));
+        rib.clear_neighbor(1);
+        assert_eq!(rib.get(1, n(2)), None);
+        assert_eq!(rib.get(0, n(2)), Some(&path(&[2])));
+        assert_eq!(rib.row(n(2)), &[Some(path(&[2])), None]);
+    }
+
+    #[test]
+    fn best_filters_down_and_unusable_peers() {
+        let mut rib = AdjRibIn::new(4, 2);
+        rib.set(0, n(3), Some(path(&[1, 3])));
+        rib.set(1, n(3), Some(path(&[2, 0, 3])));
+        let peers = [peer(1, true), peer(2, true)];
+        assert_eq!(
+            rib.best(n(3), &peers, |_| true),
+            Some((n(1), &path(&[1, 3])))
+        );
+        let only2 = rib.best(n(3), &peers, |nb| nb == n(2));
+        assert_eq!(only2, Some((n(2), &path(&[2, 0, 3]))));
+        let peers = [peer(1, false), peer(2, true)];
+        assert_eq!(
+            rib.best(n(3), &peers, |_| true).map(|(nb, _)| nb),
+            Some(n(2))
+        );
+        assert_eq!(rib.best(n(0), &peers, |_| true), None);
+    }
+
+    #[test]
+    fn best_ties_break_to_lowest_neighbor_id_not_slot() {
+        let mut rib = AdjRibIn::new(4, 2);
+        rib.set(0, n(3), Some(path(&[7, 3])));
+        rib.set(1, n(3), Some(path(&[5, 3])));
+        let peers = [peer(7, true), peer(5, true)];
+        assert_eq!(
+            rib.best(n(3), &peers, |_| true),
+            Some((n(5), &path(&[5, 3])))
+        );
     }
 
     #[test]

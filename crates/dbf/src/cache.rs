@@ -5,83 +5,95 @@
 //! path switch-over of paper §4.1. The cache stores advertisements verbatim
 //! (including poisoned infinities), so a neighbor that routes through us
 //! correctly offers no alternate.
+//!
+//! # Layout
+//!
+//! Neighbors are addressed by *slot*: a link's position in
+//! [`ProtocolContext::peers`](netsim::simulator::ProtocolContext::peers),
+//! fixed for the whole run. The cache is one flat table,
+//! `metrics[dest * degree + slot]`, so everything selection needs for one
+//! destination is one contiguous row of `degree` entries, read in the same
+//! order as the peer slice it is zipped with.
+//!
+//! Visiting candidates in slot order rather than neighbor-id order cannot
+//! change the outcome: selection is a minimum over `(metric, neighbor id)`,
+//! and neighbor ids are unique, so that order is total and every visiting
+//! order finds the same minimum.
 
-use netsim::dense::DenseMap;
 use netsim::ident::NodeId;
-use routing_core::Metric;
+use netsim::simulator::Peer;
+use routing_core::{select_best, Metric};
 
-/// Latest advertised distance vectors, per neighbor.
-///
-/// Neighbors are dense small integers, so the vectors live in a
-/// [`DenseMap`] — a `Vec` indexed by node id — rather than a tree;
-/// iteration still visits neighbors in ascending id order, which is what
-/// keeps recomputation order (and therefore traces) identical to the old
-/// `BTreeMap` representation.
+/// Latest advertised distance vectors, one row per destination and one
+/// column per neighbor slot.
 #[derive(Debug, Clone, Default)]
 pub struct NeighborCache {
-    /// `vectors[neighbor][dest]` = advertised metric; `None` = never heard.
-    vectors: DenseMap<Vec<Option<Metric>>>,
-    num_dests: usize,
+    /// `metrics[dest * degree + slot]` = advertised metric; `None` = never
+    /// heard (or forgotten).
+    metrics: Vec<Option<Metric>>,
+    degree: usize,
 }
 
 impl NeighborCache {
-    /// Creates a cache for `num_dests` destinations.
+    /// Creates an empty cache for `num_dests` destinations and `degree`
+    /// neighbor slots.
     #[must_use]
-    pub fn new(num_dests: usize) -> Self {
+    pub fn new(num_dests: usize, degree: usize) -> Self {
         NeighborCache {
-            vectors: DenseMap::new(),
-            num_dests,
+            metrics: vec![None; num_dests * degree],
+            degree,
         }
     }
 
-    /// Records that `neighbor` advertised `metric` for `dest`.
+    /// Records that the neighbor in `slot` advertised `metric` for `dest`.
     ///
     /// # Panics
     ///
-    /// Panics if `dest` is out of range.
-    pub fn update(&mut self, neighbor: NodeId, dest: NodeId, metric: Metric) {
-        assert!(dest.index() < self.num_dests, "{dest} out of range");
-        let num_dests = self.num_dests;
-        let vector = self
-            .vectors
-            .get_or_insert_with(neighbor, || vec![None; num_dests]);
-        vector[dest.index()] = Some(metric);
+    /// Panics if `dest` or `slot` is out of range.
+    pub fn update(&mut self, slot: usize, dest: NodeId, metric: Metric) {
+        assert!(slot < self.degree, "slot {slot} out of range");
+        self.metrics[dest.index() * self.degree + slot] = Some(metric);
     }
 
-    /// The advertised metric from `neighbor` for `dest`, if any.
+    /// The advertised metric from the neighbor in `slot` for `dest`, if
+    /// any.
     #[must_use]
-    pub fn advertised(&self, neighbor: NodeId, dest: NodeId) -> Option<Metric> {
-        *self.vectors.get(neighbor)?.get(dest.index())?
+    pub fn advertised(&self, slot: usize, dest: NodeId) -> Option<Metric> {
+        self.row(dest).get(slot).copied().flatten()
     }
 
-    /// Forgets everything learned from `neighbor` (link failure or
-    /// staleness timeout).
-    pub fn invalidate(&mut self, neighbor: NodeId) {
-        self.vectors.remove(neighbor);
-    }
-
-    /// Returns `(neighbor, advertised_metric)` candidates for `dest`,
-    /// restricted to neighbors accepted by `usable`.
-    pub fn candidates<'a, F>(
-        &'a self,
-        dest: NodeId,
-        usable: F,
-    ) -> impl Iterator<Item = (NodeId, Metric)> + 'a
-    where
-        F: Fn(NodeId) -> bool + 'a,
-    {
-        self.vectors.iter().filter_map(move |(neighbor, vector)| {
-            if !usable(neighbor) {
-                return None;
+    /// Forgets everything learned from the neighbor in `slot` (link
+    /// failure or staleness timeout).
+    pub fn invalidate(&mut self, slot: usize) {
+        if slot < self.degree {
+            for row in self.metrics.chunks_exact_mut(self.degree) {
+                row[slot] = None;
             }
-            let metric = (*vector.get(dest.index())?)?;
-            Some((neighbor, metric))
-        })
+        }
     }
 
-    /// Neighbors currently present in the cache.
-    pub fn known_neighbors(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.vectors.keys()
+    /// The advertisements for `dest`, indexed by slot (empty for an
+    /// unknown destination).
+    #[must_use]
+    pub fn row(&self, dest: NodeId) -> &[Option<Metric>] {
+        let start = dest.index() * self.degree;
+        self.metrics.get(start..start + self.degree).unwrap_or(&[])
+    }
+
+    /// The best route to `dest` through a perceived-up peer: the lowest
+    /// finite `advertised + link cost`, ties to the lowest neighbor id.
+    /// `peers` is the router's peer slice, slot for slot with the cache.
+    #[must_use]
+    pub fn best(&self, dest: NodeId, peers: &[Peer]) -> Option<(NodeId, Metric)> {
+        select_best(
+            peers
+                .iter()
+                .zip(self.row(dest))
+                .filter_map(|(peer, advertised)| {
+                    let advertised = (*advertised)?;
+                    peer.up.then(|| (peer.neighbor, advertised + peer.cost))
+                }),
+        )
     }
 }
 
@@ -93,47 +105,71 @@ mod tests {
         NodeId::new(i)
     }
 
+    fn peer(neighbor: u32, cost: u32, up: bool) -> Peer {
+        Peer {
+            neighbor: n(neighbor),
+            cost,
+            up,
+        }
+    }
+
     #[test]
     fn update_and_lookup() {
-        let mut c = NeighborCache::new(4);
-        c.update(n(1), n(3), Metric::new(2));
-        assert_eq!(c.advertised(n(1), n(3)), Some(Metric::new(2)));
-        assert_eq!(c.advertised(n(1), n(2)), None);
-        assert_eq!(c.advertised(n(2), n(3)), None);
+        let mut c = NeighborCache::new(4, 2);
+        c.update(1, n(3), Metric::new(2));
+        assert_eq!(c.advertised(1, n(3)), Some(Metric::new(2)));
+        assert_eq!(c.advertised(1, n(2)), None);
+        assert_eq!(c.advertised(0, n(3)), None);
+        assert_eq!(c.row(n(3)), &[None, Some(Metric::new(2))]);
     }
 
     #[test]
     fn poisoned_entries_are_remembered() {
-        let mut c = NeighborCache::new(4);
-        c.update(n(1), n(3), Metric::INFINITY);
-        assert_eq!(c.advertised(n(1), n(3)), Some(Metric::INFINITY));
+        let mut c = NeighborCache::new(4, 2);
+        c.update(0, n(3), Metric::INFINITY);
+        assert_eq!(c.advertised(0, n(3)), Some(Metric::INFINITY));
     }
 
     #[test]
-    fn invalidate_forgets_whole_vector() {
-        let mut c = NeighborCache::new(4);
-        c.update(n(1), n(0), Metric::new(1));
-        c.update(n(1), n(2), Metric::new(5));
-        c.invalidate(n(1));
-        assert_eq!(c.advertised(n(1), n(0)), None);
-        assert_eq!(c.known_neighbors().count(), 0);
+    fn invalidate_forgets_whole_column() {
+        let mut c = NeighborCache::new(4, 2);
+        c.update(1, n(0), Metric::new(1));
+        c.update(1, n(2), Metric::new(5));
+        c.update(0, n(2), Metric::new(3));
+        c.invalidate(1);
+        assert_eq!(c.advertised(1, n(0)), None);
+        assert_eq!(c.advertised(1, n(2)), None);
+        assert_eq!(c.advertised(0, n(2)), Some(Metric::new(3)));
     }
 
     #[test]
-    fn candidates_respect_usability_filter() {
-        let mut c = NeighborCache::new(4);
-        c.update(n(1), n(3), Metric::new(2));
-        c.update(n(2), n(3), Metric::new(1));
-        let all: Vec<_> = c.candidates(n(3), |_| true).collect();
-        assert_eq!(all.len(), 2);
-        let only2: Vec<_> = c.candidates(n(3), |nb| nb == n(2)).collect();
-        assert_eq!(only2, vec![(n(2), Metric::new(1))]);
+    fn best_skips_down_peers_and_adds_link_cost() {
+        let mut c = NeighborCache::new(4, 2);
+        c.update(0, n(3), Metric::new(2));
+        c.update(1, n(3), Metric::new(1));
+        let peers = [peer(5, 1, true), peer(7, 3, true)];
+        assert_eq!(c.best(n(3), &peers), Some((n(5), Metric::new(3))));
+        let peers = [peer(5, 1, false), peer(7, 3, true)];
+        assert_eq!(c.best(n(3), &peers), Some((n(7), Metric::new(4))));
     }
 
     #[test]
-    fn candidates_skip_unknown_destinations() {
-        let mut c = NeighborCache::new(4);
-        c.update(n(1), n(0), Metric::new(1));
-        assert_eq!(c.candidates(n(3), |_| true).count(), 0);
+    fn best_ties_break_to_lowest_neighbor_id_not_slot() {
+        let mut c = NeighborCache::new(4, 2);
+        c.update(0, n(3), Metric::new(2));
+        c.update(1, n(3), Metric::new(2));
+        let peers = [peer(9, 1, true), peer(4, 1, true)];
+        assert_eq!(c.best(n(3), &peers), Some((n(4), Metric::new(3))));
+    }
+
+    #[test]
+    fn best_ignores_unknown_and_unreachable_destinations() {
+        let mut c = NeighborCache::new(4, 1);
+        c.update(0, n(0), Metric::new(1));
+        c.update(0, n(2), Metric::INFINITY);
+        let peers = [peer(1, 1, true)];
+        assert_eq!(c.best(n(3), &peers), None);
+        assert_eq!(c.best(n(2), &peers), None);
+        assert_eq!(c.best(n(9), &peers), None);
     }
 }

@@ -7,9 +7,7 @@ use netsim::time::SimDuration;
 use routing_core::damping::{TriggerAction, TriggeredScheduler};
 use routing_core::message::{pack_entries, DvEntry, DvMessage};
 use routing_core::metric::Metric;
-use routing_core::select_best;
 use rip::config::SplitHorizon;
-use netsim::dense::DenseMap;
 use std::sync::Arc;
 
 use crate::cache::NeighborCache;
@@ -42,7 +40,8 @@ pub struct Dbf {
     cache: NeighborCache,
     selected: Vec<Option<SelectedRoute>>,
     changed: Vec<bool>,
-    neighbor_timers: DenseMap<TimerId>,
+    /// Staleness timer per neighbor slot.
+    neighbor_timers: Vec<Option<TimerId>>,
     scheduler: TriggeredScheduler,
 }
 
@@ -76,7 +75,7 @@ impl Dbf {
             cache: NeighborCache::default(),
             selected: Vec::new(),
             changed: Vec::new(),
-            neighbor_timers: DenseMap::new(),
+            neighbor_timers: Vec::new(),
         }
     }
 
@@ -92,12 +91,7 @@ impl Dbf {
         if dest == ctx.node() {
             return;
         }
-        let best = select_best(
-            self.cache
-                .candidates(dest, |n| ctx.neighbor_up(n))
-                .map(|(n, advertised)| (n, advertised + ctx.link_cost(n))),
-        )
-        .map(|(next_hop, metric)| SelectedRoute {
+        let best = self.cache.best(dest, ctx.peers()).map(|(next_hop, metric)| SelectedRoute {
             metric,
             next_hop: Some(next_hop),
         });
@@ -185,9 +179,10 @@ impl Dbf {
     }
 
     fn send_to_all_up(&self, ctx: &mut ProtocolContext<'_>, only: Option<&[NodeId]>) {
-        for neighbor in ctx.neighbors() {
-            if ctx.neighbor_up(neighbor) {
-                self.send_update(ctx, neighbor, only);
+        for slot in 0..ctx.peers().len() {
+            let peer = ctx.peers()[slot];
+            if peer.up {
+                self.send_update(ctx, peer.neighbor, only);
             }
         }
     }
@@ -216,20 +211,19 @@ impl Dbf {
         }
     }
 
-    fn refresh_neighbor_timer(&mut self, ctx: &mut ProtocolContext<'_>, neighbor: NodeId) {
+    fn refresh_neighbor_timer(&mut self, ctx: &mut ProtocolContext<'_>, slot: usize) {
         let id = ctx.reset_timer(
-            self.neighbor_timers.get(neighbor).copied(),
+            self.neighbor_timers[slot],
             self.config.neighbor_timeout,
-            TimerToken::compose(timer::NEIGHBOR_TIMEOUT, neighbor.index() as u64),
+            TimerToken::compose(timer::NEIGHBOR_TIMEOUT, slot as u64),
         );
-        self.neighbor_timers.insert(neighbor, id);
+        self.neighbor_timers[slot] = Some(id);
     }
 
-    fn drop_neighbor(&mut self, ctx: &mut ProtocolContext<'_>, neighbor: NodeId) {
-        self.cache.invalidate(neighbor);
-        if let Some(t) = self.neighbor_timers.remove(neighbor) {
-            ctx.cancel_timer(t);
-        }
+    /// Forgets the neighbor in `slot` and re-selects every destination from
+    /// the remaining cached vectors.
+    fn forget_neighbor(&mut self, ctx: &mut ProtocolContext<'_>, slot: usize) {
+        self.cache.invalidate(slot);
         for i in 0..self.selected.len() {
             self.recompute(ctx, NodeId::new(i as u32));
         }
@@ -254,7 +248,9 @@ impl RoutingProtocol for Dbf {
 
     fn on_start(&mut self, ctx: &mut ProtocolContext<'_>) {
         let n = ctx.num_nodes();
-        self.cache = NeighborCache::new(n);
+        let degree = ctx.peers().len();
+        self.cache = NeighborCache::new(n, degree);
+        self.neighbor_timers = vec![None; degree];
         self.selected = vec![None; n];
         self.changed = vec![false; n];
         // Self route, announced like any change.
@@ -275,12 +271,16 @@ impl RoutingProtocol for Dbf {
             debug_assert!(false, "DBF received a non-DV payload");
             return;
         };
-        self.refresh_neighbor_timer(ctx, from);
+        let Some(slot) = ctx.peers().iter().position(|p| p.neighbor == from) else {
+            debug_assert!(false, "DBF message from non-neighbor {from}");
+            return;
+        };
+        self.refresh_neighbor_timer(ctx, slot);
         for &entry in &message.entries {
             if entry.dest == ctx.node() {
                 continue;
             }
-            self.cache.update(from, entry.dest, entry.metric);
+            self.cache.update(slot, entry.dest, entry.metric);
             self.recompute(ctx, entry.dest);
         }
         self.after_changes(ctx);
@@ -309,13 +309,11 @@ impl RoutingProtocol for Dbf {
                 }
             }
             timer::NEIGHBOR_TIMEOUT => {
-                let neighbor = NodeId::new(token.arg() as u32);
-                self.neighbor_timers.remove(neighbor);
-                self.cache.invalidate(neighbor);
-                for i in 0..self.selected.len() {
-                    self.recompute(ctx, NodeId::new(i as u32));
+                let slot = token.arg() as usize;
+                if let Some(timer) = self.neighbor_timers.get_mut(slot) {
+                    *timer = None;
                 }
-                self.after_changes(ctx);
+                self.forget_neighbor(ctx, slot);
             }
             other => debug_assert!(false, "unknown DBF timer kind {other}"),
         }
@@ -325,7 +323,13 @@ impl RoutingProtocol for Dbf {
         // The instant switch-over: invalidate the neighbor and re-select
         // every destination from the remaining cached vectors, updating the
         // FIB in the same event.
-        self.drop_neighbor(ctx, neighbor);
+        let Some(slot) = ctx.peers().iter().position(|p| p.neighbor == neighbor) else {
+            return;
+        };
+        if let Some(t) = self.neighbor_timers[slot].take() {
+            ctx.cancel_timer(t);
+        }
+        self.forget_neighbor(ctx, slot);
     }
 
     fn on_link_up(&mut self, ctx: &mut ProtocolContext<'_>, neighbor: NodeId) {

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use netsim::dense::{DenseMap, DenseSet};
 use netsim::ident::NodeId;
 use netsim::protocol::{Payload, RoutingProtocol, SharedPayload, TimerToken};
-use netsim::simulator::ProtocolContext;
+use netsim::simulator::{Peer, ProtocolContext};
 use netsim::time::SimDuration;
 use routing_core::metric::Metric;
 use routing_core::select_best;
@@ -83,9 +83,9 @@ impl Dual {
         self.routes.get(dest.index())
     }
 
-    /// Cost closure: unit cost to perceived-up neighbors only.
-    fn up_cost(ctx: &ProtocolContext<'_>, n: NodeId) -> Option<u32> {
-        ctx.neighbor_up(n).then(|| ctx.link_cost(n))
+    /// Cost closure: the link cost to perceived-up neighbors only.
+    fn up_cost(peers: &[Peer], n: NodeId) -> Option<u32> {
+        peers.iter().find(|p| p.neighbor == n && p.up).map(|p| p.cost)
     }
 
     /// Passive-state local computation for one destination.
@@ -95,7 +95,8 @@ impl Dual {
         }
         let best_feasible = {
             let route = &self.routes[dest.index()];
-            select_best(route.feasible_successors(|n| Self::up_cost(ctx, n)))
+            let peers = ctx.peers();
+            select_best(route.feasible_successors(|n| Self::up_cost(peers, n)))
         };
         match best_feasible {
             Some((successor, distance)) => {
@@ -116,7 +117,7 @@ impl Dual {
                     route
                         .reported
                         .keys()
-                        .any(|n| ctx.neighbor_up(n))
+                        .any(|n| Self::up_cost(ctx.peers(), n).is_some())
                 };
                 if any_up_report {
                     self.go_active(ctx, dest);
@@ -140,9 +141,10 @@ impl Dual {
     /// neighbors, await their replies.
     fn go_active(&mut self, ctx: &mut ProtocolContext<'_>, dest: NodeId) {
         let pending: DenseSet = ctx
-            .neighbors()
-            .into_iter()
-            .filter(|&n| ctx.neighbor_up(n))
+            .peers()
+            .iter()
+            .filter(|p| p.up)
+            .map(|p| p.neighbor)
             .collect();
         {
             let route = &mut self.routes[dest.index()];
@@ -191,7 +193,8 @@ impl Dual {
         if let Some(t) = sia {
             ctx.cancel_timer(t);
         }
-        let best = self.routes[dest.index()].best_any(|n| Self::up_cost(ctx, n));
+        let peers = ctx.peers();
+        let best = self.routes[dest.index()].best_any(|n| Self::up_cost(peers, n));
         let route = &mut self.routes[dest.index()];
         route.state = DualState::Passive;
         match best {
@@ -214,7 +217,7 @@ impl Dual {
             vec![DualEntry { dest, metric: distance }],
         ));
         for n in deferred.iter() {
-            if ctx.neighbor_up(n) {
+            if Self::up_cost(ctx.peers(), n).is_some() {
                 ctx.send_reliable(n, Arc::clone(&reply));
             }
         }
@@ -235,9 +238,10 @@ impl Dual {
             .collect();
         self.update_batch.clear();
         let message: SharedPayload = Arc::new(DualMessage::new(DualKind::Update, entries));
-        for n in ctx.neighbors() {
-            if ctx.neighbor_up(n) {
-                ctx.send_reliable(n, Arc::clone(&message));
+        for slot in 0..ctx.peers().len() {
+            let peer = ctx.peers()[slot];
+            if peer.up {
+                ctx.send_reliable(peer.neighbor, Arc::clone(&message));
             }
         }
     }

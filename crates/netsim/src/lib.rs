@@ -26,8 +26,7 @@
 //!     fn name(&self) -> &'static str { "hotwire" }
 //!     fn as_any(&self) -> &dyn std::any::Any { self }
 //!     fn on_start(&mut self, ctx: &mut netsim::simulator::ProtocolContext<'_>) {
-//!         let neighbors = ctx.neighbors();
-//!         if let Some(&next) = neighbors.first() {
+//!         if let Some(next) = ctx.peers().first().map(|p| p.neighbor) {
 //!             for d in 0..ctx.num_nodes() {
 //!                 let dest = NodeId::new(d as u32);
 //!                 if dest != ctx.node() { ctx.install_route(dest, next); }
@@ -83,7 +82,8 @@ pub use packet::{DropReason, Packet, DEFAULT_TTL};
 pub use protocol::{Payload, RoutingProtocol, SharedPayload, TimerId, TimerToken};
 pub use rng::SimRng;
 pub use simulator::{
-    AppContext, CbrSource, ForwardingPath, ProtocolContext, SimStats, Simulator, SimulatorBuilder,
+    AppContext, CbrSource, ForwardingPath, Peer, ProtocolContext, SimStats, Simulator,
+    SimulatorBuilder,
 };
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceConfig, TraceEvent};

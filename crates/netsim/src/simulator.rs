@@ -21,20 +21,36 @@ use crate::trace::{Trace, TraceConfig, TraceEvent};
 /// A router in the simulated network.
 #[derive(Debug)]
 struct Node {
-    /// Neighbor node, outgoing channel toward it, the undirected link, and
-    /// this node's *perceived* state of that link (updates lag physical
-    /// state by the detection delay).
-    adjacency: Vec<Adjacency>,
+    /// The node's links as its protocol sees them, in link-configuration
+    /// order.
+    peers: Vec<Peer>,
+    /// The forwarding side of the same links, slot for slot with `peers`:
+    /// the outgoing channel toward the neighbor and the undirected link.
+    ports: Vec<(ChannelId, LinkId)>,
     fib: Fib,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Adjacency {
-    neighbor: NodeId,
-    out_channel: ChannelId,
-    link: LinkId,
-    cost: u32,
-    perceived_up: bool,
+/// One link of a router, as its routing protocol sees it.
+///
+/// [`ProtocolContext::peers`] lists a router's peers in link-configuration
+/// order; a peer's position in that slice (its *slot*) never changes, so
+/// protocols can index per-neighbor state by slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Peer {
+    /// The router at the other end of the link.
+    pub neighbor: NodeId,
+    /// The link's routing cost.
+    pub cost: u32,
+    /// This router's *perceived* state of the link: it lags the physical
+    /// state by the link's detection delay.
+    pub up: bool,
+}
+
+impl Node {
+    /// The slot of the link toward `neighbor`, if the two are adjacent.
+    fn slot_of(&self, neighbor: NodeId) -> Option<usize> {
+        self.peers.iter().position(|p| p.neighbor == neighbor)
+    }
 }
 
 /// An undirected link: two channels plus bookkeeping.
@@ -258,7 +274,8 @@ impl SimulatorBuilder {
         let n = self.num_nodes as usize;
         let mut nodes: Vec<Node> = (0..n)
             .map(|_| Node {
-                adjacency: Vec::new(),
+                peers: Vec::new(),
+                ports: Vec::new(),
                 fib: Fib::new(n),
             })
             .collect();
@@ -278,20 +295,15 @@ impl SimulatorBuilder {
                 config,
                 up: true,
             });
-            nodes[a.index()].adjacency.push(Adjacency {
-                neighbor: b,
-                out_channel: ab,
-                link,
-                cost: config.cost,
-                perceived_up: true,
-            });
-            nodes[b.index()].adjacency.push(Adjacency {
-                neighbor: a,
-                out_channel: ba,
-                link,
-                cost: config.cost,
-                perceived_up: true,
-            });
+            for (node, neighbor, out) in [(a, b, ab), (b, a, ba)] {
+                let node = &mut nodes[node.index()];
+                node.peers.push(Peer {
+                    neighbor,
+                    cost: config.cost,
+                    up: true,
+                });
+                node.ports.push((out, link));
+            }
         }
         Ok(Simulator {
             nodes,
@@ -477,18 +489,18 @@ impl Simulator {
     #[must_use]
     pub fn neighbors(&self, node: NodeId) -> Vec<NodeId> {
         self.nodes[node.index()]
-            .adjacency
+            .peers
             .iter()
-            .map(|a| a.neighbor)
+            .map(|p| p.neighbor)
             .collect()
     }
 
     /// The undirected link between `a` and `b`, if one exists.
     #[must_use]
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        self.nodes.get(a.index())?.adjacency.iter().find_map(|adj| {
-            (adj.neighbor == b).then_some(adj.link)
-        })
+        let node = self.nodes.get(a.index())?;
+        let slot = node.slot_of(b)?;
+        Some(node.ports[slot].1)
     }
 
     /// The two endpoints of `link`.
@@ -727,9 +739,9 @@ impl Simulator {
             return Err(BuildError::NoSuchNode(node));
         }
         let links: Vec<LinkId> = self.nodes[node.index()]
-            .adjacency
+            .ports
             .iter()
-            .map(|a| a.link)
+            .map(|&(_, link)| link)
             .collect();
         for link in links {
             self.queue.schedule(at, EventKind::LinkFail { link });
@@ -1153,12 +1165,8 @@ impl Simulator {
             self.record_drop(packet, at, DropReason::NoRoute);
             return;
         };
-        let Some(out) = self.nodes[at.index()]
-            .adjacency
-            .iter()
-            .find(|a| a.neighbor == next_hop)
-            .map(|a| a.out_channel)
-        else {
+        let node = &self.nodes[at.index()];
+        let Some(out) = node.slot_of(next_hop).map(|slot| node.ports[slot].0) else {
             // A protocol installed a next hop that is not a neighbor; treat
             // as no route rather than corrupting the run.
             debug_assert!(false, "FIB at {at} points to non-neighbor {next_hop}");
@@ -1335,15 +1343,13 @@ impl Simulator {
     }
 
     fn on_link_state_detected(&mut self, node: NodeId, link: LinkId, up: bool) {
-        let mut neighbor = None;
-        for adj in &mut self.nodes[node.index()].adjacency {
-            if adj.link == link {
-                adj.perceived_up = up;
-                neighbor = Some(adj.neighbor);
-                break;
-            }
-        }
-        let Some(neighbor) = neighbor else { return };
+        let n = &mut self.nodes[node.index()];
+        let Some(slot) = n.ports.iter().position(|&(_, l)| l == link) else {
+            return;
+        };
+        let peer = &mut n.peers[slot];
+        peer.up = up;
+        let neighbor = peer.neighbor;
         self.record(TraceEvent::LinkStateDetected {
             time: self.now(),
             node,
@@ -1397,8 +1403,9 @@ impl Simulator {
 /// The capabilities handed to a protocol event handler.
 ///
 /// Everything a protocol may legitimately observe or do goes through this
-/// context: it sees only local state (its own FIB, its own adjacency and
-/// *perceived* link states), never the global topology.
+/// context: it sees only local state (its own FIB and its own
+/// [`peers`](Self::peers) with their *perceived* link states), never the
+/// global topology.
 pub struct ProtocolContext<'a> {
     sim: &'a mut Simulator,
     node: NodeId,
@@ -1432,34 +1439,12 @@ impl ProtocolContext<'_> {
         self.sim.num_nodes()
     }
 
-    /// All configured neighbors, regardless of perceived link state.
+    /// Every configured link of this node, with its cost and perceived
+    /// state, in link-configuration order. A peer keeps its position
+    /// (slot) for the whole run.
     #[must_use]
-    pub fn neighbors(&self) -> Vec<NodeId> {
-        self.sim.neighbors(self.node)
-    }
-
-    /// Whether this node currently believes its link to `neighbor` is up.
-    #[must_use]
-    pub fn neighbor_up(&self, neighbor: NodeId) -> bool {
-        self.sim.nodes[self.node.index()]
-            .adjacency
-            .iter()
-            .any(|a| a.neighbor == neighbor && a.perceived_up)
-    }
-
-    /// The routing cost of the link to `neighbor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `neighbor` is not adjacent.
-    #[must_use]
-    pub fn link_cost(&self, neighbor: NodeId) -> u32 {
-        self.sim.nodes[self.node.index()]
-            .adjacency
-            .iter()
-            .find(|a| a.neighbor == neighbor)
-            .unwrap_or_else(|| panic!("{} is not a neighbor of {}", neighbor, self.node))
-            .cost
+    pub fn peers(&self) -> &[Peer] {
+        &self.sim.nodes[self.node.index()].peers
     }
 
     /// Sends a datagram control message (may be lost on failure/overflow).
@@ -1477,11 +1462,10 @@ impl ProtocolContext<'_> {
     }
 
     fn send_inner(&mut self, to: NodeId, payload: SharedPayload, reliable: bool) {
-        let out = self.sim.nodes[self.node.index()]
-            .adjacency
-            .iter()
-            .find(|a| a.neighbor == to)
-            .map(|a| a.out_channel)
+        let node = &self.sim.nodes[self.node.index()];
+        let out = node
+            .slot_of(to)
+            .map(|slot| node.ports[slot].0)
             .unwrap_or_else(|| panic!("{} is not a neighbor of {}", to, self.node));
         let bytes = (payload.size_bytes() + 20) as u32;
         self.sim.stats.control_messages_sent += 1;

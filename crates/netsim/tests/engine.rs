@@ -5,7 +5,7 @@ use netsim::ident::NodeId;
 use netsim::link::LinkConfig;
 use netsim::packet::DropReason;
 use netsim::protocol::{Payload, RoutingProtocol, TimerToken};
-use netsim::simulator::{ForwardingPath, ProtocolContext, Simulator, SimulatorBuilder};
+use netsim::simulator::{ForwardingPath, Peer, ProtocolContext, Simulator, SimulatorBuilder};
 use netsim::time::{SimDuration, SimTime};
 use netsim::trace::TraceEvent;
 
@@ -306,7 +306,8 @@ impl RoutingProtocol for TimerEcho {
 
     fn on_timer(&mut self, ctx: &mut ProtocolContext<'_>, token: TimerToken) {
         self.fired.push(token.arg());
-        for n in ctx.neighbors() {
+        for slot in 0..ctx.peers().len() {
+            let n = ctx.peers()[slot].neighbor;
             ctx.send(n, std::sync::Arc::new(Ping(token.arg())));
         }
     }
@@ -461,4 +462,66 @@ fn packet_conservation_holds() {
     let s = sim.stats();
     assert_eq!(s.packets_injected, 200);
     assert_eq!(s.packets_injected, s.packets_delivered + s.packets_dropped);
+}
+
+/// Records the peer slice it sees at start and on every link event.
+#[derive(Default)]
+struct PeerLog {
+    seen: Vec<Vec<Peer>>,
+}
+
+impl RoutingProtocol for PeerLog {
+    fn name(&self) -> &'static str {
+        "peer-log"
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn on_start(&mut self, ctx: &mut ProtocolContext<'_>) {
+        self.seen.push(ctx.peers().to_vec());
+    }
+
+    fn on_link_down(&mut self, ctx: &mut ProtocolContext<'_>, _neighbor: NodeId) {
+        self.seen.push(ctx.peers().to_vec());
+    }
+
+    fn on_link_up(&mut self, ctx: &mut ProtocolContext<'_>, _neighbor: NodeId) {
+        self.seen.push(ctx.peers().to_vec());
+    }
+}
+
+#[test]
+fn peers_follow_link_order_and_perceived_state() {
+    let mut b = SimulatorBuilder::new();
+    let n = b.add_nodes(4);
+    let cheap = LinkConfig::default();
+    let dear = LinkConfig {
+        cost: 7,
+        ..LinkConfig::default()
+    };
+    b.add_link(n[0], n[2], cheap).unwrap();
+    let failing = b.add_link(n[1], n[0], dear).unwrap();
+    b.add_link(n[0], n[3], cheap).unwrap();
+    let mut sim = b.build().unwrap();
+    sim.install_protocol(n[0], Box::new(PeerLog::default())).unwrap();
+    sim.start();
+    sim.schedule_link_failure(SimTime::from_secs(1), failing).unwrap();
+    sim.schedule_link_recovery(SimTime::from_secs(2), failing).unwrap();
+    sim.run_until(SimTime::from_secs(3));
+
+    let peer = |node: NodeId, cost, up| Peer {
+        neighbor: node,
+        cost,
+        up,
+    };
+    let with_n1 = |up| vec![peer(n[2], 1, true), peer(n[1], 7, up), peer(n[3], 1, true)];
+    let log = sim
+        .protocol(n[0])
+        .and_then(|p| p.as_any().downcast_ref::<PeerLog>())
+        .unwrap();
+    // Start, detected down, detected back up: add_link order throughout,
+    // only the failed link's `up` changing.
+    assert_eq!(log.seen, vec![with_n1(true), with_n1(false), with_n1(true)]);
 }

@@ -44,12 +44,14 @@ impl RoutingProtocol for RingRoutes {
         // Reroute everything previously sent via the dead neighbor the
         // other way around the ring.
         let me = ctx.node();
-        let other: Vec<NodeId> = ctx
-            .neighbors()
-            .into_iter()
-            .filter(|&x| x != neighbor)
-            .collect();
-        let Some(&other) = other.first() else { return };
+        let Some(other) = ctx
+            .peers()
+            .iter()
+            .map(|p| p.neighbor)
+            .find(|&x| x != neighbor)
+        else {
+            return;
+        };
         for dest in 0..self.n {
             let dest = NodeId::new(dest);
             if dest != me && ctx.route(dest) == Some(neighbor) {
@@ -313,11 +315,13 @@ impl Flood {
     fn flood(&self, ctx: &mut ProtocolContext<'_>, rumor: Rumor) {
         if self.share {
             let payload: netsim::protocol::SharedPayload = std::sync::Arc::new(rumor);
-            for n in ctx.neighbors() {
+            for slot in 0..ctx.peers().len() {
+                let n = ctx.peers()[slot].neighbor;
                 ctx.send(n, payload.clone());
             }
         } else {
-            for n in ctx.neighbors() {
+            for slot in 0..ctx.peers().len() {
+                let n = ctx.peers()[slot].neighbor;
                 ctx.send(n, std::sync::Arc::new(rumor.clone()));
             }
         }
@@ -658,9 +662,10 @@ impl Juggler {
                     ctx.set_timer(after, netsim::protocol::TimerToken(100 + slot as u64));
                 }
                 _ => {
-                    for n in ctx.neighbors() {
-                        if ctx.neighbor_up(n) {
-                            ctx.send(n, std::sync::Arc::new(Poke));
+                    for i in 0..ctx.peers().len() {
+                        let peer = ctx.peers()[i];
+                        if peer.up {
+                            ctx.send(peer.neighbor, std::sync::Arc::new(Poke));
                         }
                     }
                 }

@@ -18,9 +18,10 @@ struct LowestUp;
 impl LowestUp {
     fn refresh(ctx: &mut ProtocolContext<'_>) {
         let mut ups: Vec<NodeId> = ctx
-            .neighbors()
-            .into_iter()
-            .filter(|&n| ctx.neighbor_up(n))
+            .peers()
+            .iter()
+            .filter(|p| p.up)
+            .map(|p| p.neighbor)
             .collect();
         ups.sort_unstable();
         match ups.first() {

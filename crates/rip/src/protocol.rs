@@ -187,9 +187,10 @@ impl Rip {
     }
 
     fn send_to_all_up(&self, ctx: &mut ProtocolContext<'_>, only: Option<&[NodeId]>) {
-        for neighbor in ctx.neighbors() {
-            if ctx.neighbor_up(neighbor) {
-                self.send_update(ctx, neighbor, only);
+        for slot in 0..ctx.peers().len() {
+            let peer = ctx.peers()[slot];
+            if peer.up {
+                self.send_update(ctx, peer.neighbor, only);
             }
         }
     }
@@ -260,7 +261,15 @@ impl Rip {
         }
     }
 
-    fn process_entry(&mut self, ctx: &mut ProtocolContext<'_>, from: NodeId, entry: DvEntry) {
+    /// Processes one entry of a vector from `from`, whose link costs
+    /// `cost`.
+    fn process_entry(
+        &mut self,
+        ctx: &mut ProtocolContext<'_>,
+        from: NodeId,
+        cost: u32,
+        entry: DvEntry,
+    ) {
         let dest = entry.dest;
         if dest == ctx.node() {
             return; // never accept routes to ourselves
@@ -273,7 +282,7 @@ impl Rip {
                 return;
             }
         }
-        let offered = entry.metric + ctx.link_cost(from);
+        let offered = entry.metric + cost;
         let current = self
             .table
             .get(dest)
@@ -367,7 +376,8 @@ impl RoutingProtocol for Rip {
         // RFC 2453 §3.9.1: ask the neighbors for their tables right away —
         // one shared request payload fanned out to every neighbor.
         let request: SharedPayload = Arc::new(RipRequest);
-        for neighbor in ctx.neighbors() {
+        for slot in 0..ctx.peers().len() {
+            let neighbor = ctx.peers()[slot].neighbor;
             ctx.send(neighbor, Arc::clone(&request));
         }
         self.after_changes(ctx);
@@ -383,8 +393,12 @@ impl RoutingProtocol for Rip {
             debug_assert!(false, "RIP received a non-DV payload");
             return;
         };
+        let Some(cost) = ctx.peers().iter().find(|p| p.neighbor == from).map(|p| p.cost) else {
+            debug_assert!(false, "RIP message from non-neighbor {from}");
+            return;
+        };
         for &entry in &message.entries {
-            self.process_entry(ctx, from, entry);
+            self.process_entry(ctx, from, cost, entry);
         }
         self.after_changes(ctx);
     }

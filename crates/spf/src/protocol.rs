@@ -92,10 +92,10 @@ impl Spf {
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>) {
         self.seq += 1;
         let neighbors: Vec<(NodeId, u32)> = ctx
-            .neighbors()
-            .into_iter()
-            .filter(|&n| ctx.neighbor_up(n))
-            .map(|n| (n, ctx.link_cost(n)))
+            .peers()
+            .iter()
+            .filter(|p| p.up)
+            .map(|p| (p.neighbor, p.cost))
             .collect();
         let lsa = Lsa {
             origin: ctx.node(),
@@ -114,9 +114,10 @@ impl Spf {
     /// link.
     fn flood(&self, ctx: &mut ProtocolContext<'_>, lsa: &Lsa, except: Option<NodeId>) {
         let message: SharedPayload = Arc::new(LsaMessage(lsa.clone()));
-        for neighbor in ctx.neighbors() {
-            if Some(neighbor) != except && ctx.neighbor_up(neighbor) {
-                ctx.send(neighbor, Arc::clone(&message));
+        for slot in 0..ctx.peers().len() {
+            let peer = ctx.peers()[slot];
+            if Some(peer.neighbor) != except && peer.up {
+                ctx.send(peer.neighbor, Arc::clone(&message));
             }
         }
     }

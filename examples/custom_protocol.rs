@@ -43,7 +43,7 @@ impl HotStandby {
         let choice = [pair.primary, pair.backup]
             .into_iter()
             .flatten()
-            .find(|&(nh, _)| ctx.neighbor_up(nh));
+            .find(|&(nh, _)| ctx.peers().iter().any(|p| p.neighbor == nh && p.up));
         match choice {
             Some((nh, _)) => ctx.install_route(dest, nh),
             None => ctx.remove_route(dest),
@@ -76,10 +76,11 @@ impl RoutingProtocol for HotStandby {
         entries.extend(self.table.iter().filter_map(|(&dest, pair)| {
             pair.primary.map(|(_, m)| DvEntry { dest, metric: m })
         }));
-        for neighbor in ctx.neighbors() {
-            if ctx.neighbor_up(neighbor) {
+        for slot in 0..ctx.peers().len() {
+            let peer = ctx.peers()[slot];
+            if peer.up {
                 for message in pack_entries(entries.clone()) {
-                    ctx.send(neighbor, std::sync::Arc::new(message));
+                    ctx.send(peer.neighbor, std::sync::Arc::new(message));
                 }
             }
         }
@@ -90,11 +91,14 @@ impl RoutingProtocol for HotStandby {
         let Some(message) = payload.as_any().downcast_ref::<DvMessage>() else {
             return;
         };
+        let Some(cost) = ctx.peers().iter().find(|p| p.neighbor == from).map(|p| p.cost) else {
+            return;
+        };
         for entry in &message.entries {
             if entry.dest == ctx.node() || !entry.metric.is_finite() {
                 continue;
             }
-            let offered = entry.metric + ctx.link_cost(from);
+            let offered = entry.metric + cost;
             let pair = self.table.entry(entry.dest).or_default();
             // Keep the best two distinct next hops.
             match pair.primary {

@@ -330,7 +330,8 @@ impl netsim::protocol::RoutingProtocol for TickProto {
         _token: netsim::protocol::TimerToken,
     ) {
         self.ticks.push(ctx.now());
-        for n in ctx.neighbors() {
+        for slot in 0..ctx.peers().len() {
+            let n = ctx.peers()[slot].neighbor;
             ctx.send(n, std::sync::Arc::new(Ping));
         }
         ctx.set_timer(TICK, netsim::protocol::TimerToken(1));
