@@ -1,8 +1,9 @@
-//! Hot-path micro-harness: events/sec plus the allocation-sharing
-//! counters introduced by the memory overhaul, recorded in
-//! `BENCH_hotpath.json` at the repository root.
+//! Hot-path micro-harness: events/sec, exact work counters and the
+//! allocation-sharing counters, appended as one record to the JSON array
+//! in `BENCH_hotpath.json` at the repository root (a file holding a
+//! single object from before the array is kept as its first record).
 //!
-//! Two legs, both fully seeded and deterministic in everything but the
+//! Three legs, all fully seeded and deterministic in everything but the
 //! wall clock:
 //!
 //! 1. **DBF timing leg** — the paper's DBF degree-4 point (the richest
@@ -16,11 +17,9 @@
 //!    payload. DBF and BGP are structurally absent here: split horizon
 //!    and per-peer update filtering make every one of their payloads
 //!    neighbor-specific, so their share count is legitimately zero.
-//! 3. **BGP interner leg** — a hand-built degree-4 mesh running plain
-//!    BGP through convergence, a link failure, and reconvergence; the
-//!    per-node [`PathInterner`](routing_core::PathInterner) hit/miss
-//!    counters are read back through the simulator's protocol
-//!    inspection hook and summed.
+//! 3. **BGP-3 counter leg** — [`BGP3_RUNS`] seeded BGP-3 degree-4 paper
+//!    runs, reporting their exact `events_processed` and control-message
+//!    totals and peak calendar high water.
 //!
 //! ```text
 //! bench_hotpath [--smoke] [runs] [--jobs N]
@@ -33,25 +32,29 @@
 //!
 //! - the measured median is more than 20% below its
 //!   `events_per_sec_median` (a wall-clock trend, so the gate is loose);
-//! - with `counter_runs` timing runs (the smoke count), the DBF leg's
-//!   exact `events_processed` total or peak calendar high water is above
-//!   `counter_events_total` or `counter_queue_high_water`. These counts
-//!   are the same on every machine, so any rise is a real change in the
-//!   engine's work; a change that raises one on purpose re-blesses the
-//!   committed count and says why. A fall is reported, not failed, so
+//! - an exact work counter is above its committed `counter_*` count: the
+//!   DBF leg's `events_processed` total or peak calendar high water
+//!   (checked with `counter_runs` timing runs, the smoke count), or the
+//!   BGP-3 leg's `events_processed` total, control-message total or peak
+//!   calendar high water (checked on every run). These counts are the
+//!   same on every machine, so any rise is a real change in the engine's
+//!   or protocol's work; a change that raises one on purpose re-blesses
+//!   the committed count and says why. A fall is reported, not failed, so
 //!   the committed counts only ever ratchet down.
 
 use std::time::Instant;
 
 use bench::point_seed;
-use bgp::Bgp;
 use convergence::prelude::*;
-use netsim::ident::NodeId;
-use netsim::time::SimTime;
-use topology::instantiate::to_simulator_builder;
 use topology::mesh::MeshDegree;
 
 const DEGREE: MeshDegree = MeshDegree::D4;
+
+/// Seeded runs in the BGP-3 counter leg.
+const BGP3_RUNS: usize = 3;
+
+/// Where each invocation appends its record.
+const RECORD_FILE: &str = "BENCH_hotpath.json";
 
 /// How far past a 20%-slower-than-baseline median the harness tolerates
 /// before failing (the CI regression gate).
@@ -112,60 +115,44 @@ fn fanout_leg(protocol: ProtocolKind) -> FanoutLeg {
     }
 }
 
-struct InternerLeg {
-    hits: u64,
-    misses: u64,
-    payloads_shared: u64,
+struct CounterLeg {
+    events_total: u64,
+    queue_high_water: u64,
     messages_sent: u64,
 }
 
-/// Runs plain BGP on a hand-built degree-4 mesh through convergence, a
-/// link failure and reconvergence, then reads back the per-node path
-/// interner counters.
-fn bgp_interner_leg(seed: u64) -> InternerLeg {
-    let cfg = ExperimentConfig::paper(ProtocolKind::Bgp, DEGREE, seed);
-    let realized = cfg.topology.realize();
-    let (mut builder, links) =
-        to_simulator_builder(&realized.graph, cfg.link).expect("paper mesh instantiates");
-    builder.seed(seed);
-    let mut sim = builder.build().expect("paper mesh builds");
-    let num_nodes = sim.num_nodes();
-    for i in 0..num_nodes {
-        sim.install_protocol(NodeId::new(i as u32), Box::new(Bgp::new()))
-            .expect("node exists");
-    }
-    // Flap the lowest link after the mesh converges. Interning pays off
-    // exactly here: every re-convergence walks routes back through
-    // previously seen paths, so prepending hits the interner instead of
-    // allocating a fresh hop sequence per flap cycle.
-    let flapped = *links.values().next().expect("mesh has links");
-    sim.start();
-    for cycle in 0..3_u64 {
-        sim.schedule_link_failure(SimTime::from_secs(120 + cycle * 120), flapped)
-            .expect("link exists");
-        sim.schedule_link_recovery(SimTime::from_secs(180 + cycle * 120), flapped)
-            .expect("link exists");
-    }
-    sim.run_until(SimTime::from_secs(540));
-
-    let mut leg = InternerLeg {
-        hits: 0,
-        misses: 0,
-        payloads_shared: sim.stats().control_payloads_shared,
-        messages_sent: sim.stats().control_messages_sent,
+/// [`BGP3_RUNS`] seeded BGP-3 degree-4 paper runs; only exact counts.
+fn bgp3_counter_leg() -> CounterLeg {
+    let mut leg = CounterLeg {
+        events_total: 0,
+        queue_high_water: 0,
+        messages_sent: 0,
     };
-    for i in 0..num_nodes {
-        let node = NodeId::new(i as u32);
-        let protocol = sim.protocol(node).expect("protocol installed");
-        let bgp = protocol
-            .as_any()
-            .downcast_ref::<Bgp>()
-            .expect("BGP installed on every node");
-        let (hits, misses) = bgp.interner_stats();
-        leg.hits += hits;
-        leg.misses += misses;
+    for i in 0..BGP3_RUNS {
+        let cfg = ExperimentConfig::paper(ProtocolKind::Bgp3, DEGREE, point_seed(DEGREE, i));
+        let result = run(&cfg).unwrap_or_else(|e| panic!("BGP-3 run {i} failed: {e}"));
+        leg.events_total += result.stats.events_processed;
+        leg.queue_high_water = leg.queue_high_water.max(result.stats.queue_high_water);
+        leg.messages_sent += result.stats.control_messages_sent;
     }
     leg
+}
+
+/// Appends `record` (a JSON object) to the JSON array in `path`. A file
+/// that holds a single object becomes the array's first record.
+fn append_record(path: &str, record: &str) -> std::io::Result<()> {
+    let old = std::fs::read_to_string(path).unwrap_or_default();
+    let old = old.trim();
+    let earlier = match old.strip_prefix('[').and_then(|o| o.strip_suffix(']')) {
+        Some(list) => list.trim(),
+        None => old,
+    };
+    let records = if earlier.is_empty() {
+        record.to_string()
+    } else {
+        format!("{earlier},\n{record}")
+    };
+    std::fs::write(path, format!("[\n{records}\n]\n"))
 }
 
 /// Median of an unsorted sample (mean of the middle pair when even).
@@ -225,7 +212,7 @@ fn main() {
     if smoke {
         runs = 3;
     }
-    println!("bench_hotpath — DBF d{DEGREE} timing ({runs} runs) + BGP interner leg\n");
+    println!("bench_hotpath — DBF d{DEGREE} timing ({runs} runs) + BGP-3 counter leg\n");
 
     let timing = dbf_timing_leg(runs);
     let eps_median = median(&timing.events_per_sec);
@@ -256,16 +243,11 @@ fn main() {
         );
     }
 
-    let interner = bgp_interner_leg(point_seed(DEGREE, 0));
-    let total = interner.hits + interner.misses;
-    let hit_pct = 100.0 * interner.hits as f64 / total.max(1) as f64;
-    println!("\nBGP interner leg (convergence + link failure + reconvergence):");
-    println!("  paths interned     {:>12}  ({} hits, {} misses, {hit_pct:.1}% hit rate)",
-        total, interner.hits, interner.misses);
-    println!(
-        "  payload fan-out    {:>12} of {} control sends shared an allocation",
-        interner.payloads_shared, interner.messages_sent
-    );
+    let bgp3 = bgp3_counter_leg();
+    println!("\nBGP-3 counter leg ({BGP3_RUNS} seeded runs):");
+    println!("  events processed   {:>12}", bgp3.events_total);
+    println!("  control messages   {:>12}", bgp3.messages_sent);
+    println!("  calendar high water{:>12}", bgp3.queue_high_water);
 
     let baseline_text =
         std::fs::read_to_string("results/bench_hotpath_baseline.json").unwrap_or_default();
@@ -277,31 +259,29 @@ fn main() {
         println!("\nbaseline events/sec median: {b} (gate: fail below {:.0})",
             REGRESSION_FLOOR * b as f64);
     }
-    let mut counters_rose = false;
+    let mut counters = vec![
+        ("BGP-3 events processed", bgp3.events_total, "counter_bgp3_events_total"),
+        ("BGP-3 control messages", bgp3.messages_sent, "counter_bgp3_control_messages"),
+        ("BGP-3 calendar high water", bgp3.queue_high_water, "counter_bgp3_queue_high_water"),
+    ];
     if field("counter_runs") == Some(runs as u64) {
-        for (name, measured, key) in [
-            (
-                "events processed",
-                timing.events_total,
-                "counter_events_total",
-            ),
-            (
-                "calendar high water",
-                timing.queue_high_water,
-                "counter_queue_high_water",
-            ),
-        ] {
-            let Some(committed) = field(key) else {
-                continue;
-            };
-            let verdict = match measured.cmp(&committed) {
-                std::cmp::Ordering::Greater => "ROSE: fails the ratchet",
-                std::cmp::Ordering::Less => "fell: re-bless the committed count",
-                std::cmp::Ordering::Equal => "unchanged",
-            };
-            println!("counter {name}: {measured} (committed {committed}, {verdict})");
-            counters_rose |= measured > committed;
-        }
+        counters.extend([
+            ("DBF events processed", timing.events_total, "counter_events_total"),
+            ("DBF calendar high water", timing.queue_high_water, "counter_queue_high_water"),
+        ]);
+    }
+    let mut counters_rose = false;
+    for (name, measured, key) in counters {
+        let Some(committed) = field(key) else {
+            continue;
+        };
+        let verdict = match measured.cmp(&committed) {
+            std::cmp::Ordering::Greater => "ROSE: fails the ratchet",
+            std::cmp::Ordering::Less => "fell: re-bless the committed count",
+            std::cmp::Ordering::Equal => "unchanged",
+        };
+        println!("counter {name}: {measured} (committed {committed}, {verdict})");
+        counters_rose |= measured > committed;
     }
 
     let fanout_json: Vec<String> = fanout
@@ -322,11 +302,10 @@ fn main() {
          \"events_per_sec_max\": {:.0},\n    \"control_messages_sent\": {},\n    \
          \"control_payloads_shared\": {}\n  }},\n  \
          \"fanout\": [\n{}\n  ],\n  \
-         \"bgp_interner\": {{\n    \"hits\": {},\n    \"misses\": {},\n    \
-         \"hit_rate_pct\": {:.2},\n    \"control_messages_sent\": {},\n    \
-         \"control_payloads_shared\": {}\n  }},\n  \
+         \"bgp3\": {{\n    \"runs\": {BGP3_RUNS},\n    \"events_total\": {},\n    \
+         \"queue_high_water\": {},\n    \"control_messages_sent\": {}\n  }},\n  \
          \"baseline_events_per_sec_median\": {},\n  \"regressed\": {regressed},\n  \
-         \"counters_rose\": {counters_rose}\n}}\n",
+         \"counters_rose\": {counters_rose}\n}}",
         timing.events_total,
         timing.queue_high_water,
         timing.elapsed_ns_total,
@@ -336,15 +315,13 @@ fn main() {
         timing.messages_sent,
         timing.payloads_shared,
         fanout_json.join(",\n"),
-        interner.hits,
-        interner.misses,
-        hit_pct,
-        interner.messages_sent,
-        interner.payloads_shared,
+        bgp3.events_total,
+        bgp3.queue_high_water,
+        bgp3.messages_sent,
         baseline.map_or_else(|| "null".to_string(), |b| b.to_string()),
     );
-    std::fs::write("BENCH_hotpath.json", &json).expect("write BENCH_hotpath.json");
-    println!("wrote BENCH_hotpath.json");
+    append_record(RECORD_FILE, &json).unwrap_or_else(|e| panic!("append to {RECORD_FILE}: {e}"));
+    println!("appended a record to {RECORD_FILE}");
 
     if regressed {
         eprintln!(
@@ -355,7 +332,7 @@ fn main() {
     }
     if counters_rose {
         eprintln!(
-            "REGRESSION: an exact DBF work counter rose above its committed count \
+            "REGRESSION: an exact work counter rose above its committed count \
              (results/bench_hotpath_baseline.json)"
         );
     }

@@ -30,4 +30,4 @@ pub use config::{BgpConfig, MraiScope};
 pub use flap::{FlapConfig, FlapDamper};
 pub use message::BgpUpdate;
 pub use protocol::Bgp;
-pub use rib::{AdjRibIn, BestRoute};
+pub use rib::{AdjRibIn, AnnounceTable, BestRoute};

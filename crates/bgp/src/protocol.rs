@@ -8,21 +8,57 @@ use netsim::protocol::{Payload, RoutingProtocol, TimerToken};
 use netsim::simulator::ProtocolContext;
 use routing_core::damping::{DampAction, Damper};
 use routing_core::inline::InlineVec;
-use routing_core::path::{AsPath, PathInterner};
+use routing_core::path::AsPath;
 
 use crate::config::{BgpConfig, MraiScope};
 use crate::flap::{FlapDamper, FlapEvent, ReuseOutcome};
 use crate::message::{BgpUpdate, INLINE_DESTS};
-use crate::rib::{AdjRibIn, BestRoute};
+use crate::rib::{AdjRibIn, AnnounceTable, BestRoute};
 
 mod timer {
-    /// MRAI expiry, per-neighbor scope. arg = epoch << 24 | neighbor.
+    use netsim::ident::NodeId;
+    use netsim::protocol::TimerToken;
+
+    /// MRAI expiry, per-neighbor scope ([`neighbor_token`]).
     pub const MRAI_NEIGHBOR: u64 = 1;
-    /// MRAI expiry, per-(neighbor, destination) scope.
-    /// arg = epoch << 40 | neighbor << 20 | dest.
+    /// MRAI expiry, per-(neighbor, destination) scope ([`pair_token`]).
     pub const MRAI_PAIR: u64 = 2;
-    /// Flap-damping reuse evaluation. Same arg layout as `MRAI_PAIR`.
+    /// Flap-damping reuse evaluation ([`pair_token`]).
     pub const FLAP_REUSE: u64 = 3;
+
+    const NEIGHBOR_BITS: u32 = 24;
+    const PAIR_BITS: u32 = 20;
+
+    /// A `kind` timer for `neighbor`: `arg = epoch << 24 | neighbor`.
+    pub fn neighbor_token(kind: u64, epoch: u64, neighbor: NodeId) -> TimerToken {
+        debug_assert!(neighbor.index() < 1 << NEIGHBOR_BITS, "{neighbor} aliases");
+        TimerToken::compose(kind, (epoch << NEIGHBOR_BITS) | neighbor.index() as u64)
+    }
+
+    /// The `(epoch, neighbor)` packed by [`neighbor_token`].
+    pub fn unpack_neighbor(token: TimerToken) -> (u64, NodeId) {
+        let arg = token.arg();
+        let neighbor = arg & ((1 << NEIGHBOR_BITS) - 1);
+        (arg >> NEIGHBOR_BITS, NodeId::new(neighbor as u32))
+    }
+
+    /// A `kind` timer for the `(neighbor, dest)` pair:
+    /// `arg = epoch << 40 | neighbor << 20 | dest`.
+    pub fn pair_token(kind: u64, epoch: u64, neighbor: NodeId, dest: NodeId) -> TimerToken {
+        debug_assert!(neighbor.index() < 1 << PAIR_BITS, "{neighbor} aliases");
+        debug_assert!(dest.index() < 1 << PAIR_BITS, "{dest} aliases");
+        let arg = (epoch << (2 * PAIR_BITS))
+            | ((neighbor.index() as u64) << PAIR_BITS)
+            | dest.index() as u64;
+        TimerToken::compose(kind, arg)
+    }
+
+    /// The `(epoch, neighbor, dest)` packed by [`pair_token`].
+    pub fn unpack_pair(token: TimerToken) -> (u64, NodeId, NodeId) {
+        let arg = token.arg();
+        let field = |shift: u32| NodeId::new(((arg >> shift) & ((1 << PAIR_BITS) - 1)) as u32);
+        (arg >> (2 * PAIR_BITS), field(PAIR_BITS), field(0))
+    }
 }
 
 /// A BGP speaker for one router (= one AS, as in the paper).
@@ -37,10 +73,10 @@ pub struct Bgp {
     config: BgpConfig,
     adj_in: AdjRibIn,
     loc_rib: Vec<Option<BestRoute>>,
-    /// `announce_cache[dest]`: the loc-RIB route prepended with the local
-    /// AS, computed once per best-route *change* (not per announcement) so
-    /// MRAI rounds and per-neighbor fan-out only bump a refcount.
-    announce_cache: Vec<Option<AsPath>>,
+    /// The loc-RIB routes prepended with the local AS, computed once per
+    /// best-route *change* (not per announcement) so MRAI rounds and
+    /// per-neighbor fan-out only bump a refcount.
+    announce: AnnounceTable,
     dampers: DenseMap<Damper>,
     pending: DenseMap<DenseSet>,
     /// `pair_dampers[neighbor][dest]`.
@@ -49,18 +85,12 @@ pub struct Bgp {
     pair_pending: DenseMap<DenseSet>,
     /// Bumped when a session resets so stale MRAI timers are ignored.
     epochs: DenseMap<u64>,
-    /// Deduplicating store for AS paths: prepending and re-learning the
-    /// same path returns the shared allocation instead of a fresh one.
-    interner: PathInterner,
     /// RFC 2439 figure-of-merit state (inert when damping is disabled).
     flap: FlapDamper,
     /// Destinations whose best route changed during the current event.
     changed_batch: Vec<NodeId>,
     /// Destinations that became unreachable during the current event.
     withdrawn_batch: Vec<NodeId>,
-    /// `send_routes`' `(path, dest)` pairs, kept between calls so grouping
-    /// an update does not allocate.
-    groups: Vec<(AsPath, NodeId)>,
     /// The destinations a per-neighbor MRAI expiry releases, kept between
     /// expiries.
     released: Vec<NodeId>,
@@ -98,16 +128,14 @@ impl Bgp {
             config,
             adj_in: AdjRibIn::default(),
             loc_rib: Vec::new(),
-            announce_cache: Vec::new(),
+            announce: AnnounceTable::new(NodeId::new(0), 0),
             dampers: DenseMap::new(),
             pending: DenseMap::new(),
             pair_dampers: DenseMap::new(),
             pair_pending: DenseMap::new(),
             epochs: DenseMap::new(),
-            interner: PathInterner::new(),
             changed_batch: Vec::new(),
             withdrawn_batch: Vec::new(),
-            groups: Vec::new(),
             released: Vec::new(),
         }
     }
@@ -122,12 +150,6 @@ impl Bgp {
         self.epochs.get(neighbor).copied().unwrap_or(0)
     }
 
-    /// Interner hit/miss counters (for benchmarks and forensics).
-    #[must_use]
-    pub fn interner_stats(&self) -> (u64, u64) {
-        (self.interner.hits(), self.interner.misses())
-    }
-
     /// Re-runs the decision process for `dest`; best-route changes are
     /// collected into the event batches flushed by [`Bgp::after_changes`].
     fn re_decide(&mut self, ctx: &mut ProtocolContext<'_>, dest: NodeId) {
@@ -135,27 +157,20 @@ impl Bgp {
             return;
         }
         let flap = &self.flap;
-        let best = self
+        let selected = self
             .adj_in
-            .best(dest, ctx.peers(), |n| !flap.is_suppressed(n, dest))
-            .map(|(neighbor, path)| BestRoute {
-                path: path.clone(),
-                next_hop: Some(neighbor),
-            });
-        if self.loc_rib[dest.index()] == best {
+            .best(dest, ctx.peers(), |n| !flap.is_suppressed(n, dest));
+        let current = self.loc_rib[dest.index()].as_ref();
+        if current.map(|r| (r.next_hop, &r.path)) == selected.map(|(n, path)| (Some(n), path)) {
             return;
         }
-        match &best {
-            Some(BestRoute {
-                next_hop: Some(next),
-                ..
-            }) => {
-                ctx.install_route(dest, *next);
+        match selected {
+            Some((next, _)) => {
+                ctx.install_route(dest, next);
                 self.changed_batch.push(dest);
             }
-            // Learned routes always carry a next hop (and self routes
-            // never reach re_decide); no candidate means withdrawal.
-            _ => {
+            // No candidate means withdrawal.
+            None => {
                 ctx.remove_route(dest);
                 if self.config.damp_withdrawals {
                     self.changed_batch.push(dest);
@@ -164,58 +179,22 @@ impl Bgp {
                 }
             }
         }
-        let announce = match &best {
-            Some(route) => Some(match route.next_hop {
-                Some(_) => self.interner.prepended(&route.path, ctx.node()),
-                // The locally originated route already starts with us.
-                None => route.path.clone(),
-            }),
-            None => None,
-        };
-        self.announce_cache[dest.index()] = announce;
-        self.loc_rib[dest.index()] = best;
-    }
-
-    /// The path to announce for `dest`, prepended with the local AS.
-    ///
-    /// Reads the per-destination cache maintained by [`Bgp::re_decide`]:
-    /// prepending (through the interner) happens once per best-route
-    /// change, so every announcement here is a refcount clone.
-    fn announce_path(&self, dest: NodeId) -> Option<AsPath> {
-        self.announce_cache.get(dest.index())?.clone()
+        self.announce
+            .set(dest, selected.map(|(_, path)| path.prepended(ctx.node())));
+        self.loc_rib[dest.index()] = selected.map(|(neighbor, path)| BestRoute {
+            path: path.clone(),
+            next_hop: Some(neighbor),
+        });
     }
 
     /// Sends the current state of `dests` to `neighbor`: announcements
     /// grouped by path (one update per distinct path, as BGP requires) and
-    /// a withdrawal for anything with no best route.
-    ///
-    /// Updates go out in ascending path order, each listing its
-    /// destinations in `dests` order: a stable sort of the `(path, dest)`
-    /// pairs by path, then one update per run of equal paths.
+    /// a withdrawal for anything with no best route, in the order
+    /// [`AnnounceTable::updates_for`] gives.
     fn send_routes(&mut self, ctx: &mut ProtocolContext<'_>, neighbor: NodeId, dests: &[NodeId]) {
-        let mut groups = std::mem::take(&mut self.groups);
-        let mut withdrawn: InlineVec<NodeId, INLINE_DESTS> = InlineVec::new();
-        for &dest in dests {
-            if dest == neighbor {
-                continue; // a peer needs no route to itself
-            }
-            match self.announce_path(dest) {
-                Some(path) => groups.push((path, dest)),
-                None => withdrawn.push(dest),
-            }
-        }
-        groups.sort_by(|a, b| a.0.cmp(&b.0));
-        for run in groups.chunk_by(|a, b| a.0 == b.0) {
-            let announced: InlineVec<NodeId, INLINE_DESTS> =
-                run.iter().map(|&(_, dest)| dest).collect();
-            let path = run[0].0.clone();
-            ctx.send_reliable(neighbor, Arc::new(BgpUpdate::announce(path, announced)));
-        }
-        groups.clear();
-        self.groups = groups;
-        if !withdrawn.is_empty() {
-            ctx.send_reliable(neighbor, Arc::new(BgpUpdate::withdraw(withdrawn)));
-        }
+        self.announce.updates_for(neighbor, dests, |update| {
+            ctx.send_reliable(neighbor, Arc::new(update));
+        });
     }
 
     /// Flushes the event's batches: withdrawals immediately, announcements
@@ -274,8 +253,9 @@ impl Bgp {
         match damper.on_change(ctx.rng()) {
             DampAction::SendNow(window) => {
                 self.send_routes(ctx, neighbor, batch);
-                let arg = (self.epoch(neighbor) << 24) | neighbor.index() as u64;
-                ctx.set_timer(window, TimerToken::compose(timer::MRAI_NEIGHBOR, arg));
+                let epoch = self.epoch(neighbor);
+                let token = timer::neighbor_token(timer::MRAI_NEIGHBOR, epoch, neighbor);
+                ctx.set_timer(window, token);
             }
             DampAction::Deferred => {
                 let set = self.pending.get_or_insert_with(neighbor, DenseSet::new);
@@ -300,10 +280,9 @@ impl Bgp {
         match damper.on_change(ctx.rng()) {
             DampAction::SendNow(window) => {
                 self.send_routes(ctx, neighbor, &[dest]);
-                let arg = (self.epoch(neighbor) << 40)
-                    | ((neighbor.index() as u64) << 20)
-                    | dest.index() as u64;
-                ctx.set_timer(window, TimerToken::compose(timer::MRAI_PAIR, arg));
+                let epoch = self.epoch(neighbor);
+                let token = timer::pair_token(timer::MRAI_PAIR, epoch, neighbor, dest);
+                ctx.set_timer(window, token);
             }
             DampAction::Deferred => {
                 self.pair_pending
@@ -325,10 +304,9 @@ impl Bgp {
     ) {
         let outcome = self.flap.record(peer, dest, event, ctx.now());
         if let Some(reuse_in) = outcome.reuse_in {
-            let arg = (self.epoch(peer) << 40)
-                | ((peer.index() as u64) << 20)
-                | dest.index() as u64;
-            ctx.set_timer(reuse_in, TimerToken::compose(timer::FLAP_REUSE, arg));
+            let epoch = self.epoch(peer);
+            let token = timer::pair_token(timer::FLAP_REUSE, epoch, peer, dest);
+            ctx.set_timer(reuse_in, token);
         }
     }
 }
@@ -357,9 +335,9 @@ impl RoutingProtocol for Bgp {
         let n = ctx.num_nodes();
         self.adj_in = AdjRibIn::new(n, ctx.peers().len());
         self.loc_rib = vec![None; n];
-        self.announce_cache = vec![None; n];
-        let origin = self.interner.origin(ctx.node());
-        self.announce_cache[ctx.node().index()] = Some(origin.clone());
+        self.announce = AnnounceTable::new(ctx.node(), n);
+        let origin = AsPath::origin(ctx.node());
+        self.announce.set(ctx.node(), Some(origin.clone()));
         self.loc_rib[ctx.node().index()] = Some(BestRoute {
             path: origin,
             next_hop: None,
@@ -393,7 +371,7 @@ impl RoutingProtocol for Bgp {
             // treated as a withdrawal (the split-horizon analog of §3).
             // The stored path is a refcount clone of the sender's hop
             // sequence — the whole Adj-RIB-In fan-in for one announcement
-            // shares a single allocation, no interner lookup needed.
+            // shares a single allocation.
             let filtered = if path.contains(ctx.node()) {
                 None
             } else {
@@ -429,8 +407,7 @@ impl RoutingProtocol for Bgp {
     fn on_timer(&mut self, ctx: &mut ProtocolContext<'_>, token: TimerToken) {
         match token.kind() {
             timer::MRAI_NEIGHBOR => {
-                let neighbor = NodeId::new((token.arg() & 0xff_ffff) as u32);
-                let epoch = token.arg() >> 24;
+                let (epoch, neighbor) = timer::unpack_neighbor(token);
                 if epoch != self.epoch(neighbor) {
                     return; // session reset since this timer was armed
                 }
@@ -446,17 +423,15 @@ impl RoutingProtocol for Bgp {
                     self.send_routes(ctx, neighbor, &released);
                     if let Some(damper) = self.dampers.get_mut(neighbor) {
                         let window = damper.reopen(ctx.rng());
-                        let arg = (self.epoch(neighbor) << 24) | neighbor.index() as u64;
-                        ctx.set_timer(window, TimerToken::compose(timer::MRAI_NEIGHBOR, arg));
+                        let token = timer::neighbor_token(timer::MRAI_NEIGHBOR, epoch, neighbor);
+                        ctx.set_timer(window, token);
                     }
                 }
                 released.clear();
                 self.released = released;
             }
             timer::MRAI_PAIR => {
-                let dest = NodeId::new((token.arg() & 0xf_ffff) as u32);
-                let neighbor = NodeId::new(((token.arg() >> 20) & 0xf_ffff) as u32);
-                let epoch = token.arg() >> 40;
+                let (epoch, neighbor, dest) = timer::unpack_pair(token);
                 if epoch != self.epoch(neighbor) {
                     return;
                 }
@@ -478,17 +453,13 @@ impl RoutingProtocol for Bgp {
                         self.pair_dampers.get_mut(neighbor).and_then(|m| m.get_mut(dest))
                     {
                         let window = damper.reopen(ctx.rng());
-                        let arg = (self.epoch(neighbor) << 40)
-                            | ((neighbor.index() as u64) << 20)
-                            | dest.index() as u64;
-                        ctx.set_timer(window, TimerToken::compose(timer::MRAI_PAIR, arg));
+                        let token = timer::pair_token(timer::MRAI_PAIR, epoch, neighbor, dest);
+                        ctx.set_timer(window, token);
                     }
                 }
             }
             timer::FLAP_REUSE => {
-                let dest = NodeId::new((token.arg() & 0xf_ffff) as u32);
-                let neighbor = NodeId::new(((token.arg() >> 20) & 0xf_ffff) as u32);
-                let epoch = token.arg() >> 40;
+                let (epoch, neighbor, dest) = timer::unpack_pair(token);
                 if epoch != self.epoch(neighbor) {
                     return;
                 }
@@ -498,10 +469,8 @@ impl RoutingProtocol for Bgp {
                         self.after_changes(ctx);
                     }
                     ReuseOutcome::StillSuppressed(delay) => {
-                        let arg = (self.epoch(neighbor) << 40)
-                            | ((neighbor.index() as u64) << 20)
-                            | dest.index() as u64;
-                        ctx.set_timer(delay, TimerToken::compose(timer::FLAP_REUSE, arg));
+                        let token = timer::pair_token(timer::FLAP_REUSE, epoch, neighbor, dest);
+                        ctx.set_timer(delay, token);
                     }
                 }
             }
@@ -552,6 +521,22 @@ mod tests {
         assert_eq!(std.config.mrai_mean, netsim::time::SimDuration::from_secs(30));
         assert_eq!(fast.config.mrai_mean, netsim::time::SimDuration::from_secs(3));
         assert_eq!(std.name(), "bgp");
+    }
+
+    #[test]
+    fn timer_tokens_round_trip() {
+        let (neighbor, dest) = (NodeId::new((1 << 20) - 1), NodeId::new(7));
+        let widest = NodeId::new((1 << 24) - 1);
+        let token = timer::neighbor_token(timer::MRAI_NEIGHBOR, 5, widest);
+        assert_eq!(token.kind(), timer::MRAI_NEIGHBOR);
+        assert_eq!(timer::unpack_neighbor(token), (5, widest));
+        for kind in [timer::MRAI_PAIR, timer::FLAP_REUSE] {
+            let token = timer::pair_token(kind, 255, neighbor, dest);
+            assert_eq!(token.kind(), kind);
+            assert_eq!(timer::unpack_pair(token), (255, neighbor, dest));
+            let token = timer::pair_token(kind, 0, dest, neighbor);
+            assert_eq!(timer::unpack_pair(token), (0, dest, neighbor));
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! BGP routing information bases.
 //!
 //! Per-neighbor Adj-RIB-In tables (the path-vector analog of DBF's
-//! neighbor cache) and the Loc-RIB of selected best paths. Selection is the
-//! study's shortest-path policy: fewest ASes, ties to the lowest neighbor
-//! id.
+//! neighbor cache), the Loc-RIB of selected best paths, and the
+//! [`AnnounceTable`] of paths to advertise. Selection is the study's
+//! shortest-path policy: fewest ASes, ties to the lowest neighbor id.
 //!
 //! # Layout
 //!
@@ -20,7 +20,14 @@
 
 use netsim::ident::NodeId;
 use netsim::simulator::Peer;
+use routing_core::inline::InlineVec;
 use routing_core::path::AsPath;
+
+use crate::message::{BgpUpdate, INLINE_DESTS};
+
+/// Hops after the local AS that an [`AnnounceTable`] order key encodes,
+/// one 16-bit field each.
+const KEY_HOPS: usize = 8;
 
 /// Paths received from each neighbor, one row per destination and one
 /// column per neighbor slot.
@@ -113,6 +120,126 @@ where
     candidates
         .into_iter()
         .min_by_key(|&(neighbor, path)| (path.len(), neighbor))
+}
+
+/// The paths a router announces, one per destination, each with a
+/// precomputed sort key so that grouping an update fan-out by path rarely
+/// compares hop sequences.
+///
+/// Every path in the table starts with the owning router's own id, so
+/// paths order by the hops after it. A path's *order key* packs its first
+/// [`KEY_HOPS`] hops after the owner into 16-bit fields, most significant
+/// first, each holding `id + 1`; a missing hop is 0, so a prefix keys
+/// below its extensions. Two different keys therefore order exactly as
+/// their paths do, and only equal keys need a full path comparison. Once
+/// any encoded hop id is `0xffff` or more, keys are off for the rest of
+/// the table's life: every key becomes 0 and every comparison falls back
+/// to the paths.
+#[derive(Debug, Clone)]
+pub struct AnnounceTable {
+    owner: NodeId,
+    /// `routes[dest]` = the path announced for `dest` and its order key.
+    routes: Vec<Option<(u128, AsPath)>>,
+    keyed: bool,
+    /// `(key, dest)` pairs of the update fan-out being grouped, kept
+    /// between calls so grouping does not allocate.
+    order: Vec<(u128, NodeId)>,
+}
+
+impl AnnounceTable {
+    /// An empty table for `num_dests` destinations, owned by `owner`.
+    #[must_use]
+    pub fn new(owner: NodeId, num_dests: usize) -> Self {
+        AnnounceTable {
+            owner,
+            routes: vec![None; num_dests],
+            keyed: true,
+            order: Vec::new(),
+        }
+    }
+
+    /// Sets the path announced for `dest`; `None` means `dest` is
+    /// withdrawn. The path must start with the owner's id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dest` is out of range.
+    pub fn set(&mut self, dest: NodeId, path: Option<AsPath>) {
+        debug_assert!(path.as_ref().is_none_or(|p| p.first() == Some(self.owner)));
+        let route = path.map(|path| {
+            let key = match self.keyed.then(|| order_key(&path)).flatten() {
+                Some(key) => key,
+                None => {
+                    self.turn_keys_off();
+                    0
+                }
+            };
+            (key, path)
+        });
+        self.routes[dest.index()] = route;
+    }
+
+    fn turn_keys_off(&mut self) {
+        self.keyed = false;
+        for (key, _) in self.routes.iter_mut().flatten() {
+            *key = 0;
+        }
+    }
+
+    /// Passes to `send` the updates that tell `peer` the current state of
+    /// `dests` (skipping `peer` itself, which needs no route to itself).
+    ///
+    /// Announcements come first, one per distinct path in ascending path
+    /// order, each listing its destinations in `dests` order; then one
+    /// withdrawal of every destination with no path, if there is any.
+    /// This is a stable sort of the `(path, dest)` pairs by path, with one
+    /// update per run of equal paths.
+    pub fn updates_for(&mut self, peer: NodeId, dests: &[NodeId], mut send: impl FnMut(BgpUpdate)) {
+        let routes = &self.routes;
+        let route = |dest: NodeId| routes.get(dest.index()).and_then(Option::as_ref);
+        let path = |dest: NodeId| route(dest).map(|(_, path)| path);
+        let mut withdrawn: InlineVec<NodeId, INLINE_DESTS> = InlineVec::new();
+        for &dest in dests {
+            if dest == peer {
+                continue;
+            }
+            match route(dest) {
+                Some(&(key, _)) => self.order.push((key, dest)),
+                None => withdrawn.push(dest),
+            }
+        }
+        self.order
+            .sort_by(|a, b| a.0.cmp(&b.0).then_with(|| path(a.1).cmp(&path(b.1))));
+        for run in self
+            .order
+            .chunk_by(|a, b| a.0 == b.0 && path(a.1) == path(b.1))
+        {
+            if let Some(shared) = path(run[0].1) {
+                let announced: InlineVec<NodeId, INLINE_DESTS> =
+                    run.iter().map(|&(_, dest)| dest).collect();
+                send(BgpUpdate::announce(shared.clone(), announced));
+            }
+        }
+        self.order.clear();
+        if !withdrawn.is_empty() {
+            send(BgpUpdate::withdraw(withdrawn));
+        }
+    }
+}
+
+/// The order key of `path` (see [`AnnounceTable`]), or `None` if one of
+/// its encoded hop ids does not fit in a field.
+fn order_key(path: &AsPath) -> Option<u128> {
+    let after_owner = path.hops().get(1..).unwrap_or(&[]);
+    let mut key = 0u128;
+    for i in 0..KEY_HOPS {
+        let field = match after_owner.get(i) {
+            Some(hop) => u16::try_from(hop.index() + 1).ok()?,
+            None => 0,
+        };
+        key = (key << 16) | u128::from(field);
+    }
+    Some(key)
 }
 
 #[cfg(test)]

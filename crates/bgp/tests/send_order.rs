@@ -1,0 +1,98 @@
+//! [`AnnounceTable::updates_for`] orders and groups a fan-out exactly as a
+//! stable sort of the `(path, dest)` pairs by full [`AsPath`] content
+//! would.
+//!
+//! Random sequences of announcements and withdrawals fill the table; after
+//! every step the updates for a random destination list must equal the
+//! reference's. The generated paths share long prefixes (more hops than an
+//! order key encodes), include the owner's origin path, and sometimes
+//! carry node ids at and above `0xffff`, which do not fit in a key field.
+
+use bgp::{AnnounceTable, BgpUpdate};
+use netsim::ident::NodeId;
+use proptest::prelude::*;
+use routing_core::path::AsPath;
+
+const DESTS: u32 = 10;
+
+/// Ids that do or do not fit in a 16-bit `id + 1` key field.
+const EDGE_IDS: [u32; 4] = [0xfffe, 0xffff, 0x1_0000, u32::MAX - 1];
+
+/// The updates a stable sort of `(path, dest)` by path yields.
+fn reference(table: &[Option<AsPath>], peer: NodeId, dests: &[NodeId]) -> Vec<BgpUpdate> {
+    let mut pairs = Vec::new();
+    let mut withdrawn = Vec::new();
+    for &dest in dests.iter().filter(|&&d| d != peer) {
+        match &table[dest.index()] {
+            Some(path) => pairs.push((path.clone(), dest)),
+            None => withdrawn.push(dest),
+        }
+    }
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut updates: Vec<BgpUpdate> = pairs
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| {
+            let announced: Vec<NodeId> = run.iter().map(|&(_, dest)| dest).collect();
+            BgpUpdate::announce(run[0].0.clone(), announced)
+        })
+        .collect();
+    if !withdrawn.is_empty() {
+        updates.push(BgpUpdate::withdraw(withdrawn));
+    }
+    updates
+}
+
+/// A hop id: small ids for most draws, [`EDGE_IDS`] for the top draws when
+/// `edge` is on.
+fn hop(raw: u32, edge: bool) -> NodeId {
+    match raw.checked_sub(6) {
+        Some(i) if edge => NodeId::new(EDGE_IDS[i as usize]),
+        _ => NodeId::new(raw % 6 + 1),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn keyed_order_matches_a_stable_sort_by_path(
+        setup in (0u32..4, prop::collection::vec(0u32..10, 1..12), 0u32..3),
+        sets in prop::collection::vec(
+            ((0u32..DESTS, 0u32..14), prop::collection::vec(0u32..10, 0..4)),
+            1..30,
+        ),
+        query in (prop::collection::vec(0u32..DESTS, 1..16), 0u32..DESTS + 2),
+    ) {
+        let (owner, prefix, edge) = setup;
+        let owner = NodeId::new([0, 3, 0xffff, 0x1_0000][owner as usize]);
+        // Edge ids in a third of the cases, so the rest stay keyed.
+        let edge = edge == 0;
+        let prefix: Vec<NodeId> = prefix.iter().map(|&r| hop(r, edge)).collect();
+        let (dests, peer) = query;
+        let dests: Vec<NodeId> = dests.into_iter().map(NodeId::new).collect();
+        let peer = NodeId::new(peer);
+        let all: Vec<NodeId> = (0..DESTS).map(NodeId::new).collect();
+
+        let mut table = AnnounceTable::new(owner, DESTS as usize);
+        let mut expected: Vec<Option<AsPath>> = vec![None; DESTS as usize];
+        for ((dest, take), suffix) in sets {
+            let dest = NodeId::new(dest);
+            // 13 withdraws; 0 with no suffix is the origin path `[owner]`.
+            let path = (take < 13).then(|| {
+                let shared = &prefix[..(take as usize).min(prefix.len())];
+                let mut hops = vec![owner];
+                hops.extend_from_slice(shared);
+                hops.extend(suffix.iter().map(|&r| hop(r, edge)));
+                AsPath::from_hops(hops)
+            });
+            table.set(dest, path.clone());
+            expected[dest.index()] = path;
+
+            for (peer, dests) in [(peer, &dests), (owner, &all)] {
+                let mut updates = Vec::new();
+                table.updates_for(peer, dests, |u| updates.push(u));
+                prop_assert_eq!(updates, reference(&expected, peer, dests));
+            }
+        }
+    }
+}

@@ -9,7 +9,7 @@ use netsim::ident::NodeId;
 use netsim::rng::SimRng;
 use netsim::simulator::{CbrSource, SimStats};
 use netsim::time::{SimDuration, SimTime};
-use netsim::trace::{Trace, TraceEvent};
+use netsim::trace::Trace;
 use topology::graph::Graph;
 use topology::instantiate::to_simulator_builder;
 
@@ -230,8 +230,6 @@ pub fn run_observed(
     // ---- Warm-up: run until no FIB has changed for `quiet`. -------------
     let quiet = config.warmup.quiet;
     let deadline = SimTime::ZERO + config.warmup.max;
-    let mut cursor = sim.trace().end(); // first unscanned trace event
-    let mut last_change = SimTime::ZERO;
     let mut now = SimTime::ZERO;
     loop {
         now += SimDuration::from_secs(1);
@@ -239,14 +237,7 @@ pub fn run_observed(
             return Err(RunError::NotQuiescent { deadline });
         }
         sim.run_until_budgeted(now, config.watchdog.max_events)?;
-        let trace = sim.trace();
-        for event in trace.iter_from(cursor) {
-            if matches!(event, TraceEvent::RouteChanged { .. }) {
-                last_change = event.time();
-            }
-        }
-        cursor = trace.end();
-        if now.saturating_since(last_change) >= quiet {
+        if now.saturating_since(sim.last_route_change()) >= quiet {
             break;
         }
     }

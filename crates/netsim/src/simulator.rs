@@ -323,6 +323,7 @@ impl SimulatorBuilder {
             trace: Trace::new(),
             trace_config: self.trace_config,
             stats: SimStats::default(),
+            last_route_change: SimTime::ZERO,
             started: false,
             recorder: None,
         })
@@ -345,6 +346,8 @@ pub struct Simulator {
     trace: Trace,
     trace_config: TraceConfig,
     stats: SimStats,
+    /// Time of the last recorded [`TraceEvent::RouteChanged`].
+    last_route_change: SimTime,
     started: bool,
     /// Optional span recorder: engine phases are measured against it when
     /// attached, and every check below is a branch on `Option::is_some`,
@@ -411,6 +414,13 @@ impl Simulator {
     /// their own counters alongside engine spans).
     pub fn recorder_mut(&mut self) -> Option<&mut obs::span::Recorder> {
         self.recorder.as_deref_mut()
+    }
+
+    /// When a FIB entry last changed (the time of the last
+    /// [`TraceEvent::RouteChanged`]; zero before any change).
+    #[must_use]
+    pub fn last_route_change(&self) -> SimTime {
+        self.last_route_change
     }
 
     /// The trace recorded so far.
@@ -978,6 +988,7 @@ impl Simulator {
             let dest = NodeId::new(dest as u32);
             let old = self.nodes[node.index()].fib.remove(dest);
             if old.is_some() {
+                self.last_route_change = now;
                 self.record(TraceEvent::RouteChanged {
                     time: now,
                     node,
@@ -1526,6 +1537,7 @@ impl ProtocolContext<'_> {
     pub fn install_route(&mut self, dest: NodeId, next_hop: NodeId) {
         let old = self.sim.nodes[self.node.index()].fib.set(dest, next_hop);
         if old != Some(next_hop) {
+            self.sim.last_route_change = self.sim.now();
             self.sim.record(TraceEvent::RouteChanged {
                 time: self.sim.now(),
                 node: self.node,
@@ -1540,6 +1552,7 @@ impl ProtocolContext<'_> {
     pub fn remove_route(&mut self, dest: NodeId) {
         let old = self.sim.nodes[self.node.index()].fib.remove(dest);
         if old.is_some() {
+            self.sim.last_route_change = self.sim.now();
             self.sim.record(TraceEvent::RouteChanged {
                 time: self.sim.now(),
                 node: self.node,

@@ -305,16 +305,6 @@ pub struct Trace {
     last: u64,
 }
 
-/// A position in a [`Trace`]: [`Trace::iter_from`] reads only the
-/// records appended after it was taken with [`Trace::end`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceCursor {
-    chunk: usize,
-    offset: usize,
-    index: usize,
-    time: u64,
-}
-
 impl Trace {
     /// Creates an empty trace.
     #[must_use]
@@ -455,35 +445,16 @@ impl Trace {
     /// Iterates over the records in time order.
     #[must_use]
     pub fn iter(&self) -> Iter<'_> {
-        self.iter_from(TraceCursor::default())
-    }
-
-    /// The position after the last record so far.
-    #[must_use]
-    pub fn end(&self) -> TraceCursor {
-        TraceCursor {
-            chunk: self.chunks.len().saturating_sub(1),
-            offset: self.chunks.last().map_or(0, Vec::len),
-            index: self.len,
-            time: self.last,
-        }
-    }
-
-    /// Iterates over the records appended after `cursor` was taken from
-    /// this trace with [`Trace::end`].
-    #[must_use]
-    pub fn iter_from(&self, cursor: TraceCursor) -> Iter<'_> {
-        debug_assert!(cursor.index <= self.len, "cursor of a longer trace");
-        let (bytes, rest) = match self.chunks.get(cursor.chunk..) {
-            Some([first, rest @ ..]) => (&first[cursor.offset..], rest),
-            _ => (&[][..], &[][..]),
+        let (bytes, rest) = match self.chunks.as_slice() {
+            [first, rest @ ..] => (first.as_slice(), rest),
+            [] => (&[][..], &[][..]),
         };
         Iter {
             bytes,
             rest,
             pos: 0,
-            time: cursor.time,
-            remaining: self.len - cursor.index,
+            time: 0,
+            remaining: self.len,
         }
     }
 
@@ -1073,21 +1044,11 @@ mod tests {
             set_time(&mut event, time);
             events.push(event);
         }
-        let mut trace = Trace::new();
-        let mut cursors = Vec::new();
-        for (i, &event) in events.iter().enumerate() {
-            if i % 4099 == 0 {
-                cursors.push((i, trace.end()));
-            }
-            trace.push(event);
-        }
+        let trace = Trace::from_events(events.clone());
         assert!(trace.chunks.len() > 2, "{} chunks", trace.chunks.len());
         assert!(trace.chunks.iter().all(|c| c.len() <= CHUNK_BYTES));
         assert_eq!(trace.iter().collect::<Vec<_>>(), events);
         assert_eq!(trace.census(), decoded_census(&trace));
-        for (i, cursor) in cursors {
-            assert!(trace.iter_from(cursor).eq(events[i..].iter().copied()));
-        }
     }
 
     fn set_time(event: &mut TraceEvent, at: SimTime) {
@@ -1111,24 +1072,6 @@ mod tests {
         for (i, reason) in DropReason::ALL.into_iter().enumerate() {
             assert_eq!(reason as usize, i);
         }
-    }
-
-    #[test]
-    fn iter_from_reads_only_what_followed_the_cursor() {
-        let events = every_kind_at_the_edges();
-        let mut trace = Trace::new();
-        let empty = trace.end();
-        for &event in &events[..4] {
-            trace.push(event);
-        }
-        let cursor = trace.end();
-        assert_eq!(trace.iter_from(cursor).count(), 0);
-        for &event in &events[4..] {
-            trace.push(event);
-        }
-        assert_eq!(trace.iter_from(cursor).collect::<Vec<_>>(), events[4..]);
-        assert_eq!(trace.iter_from(empty).collect::<Vec<_>>(), events);
-        assert_eq!(trace.iter_from(trace.end()).next(), None);
     }
 
     #[test]

@@ -210,6 +210,58 @@ fn recovery_restores_forwarding() {
     assert!(recovered);
 }
 
+/// Installs fixed routes at start and keeps them through link failures.
+struct PinnedRoutes(Vec<(NodeId, NodeId)>);
+
+impl RoutingProtocol for PinnedRoutes {
+    fn name(&self) -> &'static str {
+        "pinned"
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn on_start(&mut self, ctx: &mut ProtocolContext<'_>) {
+        for &(dest, next) in &self.0 {
+            ctx.install_route(dest, next);
+        }
+    }
+}
+
+#[test]
+fn last_route_change_is_the_last_route_changed_record() {
+    let last_recorded = |sim: &Simulator| {
+        sim.trace()
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::RouteChanged { .. }))
+            .map(|e| e.time())
+            .last()
+            .unwrap_or(SimTime::ZERO)
+    };
+    let (mut sim, nodes) = line(3, LinkConfig::default());
+    // Node 0 keeps its route through the crash, so only the restart's FIB
+    // wipe at 4 s changes it; the fresh instance installs nothing.
+    sim.install_protocol(nodes[0], Box::new(PinnedRoutes(vec![(nodes[2], nodes[1])])))
+        .unwrap();
+    let link = sim.link_between(nodes[1], nodes[2]).unwrap();
+    sim.schedule_link_failure(SimTime::from_secs(1), link).unwrap();
+    sim.schedule_node_crash_restart(
+        SimTime::from_secs(3),
+        nodes[0],
+        SimDuration::from_secs(1),
+        Box::new(PinnedRoutes(Vec::new())),
+    )
+    .unwrap();
+    assert_eq!(sim.last_route_change(), SimTime::ZERO);
+    sim.start();
+    for until in [2, 3, 6] {
+        sim.run_until(SimTime::from_secs(until));
+        assert_eq!(sim.last_route_change(), last_recorded(&sim));
+    }
+    assert_eq!(sim.last_route_change(), SimTime::from_secs(4));
+}
+
 #[test]
 fn queue_overflow_drops_excess_packets() {
     let config = LinkConfig {

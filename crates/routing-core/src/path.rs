@@ -1,16 +1,10 @@
 //! AS paths for path-vector routing.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
 use netsim::ident::NodeId;
 use serde::{Deserialize, Serialize};
-
-/// Longest path (after prepending) whose interner lookup key is built in
-/// a stack buffer instead of a temporary heap vector. Paper topologies
-/// have diameter well under this.
-const INLINE_HOPS: usize = 16;
 
 /// A BGP-style AS path: the sequence of routers an announcement traversed,
 /// most recent first (the paper models one router per AS).
@@ -19,8 +13,7 @@ const INLINE_HOPS: usize = 16;
 /// BGP does for every Adj-RIB-In slot and every re-announcement — bumps a
 /// reference count instead of copying hops. Equality, ordering and
 /// hashing compare hop *contents*, exactly as the old `Vec`-backed
-/// representation did; two equal paths need not share storage, but paths
-/// produced by one [`PathInterner`] do.
+/// representation did; two equal paths need not share storage.
 ///
 /// # Examples
 ///
@@ -96,18 +89,13 @@ impl AsPath {
     }
 
     /// Returns this path with `node` prepended (what a router does before
-    /// re-announcing a route).
-    ///
-    /// Allocates a fresh hop sequence; inside BGP the same operation goes
-    /// through [`PathInterner::prepended`], which returns the shared
-    /// interned copy instead.
+    /// re-announcing a route), in one fresh allocation.
     #[must_use]
     pub fn prepended(&self, node: NodeId) -> AsPath {
-        let mut hops = Vec::with_capacity(self.hops.len() + 1);
-        hops.push(node);
-        hops.extend_from_slice(&self.hops);
         AsPath {
-            hops: Arc::from(hops),
+            hops: std::iter::once(node)
+                .chain(self.hops.iter().copied())
+                .collect(),
         }
     }
 
@@ -154,14 +142,6 @@ impl AsPath {
     pub fn size_bytes(&self) -> usize {
         2 + 2 * self.hops.len()
     }
-
-    /// Whether `self` and `other` share one hop-sequence allocation (the
-    /// interner's postcondition for equal paths). Equality of contents
-    /// does not imply shared storage; this is a storage-level probe.
-    #[must_use]
-    pub fn shares_storage(&self, other: &AsPath) -> bool {
-        Arc::ptr_eq(&self.hops, &other.hops)
-    }
 }
 
 impl fmt::Display for AsPath {
@@ -175,120 +155,6 @@ impl fmt::Display for AsPath {
             first = false;
         }
         Ok(())
-    }
-}
-
-/// A deduplicating store of AS paths with copy-on-extend prepending.
-///
-/// BGP builds the same few paths over and over: every re-announcement
-/// prepends the local id to a best path, and convergence replays the
-/// same alternatives repeatedly. The interner keeps one `Arc` per
-/// distinct hop sequence; interning an already-known sequence returns
-/// the shared allocation (a *hit*, no heap traffic), and prepending
-/// builds its candidate key in a stack buffer for paths up to
-/// [`INLINE_HOPS`] hops, so a hit never allocates at all.
-///
-/// Each BGP instance owns its interner — there is no global state, so
-/// parallel sweep runs share nothing and determinism is preserved.
-///
-/// # Examples
-///
-/// ```
-/// use routing_core::path::{AsPath, PathInterner};
-/// use netsim::ident::NodeId;
-///
-/// let mut interner = PathInterner::new();
-/// let base = interner.origin(NodeId::new(9));
-/// let a = interner.prepended(&base, NodeId::new(7));
-/// let b = interner.prepended(&base, NodeId::new(7));
-/// assert_eq!(a, b);
-/// assert!(a.shares_storage(&b));
-/// assert_eq!(interner.hits(), 1);
-/// ```
-#[derive(Debug, Default)]
-pub struct PathInterner {
-    // A BTreeSet (not a hash table) keeps the simulation crates free of
-    // HashMap iteration-order hazards (simlint D001) — and lookups
-    // borrow as `&[NodeId]`, so probing never allocates.
-    paths: BTreeSet<Arc<[NodeId]>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl PathInterner {
-    /// An empty interner.
-    #[must_use]
-    pub fn new() -> Self {
-        PathInterner::default()
-    }
-
-    /// The interned path for `hops`, sharing storage with every other
-    /// path of the same hop sequence returned by this interner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hops` is empty (an AS path always contains the origin).
-    pub fn intern(&mut self, hops: &[NodeId]) -> AsPath {
-        assert!(!hops.is_empty(), "AS path must contain the origin");
-        if let Some(shared) = self.paths.get(hops) {
-            self.hits += 1;
-            return AsPath {
-                hops: Arc::clone(shared),
-            };
-        }
-        self.misses += 1;
-        let shared: Arc<[NodeId]> = Arc::from(hops);
-        self.paths.insert(Arc::clone(&shared));
-        AsPath { hops: shared }
-    }
-
-    /// The interned origin-only path for `node`.
-    pub fn origin(&mut self, node: NodeId) -> AsPath {
-        self.intern(&[node])
-    }
-
-    /// Copy-on-extend prepend: the interned path `[node, path...]`.
-    ///
-    /// `path` itself is never mutated (paths are immutable values); the
-    /// extended sequence is looked up — via a stack buffer for short
-    /// paths — and only allocated the first time it is seen.
-    pub fn prepended(&mut self, path: &AsPath, node: NodeId) -> AsPath {
-        let n = path.len() + 1;
-        if n <= INLINE_HOPS {
-            let mut buf = [NodeId::new(0); INLINE_HOPS];
-            buf[0] = node;
-            buf[1..n].copy_from_slice(path.hops());
-            self.intern(&buf[..n])
-        } else {
-            let mut hops = Vec::with_capacity(n);
-            hops.push(node);
-            hops.extend_from_slice(path.hops());
-            self.intern(&hops)
-        }
-    }
-
-    /// Number of distinct hop sequences stored.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.paths.len()
-    }
-
-    /// Whether no path has been interned yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
-    }
-
-    /// Lookups that found an existing allocation.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that had to allocate a new sequence.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 }
 
@@ -339,71 +205,10 @@ mod tests {
     fn clones_share_storage_but_equals_need_not() {
         let a = AsPath::origin(n(1)).prepended(n(2));
         let b = a.clone();
-        assert!(a.shares_storage(&b));
+        assert!(Arc::ptr_eq(&a.hops, &b.hops));
         let c = AsPath::from_hops(vec![n(2), n(1)]);
         assert_eq!(a, c);
-        assert!(!a.shares_storage(&c));
-    }
-
-    #[test]
-    fn interner_prepend_matches_plain_prepend() {
-        let mut i = PathInterner::new();
-        let base = i.origin(n(9));
-        let via = i.prepended(&base, n(4));
-        assert_eq!(via, AsPath::origin(n(9)).prepended(n(4)));
-        assert_eq!(via.hops(), &[n(4), n(9)]);
-    }
-
-    #[test]
-    fn interner_equal_paths_share_storage() {
-        let mut i = PathInterner::new();
-        let a = i.intern(&[n(1), n(2), n(3)]);
-        let b = i.intern(&[n(1), n(2), n(3)]);
-        assert_eq!(a, b);
-        assert!(a.shares_storage(&b));
-        assert_eq!(i.len(), 1);
-        assert_eq!((i.hits(), i.misses()), (1, 1));
-    }
-
-    #[test]
-    fn interner_distinct_paths_do_not_share() {
-        let mut i = PathInterner::new();
-        let a = i.intern(&[n(1)]);
-        let b = i.intern(&[n(2)]);
-        assert_ne!(a, b);
-        assert!(!a.shares_storage(&b));
-        assert_eq!(i.len(), 2);
-        assert_eq!(i.hits(), 0);
-    }
-
-    #[test]
-    fn interner_loop_detection_still_sees_self() {
-        // The BGP receive filter drops paths containing the local id; the
-        // interned representation must preserve that test.
-        let mut i = PathInterner::new();
-        let base = i.origin(n(3));
-        let me = i.prepended(&base, n(7));
-        assert!(me.contains(n(7)));
-        assert!(me.contains(n(3)));
-        assert!(!me.contains(n(5)));
-    }
-
-    #[test]
-    fn interner_handles_paths_beyond_the_inline_buffer() {
-        let mut i = PathInterner::new();
-        let mut path = i.origin(n(0));
-        for hop in 1..=(INLINE_HOPS as u32 + 4) {
-            path = i.prepended(&path, n(hop));
-        }
-        assert_eq!(path.len(), INLINE_HOPS + 5);
-        assert_eq!(path.first(), Some(n(INLINE_HOPS as u32 + 4)));
-        assert_eq!(path.origin_as(), Some(n(0)));
-        // Re-deriving the same long path is a pure hit.
-        let misses_before = i.misses();
-        let shorter = i.intern(&path.hops()[1..]);
-        let again = i.prepended(&shorter, path.first().expect("nonempty"));
-        assert!(again.shares_storage(&path));
-        assert_eq!(i.misses(), misses_before);
+        assert!(!Arc::ptr_eq(&a.hops, &c.hops));
     }
 
     #[test]
