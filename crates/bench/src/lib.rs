@@ -1,8 +1,8 @@
 //! # bench — figure regeneration and performance benchmarks
 //!
 //! Each binary in `src/bin/` regenerates one of the paper's figures or an
-//! ablation; `benches/` holds criterion benchmarks. This library provides
-//! the shared sweep drivers.
+//! ablation, or measures the engine (`bench_hotpath`, `bench_profile`,
+//! `bench_sweep`). This library provides the shared sweep drivers.
 //!
 //! Every binary accepts an optional positional argument (the number of
 //! randomized runs per sweep point; default 100, the paper's count), a

@@ -4,26 +4,31 @@
 //! ordering stable: two events scheduled for the same instant fire in the
 //! order they were scheduled. This is what makes runs deterministic.
 //!
-//! Internally the queue is an *indexed* binary heap: the heap itself holds
-//! only small fixed-size keys (`time`, `seq`, slab slot), while the
-//! [`EventKind`] payloads — which carry whole frames, packets and even
-//! boxed protocol instances — sit still in a slab with a free list. Heap
-//! sift operations therefore move 24-byte keys instead of the large event
-//! enum, and popped slots are recycled so a steady-state run stops
-//! allocating once the calendar reaches its high-water mark.
-//!
-//! Next to the heap sit two FIFO *lanes* (`Lane`) for the two frame
-//! events whose delay is nearly always the same: a clean link's
+//! Most events ride one of two FIFO *lanes* (`Lane`): the two frame
+//! events whose delay is nearly always the same, a clean link's
 //! propagation delay and a data packet's serialization delay. A lane
 //! takes its delay `d` from its first event; an event pushed onto it is
 //! due at `now + d`. The clock never runs backwards and every push takes
 //! a fresh, strictly larger sequence number, so each lane is already
 //! sorted by `(time, seq)` and costs O(1) per push and pop instead of a
-//! heap sift. An event whose delay differs from its lane's (an impaired
-//! link, a different bandwidth, an ACK-sized frame) goes to the heap, so
-//! lanes are an optimisation only: `EventQueue::pop` takes the least
-//! `(time, seq)` of the heap top and the two lane heads, and the total
-//! pop order is exactly the order a heap alone would give.
+//! heap sift. A lane entry holds its key and its [`EventKind`] payload
+//! inline, so lane events never touch the slab below.
+//!
+//! Every other event (timers, control-frame serialization, impaired
+//! arrivals, anything whose delay differs from its lane's) goes to an
+//! *indexed* binary heap: the heap itself holds only small fixed-size
+//! keys (`time`, `seq`, slab slot), while the payloads — which carry
+//! whole frames, packets and even boxed protocol instances — sit still
+//! in a slab with a free list. Heap sift operations therefore move
+//! 24-byte keys instead of the large event enum, and popped slots are
+//! recycled so a steady-state run stops allocating once the calendar
+//! reaches its high-water mark.
+//!
+//! Lanes are an optimisation only. [`EventQueue::next_due`] scans the
+//! heap top and the two lane heads once and names the least
+//! `(time, seq)` as a [`Next`]; [`EventQueue::pop`] takes the event from
+//! there. The total pop order is exactly the order a heap alone would
+//! give.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -95,13 +100,8 @@ pub(crate) enum EventKind {
 struct HeapKey {
     time: SimTime,
     seq: u64,
-    slot: u32,
-}
-
-impl HeapKey {
-    fn key(&self) -> EventKey {
-        (self.time, self.seq)
-    }
+    /// Index of the payload in the slab.
+    slot: usize,
 }
 
 impl PartialEq for HeapKey {
@@ -143,13 +143,39 @@ pub(crate) enum Lane {
     DataSerialization,
 }
 
-/// The keys of one lane, in `(time, seq)` order by construction.
+/// A pending lane event: its key and its payload, inline.
+#[derive(Debug)]
+struct LaneEvent {
+    time: SimTime,
+    seq: u64,
+    kind: EventKind,
+}
+
+/// The events of one lane, in `(time, seq)` order by construction.
 #[derive(Debug, Default)]
 struct FifoLane {
-    /// The delay every key in the lane was scheduled with; set by the
+    /// The delay every event in the lane was scheduled with; set by the
     /// lane's first event.
     delay: Option<SimDuration>,
-    keys: VecDeque<HeapKey>,
+    events: VecDeque<LaneEvent>,
+}
+
+/// Where the next event waits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    Heap,
+    /// Index into `EventQueue::lanes`.
+    Lane(usize),
+}
+
+/// The next event of a queue as found by [`EventQueue::next_due`]: its
+/// key and where it waits. It names the next event only until the queue
+/// next changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Next {
+    time: SimTime,
+    seq: u64,
+    source: Source,
 }
 
 /// A deterministic future-event list.
@@ -158,10 +184,11 @@ pub(crate) struct EventQueue {
     heap: BinaryHeap<HeapKey>,
     /// Indexed by [`Lane`].
     lanes: [FifoLane; 2],
-    /// Payload slab indexed by `HeapKey::slot`; `None` marks a free slot.
+    /// Payloads of heap events, indexed by `HeapKey::slot`; `None` marks a
+    /// free slot.
     slab: Vec<Option<EventKind>>,
-    /// Recyclable slab slots (popped events release theirs).
-    free: Vec<u32>,
+    /// Recyclable slab slots (popped heap events release theirs).
+    free: Vec<usize>,
     next_seq: u64,
     now: SimTime,
     /// Peak number of simultaneously pending events.
@@ -242,34 +269,29 @@ impl EventQueue {
     /// `delay` is not the lane's delay. Either way the event takes the
     /// next sequence number and pops exactly where
     /// [`schedule`](Self::schedule) would put it.
+    #[inline]
     pub(crate) fn schedule_after(&mut self, lane: Lane, delay: SimDuration, kind: EventKind) {
-        let at = self.now + delay;
+        let time = self.now + delay;
         let seq = self.reserve(1);
         let fifo = &mut self.lanes[lane as usize];
         if *fifo.delay.get_or_insert(delay) != delay {
-            self.schedule_reserved(at, seq, kind);
+            self.schedule_reserved(time, seq, kind);
             return;
         }
-        let slot = self.store(kind);
-        self.lanes[lane as usize].keys.push_back(HeapKey {
-            time: at,
-            seq,
-            slot,
-        });
+        fifo.events.push_back(LaneEvent { time, seq, kind });
         self.note_len();
     }
 
     /// Puts `kind` in a free slab slot and returns the slot.
-    fn store(&mut self, kind: EventKind) -> u32 {
+    fn store(&mut self, kind: EventKind) -> usize {
         match self.free.pop() {
             Some(slot) => {
-                self.slab[slot as usize] = Some(kind);
+                self.slab[slot] = Some(kind);
                 slot
             }
             None => {
-                let slot = u32::try_from(self.slab.len()).expect("event slab overflow");
                 self.slab.push(Some(kind));
-                slot
+                self.slab.len() - 1
             }
         }
     }
@@ -278,47 +300,59 @@ impl EventQueue {
         self.high_water = self.high_water.max(self.len() as u64);
     }
 
-    /// Pops the next event, advancing the clock to its timestamp. Returns
-    /// the event's sequence number too, so a handler can tell which of
-    /// several events standing for the same thing it was handed.
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, EventKind)> {
-        let mut next = self.heap.peek().map(HeapKey::key);
-        let mut from_lane = None;
+    /// Finds the next event, or `None` when the queue is empty or the next
+    /// event is due after `until` (`None` bounds nothing). One scan of the
+    /// heap top and the lane heads; [`pop`](Self::pop) then takes the
+    /// event without looking again.
+    #[inline]
+    pub(crate) fn next_due(&self, until: Option<SimTime>) -> Option<Next> {
+        let mut next = self.heap.peek().map(|k| Next {
+            time: k.time,
+            seq: k.seq,
+            source: Source::Heap,
+        });
         for (ix, lane) in self.lanes.iter().enumerate() {
-            if let Some(head) = lane.keys.front() {
-                if next.is_none_or(|k| head.key() < k) {
-                    next = Some(head.key());
-                    from_lane = Some(ix);
+            if let Some(head) = lane.events.front() {
+                if next.is_none_or(|n| (head.time, head.seq) < (n.time, n.seq)) {
+                    next = Some(Next {
+                        time: head.time,
+                        seq: head.seq,
+                        source: Source::Lane(ix),
+                    });
                 }
             }
         }
-        let key = match from_lane {
-            Some(ix) => self.lanes[ix].keys.pop_front(),
-            None => self.heap.pop(),
-        }?;
-        debug_assert!(key.time >= self.now, "event queue went backwards");
-        self.now = key.time;
-        let kind = self.slab[key.slot as usize]
-            .take()
-            .expect("calendar key points at an occupied slab slot");
-        self.free.push(key.slot);
-        Some((key.time, key.seq, kind))
+        next.filter(|n| until.is_none_or(|until| n.time <= until))
     }
 
-    /// Timestamp of the next event without popping it.
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        let heads = self.lanes.iter().filter_map(|lane| lane.keys.front());
-        self.heap
-            .peek()
-            .into_iter()
-            .chain(heads)
-            .map(|k| k.time)
-            .min()
+    /// Pops the event `next` names, advancing the clock to its timestamp.
+    /// Returns the event's sequence number too, so a handler can tell
+    /// which of several events standing for the same thing it was handed.
+    /// `next` must come from [`next_due`](Self::next_due) with no change
+    /// to the queue since; `None` means it named no pending event.
+    #[inline]
+    pub(crate) fn pop(&mut self, next: Next) -> Option<(SimTime, u64, EventKind)> {
+        let (time, seq, kind) = match next.source {
+            Source::Lane(ix) => {
+                let event = self.lanes.get_mut(ix)?.events.pop_front()?;
+                (event.time, event.seq, event.kind)
+            }
+            Source::Heap => {
+                let key = self.heap.pop()?;
+                let kind = self.slab.get_mut(key.slot)?.take()?;
+                self.free.push(key.slot);
+                (key.time, key.seq, kind)
+            }
+        };
+        debug_assert_eq!((time, seq), (next.time, next.seq), "stale calendar handle");
+        debug_assert!(time >= self.now, "event queue went backwards");
+        self.now = time;
+        Some((time, seq, kind))
     }
 
     /// Number of pending events, heap and lanes together.
     pub(crate) fn len(&self) -> usize {
-        self.heap.len() + self.lanes.iter().map(|lane| lane.keys.len()).sum::<usize>()
+        self.heap.len() + self.lanes.iter().map(|lane| lane.events.len()).sum::<usize>()
     }
 
     /// Peak number of simultaneously pending events over the queue's life.
@@ -331,7 +365,7 @@ impl EventQueue {
     /// happen at the window boundary rather than at the last event.
     pub(crate) fn advance_to(&mut self, t: SimTime) {
         if t > self.now {
-            debug_assert!(self.peek_time().is_none_or(|next| next >= t));
+            debug_assert!(self.next_due(None).is_none_or(|next| next.time >= t));
             self.now = t;
         }
     }
@@ -349,6 +383,11 @@ mod tests {
         }
     }
 
+    /// Pops the next event, however far off.
+    fn pop_any(q: &mut EventQueue) -> Option<(SimTime, u64, EventKind)> {
+        q.next_due(None).and_then(|next| q.pop(next))
+    }
+
     fn channel_of(kind: &EventKind) -> u32 {
         match kind {
             EventKind::FrameSerialized { channel, .. } => channel.index() as u32,
@@ -362,7 +401,7 @@ mod tests {
         q.schedule(SimTime::from_secs(3), marker(3));
         q.schedule(SimTime::from_secs(1), marker(1));
         q.schedule(SimTime::from_secs(2), marker(2));
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
+        let order: Vec<u32> = std::iter::from_fn(|| pop_any(&mut q))
             .map(|(_, _, k)| channel_of(&k))
             .collect();
         assert_eq!(order, [1, 2, 3]);
@@ -375,7 +414,7 @@ mod tests {
         for i in 0..10 {
             q.schedule(t, marker(i));
         }
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
+        let order: Vec<u32> = std::iter::from_fn(|| pop_any(&mut q))
             .map(|(_, _, k)| channel_of(&k))
             .collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
@@ -386,7 +425,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(2), marker(0));
         assert_eq!(q.now(), SimTime::ZERO);
-        q.pop();
+        pop_any(&mut q);
         assert_eq!(q.now(), SimTime::from_secs(2));
     }
 
@@ -395,7 +434,7 @@ mod tests {
     fn scheduling_in_the_past_panics() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(2), marker(0));
-        q.pop();
+        pop_any(&mut q);
         q.schedule(SimTime::from_secs(1), marker(1));
     }
 
@@ -406,7 +445,7 @@ mod tests {
         // slab must not grow beyond that high-water mark.
         for i in 0..100 {
             q.schedule(SimTime::from_secs(i + 1), marker(i as u32));
-            let (_, _, kind) = q.pop().unwrap();
+            let (_, _, kind) = pop_any(&mut q).unwrap();
             assert_eq!(channel_of(&kind), i as u32);
         }
         assert_eq!(q.len(), 0);
@@ -436,7 +475,7 @@ mod tests {
         for &(ms, id) in &after {
             eager.schedule(SimTime::from_millis(ms), marker(id));
         }
-        let eager_order: Vec<(SimTime, u32)> = std::iter::from_fn(|| eager.pop())
+        let eager_order: Vec<(SimTime, u32)> = std::iter::from_fn(|| pop_any(&mut eager))
             .map(|(t, _, k)| (t, channel_of(&k)))
             .collect();
 
@@ -450,7 +489,7 @@ mod tests {
             lazy.schedule(SimTime::from_millis(ms), marker(id));
         }
         let mut lazy_order = Vec::new();
-        while let Some((t, _, kind)) = lazy.pop() {
+        while let Some((t, _, kind)) = pop_any(&mut lazy) {
             let id = channel_of(&kind);
             if id < TICKS {
                 assert!(lazy.len() <= before.len() + after.len(), "one tick pending at most");
@@ -485,21 +524,30 @@ mod tests {
             next_id += 1;
             next_id
         };
-        let mut check_pop = |fast: &mut EventQueue, heap_only: &mut EventQueue| {
-            if fast.peek_time() != heap_only.peek_time() {
-                return Err(format!(
-                    "peek {:?} vs {:?}",
-                    fast.peek_time(),
-                    heap_only.peek_time()
-                ));
-            }
-            let a = fast.pop().map(|(t, seq, k)| (t, seq, channel_of(&k)));
-            let b = heap_only.pop().map(|(t, seq, k)| (t, seq, channel_of(&k)));
-            if a != b {
+        // Pops from both queues, `fast` through a pop bounded by `until`:
+        // it must pop exactly when the reference's next event is due by
+        // `until`, and then the same event.
+        let mut check_pop = |fast: &mut EventQueue,
+                             heap_only: &mut EventQueue,
+                             until: Option<SimTime>| {
+            let reference = heap_only.next_due(None);
+            let due = reference.filter(|next| until.is_none_or(|until| next.time <= until));
+            let Some(next) = fast.next_due(until) else {
+                return match due {
+                    None => Ok(false),
+                    Some(_) => Err(format!("nothing due by {until:?}, reference has {reference:?}")),
+                };
+            };
+            let Some(due) = due else {
+                return Err(format!("{next:?} due by {until:?}, reference has {reference:?}"));
+            };
+            let a = fast.pop(next).map(|(t, seq, k)| (t, seq, channel_of(&k)));
+            let b = heap_only.pop(due).map(|(t, seq, k)| (t, seq, channel_of(&k)));
+            if a.is_none() || a != b {
                 return Err(format!("pop {a:?} vs heap-only {b:?}"));
             }
-            popped += usize::from(a.is_some());
-            Ok(a.is_some())
+            popped += 1;
+            Ok(true)
         };
         for &(op, arg, pick) in ops {
             let now = fast.now();
@@ -534,15 +582,19 @@ mod tests {
                     fast.schedule_reserved(at, seq, marker(m));
                     heap_only.schedule_reserved(at, seq, marker(m));
                 }
+                5 => {
+                    let until = now + SimDuration::from_micros(arg * 100);
+                    check_pop(&mut fast, &mut heap_only, Some(until))?;
+                }
                 _ => {
-                    check_pop(&mut fast, &mut heap_only)?;
+                    check_pop(&mut fast, &mut heap_only, None)?;
                 }
             }
             if fast.len() != heap_only.len() {
                 return Err(format!("len {} vs {}", fast.len(), heap_only.len()));
             }
         }
-        while check_pop(&mut fast, &mut heap_only)? {}
+        while check_pop(&mut fast, &mut heap_only, None)? {}
         if fast.high_water() != heap_only.high_water() {
             return Err("high water differs".into());
         }
@@ -553,12 +605,14 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
         /// Lanes never change the pop order: any interleaving of heap
-        /// events, lane pushes (with matching and mismatched delays) and
-        /// reserved sequence numbers pops the same `(time, seq, payload)`
-        /// sequence as a queue that schedules everything on the heap.
+        /// events, lane pushes (with matching and mismatched delays),
+        /// reserved sequence numbers and pops bounded by a time pops the
+        /// same `(time, seq, payload)` sequence as a queue that schedules
+        /// everything on the heap, and a bounded pop finds nothing exactly
+        /// when the reference's next event is after the bound.
         #[test]
         fn lanes_pop_like_a_heap_only_queue(
-            ops in proptest::prop::collection::vec((0u8..7, 0u64..30, 0usize..8), 1..160),
+            ops in proptest::prop::collection::vec((0u8..8, 0u64..30, 0usize..8), 1..160),
         ) {
             let outcome = run_against_heap_only(&ops);
             proptest::prop_assert!(outcome.is_ok(), "{:?} for {:?}", outcome, ops);
@@ -575,9 +629,9 @@ mod tests {
         q.schedule_after(Lane::DataSerialization, d, marker(3));
         // A different delay than the lane's first one goes to the heap.
         q.schedule_after(Lane::Arrival, SimDuration::ZERO, marker(4));
-        assert_eq!(q.lanes[Lane::Arrival as usize].keys.len(), 1);
+        assert_eq!(q.lanes[Lane::Arrival as usize].events.len(), 1);
         assert_eq!(q.len(), 5);
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
+        let order: Vec<u32> = std::iter::from_fn(|| pop_any(&mut q))
             .map(|(_, _, k)| channel_of(&k))
             .collect();
         assert_eq!(order, [4, 0, 1, 2, 3]);
@@ -585,13 +639,30 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop() {
+    fn next_due_is_bounded_inclusively() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(700), marker(0));
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(700)));
+        let t = SimTime::from_millis(700);
+        q.schedule(t, marker(0));
+        let just_before = SimTime::from_nanos(t.as_nanos() - 1);
+        assert_eq!(q.next_due(Some(just_before)), None);
+        let next = q.next_due(Some(t)).expect("an event due at the bound");
         assert_eq!(q.len(), 1);
-        let (t, _, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_millis(700));
-        assert!(q.pop().is_none());
+        let (at, _, _) = q.pop(next).unwrap();
+        assert_eq!(at, t);
+        assert_eq!(q.next_due(None), None);
+    }
+
+    #[test]
+    fn lane_pops_leave_the_slab_alone() {
+        let mut q = EventQueue::new();
+        for i in 0..10 {
+            q.schedule_after(Lane::Arrival, SimDuration::from_millis(1), marker(i));
+        }
+        assert!(q.slab.is_empty(), "lane payloads are stored inline");
+        let order: Vec<u32> = std::iter::from_fn(|| pop_any(&mut q))
+            .map(|(_, _, k)| channel_of(&k))
+            .collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
+        assert!(q.slab.is_empty() && q.free.is_empty());
     }
 }

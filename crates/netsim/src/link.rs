@@ -136,6 +136,10 @@ pub(crate) struct Channel {
     /// high-water mark keeps the emulated TCP stream in order: a frame sent
     /// after a retransmitted one cannot overtake it.
     pub(crate) reliable_ready_at: SimTime,
+    /// The last frame size serialized and its serialization delay, so a
+    /// run of equal-size frames divides once. Only the impairment of
+    /// `config` ever changes, never its bandwidth.
+    last_serialization: (usize, SimDuration),
 }
 
 /// Outcome of offering a frame to a channel's queue.
@@ -165,7 +169,17 @@ impl Channel {
             transmitting: None,
             queue: VecDeque::new(),
             reliable_ready_at: SimTime::ZERO,
+            last_serialization: (0, config.serialization_delay(0)),
         }
+    }
+
+    /// [`LinkConfig::serialization_delay`] of `frame` on this channel.
+    fn serialization_delay(&mut self, frame: &Frame) -> SimDuration {
+        let bytes = frame.size_bytes();
+        if self.last_serialization.0 != bytes {
+            self.last_serialization = (bytes, self.config.serialization_delay(bytes));
+        }
+        self.last_serialization.1
     }
 
     /// Offers a frame for transmission.
@@ -173,9 +187,10 @@ impl Channel {
     /// Frames are accepted even while the link is down: the sending node has
     /// not yet detected the failure, so from its point of view the interface
     /// is healthy. Such frames are lost when serialization completes.
+    #[inline]
     pub(crate) fn offer(&mut self, frame: Frame) -> EnqueueOutcome {
         if self.transmitting.is_none() {
-            let delay = self.config.serialization_delay(frame.size_bytes());
+            let delay = self.serialization_delay(&frame);
             self.transmitting = Some(frame);
             EnqueueOutcome::StartTransmit(delay)
         } else if self.queue.len() < self.config.queue_capacity
@@ -191,12 +206,13 @@ impl Channel {
     /// Completes the in-progress transmission, returning the transmitted
     /// frame and, if another frame starts serializing, its delay.
     /// Returns `None` when no transmission is in progress.
+    #[inline]
     pub(crate) fn finish_transmit(&mut self) -> Option<(Frame, Option<SimDuration>)> {
         let done = self.transmitting.take()?;
         let next_delay = self.queue.pop_front().map(|next| {
-            let d = self.config.serialization_delay(next.size_bytes());
+            let delay = self.serialization_delay(&next);
             self.transmitting = Some(next);
-            d
+            delay
         });
         Some((done, next_delay))
     }
@@ -330,6 +346,78 @@ mod tests {
         assert_eq!(next, Some(SimDuration::from_millis(2)));
         let (_done, next) = ch.finish_transmit().unwrap();
         assert_eq!(next, None);
+    }
+
+    /// The per-channel memo never changes a delay: alternating data,
+    /// control and ACK-sized frames on several bandwidths, offered and
+    /// finished one after another, each get exactly
+    /// `LinkConfig::serialization_delay` of their size.
+    #[test]
+    fn memoized_delay_equals_serialization_delay() {
+        #[derive(Debug)]
+        struct Sized(usize);
+        impl Payload for Sized {
+            fn size_bytes(&self) -> usize {
+                self.0
+            }
+            fn as_any(&self) -> &dyn std::any::Any {
+                self
+            }
+        }
+        let control = |bytes: usize| {
+            Frame::Control(ControlFrame {
+                from: NodeId::new(0),
+                to: NodeId::new(1),
+                payload: Arc::new(Sized(bytes)),
+                reliable: true,
+            })
+        };
+        for bandwidth_bps in [3, 1_000_000, 10_000_000, 155_520_000] {
+            let config = LinkConfig {
+                bandwidth_bps,
+                queue_capacity: 64,
+                ..LinkConfig::default()
+            };
+            let mut ch = Channel::new(NodeId::new(0), NodeId::new(1), config);
+            // Data 1000 B, control 40 + 20 B, ACK 40 B, repeats and a
+            // zero-size frame, so the memo both hits and misses.
+            let frames = || {
+                [
+                    data_frame(1000),
+                    data_frame(1000),
+                    control(40),
+                    data_frame(40),
+                    data_frame(1000),
+                    control(480),
+                    control(480),
+                    data_frame(0),
+                    data_frame(40),
+                    data_frame(1000),
+                ]
+            };
+            let sizes: Vec<usize> = frames().iter().map(Frame::size_bytes).collect();
+            let mut delays = Vec::new();
+            for frame in frames() {
+                if let EnqueueOutcome::StartTransmit(d) = ch.offer(frame) {
+                    delays.push(d);
+                }
+            }
+            while let Some((_, next)) = ch.finish_transmit() {
+                delays.extend(next);
+            }
+            let expected: Vec<SimDuration> =
+                sizes.iter().map(|&b| config.serialization_delay(b)).collect();
+            assert_eq!(delays, expected, "{bandwidth_bps} b/s");
+            // Offered to an idle channel one at a time, each frame starts
+            // transmitting at once.
+            for (frame, want) in frames().into_iter().zip(&expected) {
+                match ch.offer(frame) {
+                    EnqueueOutcome::StartTransmit(d) => assert_eq!(d, *want),
+                    other => panic!("expected StartTransmit, got {other:?}"),
+                }
+                ch.finish_transmit();
+            }
+        }
     }
 
     #[test]

@@ -826,17 +826,14 @@ impl Simulator {
         until: Option<SimTime>,
         max_events: u64,
     ) -> Result<(), EventBudgetExceeded> {
-        while let Some(t) = self.queue.peek_time() {
-            if until.is_some_and(|until| t > until) {
-                break;
-            }
+        while let Some(next) = self.queue.next_due(until) {
             if self.stats.events_processed >= max_events {
                 return Err(EventBudgetExceeded {
                     events: self.stats.events_processed,
                     at: self.now(),
                 });
             }
-            let Some((t, seq, kind)) = self.queue.pop() else {
+            let Some((t, seq, kind)) = self.queue.pop(next) else {
                 break;
             };
             self.stats.events_processed += 1;
@@ -1008,6 +1005,7 @@ impl Simulator {
         self.dispatch(node, |proto, ctx| proto.on_start(ctx));
     }
 
+    #[inline]
     fn on_frame_serialized(&mut self, channel: ChannelId, epoch: u64) {
         let now = self.now();
         let ch = &mut self.channels[channel.index()];
@@ -1112,6 +1110,7 @@ impl Simulator {
         self.impairment_rng.gen_range_u64(0, u64::from(PPM_SCALE)) as u32
     }
 
+    #[inline]
     fn on_frame_arrived(&mut self, channel: ChannelId, frame: Frame) {
         let (up, to, from) = {
             let ch = &self.channels[channel.index()];
@@ -1196,6 +1195,7 @@ impl Simulator {
         self.offer_frame(out, Frame::Data(packet), at);
     }
 
+    #[inline]
     fn offer_frame(&mut self, channel: ChannelId, frame: Frame, from: NodeId) {
         let data = matches!(frame, Frame::Data(_));
         let epoch = self.channels[channel.index()].epoch;
@@ -1213,6 +1213,7 @@ impl Simulator {
     /// Data frames share one serialization delay on a uniform network, so
     /// they go to their FIFO lane; control frames vary in size and go to
     /// the heap.
+    #[inline]
     fn schedule_serialized(
         &mut self,
         channel: ChannelId,

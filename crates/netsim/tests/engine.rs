@@ -2,6 +2,7 @@
 //! protocols.
 
 use netsim::ident::NodeId;
+use netsim::EventBudgetExceeded;
 use netsim::link::LinkConfig;
 use netsim::packet::DropReason;
 use netsim::protocol::{Payload, RoutingProtocol, TimerToken};
@@ -94,6 +95,52 @@ fn packets_cross_a_line_with_correct_latency() {
     // 4 hops x (0.8 ms serialization of 1000 B at 10 Mb/s + 1 ms propagation).
     let per_hop = SimDuration::from_micros(800) + SimDuration::from_millis(1);
     assert_eq!(delivered.0, t0 + per_hop * 4);
+}
+
+/// The event budget trips only when an event at or before `until` is
+/// due: an exhausted budget with nothing due by `until` is `Ok`, and a
+/// budget of exactly the events due by `until` finishes the window.
+#[test]
+fn event_budget_binds_only_when_an_event_is_due() {
+    let t0 = SimTime::from_secs(1);
+    let end = SimTime::from_secs(2);
+    let packet_on_a_line = || {
+        let (mut sim, nodes) = line(3, LinkConfig::default());
+        sim.start();
+        sim.schedule_default_packet(t0, nodes[0], nodes[2]);
+        sim
+    };
+    let mut reference = packet_on_a_line();
+    let spent = reference.stats().events_processed;
+    reference.run_until(end);
+    let total = reference.stats().events_processed;
+    assert!(total > spent, "the packet's hops are events");
+
+    let mut sim = packet_on_a_line();
+    // Nothing is due by `early`: the exhausted budget is not exceeded.
+    let early = SimTime::from_millis(500);
+    assert_eq!(sim.run_until_budgeted(early, spent), Ok(()));
+    assert_eq!(sim.now(), early);
+    // The injection is due exactly at `t0`, so the same budget trips.
+    assert_eq!(
+        sim.run_until_budgeted(t0, spent),
+        Err(EventBudgetExceeded {
+            events: spent,
+            at: early
+        })
+    );
+    assert_eq!(sim.stats().events_processed, spent);
+    // One event short of the window trips with the last hop still due.
+    let short = sim.run_until_budgeted(end, total - 1).unwrap_err();
+    assert_eq!(short.events, total - 1);
+    assert!(short.at < end);
+    assert_eq!(sim.stats().packets_delivered, 0);
+    // Exactly the window's events finish it, and an exhausted budget
+    // past the last event is not exceeded.
+    assert_eq!(sim.run_until_budgeted(end, total), Ok(()));
+    assert_eq!(sim.stats().packets_delivered, 1);
+    assert_eq!(sim.run_until_budgeted(SimTime::from_secs(3), total), Ok(()));
+    assert_eq!(sim.now(), SimTime::from_secs(3));
 }
 
 #[test]
