@@ -46,7 +46,7 @@
 
 use std::time::Instant;
 
-use bench::point_seed;
+use bench::{append_record, point_seed};
 use convergence::prelude::*;
 use topology::mesh::MeshDegree;
 
@@ -153,23 +153,6 @@ fn counter_leg(protocol: ProtocolKind, name: &'static str) -> CounterLeg {
         leg.stale_timer_pops += result.stats.stale_timer_pops;
     }
     leg
-}
-
-/// Appends `record` (a JSON object) to the JSON array in `path`. A file
-/// that holds a single object becomes the array's first record.
-fn append_record(path: &str, record: &str) -> std::io::Result<()> {
-    let old = std::fs::read_to_string(path).unwrap_or_default();
-    let old = old.trim();
-    let earlier = match old.strip_prefix('[').and_then(|o| o.strip_suffix(']')) {
-        Some(list) => list.trim(),
-        None => old,
-    };
-    let records = if earlier.is_empty() {
-        record.to_string()
-    } else {
-        format!("{earlier},\n{record}")
-    };
-    std::fs::write(path, format!("[\n{records}\n]\n"))
 }
 
 /// Median of an unsorted sample (mean of the middle pair when even).

@@ -1,5 +1,7 @@
-//! Performance harness: times one fixed sweep three ways and records the
-//! numbers in `BENCH_sweep.json` at the repository root.
+//! Performance harness: times one fixed sweep three ways and appends the
+//! numbers as one record to the JSON array in `BENCH_sweep.json` at the
+//! repository root (a file holding a single object from before the array
+//! is kept as its first record).
 //!
 //! The workload is the paper's DBF degree-4 point (DBF produces the
 //! richest event traces — transient loops, TTL drops, update storms).
@@ -19,7 +21,7 @@
 
 use std::time::Instant;
 
-use bench::{point_seed, sweep_args};
+use bench::{append_record, point_seed, sweep_args};
 use convergence::aggregate::aggregate_point;
 use convergence::metrics::streaming::summarize_streaming;
 use convergence::metrics::summary::{summarize, RunSummary};
@@ -30,6 +32,9 @@ use topology::mesh::MeshDegree;
 
 const PROTOCOL: ProtocolKind = ProtocolKind::Dbf;
 const DEGREE: MeshDegree = MeshDegree::D4;
+
+/// Where each invocation appends its record.
+const RECORD_FILE: &str = "BENCH_sweep.json";
 
 fn run_one(i: usize) -> RunResult {
     let cfg = ExperimentConfig::paper(PROTOCOL, DEGREE, point_seed(DEGREE, i));
@@ -171,7 +176,7 @@ fn main() {
         str_speedup = json_f64(str_speedup),
         rss = rss.map_or("null".to_string(), |kb| kb.to_string()),
     );
-    std::fs::write("BENCH_sweep.json", &json).expect("write BENCH_sweep.json");
-    println!("wrote BENCH_sweep.json");
+    append_record(RECORD_FILE, &json).unwrap_or_else(|e| panic!("append to {RECORD_FILE}: {e}"));
+    println!("appended a record to {RECORD_FILE}");
     print!("{json}");
 }

@@ -134,6 +134,29 @@ pub fn point_seed(degree: MeshDegree, run_index: usize) -> u64 {
     BASE_SEED + u64::from(degree.as_u32()) * 100_000 + run_index as u64
 }
 
+/// Appends `record` (a JSON object) to the JSON array in `path`, as the
+/// performance harnesses keep their histories. A file that holds a single
+/// object becomes the array's first record.
+///
+/// # Errors
+///
+/// Returns the error of writing `path`.
+pub fn append_record(path: &str, record: &str) -> std::io::Result<()> {
+    let old = std::fs::read_to_string(path).unwrap_or_default();
+    let old = old.trim();
+    let earlier = match old.strip_prefix('[').and_then(|o| o.strip_suffix(']')) {
+        Some(list) => list.trim(),
+        None => old,
+    };
+    let record = record.trim();
+    let records = if earlier.is_empty() {
+        record.to_string()
+    } else {
+        format!("{earlier},\n{record}")
+    };
+    std::fs::write(path, format!("[\n{records}\n]\n"))
+}
+
 /// Collects per-run telemetry across a bench binary's sweeps and, when
 /// `--progress` was given, reports live completion on stderr.
 ///

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use netsim::dense::{DenseMap, DenseSet};
 use netsim::ident::NodeId;
 use netsim::protocol::{Payload, RoutingProtocol, TimerToken};
-use netsim::simulator::ProtocolContext;
+use netsim::simulator::{Peer, ProtocolContext};
 use routing_core::damping::{DampAction, Damper};
 use routing_core::inline::InlineVec;
 use routing_core::path::AsPath;
@@ -68,11 +68,25 @@ mod timer {
 /// MRAI timer, receive-side loop detection ("a path containing myself is a
 /// withdrawal"), and a per-neighbor MRAI timer whose scope and mean are
 /// configurable ([`BgpConfig::standard`] vs [`BgpConfig::bgp3`]).
+///
+/// The decision process is incremental. For every destination not marked
+/// unsettled, the Loc-RIB entry is what [`AdjRibIn::best`] selects from
+/// the stored paths, the current peer slice and the flap-suppression
+/// state, so an update that leaves its Adj-RIB-In slot unchanged needs no
+/// new decision. Suppression changes only with a changed slot, on a reuse
+/// timer (which re-decides) or on a session reset (which re-decides
+/// everything). The only handler that changes the peer slice without
+/// re-deciding is [`on_link_up`](RoutingProtocol::on_link_up); it marks
+/// every destination unsettled, and the next decision for a destination
+/// clears its mark.
 #[derive(Debug)]
 pub struct Bgp {
     config: BgpConfig,
     adj_in: AdjRibIn,
     loc_rib: Vec<Option<BestRoute>>,
+    /// Destinations whose Loc-RIB entry may differ from the decision
+    /// process's outcome.
+    unsettled: Vec<bool>,
     /// The loc-RIB routes prepended with the local AS, computed once per
     /// best-route *change* (not per announcement) so MRAI rounds and
     /// per-neighbor fan-out only bump a refcount.
@@ -128,6 +142,7 @@ impl Bgp {
             config,
             adj_in: AdjRibIn::default(),
             loc_rib: Vec::new(),
+            unsettled: Vec::new(),
             announce: AnnounceTable::new(NodeId::new(0), 0),
             dampers: DenseMap::new(),
             pending: DenseMap::new(),
@@ -150,18 +165,16 @@ impl Bgp {
         self.epochs.get(neighbor).copied().unwrap_or(0)
     }
 
-    /// Re-runs the decision process for `dest`; best-route changes are
-    /// collected into the event batches flushed by [`Bgp::after_changes`].
+    /// Re-runs the decision process for `dest` and settles it; best-route
+    /// changes are collected into the event batches flushed by
+    /// [`Bgp::after_changes`].
     fn re_decide(&mut self, ctx: &mut ProtocolContext<'_>, dest: NodeId) {
+        self.unsettled[dest.index()] = false;
         if dest == ctx.node() {
             return;
         }
-        let flap = &self.flap;
-        let selected = self
-            .adj_in
-            .best(dest, ctx.peers(), |n| !flap.is_suppressed(n, dest));
-        let current = self.loc_rib[dest.index()].as_ref();
-        if current.map(|r| (r.next_hop, &r.path)) == selected.map(|(n, path)| (Some(n), path)) {
+        let selected = decide(&self.adj_in, &self.flap, dest, ctx.peers());
+        if is_installed(self.loc_rib[dest.index()].as_ref(), selected) {
             return;
         }
         match selected {
@@ -185,6 +198,31 @@ impl Bgp {
             path: path.clone(),
             next_hop: Some(neighbor),
         });
+    }
+
+    /// Re-decides `dest` after an update for it, unless the update left
+    /// its Adj-RIB-In slot unchanged (`!slot_changed`) and `dest` is
+    /// settled: then the decision would return what it returned last time.
+    /// Debug builds check exactly that.
+    fn re_decide_if_needed(
+        &mut self,
+        ctx: &mut ProtocolContext<'_>,
+        dest: NodeId,
+        slot_changed: bool,
+    ) {
+        if slot_changed || self.unsettled[dest.index()] {
+            self.re_decide(ctx, dest);
+        } else {
+            debug_assert!(
+                is_installed(
+                    self.loc_rib[dest.index()].as_ref(),
+                    decide(&self.adj_in, &self.flap, dest, ctx.peers())
+                ),
+                "BGP at {} skipped re-deciding settled {}",
+                ctx.node(),
+                dest
+            );
+        }
     }
 
     /// Sends the current state of `dests` to `neighbor`: announcements
@@ -311,6 +349,22 @@ impl Bgp {
     }
 }
 
+/// The decision process for `dest`: the best stored path from a
+/// perceived-up peer whose route is not flap-suppressed.
+fn decide<'a>(
+    adj_in: &'a AdjRibIn,
+    flap: &FlapDamper,
+    dest: NodeId,
+    peers: &[Peer],
+) -> Option<(NodeId, &'a AsPath)> {
+    adj_in.best(dest, peers, |n| !flap.is_suppressed(n, dest))
+}
+
+/// Whether the Loc-RIB entry `current` is the decision `selected`.
+fn is_installed(current: Option<&BestRoute>, selected: Option<(NodeId, &AsPath)>) -> bool {
+    current.map(|r| (r.next_hop, &r.path)) == selected.map(|(n, path)| (Some(n), path))
+}
+
 /// Whether this router perceives its link to `neighbor` as up.
 fn peer_up(ctx: &ProtocolContext<'_>, neighbor: NodeId) -> bool {
     ctx.peers().iter().any(|p| p.neighbor == neighbor && p.up)
@@ -335,6 +389,7 @@ impl RoutingProtocol for Bgp {
         let n = ctx.num_nodes();
         self.adj_in = AdjRibIn::new(n, ctx.peers().len());
         self.loc_rib = vec![None; n];
+        self.unsettled = vec![false; n];
         self.announce = AnnounceTable::new(ctx.node(), n);
         let origin = AsPath::origin(ctx.node());
         self.announce.set(ctx.node(), Some(origin.clone()));
@@ -362,8 +417,8 @@ impl RoutingProtocol for Bgp {
             if self.adj_in.get(slot, dest).is_some() {
                 self.record_flap(ctx, from, dest, FlapEvent::Withdrawal);
             }
-            self.adj_in.set(slot, dest, None);
-            self.re_decide(ctx, dest);
+            let slot_changed = self.adj_in.set(slot, dest, None);
+            self.re_decide_if_needed(ctx, dest, slot_changed);
         }
         if let Some(path) = &update.path {
             debug_assert_eq!(path.first(), Some(from), "announced path must start at peer");
@@ -397,8 +452,8 @@ impl RoutingProtocol for Bgp {
                         _ => {}
                     }
                 }
-                self.adj_in.set(slot, dest, filtered.clone());
-                self.re_decide(ctx, dest);
+                let slot_changed = self.adj_in.set(slot, dest, filtered.clone());
+                self.re_decide_if_needed(ctx, dest, slot_changed);
             }
         }
         self.after_changes(ctx);
@@ -416,8 +471,9 @@ impl RoutingProtocol for Bgp {
                 };
                 let _ = damper.on_window_expired();
                 let mut released = std::mem::take(&mut self.released);
-                if let Some(set) = self.pending.remove(neighbor) {
+                if let Some(set) = self.pending.get_mut(neighbor) {
                     released.extend(set.iter());
+                    set.clear();
                 }
                 if !released.is_empty() && peer_up(ctx, neighbor) {
                     self.send_routes(ctx, neighbor, &released);
@@ -499,6 +555,11 @@ impl RoutingProtocol for Bgp {
     fn on_link_up(&mut self, ctx: &mut ProtocolContext<'_>, neighbor: NodeId) {
         // Fresh session: initial RIB exchange is not MRAI-throttled.
         *self.epochs.get_or_insert_with(neighbor, || 0) += 1;
+        // The peer is usable again, so any path it left in the Adj-RIB-In
+        // (one that arrived while the link was perceived down) may now win
+        // a decision that stays as it was until the destination is
+        // re-decided.
+        self.unsettled.fill(true);
         let all: Vec<NodeId> = self
             .loc_rib
             .iter()

@@ -51,14 +51,22 @@ impl AdjRibIn {
     }
 
     /// Records `path` as the latest announcement from the neighbor in
-    /// `slot` for `dest`; `None` is a withdrawal.
+    /// `slot` for `dest`; `None` is a withdrawal. Returns whether the
+    /// stored path changed: paths compare by content (a shared hop
+    /// sequence compares equal without reading it), and an equal path
+    /// leaves the stored one in place.
     ///
     /// # Panics
     ///
     /// Panics if `dest` or `slot` is out of range.
-    pub fn set(&mut self, slot: usize, dest: NodeId, path: Option<AsPath>) {
+    pub fn set(&mut self, slot: usize, dest: NodeId, path: Option<AsPath>) -> bool {
         assert!(slot < self.degree, "slot {slot} out of range");
-        self.paths[dest.index() * self.degree + slot] = path;
+        let stored = &mut self.paths[dest.index() * self.degree + slot];
+        if *stored == path {
+            return false;
+        }
+        *stored = path;
+        true
     }
 
     /// The stored path from the neighbor in `slot` for `dest`.
@@ -265,9 +273,12 @@ mod tests {
     #[test]
     fn set_get_clear_round_trip() {
         let mut rib = AdjRibIn::new(4, 2);
-        rib.set(1, n(3), Some(path(&[1, 3])));
+        assert!(rib.set(1, n(3), Some(path(&[1, 3]))));
         assert_eq!(rib.get(1, n(3)), Some(&path(&[1, 3])));
-        rib.set(1, n(3), None);
+        assert!(!rib.set(1, n(3), Some(path(&[1, 3]))), "equal content");
+        assert!(rib.set(1, n(3), Some(path(&[1, 2, 3]))), "other path");
+        assert!(rib.set(1, n(3), None));
+        assert!(!rib.set(1, n(3), None), "withdrawn twice");
         assert_eq!(rib.get(1, n(3)), None);
         rib.set(1, n(2), Some(path(&[1, 2])));
         rib.set(0, n(2), Some(path(&[2])));

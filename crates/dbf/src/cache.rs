@@ -45,14 +45,19 @@ impl NeighborCache {
         }
     }
 
-    /// Records that the neighbor in `slot` advertised `metric` for `dest`.
+    /// Records that the neighbor in `slot` advertised `metric` for `dest`,
+    /// returning whether the stored advertisement changed. An unchanged
+    /// entry leaves [`NeighborCache::best`] for `dest` unchanged too.
     ///
     /// # Panics
     ///
     /// Panics if `dest` or `slot` is out of range.
-    pub fn update(&mut self, slot: usize, dest: NodeId, metric: Metric) {
+    pub fn update(&mut self, slot: usize, dest: NodeId, metric: Metric) -> bool {
         assert!(slot < self.degree, "slot {slot} out of range");
-        self.metrics[dest.index() * self.degree + slot] = Some(metric);
+        let stored = &mut self.metrics[dest.index() * self.degree + slot];
+        let changed = *stored != Some(metric);
+        *stored = Some(metric);
+        changed
     }
 
     /// The advertised metric from the neighbor in `slot` for `dest`, if
@@ -116,11 +121,13 @@ mod tests {
     #[test]
     fn update_and_lookup() {
         let mut c = NeighborCache::new(4, 2);
-        c.update(1, n(3), Metric::new(2));
-        assert_eq!(c.advertised(1, n(3)), Some(Metric::new(2)));
+        assert!(c.update(1, n(3), Metric::new(2)));
+        assert!(!c.update(1, n(3), Metric::new(2)), "same metric again");
+        assert!(c.update(1, n(3), Metric::INFINITY), "withdrawal");
+        assert_eq!(c.advertised(1, n(3)), Some(Metric::INFINITY));
         assert_eq!(c.advertised(1, n(2)), None);
         assert_eq!(c.advertised(0, n(3)), None);
-        assert_eq!(c.row(n(3)), &[None, Some(Metric::new(2))]);
+        assert_eq!(c.row(n(3)), &[None, Some(Metric::INFINITY)]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use netsim::ident::NodeId;
 use netsim::protocol::{Payload, RoutingProtocol, TimerId, TimerToken};
-use netsim::simulator::ProtocolContext;
+use netsim::simulator::{Peer, ProtocolContext};
 use netsim::time::SimDuration;
 use routing_core::damping::{TriggerAction, TriggeredScheduler};
 use routing_core::message::{pack_entries, DvEntry, DvMessage};
@@ -34,12 +34,22 @@ pub struct SelectedRoute {
 /// the current next hop to a destination is lost, DBF *instantly* selects
 /// the best alternate from the cache instead of waiting for the next
 /// periodic update — the paper's "zero time path switch-over" (§4.1).
+///
+/// Selection is incremental. For every destination not marked unsettled,
+/// `selected[dest]` is what [`NeighborCache::best`] selects from the cache
+/// and the current peer slice, so an advertisement that leaves its cache
+/// entry unchanged needs no re-selection. The only handler that changes
+/// the peer slice without re-selecting everything is
+/// [`on_link_up`](RoutingProtocol::on_link_up); it marks every destination
+/// unsettled, and the next re-selection of a destination clears its mark.
 #[derive(Debug)]
 pub struct Dbf {
     config: DbfConfig,
     cache: NeighborCache,
     selected: Vec<Option<SelectedRoute>>,
     changed: Vec<bool>,
+    /// Destinations whose selection may differ from the cache's best.
+    unsettled: Vec<bool>,
     /// Staleness timer per neighbor slot.
     neighbor_timers: Vec<Option<TimerId>>,
     scheduler: TriggeredScheduler,
@@ -75,6 +85,7 @@ impl Dbf {
             cache: NeighborCache::default(),
             selected: Vec::new(),
             changed: Vec::new(),
+            unsettled: Vec::new(),
             neighbor_timers: Vec::new(),
         }
     }
@@ -85,16 +96,24 @@ impl Dbf {
         self.selected.get(dest.index()).copied().flatten()
     }
 
+    /// The route selection for `dest` from the cache and `peers`.
+    fn select(&self, dest: NodeId, peers: &[Peer]) -> Option<SelectedRoute> {
+        self.cache
+            .best(dest, peers)
+            .map(|(next_hop, metric)| SelectedRoute {
+                metric,
+                next_hop: Some(next_hop),
+            })
+    }
+
     /// Re-runs route selection for `dest` against the cache, updating the
-    /// FIB and the change flag when the outcome differs.
+    /// FIB and the change flag when the outcome differs, and settles `dest`.
     fn recompute(&mut self, ctx: &mut ProtocolContext<'_>, dest: NodeId) {
+        self.unsettled[dest.index()] = false;
         if dest == ctx.node() {
             return;
         }
-        let best = self.cache.best(dest, ctx.peers()).map(|(next_hop, metric)| SelectedRoute {
-            metric,
-            next_hop: Some(next_hop),
-        });
+        let best = self.select(dest, ctx.peers());
         let slot = &mut self.selected[dest.index()];
         if *slot == best {
             return;
@@ -109,6 +128,29 @@ impl Dbf {
             // No candidate — or (unreachably, self routes never get here)
             // one without a next hop, which cannot be forwarded to either.
             _ => ctx.remove_route(dest),
+        }
+    }
+
+    /// Re-selects `dest` after an advertisement for it, unless the
+    /// advertisement left its cache entry unchanged (`!entry_changed`) and
+    /// `dest` is settled: then selection would return what it returned
+    /// last time. Debug builds check exactly that.
+    fn recompute_if_needed(
+        &mut self,
+        ctx: &mut ProtocolContext<'_>,
+        dest: NodeId,
+        entry_changed: bool,
+    ) {
+        if entry_changed || self.unsettled[dest.index()] {
+            self.recompute(ctx, dest);
+        } else {
+            debug_assert_eq!(
+                self.selected[dest.index()],
+                self.select(dest, ctx.peers()),
+                "DBF at {} skipped re-selecting settled {}",
+                ctx.node(),
+                dest
+            );
         }
     }
 
@@ -253,6 +295,7 @@ impl RoutingProtocol for Dbf {
         self.neighbor_timers = vec![None; degree];
         self.selected = vec![None; n];
         self.changed = vec![false; n];
+        self.unsettled = vec![false; n];
         // Self route, announced like any change.
         self.selected[ctx.node().index()] = Some(SelectedRoute {
             metric: Metric::ZERO,
@@ -280,8 +323,8 @@ impl RoutingProtocol for Dbf {
             if entry.dest == ctx.node() {
                 continue;
             }
-            self.cache.update(slot, entry.dest, entry.metric);
-            self.recompute(ctx, entry.dest);
+            let entry_changed = self.cache.update(slot, entry.dest, entry.metric);
+            self.recompute_if_needed(ctx, entry.dest, entry_changed);
         }
         self.after_changes(ctx);
     }
@@ -333,6 +376,11 @@ impl RoutingProtocol for Dbf {
     }
 
     fn on_link_up(&mut self, ctx: &mut ProtocolContext<'_>, neighbor: NodeId) {
+        // The peer is usable again, so any entry it left in the cache
+        // (one that arrived while the link was perceived down) may now win
+        // a selection that stays as it was until the destination is
+        // re-selected.
+        self.unsettled.fill(true);
         self.send_update(ctx, neighbor, None);
     }
 }

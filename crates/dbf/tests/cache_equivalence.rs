@@ -6,7 +6,8 @@
 //! looked up per candidate. Random sequences of updates, withdrawals
 //! (infinite metrics), invalidations and peer up/down flips drive both; after
 //! every step both must select the same `(neighbor, metric)` for every
-//! destination.
+//! destination, and every update must agree on whether it changed the
+//! stored entry.
 
 use std::collections::BTreeMap;
 
@@ -25,10 +26,13 @@ struct Reference {
 }
 
 impl Reference {
-    fn update(&mut self, neighbor: NodeId, dest: NodeId, metric: Metric) {
-        self.vectors
+    /// Stores `metric`, returning whether the stored entry changed.
+    fn update(&mut self, neighbor: NodeId, dest: NodeId, metric: Metric) -> bool {
+        let vector = self
+            .vectors
             .entry(neighbor)
-            .or_insert_with(|| vec![None; DESTS])[dest.index()] = Some(metric);
+            .or_insert_with(|| vec![None; DESTS]);
+        vector[dest.index()].replace(metric) != Some(metric)
     }
 
     fn invalidate(&mut self, neighbor: NodeId) {
@@ -79,8 +83,10 @@ proptest! {
             match kind {
                 // Announcements; metrics from 16 up are withdrawals.
                 0 | 1 => {
-                    cache.update(slot, dest, Metric::new(metric));
-                    reference.update(neighbor, dest, Metric::new(metric));
+                    prop_assert_eq!(
+                        cache.update(slot, dest, Metric::new(metric)),
+                        reference.update(neighbor, dest, Metric::new(metric))
+                    );
                 }
                 2 => {
                     cache.invalidate(slot);

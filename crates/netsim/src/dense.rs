@@ -9,12 +9,17 @@
 //! id order, so every send loop and tie-break that used to rely on tree
 //! order is byte-identical under the dense representation.
 //!
-//! Both containers also keep a sorted index of occupied ids, so
-//! iteration costs O(occupied) rather than O(id-space) — a map holding a
-//! node's 4 neighbors out of 49 ids visits 4 entries, not 49 slots.
-//! Maintaining the index costs a binary search on insert/remove of a
-//! *new* id, which protocol tables do rarely (link events), while they
-//! look up and iterate constantly.
+//! [`DenseMap`] also keeps a sorted index of occupied ids, so iteration
+//! costs O(occupied) rather than O(id-space) — a map holding a node's 4
+//! neighbors out of 49 ids visits 4 entries, not 49 slots. Maintaining the
+//! index costs a binary search on insert/remove of a *new* id, which
+//! protocol tables do rarely (link events), while they look up and iterate
+//! constantly.
+//!
+//! [`DenseSet`] is a bitset of `u64` words: insert, remove and membership
+//! are one word operation each, and iteration walks the words, skipping
+//! 64 absent ids per empty word. BGP's MRAI pending sets insert on every
+//! deferred update, so the set keeps no sorted index to shift.
 
 use std::fmt;
 
@@ -84,14 +89,6 @@ impl<V> DenseMap<V> {
         self.keys.is_empty()
     }
 
-    /// Marks `ix` occupied in the sorted key index.
-    fn index_insert(&mut self, ix: usize) {
-        let ix = ix as u32;
-        if let Err(pos) = self.keys.binary_search(&ix) {
-            self.keys.insert(pos, ix);
-        }
-    }
-
     /// Inserts or replaces the value for `id`, returning the old value.
     pub fn insert(&mut self, id: NodeId, value: V) -> Option<V> {
         let ix = id.index();
@@ -100,7 +97,7 @@ impl<V> DenseMap<V> {
         }
         let old = self.slots[ix].replace(value);
         if old.is_none() {
-            self.index_insert(ix);
+            index_insert(&mut self.keys, ix);
         }
         old
     }
@@ -123,11 +120,11 @@ impl<V> DenseMap<V> {
         if ix >= self.slots.len() {
             self.slots.resize_with(ix + 1, || None);
         }
-        if self.slots[ix].is_none() {
-            self.slots[ix] = Some(default());
-            self.index_insert(ix);
+        let slot = &mut self.slots[ix];
+        if slot.is_none() {
+            index_insert(&mut self.keys, ix);
         }
-        self.slots[ix].as_mut().expect("slot populated above")
+        slot.get_or_insert_with(default)
     }
 
     /// Removes and returns the value for `id`.
@@ -205,6 +202,14 @@ impl<V> DenseMap<V> {
     }
 }
 
+/// Marks `ix` occupied in a sorted key index.
+fn index_insert(keys: &mut Vec<u32>, ix: usize) {
+    let ix = ix as u32;
+    if let Err(pos) = keys.binary_search(&ix) {
+        keys.insert(pos, ix);
+    }
+}
+
 impl<V: fmt::Debug> fmt::Debug for DenseMap<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.iter()).finish()
@@ -231,14 +236,14 @@ impl<V> FromIterator<(NodeId, V)> for DenseMap<V> {
     }
 }
 
-/// A set of [`NodeId`]s over a dense id space, stored as a bit-ish
-/// vector. Iteration is in ascending id order, matching
-/// `BTreeSet<NodeId>`.
+/// A set of [`NodeId`]s over a dense id space, stored as a bitset of
+/// `u64` words with a member count. Iteration is in ascending id order,
+/// matching `BTreeSet<NodeId>`.
 #[derive(Clone, Default)]
 pub struct DenseSet {
-    bits: Vec<bool>,
-    /// Sorted member ids (the iteration order).
-    keys: Vec<u32>,
+    /// Bit `ix % 64` of `words[ix / 64]` is set iff id `ix` is a member.
+    words: Vec<u64>,
+    len: usize,
 }
 
 impl DenseSet {
@@ -251,65 +256,74 @@ impl DenseSet {
     /// Number of members.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.len
     }
 
     /// Whether the set has no members.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len == 0
     }
 
     /// Adds `id`; returns `true` if it was newly inserted.
     pub fn insert(&mut self, id: NodeId) -> bool {
-        let ix = id.index();
-        if ix >= self.bits.len() {
-            self.bits.resize(ix + 1, false);
+        let (word, mask) = word_and_mask(id);
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
         }
-        let fresh = !self.bits[ix];
-        self.bits[ix] = true;
-        if fresh {
-            if let Err(pos) = self.keys.binary_search(&(ix as u32)) {
-                self.keys.insert(pos, ix as u32);
-            }
-        }
+        let fresh = self.words[word] & mask == 0;
+        self.words[word] |= mask;
+        self.len += usize::from(fresh);
         fresh
     }
 
     /// Removes `id`; returns `true` if it was a member.
     pub fn remove(&mut self, id: NodeId) -> bool {
-        let Some(bit) = self.bits.get_mut(id.index()) else {
+        let (word, mask) = word_and_mask(id);
+        let Some(bits) = self.words.get_mut(word) else {
             return false;
         };
-        let was = *bit;
-        *bit = false;
-        if was {
-            if let Ok(pos) = self.keys.binary_search(&(id.index() as u32)) {
-                self.keys.remove(pos);
-            }
-        }
+        let was = *bits & mask != 0;
+        *bits &= !mask;
+        self.len -= usize::from(was);
         was
     }
 
     /// Whether `id` is a member.
     #[must_use]
     pub fn contains(&self, id: NodeId) -> bool {
-        self.bits.get(id.index()).copied().unwrap_or(false)
+        let (word, mask) = word_and_mask(id);
+        self.words.get(word).is_some_and(|bits| bits & mask != 0)
     }
 
     /// Drops every member, keeping the allocation.
     pub fn clear(&mut self) {
-        for &ix in &self.keys {
-            self.bits[ix as usize] = false;
+        if self.len > 0 {
+            self.words.fill(0);
+            self.len = 0;
         }
-        self.keys.clear();
     }
 
-    /// Iterates members in ascending id order — O(members), not
-    /// O(id-space).
+    /// Iterates members in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.keys.iter().map(|&ix| NodeId::new(ix))
+        self.words.iter().enumerate().flat_map(|(word, &bits)| {
+            let base = (word * 64) as u32;
+            let mut rest = bits;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    NodeId::new(base + bit)
+                })
+            })
+        })
     }
+}
+
+/// The word index and bit mask of `id` in a [`DenseSet`].
+fn word_and_mask(id: NodeId) -> (usize, u64) {
+    let ix = id.index();
+    (ix / 64, 1 << (ix % 64))
 }
 
 impl fmt::Debug for DenseSet {
@@ -320,7 +334,9 @@ impl fmt::Debug for DenseSet {
 
 impl PartialEq for DenseSet {
     fn eq(&self, other: &Self) -> bool {
-        self.keys == other.keys
+        // Logical equality: words emptied by removals must not
+        // distinguish two sets with the same members.
+        self.len == other.len && self.iter().eq(other.iter())
     }
 }
 
