@@ -74,10 +74,8 @@ impl LoopReport {
     }
 }
 
-/// Scans hop-level trace records for forwarding loops.
-///
-/// Requires the trace to have been recorded with
-/// [`TraceConfig::record_hops`](netsim::trace::TraceConfig) enabled.
+/// Scans the hop-level [`TraceEvent::PacketForwarded`] records for
+/// forwarding loops.
 #[must_use]
 pub fn analyze_loops(trace: &Trace) -> LoopReport {
     #[derive(Default)]

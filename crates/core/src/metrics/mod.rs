@@ -24,7 +24,7 @@ pub mod switchover;
 pub use convergence::{path_history, routing_convergence_time, FibReplay, PathHistory, PathOutcome};
 pub use drops::{count_delivered, count_drops, DropCounts};
 pub use loops::{analyze_loops, LoopEncounter, LoopFate, LoopReport};
-pub use series::{delay_series, mean_delay, mean_delay_series, mean_u64_series, throughput_series};
+pub use series::{delay_series, mean_delay_series, mean_u64_series, throughput_series};
 pub use streaming::{summarize_streaming, SummaryObserver};
 pub use stretch::{flow_stretch, mean_stretch, PacketStretch};
 pub use summary::{summarize, RunSummary};

@@ -6,7 +6,7 @@
 //! paper's normalized time axis.
 
 use netsim::time::SimTime;
-use netsim::trace::{Trace, TraceEvent};
+use netsim::trace::Trace;
 
 /// Computes the bucket index of `time` relative to `t_fail`, if it falls
 /// inside `[from_s, to_s)`.
@@ -40,11 +40,9 @@ pub fn throughput_series(
 ) -> Vec<(i64, u64)> {
     assert!(from_s < to_s, "empty bucket range");
     let mut counts = vec![0u64; (to_s - from_s) as usize];
-    for event in trace {
-        if let TraceEvent::PacketDelivered { time, .. } = event {
-            if let Some(bucket) = bucket_of(time, t_fail, from_s, to_s) {
-                counts[(bucket - from_s) as usize] += 1;
-            }
+    for (time, _) in trace.deliveries() {
+        if let Some(bucket) = bucket_of(time, t_fail, from_s, to_s) {
+            counts[(bucket - from_s) as usize] += 1;
         }
     }
     counts
@@ -67,13 +65,11 @@ pub fn delay_series(
     let buckets = (to_s - from_s) as usize;
     let mut sum = vec![0.0f64; buckets];
     let mut count = vec![0u64; buckets];
-    for event in trace {
-        if let TraceEvent::PacketDelivered { time, sent_at, .. } = event {
-            if let Some(bucket) = bucket_of(time, t_fail, from_s, to_s) {
-                let ix = (bucket - from_s) as usize;
-                sum[ix] += time.saturating_since(sent_at).as_secs_f64();
-                count[ix] += 1;
-            }
+    for (time, sent_at) in trace.deliveries() {
+        if let Some(bucket) = bucket_of(time, t_fail, from_s, to_s) {
+            let ix = (bucket - from_s) as usize;
+            sum[ix] += time.saturating_since(sent_at).as_secs_f64();
+            count[ix] += 1;
         }
     }
     (0..buckets)
@@ -82,21 +78,6 @@ pub fn delay_series(
             (from_s + i as i64, mean)
         })
         .collect()
-}
-
-/// Overall mean delay across all delivered packets, or `None` if nothing
-/// was delivered.
-#[must_use]
-pub fn mean_delay(trace: &Trace) -> Option<f64> {
-    let mut sum = 0.0;
-    let mut count = 0u64;
-    for event in trace {
-        if let TraceEvent::PacketDelivered { time, sent_at, .. } = event {
-            sum += time.saturating_since(sent_at).as_secs_f64();
-            count += 1;
-        }
-    }
-    (count > 0).then(|| sum / count as f64)
 }
 
 /// Averages several runs' series bucket-by-bucket.
@@ -147,6 +128,7 @@ pub fn mean_delay_series(series: &[Vec<(i64, Option<f64>)>]) -> Vec<(i64, Option
 mod tests {
     use super::*;
     use netsim::ident::{NodeId, PacketId};
+    use netsim::trace::TraceEvent;
 
     fn delivered(at_ms: u64, sent_ms: u64, id: u64) -> TraceEvent {
         TraceEvent::PacketDelivered {
@@ -195,16 +177,6 @@ mod tests {
         assert!((series[0].1.unwrap() - 0.2).abs() < 1e-9);
         assert!((series[1].1.unwrap() - 0.05).abs() < 1e-9);
         assert_eq!(series[2].1, None);
-    }
-
-    #[test]
-    fn mean_delay_covers_whole_trace() {
-        let trace = Trace::from_events(vec![
-            delivered(1_100, 1_000, 1),
-            delivered(2_300, 2_000, 2),
-        ]);
-        assert!((mean_delay(&trace).unwrap() - 0.2).abs() < 1e-9);
-        assert_eq!(mean_delay(&Trace::new()), None);
     }
 
     #[test]

@@ -5,7 +5,7 @@ mod oracle;
 use convergence::metrics::convergence::{FibReplay, PathOutcome};
 use convergence::metrics::drops::{count_delivered, count_drops};
 use convergence::metrics::loops::analyze_loops;
-use convergence::metrics::series::throughput_series;
+use convergence::metrics::series::{delay_series, throughput_series};
 use convergence::prelude::*;
 use netsim::simulator::ForwardingPath;
 use proptest::prelude::*;
@@ -197,6 +197,23 @@ fn summary_equals_oracle_under_several_flows() {
         summarize(&result).expect("summary"),
         oracle::summarize_by_passes(&result).expect("oracle summary")
     );
+    // The fig5/fig7 series read only the delivery records. Over a window
+    // covering the whole run they count every delivery and average to
+    // the mean delay of a full decode.
+    let secs = |t: netsim::time::SimTime| (t.as_nanos() / 1_000_000_000) as i64;
+    let end = result.trace.iter().last().expect("records").time();
+    let (from, to) = (-secs(result.t_fail) - 1, secs(end) - secs(result.t_fail) + 1);
+    let throughput = throughput_series(&result.trace, result.t_fail, from, to);
+    let delays = delay_series(&result.trace, result.t_fail, from, to);
+    let delivered: u64 = throughput.iter().map(|&(_, n)| n).sum();
+    assert_eq!(delivered, count_delivered(&result.trace));
+    let delay_sum: f64 = throughput
+        .iter()
+        .zip(&delays)
+        .filter_map(|(&(_, n), &(_, mean))| mean.map(|m| m * n as f64))
+        .sum();
+    let expected = oracle::mean_delay(&result.trace).expect("deliveries");
+    assert!((delay_sum / delivered as f64 - expected).abs() < 1e-9 * expected);
 }
 
 proptest! {

@@ -86,4 +86,4 @@ pub use simulator::{
     SimulatorBuilder,
 };
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceConfig, TraceEvent};
+pub use trace::{Trace, TraceEvent};

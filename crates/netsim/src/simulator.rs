@@ -16,7 +16,7 @@ use crate::protocol::{RoutingProtocol, SharedPayload, TimerId, TimerToken};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::timers::{TimerEntry, TimerPop, TimerSlab, TimerTarget};
-use crate::trace::{Trace, TraceConfig, TraceEvent};
+use crate::trace::{Trace, TraceEvent};
 
 /// A router in the simulated network.
 #[derive(Debug)]
@@ -118,7 +118,8 @@ pub struct SimStats {
     pub control_messages_sent: u64,
     /// Control bytes offered to links.
     pub control_bytes_sent: u64,
-    /// Control messages lost to link failure or queue overflow.
+    /// Control messages lost to link failure or queue overflow, or
+    /// addressed to a router that is not a neighbor.
     pub control_messages_lost: u64,
     /// Frames (data or datagram control) lost to stochastic impairment.
     pub frames_impaired: u64,
@@ -186,7 +187,6 @@ pub struct SimulatorBuilder {
     num_nodes: u32,
     links: Vec<(NodeId, NodeId, LinkConfig)>,
     seed: u64,
-    trace_config: TraceConfig,
 }
 
 impl Default for SimulatorBuilder {
@@ -203,7 +203,6 @@ impl SimulatorBuilder {
             num_nodes: 0,
             links: Vec::new(),
             seed: 0,
-            trace_config: TraceConfig::default(),
         }
     }
 
@@ -253,12 +252,6 @@ impl SimulatorBuilder {
     /// Sets the RNG seed for the run.
     pub fn seed(&mut self, seed: u64) -> &mut Self {
         self.seed = seed;
-        self
-    }
-
-    /// Configures trace verbosity.
-    pub fn trace_config(&mut self, config: TraceConfig) -> &mut Self {
-        self.trace_config = config;
         self
     }
 
@@ -321,7 +314,6 @@ impl SimulatorBuilder {
             // impairment never perturbs protocol/traffic randomness.
             impairment_rng: SimRng::seed_from(self.seed ^ 0x1a7e_5eed_0f00_cafe),
             trace: Trace::new(),
-            trace_config: self.trace_config,
             stats: SimStats::default(),
             last_route_change: SimTime::ZERO,
             started: false,
@@ -344,7 +336,6 @@ pub struct Simulator {
     rng: SimRng,
     impairment_rng: SimRng,
     trace: Trace,
-    trace_config: TraceConfig,
     stats: SimStats,
     /// Time of the last recorded [`TraceEvent::RouteChanged`].
     last_route_change: SimTime,
@@ -1184,14 +1175,12 @@ impl Simulator {
             return;
         };
         packet.hops += 1;
-        if self.trace_config.record_hops {
-            self.record(TraceEvent::PacketForwarded {
-                time: self.now(),
-                id: packet.id,
-                node: at,
-                next_hop,
-            });
-        }
+        self.record(TraceEvent::PacketForwarded {
+            time: self.now(),
+            id: packet.id,
+            node: at,
+            next_hop,
+        });
         self.offer_frame(out, Frame::Data(packet), at);
     }
 
@@ -1475,24 +1464,25 @@ impl ProtocolContext<'_> {
 
     fn send_inner(&mut self, to: NodeId, payload: SharedPayload, reliable: bool) {
         let node = &self.sim.nodes[self.node.index()];
-        let out = node
-            .slot_of(to)
-            .map(|slot| node.ports[slot].0)
-            .unwrap_or_else(|| panic!("{} is not a neighbor of {}", to, self.node));
+        let Some(out) = node.slot_of(to).map(|slot| node.ports[slot].0) else {
+            // A protocol addressed a router that is not a neighbor; lose
+            // the message rather than abort the run.
+            debug_assert!(false, "{to} is not a neighbor of {}", self.node);
+            self.sim.stats.control_messages_lost += 1;
+            return;
+        };
         let bytes = (payload.size_bytes() + 20) as u32;
         self.sim.stats.control_messages_sent += 1;
         self.sim.stats.control_bytes_sent += u64::from(bytes);
         if Arc::strong_count(&payload) > 1 {
             self.sim.stats.control_payloads_shared += 1;
         }
-        if self.sim.trace_config.record_control {
-            self.sim.record(TraceEvent::ControlSent {
-                time: self.sim.now(),
-                from: self.node,
-                to,
-                bytes,
-            });
-        }
+        self.sim.record(TraceEvent::ControlSent {
+            time: self.sim.now(),
+            from: self.node,
+            to,
+            bytes,
+        });
         let frame = Frame::Control(ControlFrame {
             from: self.node,
             to,

@@ -14,9 +14,18 @@
 //! chunks that are never reallocated, so a trace holds about as much
 //! memory as its records need: no buffer doubles past its content or is
 //! copied to grow, and a run's peak memory follows its trace length
-//! smoothly. Readers get the records back by value, in order, from
+//! smoothly. A record is encoded in place at the end of the last chunk:
+//! [`Trace`] starts a new chunk whenever the last one has less room than
+//! the longest record, so no write reallocates a chunk and no record
+//! straddles two.
+//!
+//! Readers get the records back by value, in order, from
 //! [`Trace::iter`]; the encoding is exact, so a decoded record equals
-//! the one recorded.
+//! the one recorded. Readers that need only part of a trace skip the
+//! rest undecoded, using the number of varints in each kind of record:
+//! [`Trace::census`] reads only kinds and times, and [`Trace::deliveries`]
+//! decodes the time and injection time of each delivery — all the
+//! fig5/fig7 series read — and only the kind and time of other records.
 
 use std::fmt;
 use std::iter::FusedIterator;
@@ -269,35 +278,16 @@ impl TraceEvent {
     }
 }
 
-/// What the recorder keeps.
-///
-/// Hop-level records dominate trace volume; they can be disabled for
-/// performance benchmarking where only aggregates matter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceConfig {
-    /// Record a [`TraceEvent::PacketForwarded`] per hop (needed for loop
-    /// forensics and transient-path enumeration).
-    pub record_hops: bool,
-    /// Record a [`TraceEvent::ControlSent`] per routing message.
-    pub record_control: bool,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            record_hops: true,
-            record_control: true,
-        }
-    }
-}
-
 /// An append-only record of everything observable in a run, stored in
 /// the compact encoding described in the module docs.
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Trace {
-    /// The encoded records, in time order, in chunks of at most
-    /// [`CHUNK_BYTES`]; a record never straddles two chunks.
+    /// The encoded records, in time order, in chunks of [`CHUNK_BYTES`];
+    /// a record never straddles two chunks. Every chunk but the last is
+    /// truncated to its records; the last one is zero past `tail`.
     chunks: Vec<Vec<u8>>,
+    /// Bytes of records in the last chunk.
+    tail: usize,
     /// Number of records.
     len: usize,
     /// Time of the last record; the next record's time is encoded as
@@ -336,22 +326,41 @@ impl Trace {
             self.last <= event.time().as_nanos(),
             "trace must be appended in time order"
         );
-        let mut record = Record::new(kind_code(&event));
+        // Chunks are allocated zeroed at full size, so a record is
+        // written with plain stores into the slice after the last one;
+        // a chunk is closed by truncating it to its records.
+        if self
+            .chunks
+            .last()
+            .is_none_or(|chunk| chunk.len() - self.tail < MAX_RECORD)
+        {
+            if let Some(full) = self.chunks.last_mut() {
+                full.truncate(self.tail);
+            }
+            self.chunks.push(vec![0; CHUNK_BYTES]);
+            self.tail = 0;
+        }
+        let last = self.chunks.len() - 1;
+        let mut out = Writer {
+            buf: &mut self.chunks[last][self.tail..self.tail + MAX_RECORD],
+            len: 0,
+        };
+        out.byte(kind_code(&event));
         // Wrapping differences keep the encoding exact for any input.
         let delta = |from: u64, to: SimTime| to.as_nanos().wrapping_sub(from);
-        record.put(delta(self.last, event.time()));
+        out.put(delta(self.last, event.time()));
         match event {
             TraceEvent::PacketInjected { id, src, dst, .. } => {
-                record.put(id.raw());
-                record.put_node(src);
-                record.put_node(dst);
+                out.put(id.raw());
+                out.put_node(src);
+                out.put_node(dst);
             }
             TraceEvent::PacketForwarded {
                 id, node, next_hop, ..
             } => {
-                record.put(id.raw());
-                record.put_node(node);
-                record.put_node(next_hop);
+                out.put(id.raw());
+                out.put_node(node);
+                out.put_node(next_hop);
             }
             TraceEvent::PacketDelivered {
                 time,
@@ -360,10 +369,10 @@ impl Trace {
                 hops,
                 sent_at,
             } => {
-                record.put(id.raw());
-                record.put_node(node);
-                record.put(u64::from(hops));
-                record.put(delta(sent_at.as_nanos(), time));
+                out.put(id.raw());
+                out.put_node(node);
+                out.put(u64::from(hops));
+                out.put(delta(sent_at.as_nanos(), time));
             }
             TraceEvent::PacketDropped {
                 time,
@@ -372,10 +381,10 @@ impl Trace {
                 reason,
                 sent_at,
             } => {
-                record.put(id.raw());
-                record.put_node(node);
-                record.put(reason as u64);
-                record.put(delta(sent_at.as_nanos(), time));
+                out.put(id.raw());
+                out.put_node(node);
+                out.put(reason as u64);
+                out.put(delta(sent_at.as_nanos(), time));
             }
             TraceEvent::RouteChanged {
                 node,
@@ -384,48 +393,38 @@ impl Trace {
                 new,
                 ..
             } => {
-                record.put_node(node);
-                record.put_node(dest);
-                record.put_hop(old);
-                record.put_hop(new);
+                out.put_node(node);
+                out.put_node(dest);
+                out.put_hop(old);
+                out.put_hop(new);
             }
             TraceEvent::ControlSent {
                 from, to, bytes, ..
             } => {
-                record.put_node(from);
-                record.put_node(to);
-                record.put(u64::from(bytes));
+                out.put_node(from);
+                out.put_node(to);
+                out.put(u64::from(bytes));
             }
             TraceEvent::LinkFailed { link, a, b, .. }
             | TraceEvent::LinkRecovered { link, a, b, .. } => {
-                record.put(u64::from(link.raw()));
-                record.put_node(a);
-                record.put_node(b);
+                out.put(u64::from(link.raw()));
+                out.put_node(a);
+                out.put_node(b);
             }
             TraceEvent::LinkStateDetected {
                 node, neighbor, up, ..
             } => {
-                record.put_node(node);
-                record.put_node(neighbor);
-                record.put(u64::from(up));
+                out.put_node(node);
+                out.put_node(neighbor);
+                out.put(u64::from(up));
             }
             TraceEvent::ImpairmentChanged { link, loss_ppm, .. } => {
-                record.put(u64::from(link.raw()));
-                record.put(u64::from(loss_ppm));
+                out.put(u64::from(link.raw()));
+                out.put(u64::from(loss_ppm));
             }
-            TraceEvent::NodeRestarted { node, .. } => record.put_node(node),
+            TraceEvent::NodeRestarted { node, .. } => out.put_node(node),
         }
-        let record = record.bytes();
-        match self.chunks.last_mut() {
-            Some(chunk) if chunk.capacity() - chunk.len() >= record.len() => {
-                chunk.extend_from_slice(record);
-            }
-            _ => {
-                let mut chunk = Vec::with_capacity(CHUNK_BYTES);
-                chunk.extend_from_slice(record);
-                self.chunks.push(chunk);
-            }
-        }
+        self.tail += out.len;
         self.len += 1;
         self.last = event.time().as_nanos();
     }
@@ -472,36 +471,37 @@ impl Trace {
     }
 
     /// Counts records by kind — a quick sanity profile of a run. Reads
-    /// only the kind byte and skips the rest of each record.
+    /// the kind byte and time delta of each record and skips the rest.
     #[must_use]
     pub fn census(&self) -> TraceCensus {
         let mut census = TraceCensus::default();
-        let mut bytes = self.chunks.iter().flatten();
-        while let Some(&kind) = bytes.next() {
-            let (counter, fields) = match kind {
-                PACKET_INJECTED => (&mut census.injected, 4),
-                PACKET_FORWARDED => (&mut census.forwarded, 4),
-                PACKET_DELIVERED => (&mut census.delivered, 5),
-                PACKET_DROPPED => (&mut census.dropped, 5),
-                ROUTE_CHANGED => (&mut census.route_changes, 5),
-                CONTROL_SENT => (&mut census.control_sent, 4),
-                LINK_FAILED => (&mut census.link_failures, 4),
-                LINK_RECOVERED => (&mut census.link_recoveries, 4),
-                LINK_STATE_DETECTED => (&mut census.detections, 4),
-                IMPAIRMENT_CHANGED => (&mut census.impairment_changes, 3),
-                _ => (&mut census.node_restarts, 2),
-            };
-            *counter += 1;
-            // Every varint ends at the first byte below 0x80.
-            for _ in 0..fields {
-                for b in bytes.by_ref() {
-                    if b & 0x80 == 0 {
-                        break;
-                    }
-                }
-            }
+        let mut records = self.iter();
+        while let Some(kind) = records.next_kind() {
+            *match kind {
+                PACKET_INJECTED => &mut census.injected,
+                PACKET_FORWARDED => &mut census.forwarded,
+                PACKET_DELIVERED => &mut census.delivered,
+                PACKET_DROPPED => &mut census.dropped,
+                ROUTE_CHANGED => &mut census.route_changes,
+                CONTROL_SENT => &mut census.control_sent,
+                LINK_FAILED => &mut census.link_failures,
+                LINK_RECOVERED => &mut census.link_recoveries,
+                LINK_STATE_DETECTED => &mut census.detections,
+                IMPAIRMENT_CHANGED => &mut census.impairment_changes,
+                _ => &mut census.node_restarts,
+            } += 1;
+            records.skip_varints(fields(kind));
         }
         census
+    }
+
+    /// Iterates over the `(time, sent_at)` of every
+    /// [`TraceEvent::PacketDelivered`], in time order — the records the
+    /// throughput and delay series read. Every other record is skipped
+    /// after its kind byte and time delta.
+    #[must_use]
+    pub fn deliveries(&self) -> Deliveries<'_> {
+        Deliveries(self.iter())
     }
 }
 
@@ -540,52 +540,65 @@ fn kind_code(event: &TraceEvent) -> u8 {
     }
 }
 
-/// Longest encoded record: a kind byte and five varints of at most ten
-/// bytes each (a `PacketDelivered` or `PacketDropped`).
-const MAX_RECORD: usize = 1 + 5 * 10;
+/// Number of varints that follow the time delta in a record of `kind`:
+/// the one table of the record layouts, for the readers that skip
+/// records without decoding them.
+fn fields(kind: u8) -> usize {
+    match kind {
+        PACKET_DELIVERED | PACKET_DROPPED | ROUTE_CHANGED => 4,
+        PACKET_INJECTED | PACKET_FORWARDED | CONTROL_SENT | LINK_FAILED | LINK_RECOVERED
+        | LINK_STATE_DETECTED => 3,
+        IMPAIRMENT_CHANGED => 2,
+        _ => 1,
+    }
+}
 
-/// Capacity of one trace chunk: about 6k typical records, and below the
+/// Longest encoded record: a `PacketDelivered` with every field at its
+/// maximum — the kind byte, three 64-bit varints of ten bytes (time
+/// delta, packet id, injection-time delta) and two 32-bit varints of
+/// five (node, hops).
+const MAX_RECORD: usize = 1 + 3 * 10 + 2 * 5;
+
+/// Size of one trace chunk: about 6k typical records, and below the
 /// size at which the system allocator maps a block of its own, so the
 /// chunks of one run are reused by the next.
 const CHUNK_BYTES: usize = 64 * 1024;
 
-/// One record being encoded, so that it is appended to the trace with a
-/// single copy.
-struct Record {
-    buf: [u8; MAX_RECORD],
+/// Encodes one record into the free end of a chunk.
+struct Writer<'a> {
+    /// The `MAX_RECORD` bytes after the last record.
+    buf: &'a mut [u8],
+    /// Bytes written.
     len: usize,
 }
 
-impl Record {
-    fn new(kind: u8) -> Self {
-        let mut buf = [0; MAX_RECORD];
-        buf[0] = kind;
-        Record { buf, len: 1 }
+impl Writer<'_> {
+    #[inline]
+    fn byte(&mut self, b: u8) {
+        self.buf[self.len] = b;
+        self.len += 1;
     }
 
     /// Appends `v` as a LEB128 varint: seven bits a byte, low bits
     /// first, the high bit set on every byte but the last.
+    #[inline]
     fn put(&mut self, mut v: u64) {
         while v >= 0x80 {
-            self.buf[self.len] = (v & 0x7f) as u8 | 0x80;
-            self.len += 1;
+            self.byte((v & 0x7f) as u8 | 0x80);
             v >>= 7;
         }
-        self.buf[self.len] = v as u8;
-        self.len += 1;
+        self.byte(v as u8);
     }
 
+    #[inline]
     fn put_node(&mut self, node: NodeId) {
         self.put(u64::from(node.raw()));
     }
 
     /// `None` as 0, `Some(n)` as `n + 1`.
+    #[inline]
     fn put_hop(&mut self, hop: Option<NodeId>) {
         self.put(hop.map_or(0, |n| u64::from(n.raw()) + 1));
-    }
-
-    fn bytes(&self) -> &[u8] {
-        &self.buf[..self.len]
     }
 }
 
@@ -604,6 +617,39 @@ pub struct Iter<'a> {
 }
 
 impl Iter<'_> {
+    /// Starts the next record: reads its kind byte and time delta, and
+    /// leaves the fields after them unread. Always inlined, so that each
+    /// reader's loop is one function.
+    #[inline(always)]
+    fn next_kind(&mut self) -> Option<u8> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        if self.pos == self.bytes.len() {
+            if let [next, rest @ ..] = self.rest {
+                (self.bytes, self.rest, self.pos) = (next, rest, 0);
+            }
+        }
+        let kind = self.bytes[self.pos];
+        self.pos += 1;
+        self.time = self.time.wrapping_add(self.get());
+        Some(kind)
+    }
+
+    /// Skips `n` varints; each ends at the first byte below 0x80.
+    #[inline(always)]
+    fn skip_varints(&mut self, n: usize) {
+        let mut left = n;
+        for (i, &b) in self.bytes[self.pos..].iter().enumerate() {
+            left -= usize::from(b < 0x80);
+            if left == 0 {
+                self.pos += i + 1;
+                return;
+            }
+        }
+    }
+
     #[inline]
     fn get(&mut self) -> u64 {
         let b = self.bytes[self.pos];
@@ -662,18 +708,7 @@ impl Iterator for Iter<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<TraceEvent> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        if self.pos == self.bytes.len() {
-            if let [next, rest @ ..] = self.rest {
-                (self.bytes, self.rest, self.pos) = (next, rest, 0);
-            }
-        }
-        let kind = self.bytes[self.pos];
-        self.pos += 1;
-        self.time = self.time.wrapping_add(self.get());
+        let kind = self.next_kind()?;
         let time = SimTime::from_nanos(self.time);
         let event = match kind {
             PACKET_INJECTED => TraceEvent::PacketInjected {
@@ -757,6 +792,32 @@ impl Iterator for Iter<'_> {
 impl ExactSizeIterator for Iter<'_> {}
 
 impl FusedIterator for Iter<'_> {}
+
+/// Iterator over the `(time, sent_at)` of a [`Trace`]'s deliveries, from
+/// [`Trace::deliveries`].
+#[derive(Debug, Clone)]
+pub struct Deliveries<'a>(Iter<'a>);
+
+impl Iterator for Deliveries<'_> {
+    type Item = (SimTime, SimTime);
+
+    #[inline]
+    fn next(&mut self) -> Option<(SimTime, SimTime)> {
+        let records = &mut self.0;
+        loop {
+            let kind = records.next_kind()?;
+            if kind == PACKET_DELIVERED {
+                // The packet id, node and hop count come before `sent_at`.
+                records.skip_varints(3);
+                let time = SimTime::from_nanos(records.time);
+                return Some((time, records.sent_at(time)));
+            }
+            records.skip_varints(fields(kind));
+        }
+    }
+}
+
+impl FusedIterator for Deliveries<'_> {}
 
 /// Per-kind record counts of a trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -860,13 +921,6 @@ mod tests {
         assert_eq!(census.detections, 1);
         assert_eq!(census.route_changes, 1);
         assert_eq!(census.injected, 0);
-    }
-
-    #[test]
-    fn default_config_records_everything() {
-        let cfg = TraceConfig::default();
-        assert!(cfg.record_hops);
-        assert!(cfg.record_control);
     }
 
     #[test]
@@ -1033,6 +1087,81 @@ mod tests {
     }
 
     #[test]
+    fn layout_table_matches_the_encoder() {
+        let trace = Trace::from_events(every_kind_at_the_edges());
+        let (mut decoded, mut skipped) = (trace.iter(), trace.iter());
+        let mut kinds = Vec::new();
+        while decoded.next().is_some() {
+            let kind = skipped.next_kind().expect("as many records skipped");
+            skipped.skip_varints(fields(kind));
+            assert_eq!(skipped.pos, decoded.pos, "kind {kind}");
+            kinds.push(kind);
+        }
+        assert_eq!(skipped.next_kind(), None);
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds, (PACKET_INJECTED..=NODE_RESTARTED).collect::<Vec<_>>());
+    }
+
+    /// A `PacketDelivered` with every field at its widest encoding.
+    fn largest_record() -> TraceEvent {
+        TraceEvent::PacketDelivered {
+            time: SimTime::from_nanos(u64::MAX),
+            id: PacketId::new(u64::MAX),
+            node: NodeId::new(u32::MAX),
+            hops: u32::MAX,
+            sent_at: SimTime::ZERO,
+        }
+    }
+
+    #[test]
+    fn largest_record_takes_max_record_bytes() {
+        let largest = largest_record();
+        let mut trace = Trace::new();
+        trace.push(largest);
+        assert_eq!(trace.tail, MAX_RECORD);
+        for kind in PACKET_INJECTED..=NODE_RESTARTED {
+            let mut trace = Trace::new();
+            trace.push(arbitrary_event(kind, largest.time(), u64::MAX, 1 << 63));
+            assert!(trace.tail <= MAX_RECORD, "kind {kind}");
+        }
+    }
+
+    /// A trace whose first chunk has exactly `room` bytes left, filled
+    /// with 3- and 4-byte restart records at time zero.
+    fn trace_with_room(room: usize) -> Trace {
+        let restart = |node| TraceEvent::NodeRestarted {
+            time: SimTime::ZERO,
+            node: NodeId::new(node),
+        };
+        let used = CHUNK_BYTES - room;
+        let four = used % 3;
+        let mut trace = Trace::new();
+        for _ in 0..four {
+            trace.push(restart(128));
+        }
+        for _ in 0..(used - 4 * four) / 3 {
+            trace.push(restart(0));
+        }
+        assert_eq!(trace.chunks.len(), 1);
+        assert_eq!(CHUNK_BYTES - trace.tail, room);
+        trace
+    }
+
+    #[test]
+    fn a_record_goes_in_place_only_with_max_record_bytes_of_room() {
+        let largest = largest_record();
+        for (room, chunks) in [(MAX_RECORD, 1), (MAX_RECORD - 1, 2)] {
+            let mut trace = trace_with_room(room);
+            let records = trace.len();
+            trace.push(largest);
+            assert_eq!(trace.chunks.len(), chunks, "room {room}");
+            assert!(trace.chunks.iter().all(|c| c.capacity() == CHUNK_BYTES));
+            assert_eq!(trace.iter().nth(records), Some(largest));
+        }
+    }
+
+    #[test]
     fn records_never_straddle_chunks() {
         // Enough records for several chunks, every kind in turn.
         let kinds = every_kind_at_the_edges();
@@ -1046,7 +1175,8 @@ mod tests {
         }
         let trace = Trace::from_events(events.clone());
         assert!(trace.chunks.len() > 2, "{} chunks", trace.chunks.len());
-        assert!(trace.chunks.iter().all(|c| c.len() <= CHUNK_BYTES));
+        // No chunk was ever reallocated, so none grew past its capacity.
+        assert!(trace.chunks.iter().all(|c| c.capacity() == CHUNK_BYTES));
         assert_eq!(trace.iter().collect::<Vec<_>>(), events);
         assert_eq!(trace.census(), decoded_census(&trace));
     }
@@ -1085,7 +1215,7 @@ mod tests {
             to: NodeId::new(2),
             bytes: 24,
         });
-        let encoded = |t: &Trace| t.chunks.iter().map(Vec::len).sum::<usize>();
+        let encoded = |t: &Trace| t.tail;
         let before = encoded(&trace);
         trace.push(TraceEvent::PacketForwarded {
             time: SimTime::from_secs(3) + crate::time::SimDuration::from_millis(1),
@@ -1121,6 +1251,49 @@ mod tests {
                 .collect();
             let trace = Trace::from_events(events.clone());
             proptest::prop_assert_eq!(trace.iter().collect::<Vec<_>>(), events);
+        }
+    }
+
+    /// Field values at the edges of the varint encoding, for generated
+    /// records: zero, one and two bytes, `u32::MAX` and up to `u64::MAX`.
+    const EDGES: [u64; 7] = [0, 127, 128, u32::MAX as u64, 1 << 32, 1 << 63, u64::MAX];
+
+    /// Time steps between generated records: zero, small and huge.
+    const STEPS: [u64; 4] = [0, 0, 977, 1 << 40];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The delivery reader yields exactly the `(time, sent_at)` of
+        /// the decoded deliveries, over random mixes of every kind with
+        /// edge values, across at least three chunks.
+        #[test]
+        fn deliveries_are_the_decoded_deliveries(
+            pattern in proptest::prop::collection::vec(
+                (0u8..11, (0usize..9, 0u64..u64::MAX), (0usize..9, 0u64..u64::MAX)),
+                1..48,
+            ),
+            steps in proptest::prop::collection::vec(0usize..4, 1..16),
+        ) {
+            // Indices past `EDGES` take the random value instead.
+            let pick = |(ix, random): (usize, u64)| EDGES.get(ix).copied().unwrap_or(random);
+            let mut trace = Trace::new();
+            let (mut time, mut i) = (0u64, 0);
+            while trace.chunks.len() < 3 {
+                let (kind, big, other) = pattern[i % pattern.len()];
+                time += STEPS[steps[i % steps.len()]];
+                let at = SimTime::from_nanos(time);
+                trace.push(arbitrary_event(kind, at, pick(big), pick(other)));
+                i += 1;
+            }
+            let expected: Vec<(SimTime, SimTime)> = trace
+                .iter()
+                .filter_map(|event| match event {
+                    TraceEvent::PacketDelivered { time, sent_at, .. } => Some((time, sent_at)),
+                    _ => None,
+                })
+                .collect();
+            proptest::prop_assert_eq!(trace.deliveries().collect::<Vec<_>>(), expected);
         }
     }
 
