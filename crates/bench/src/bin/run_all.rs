@@ -21,6 +21,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+/// The figure targets, then (with `all`) the extras, in canonical order.
+/// `scripts/check_sweep_goldens.sh` reads both lists from this file.
 const FIGURES: [&str; 6] = [
     "fig2_topologies",
     "fig3_drops",
@@ -30,7 +32,7 @@ const FIGURES: [&str; 6] = [
     "fig7_delay",
 ];
 
-const EXTRAS: [&str; 13] = [
+const EXTRAS: [&str; 14] = [
     "ablation_mrai",
     "ablation_split_horizon",
     "ablation_damping",
@@ -44,6 +46,7 @@ const EXTRAS: [&str; 13] = [
     "ext_dual",
     "ext_factors",
     "ext_lossy",
+    "ext_load",
 ];
 
 struct Completed {
@@ -128,7 +131,6 @@ fn main() {
     let mut targets: Vec<&'static str> = FIGURES.to_vec();
     if everything {
         targets.extend(EXTRAS);
-        targets.push("ext_load");
     }
     println!(
         "regenerating {} figures, {} runs/point, {} concurrent",
