@@ -9,7 +9,7 @@
 //! contradicting the paper's Observation 2 and thereby justifying the
 //! default.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{sweep_args, SweepObserver};
 use convergence::experiment::ProtocolFactory;
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
@@ -36,7 +36,7 @@ fn with_mode(kind: ProtocolKind, mode: DampingMode) -> ProtocolFactory {
 
 fn main() {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ablation_damping", args);
     println!("Ablation A4 — triggered-update damping semantics, {runs} runs/point\n");
 
@@ -51,16 +51,9 @@ fn main() {
                 ("first-immediate", DampingMode::FirstImmediate),
                 ("delayed-flush", DampingMode::DelayedFlush),
             ] {
-                let point = sweep_point_observed(
-                    kind,
-                    degree,
-                    runs,
-                    jobs,
-                    &|cfg| {
-                        cfg.protocol_override = Some(with_mode(kind, mode));
-                    },
-                    &mut observer,
-                );
+                let point = observer.point(kind, degree, |cfg| {
+                    cfg.protocol_override = Some(with_mode(kind, mode));
+                });
                 table.push_row(vec![
                     kind.label().to_string(),
                     degree.to_string(),

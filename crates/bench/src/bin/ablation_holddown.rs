@@ -7,7 +7,7 @@
 //! RIP is already nearly loop-free via fast poison; hold-down's remaining
 //! effect should be almost purely additional packet loss.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{sweep_args, SweepObserver};
 use convergence::experiment::ProtocolFactory;
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
@@ -26,7 +26,7 @@ fn rip_with_holddown(secs: u64) -> ProtocolFactory {
 
 fn main() {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ablation_holddown", args);
     println!("Ablation A5 — RIP hold-down timer, {runs} runs/point\n");
 
@@ -41,16 +41,9 @@ fn main() {
             ("15 s", Some(rip_with_holddown(15))),
             ("60 s", Some(rip_with_holddown(60))),
         ] {
-            let point = sweep_point_observed(
-                ProtocolKind::Rip,
-                degree,
-                runs,
-                jobs,
-                &|cfg| {
-                    cfg.protocol_override = factory.clone();
-                },
-                &mut observer,
-            );
+            let point = observer.point(ProtocolKind::Rip, degree, |cfg| {
+                cfg.protocol_override = factory;
+            });
             table.push_row(vec![
                 degree.to_string(),
                 label.to_string(),

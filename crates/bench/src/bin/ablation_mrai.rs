@@ -8,7 +8,7 @@
 //! on a per (neighbor, destination) basis". This binary measures that
 //! difference.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{sweep_args, SweepObserver};
 use bgp::{Bgp, BgpConfig, MraiScope};
 use convergence::experiment::ExperimentConfig;
 use convergence::protocols::ProtocolKind;
@@ -17,7 +17,7 @@ use topology::mesh::MeshDegree;
 
 fn main() {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ablation_mrai", args);
     println!("Ablation A1 — MRAI scope (BGP, 30 s mean), {runs} runs/point\n");
     // We cannot switch the scope through ProtocolKind, so runs are driven
@@ -39,23 +39,15 @@ fn main() {
     );
     for degree in [MeshDegree::D3, MeshDegree::D4, MeshDegree::D5, MeshDegree::D6] {
         let vendor =
-            sweep_point_observed(ProtocolKind::Bgp, degree, runs, jobs, &|_| {}, &mut observer);
-        let pair = sweep_point_observed(
-            ProtocolKind::Bgp,
-            degree,
-            runs,
-            jobs,
-            &|cfg: &mut ExperimentConfig| {
-                cfg.protocol_override =
-                    Some(convergence::experiment::ProtocolFactory::new(|| {
-                        Box::new(Bgp::with_config(BgpConfig {
-                            mrai_scope: MraiScope::PerNeighborDestination,
-                            ..BgpConfig::standard()
-                        }).expect("valid config"))
-                    }));
-            },
-            &mut observer,
-        );
+            observer.point(ProtocolKind::Bgp, degree, |_| {});
+        let pair = observer.point(ProtocolKind::Bgp, degree, |cfg: &mut ExperimentConfig| {
+            cfg.protocol_override = Some(convergence::experiment::ProtocolFactory::new(|| {
+                Box::new(Bgp::with_config(BgpConfig {
+                    mrai_scope: MraiScope::PerNeighborDestination,
+                    ..BgpConfig::standard()
+                }).expect("valid config"))
+            }));
+        });
         table.push_row(vec![
             degree.to_string(),
             fmt_f64(vendor.ttl_expirations.mean),

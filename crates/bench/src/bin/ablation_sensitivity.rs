@@ -5,7 +5,7 @@
 //! DBF at degree 4 and checks that the *ratios* (delivery ratio, loop
 //! counts) move little while absolute drop counts scale with the rate.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{sweep_args, SweepObserver};
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use netsim::time::SimDuration;
@@ -13,7 +13,7 @@ use topology::mesh::MeshDegree;
 
 fn main() {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ablation_sensitivity", args);
     println!("Ablation A3 — parameter sensitivity (DBF, degree 4), {runs} runs/point\n");
 
@@ -34,66 +34,38 @@ fn main() {
 
     add(
         "baseline (50ms detect, 20pps, q20)",
-        sweep_point_observed(ProtocolKind::Dbf, MeshDegree::D4, runs, jobs, &|_| {}, &mut observer),
+        observer.point(ProtocolKind::Dbf, MeshDegree::D4, |_| {}),
     );
     for (label, detect_ms) in [("detect 5ms", 5u64), ("detect 500ms", 500)] {
         add(
             label,
-            sweep_point_observed(
-                ProtocolKind::Dbf,
-                MeshDegree::D4,
-                runs,
-                jobs,
-                &|cfg| {
-                    cfg.link.detection_delay = SimDuration::from_millis(detect_ms);
-                },
-                &mut observer,
-            ),
+            observer.point(ProtocolKind::Dbf, MeshDegree::D4, |cfg| {
+                cfg.link.detection_delay = SimDuration::from_millis(detect_ms);
+            }),
         );
     }
     for (label, rate) in [("rate 10pps", 10u64), ("rate 100pps", 100)] {
         add(
             label,
-            sweep_point_observed(
-                ProtocolKind::Dbf,
-                MeshDegree::D4,
-                runs,
-                jobs,
-                &|cfg| {
-                    cfg.traffic.rate_pps = rate;
-                },
-                &mut observer,
-            ),
+            observer.point(ProtocolKind::Dbf, MeshDegree::D4, |cfg| {
+                cfg.traffic.rate_pps = rate;
+            }),
         );
     }
     for (label, cap) in [("queue 5", 5usize), ("queue 100", 100)] {
         add(
             label,
-            sweep_point_observed(
-                ProtocolKind::Dbf,
-                MeshDegree::D4,
-                runs,
-                jobs,
-                &|cfg| {
-                    cfg.link.queue_capacity = cap;
-                },
-                &mut observer,
-            ),
+            observer.point(ProtocolKind::Dbf, MeshDegree::D4, |cfg| {
+                cfg.link.queue_capacity = cap;
+            }),
         );
     }
     for (label, delay_ms) in [("prop 0.1ms", 1u64), ("prop 10ms", 100)] {
         add(
             label,
-            sweep_point_observed(
-                ProtocolKind::Dbf,
-                MeshDegree::D4,
-                runs,
-                jobs,
-                &|cfg| {
-                    cfg.link.propagation_delay = SimDuration::from_micros(delay_ms * 100);
-                },
-                &mut observer,
-            ),
+            observer.point(ProtocolKind::Dbf, MeshDegree::D4, |cfg| {
+                cfg.link.propagation_delay = SimDuration::from_micros(delay_ms * 100);
+            }),
         );
     }
     println!("{}", table.render());

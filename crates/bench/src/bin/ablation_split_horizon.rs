@@ -4,7 +4,7 @@
 //! Runs DBF with poisoned reverse (default), simple split horizon, and no
 //! split horizon at the loop-prone sparse degrees.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{sweep_args, SweepObserver};
 use convergence::experiment::ProtocolFactory;
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
@@ -23,7 +23,7 @@ fn dbf_with(mode: SplitHorizon) -> ProtocolFactory {
 
 fn main() {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ablation_split_horizon", args);
     println!("Ablation A2 — split-horizon modes (DBF), {runs} runs/point\n");
 
@@ -39,16 +39,9 @@ fn main() {
     );
     for degree in [MeshDegree::D3, MeshDegree::D4, MeshDegree::D5] {
         for (label, mode) in modes {
-            let point = sweep_point_observed(
-                ProtocolKind::Dbf,
-                degree,
-                runs,
-                jobs,
-                &|cfg| {
-                    cfg.protocol_override = Some(dbf_with(mode));
-                },
-                &mut observer,
-            );
+            let point = observer.point(ProtocolKind::Dbf, degree, |cfg| {
+                cfg.protocol_override = Some(dbf_with(mode));
+            });
             table.push_row(vec![
                 degree.to_string(),
                 label.to_string(),

@@ -5,11 +5,12 @@
 //!
 //! The workload is the paper's DBF degree-4 point (DBF produces the
 //! richest event traces — transient loops, TTL drops, update storms).
-//! Three legs run the identical seeded work:
+//! Three legs run the identical seeded work through the sweep driver,
+//! `run_sweep`, with the extractor named:
 //!
-//! 1. sequential, trace-based metrics (the pre-optimization baseline),
-//! 2. parallel (`--jobs`, default 4), trace-based metrics,
-//! 3. parallel, streaming metrics (traces folded and discarded).
+//! 1. sequential, `summarize` (trace-based metrics, the baseline),
+//! 2. parallel (`--jobs`, default 4), `summarize`,
+//! 3. parallel, `summarize_streaming` (the single-pass fold).
 //!
 //! The harness asserts that all three legs agree — byte-identical CSV
 //! for 1 vs 2, identical `RunSummary` values for 1 vs 3 — so every
@@ -22,10 +23,6 @@
 use std::time::Instant;
 
 use bench::{append_record, point_seed, sweep_args};
-use convergence::aggregate::aggregate_point;
-use convergence::metrics::streaming::summarize_streaming;
-use convergence::metrics::summary::{summarize, RunSummary};
-use convergence::parallel::par_map_indexed;
 use convergence::prelude::*;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
@@ -36,9 +33,17 @@ const DEGREE: MeshDegree = MeshDegree::D4;
 /// Where each invocation appends its record.
 const RECORD_FILE: &str = "BENCH_sweep.json";
 
-fn run_one(i: usize) -> RunResult {
-    let cfg = ExperimentConfig::paper(PROTOCOL, DEGREE, point_seed(DEGREE, i));
-    run(&cfg).unwrap_or_else(|e| panic!("run {i} failed: {e}"))
+/// One leg: the whole sweep on `jobs` workers, reduced by `extract`.
+fn leg(
+    runs: usize,
+    jobs: usize,
+    extract: fn(&RunResult) -> Result<RunSummary, MetricsError>,
+) -> SweepOutcome<RunSummary> {
+    let config = ExperimentConfig::paper(PROTOCOL, DEGREE, 0);
+    let options = SweepOptions { jobs, retry: RetryPolicy::default() };
+    let outcome = run_sweep(&config, runs, point_seed(DEGREE, 0), options, extract, |_| {});
+    assert!(outcome.failed.is_empty(), "failed runs: {:?}", outcome.failed);
+    outcome
 }
 
 /// Renders the sweep's aggregate exactly the way a figure binary would,
@@ -96,20 +101,16 @@ fn main() {
 
     // Leg 1: sequential, trace-based (the baseline all else must match).
     let t0 = Instant::now();
-    let mut events_total = 0u64;
-    let mut seq_summaries = Vec::with_capacity(runs);
-    for i in 0..runs {
-        let result = run_one(i);
-        events_total += result.stats.events_processed;
-        seq_summaries.push(summarize(&result).expect("summary"));
-    }
+    let sequential = leg(runs, 1, summarize);
     let sequential_s = t0.elapsed().as_secs_f64();
+    let events_total: u64 = sequential.telemetry.iter().map(|t| t.events_processed).sum();
+    let seq_summaries = sequential.completed;
     let seq_csv = point_csv(&seq_summaries);
     println!("  sequential/trace   {sequential_s:.3}s");
 
     // Leg 2: parallel, trace-based. Must reproduce the CSV byte for byte.
     let t0 = Instant::now();
-    let par_summaries = par_map_indexed(runs, jobs, |i| summarize(&run_one(i)).expect("summary"));
+    let par_summaries = leg(runs, jobs, summarize).completed;
     let parallel_s = t0.elapsed().as_secs_f64();
     let par_csv = point_csv(&par_summaries);
     assert_eq!(seq_csv, par_csv, "parallel sweep changed the CSV bytes");
@@ -117,7 +118,7 @@ fn main() {
 
     // Leg 3: parallel, streaming fold. Must reproduce every RunSummary.
     let t0 = Instant::now();
-    let stream_summaries = par_map_indexed(runs, jobs, |i| summarize_streaming(&run_one(i)).expect("summary"));
+    let stream_summaries = leg(runs, jobs, summarize_streaming).completed;
     let streaming_s = t0.elapsed().as_secs_f64();
     assert_eq!(
         seq_summaries, stream_summaries,

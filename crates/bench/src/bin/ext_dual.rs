@@ -8,14 +8,14 @@
 //! that claim: DUAL (zero loops by construction, diffusion freeze) against
 //! DBF (instant switch-over, occasional loops) and BGP-3.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{sweep_args, SweepObserver};
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
 
 fn main() {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ext_dual", args);
     println!("Extension E6 — DUAL vs the distance-vector family, {runs} runs/point\n");
 
@@ -27,7 +27,7 @@ fn main() {
     );
     for degree in MeshDegree::ALL {
         for protocol in protocols {
-            let point = sweep_point_observed(protocol, degree, runs, jobs, &|_| {}, &mut observer);
+            let point = observer.point(protocol, degree, |_| {});
             table.push_row(vec![
                 degree.to_string(),
                 protocol.label().to_string(),

@@ -9,14 +9,14 @@
 //! delivered packets (valid-but-suboptimal alternates show up as stretch
 //! just above 1).
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{sweep_args, SweepObserver};
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
 
 fn main() {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ext_factors", args);
     println!("Extension E7 — §4 factors: switch-over windows and path stretch, {runs} runs/point\n");
 
@@ -27,7 +27,7 @@ fn main() {
     );
     for degree in [MeshDegree::D3, MeshDegree::D4, MeshDegree::D6] {
         for protocol in ProtocolKind::PAPER {
-            let point = sweep_point_observed(protocol, degree, runs, jobs, &|_| {}, &mut observer);
+            let point = observer.point(protocol, degree, |_| {});
             table.push_row(vec![
                 degree.to_string(),
                 protocol.label().to_string(),

@@ -6,7 +6,7 @@
 //! network has physically stabilized. This experiment flaps one on-path
 //! link several times and compares BGP-3 with damping off vs on.
 
-use bench::{point_seed, sweep_args, SweepArgs, SweepObserver};
+use bench::{point_seed, sweep_args, SweepObserver};
 use bgp::{Bgp, BgpConfig, FlapConfig};
 use convergence::experiment::ProtocolFactory;
 use convergence::failure::FailurePlan;
@@ -26,7 +26,7 @@ fn bgp3_with_damping() -> ProtocolFactory {
 
 fn main() {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ext_flap", args);
     println!("Extension E4 — route-flap damping vs a flapping link, {runs} runs/point");
     println!("(BGP-3; 3 flap cycles of 2 s down / 3 s up, then stable)\n");
@@ -46,27 +46,18 @@ fn main() {
             ("off", None),
             ("rfc2439 (10s half-life)", Some(bgp3_with_damping())),
         ] {
-            let sweep_label = format!("BGP-3/d{degree}/damping-{label}");
-            let meter = observer.meter(&sweep_label, runs);
-            let per_run = par_map_indexed_with(
+            let mut cfg = ExperimentConfig::paper(ProtocolKind::Bgp3, degree, 0);
+            cfg.failure = flapping.clone();
+            cfg.traffic.tail = SimDuration::from_secs(60);
+            cfg.protocol_override = factory;
+            let outcome = observer.sweep(
+                &format!("BGP-3/d{degree}/damping-{label}"),
+                &cfg,
                 runs,
-                jobs,
-                |i| {
-                    let mut cfg =
-                        ExperimentConfig::paper(ProtocolKind::Bgp3, degree, point_seed(degree, i));
-                    cfg.failure = flapping.clone();
-                    cfg.traffic.tail = SimDuration::from_secs(60);
-                    cfg.protocol_override = factory.clone();
-                    let result = run(&cfg).expect("run succeeds");
-                    let telemetry =
-                        run_telemetry(i as u64, cfg.seed, 1, ProtocolKind::Bgp3.label(), &result);
-                    (summarize_streaming(&result).expect("summary"), telemetry)
-                },
-                &|i| meter.tick(i),
+                point_seed(degree, 0),
+                summarize_streaming,
             );
-            let (summaries, rows): (Vec<_>, Vec<_>) = per_run.into_iter().unzip();
-            observer.push_rows(&sweep_label, rows);
-            let point = convergence::aggregate::aggregate_point(&summaries).expect("nonempty sweep");
+            let point = aggregate_point(&outcome.completed).expect("nonempty sweep");
             table.push_row(vec![
                 degree.to_string(),
                 label.to_string(),

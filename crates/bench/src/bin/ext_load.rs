@@ -9,16 +9,15 @@
 //! updates can be lost) and a reliably-signaled one (BGP-3, immune to
 //! queue drops by its TCP-like session).
 
-use bench::{point_seed, sweep_args, SweepArgs, SweepObserver};
+use bench::{point_seed, sweep_args, SweepObserver};
 use convergence::prelude::*;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
 
 fn main() {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
     let mut observer = SweepObserver::new("ext_load", args);
-    let runs = runs.min(30);
+    let runs = args.runs.min(30);
     println!("Extension E8 — convergence under load (degree 4), {runs} runs/point");
     println!("(10 Mb/s links carry ~1250 x 1000B pkt/s; 5 flows share the mesh)\n");
 
@@ -37,48 +36,28 @@ fn main() {
     );
     for rate in [20u64, 200, 400] {
         for protocol in [ProtocolKind::Dbf, ProtocolKind::Bgp3] {
-            let sweep_label = format!("{}/d4/rate-{rate}", protocol.label());
-            let meter = observer.meter(&sweep_label, runs);
-            let per_run = par_map_indexed_with(
+            let mut cfg = ExperimentConfig::paper(protocol, MeshDegree::D4, 0);
+            cfg.traffic.rate_pps = rate;
+            cfg.traffic.flows = 5;
+            let outcome = observer.sweep(
+                &format!("{}/d4/rate-{rate}", protocol.label()),
+                &cfg,
                 runs,
-                jobs,
-                |i| {
-                    let mut cfg = ExperimentConfig::paper(
-                        protocol,
-                        MeshDegree::D4,
-                        point_seed(MeshDegree::D4, i),
-                    );
-                    cfg.traffic.rate_pps = rate;
-                    cfg.traffic.flows = 5;
-                    let result = run(&cfg).expect("run succeeds");
-                    let telemetry =
-                        run_telemetry(i as u64, cfg.seed, 1, protocol.label(), &result);
-                    let lost = result.stats.control_messages_lost;
-                    (summarize_streaming(&result).expect("summary"), lost, telemetry)
-                },
-                &|i| meter.tick(i),
+                point_seed(MeshDegree::D4, 0),
+                |r| Ok((summarize_streaming(r)?, r.stats.control_messages_lost)),
             );
-            let ctrl_lost: u64 = per_run.iter().map(|(_, lost, _)| lost).sum();
-            let mut summaries = Vec::with_capacity(per_run.len());
-            let mut rows = Vec::with_capacity(per_run.len());
-            for (summary, _, telemetry) in per_run {
-                summaries.push(summary);
-                rows.push(telemetry);
-            }
-            observer.push_rows(&sweep_label, rows);
-            let point = convergence::aggregate::aggregate_point(&summaries).expect("nonempty sweep");
-            let queue_drops: f64 = summaries
-                .iter()
-                .map(|s| s.drops.queue_overflow as f64)
-                .sum::<f64>()
-                / summaries.len() as f64;
+            let (summaries, lost): (Vec<_>, Vec<u64>) = outcome.completed.into_iter().unzip();
+            let completed = summaries.len().max(1) as f64;
+            let point = aggregate_point(&summaries).expect("nonempty sweep");
+            let queue_drops =
+                summaries.iter().map(|s| s.drops.queue_overflow as f64).sum::<f64>() / completed;
             table.push_row(vec![
                 rate.to_string(),
                 protocol.label().to_string(),
                 format!("{:.2}", 100.0 * point.delivery_ratio.mean),
                 fmt_f64(point.drops_no_route.mean),
                 fmt_f64(queue_drops),
-                fmt_f64(ctrl_lost as f64 / runs as f64),
+                fmt_f64(lost.iter().sum::<u64>() as f64 / completed),
                 fmt_f64(point.routing_convergence_s.mean),
             ]);
             eprintln!("  rate {rate} {protocol} done");

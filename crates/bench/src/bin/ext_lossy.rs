@@ -10,19 +10,19 @@
 //! RIP/DBF updates ride datagrams and simply vanish, while BGP's
 //! TCP-style sessions turn loss into retransmission delay.
 //!
-//! Runs execute through the hardened sweep harness: a seed whose random
-//! draw yields no usable scenario is retried with a derived reseed, and
-//! anything unsalvageable is reported, not panicked over.
+//! Like every sweep, runs execute through the hardened sweep driver: a
+//! seed whose random draw yields no usable scenario is retried with a
+//! derived reseed, and anything unsalvageable is reported, not panicked
+//! over; the "failed runs" column counts those slots.
 
-use bench::{point_seed, sweep_args, SweepArgs, SweepObserver};
-use convergence::aggregate::{aggregate_point, RetryPolicy, SweepMode, SweepOptions};
+use bench::{point_seed, sweep_args, SweepObserver};
 use convergence::prelude::*;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
 
 fn main() {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ext_lossy", args);
     println!("Extension E9 — convergence under lossy links, {runs} runs/point");
     println!("(paper single-link failure at degree 4, plus uniform frame loss)\n");
@@ -48,45 +48,27 @@ fn main() {
             if loss > 0.0 {
                 cfg.link.impairment = Impairment::lossy(loss);
             }
-            let options = SweepOptions {
-                jobs,
-                retry: RetryPolicy::default(),
-                mode: SweepMode::Trace,
-            };
-            let mut outcome = run_sweep_with(&cfg, runs, point_seed(degree, 0), options);
-            for failure in &outcome.failed {
-                eprintln!(
-                    "  seed {} failed after {} attempts: {}",
-                    failure.seed, failure.attempts, failure.error
-                );
-            }
-            let retransmits = outcome
-                .completed
-                .iter()
-                .filter_map(|c| c.result.as_ref())
-                .map(|r| r.stats.control_retransmits)
-                .sum::<u64>() as f64
-                / outcome.completed.len().max(1) as f64;
-            let point = aggregate_point(&outcome.summaries()).expect("nonempty sweep");
+            let sweep_label = format!("{}/d{degree}/loss-{:.0}", protocol.label(), loss * 100.0);
+            let outcome =
+                observer.sweep(&sweep_label, &cfg, runs, point_seed(degree, 0), summarize_streaming);
+            let completed = outcome.completed.len().max(1) as f64;
+            let retransmits =
+                outcome.telemetry.iter().map(|t| t.control_retransmits).sum::<u64>() as f64
+                    / completed;
+            let point = aggregate_point(&outcome.completed).expect("nonempty sweep");
             table.push_row(vec![
                 format!("{:.0}", loss * 100.0),
                 protocol.to_string(),
                 format!("{:.2}", 100.0 * point.delivery_ratio.mean),
                 fmt_f64(
-                    outcome
-                        .summaries()
-                        .iter()
-                        .map(|s| s.drops.impaired as f64)
-                        .sum::<f64>()
-                        / outcome.completed.len().max(1) as f64,
+                    outcome.completed.iter().map(|s| s.drops.impaired as f64).sum::<f64>()
+                        / completed,
                 ),
                 fmt_f64(point.drops_no_route.mean),
                 fmt_f64(point.routing_convergence_s.mean),
                 fmt_f64(retransmits),
                 outcome.failed.len().to_string(),
             ]);
-            let sweep_label = format!("{}/d{degree}/loss-{:.0}", protocol.label(), loss * 100.0);
-            observer.push_rows(&sweep_label, std::mem::take(&mut outcome.telemetry));
             eprintln!("  loss {:.0}% {protocol} done", loss * 100.0);
         }
     }

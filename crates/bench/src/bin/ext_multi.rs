@@ -1,17 +1,17 @@
 //! Extension E2 (paper §6 future work): multiple sender/receiver pairs,
 //! multiple simultaneous link failures, and whole-router failures.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{sweep_args, SweepObserver};
 use convergence::failure::FailurePlan;
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
 
-type Customizer = Box<dyn Fn(&mut convergence::experiment::ExperimentConfig) + Sync>;
+type Customizer = Box<dyn Fn(&mut convergence::experiment::ExperimentConfig)>;
 
 fn main() {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ext_multi", args);
     println!("Extension E2 — multiple flows / failures, {runs} runs/point\n");
 
@@ -45,14 +45,7 @@ fn main() {
                 ),
             ];
             for (label, customize) in &scenarios {
-                let point = sweep_point_observed(
-                    protocol,
-                    degree,
-                    runs,
-                    jobs,
-                    customize.as_ref(),
-                    &mut observer,
-                );
+                let point = observer.point(protocol, degree, customize);
                 table.push_row(vec![
                     (*label).to_string(),
                     degree.to_string(),

@@ -11,7 +11,7 @@
 //! legitimately unreachable. With both diagonals the 15×15 diameter is
 //! 14 hops.
 
-use bench::{sweep_args, SweepArgs, SweepObserver, BASE_SEED};
+use bench::{sweep_args, SweepObserver, BASE_SEED};
 use convergence::experiment::TopologySpec;
 use convergence::prelude::*;
 use convergence::report::{fmt_f64, Table};
@@ -19,9 +19,8 @@ use topology::mesh::MeshDegree;
 
 fn main() {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
     let mut observer = SweepObserver::new("ext_scale", args);
-    let runs = runs.min(30);
+    let runs = args.runs.min(30);
     println!("Extension E5 — mesh size scaling (degree 8), {runs} runs/point\n");
 
     let mut table = Table::new(
@@ -31,32 +30,20 @@ fn main() {
     );
     for size in [7usize, 10, 13, 15] {
         for protocol in [ProtocolKind::Rip, ProtocolKind::Dbf, ProtocolKind::Bgp3] {
-            let sweep_label = format!("{}/mesh-{size}x{size}", protocol.label());
-            let meter = observer.meter(&sweep_label, runs);
-            let per_run = par_map_indexed_with(
+            let mut cfg = ExperimentConfig::paper(protocol, MeshDegree::D8, 0);
+            cfg.topology = TopologySpec::Mesh {
+                rows: size,
+                cols: size,
+                degree: MeshDegree::D8,
+            };
+            let outcome = observer.sweep(
+                &format!("{}/mesh-{size}x{size}", protocol.label()),
+                &cfg,
                 runs,
-                jobs,
-                |i| {
-                    let mut cfg = ExperimentConfig::paper(
-                        protocol,
-                        MeshDegree::D8,
-                        BASE_SEED + size as u64 * 1000 + i as u64,
-                    );
-                    cfg.topology = TopologySpec::Mesh {
-                        rows: size,
-                        cols: size,
-                        degree: MeshDegree::D8,
-                    };
-                    let result = run(&cfg).expect("run succeeds");
-                    let telemetry =
-                        run_telemetry(i as u64, cfg.seed, 1, protocol.label(), &result);
-                    (summarize_streaming(&result).expect("summary"), telemetry)
-                },
-                &|i| meter.tick(i),
+                BASE_SEED + size as u64 * 1000,
+                summarize_streaming,
             );
-            let (summaries, rows): (Vec<_>, Vec<_>) = per_run.into_iter().unzip();
-            observer.push_rows(&sweep_label, rows);
-            let point = convergence::aggregate::aggregate_point(&summaries).expect("nonempty sweep");
+            let point = aggregate_point(&outcome.completed).expect("nonempty sweep");
             table.push_row(vec![
                 format!("{size}x{size}"),
                 (size * size).to_string(),

@@ -6,14 +6,14 @@
 //! distance-vector exploration — the hypothesis the paper's future-work
 //! section wants tested.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{sweep_args, SweepObserver};
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
 
 fn main() {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ext_spf", args);
     println!("Extension E1 — SPF and DUAL vs the paper's family, {runs} runs/point\n");
 
@@ -25,7 +25,7 @@ fn main() {
     for degree in [MeshDegree::D3, MeshDegree::D4, MeshDegree::D6] {
         let points: Vec<_> = ProtocolKind::ALL
             .iter()
-            .map(|&p| sweep_point_observed(p, degree, runs, jobs, &|_| {}, &mut observer))
+            .map(|&p| observer.point(p, degree, |_| {}))
             .collect();
         let mut row = |metric: &str, f: &dyn Fn(&convergence::aggregate::PointSummary) -> f64| {
             table.push_row(

@@ -6,7 +6,7 @@
 //! reference \[25\]) crosses the mesh while one on-path link fails. We
 //! measure the goodput stall and retransmission cost per protocol.
 
-use bench::{point_seed, sweep_args, SweepArgs, SweepObserver};
+use bench::{point_seed, sweep_args, SweepObserver};
 use convergence::prelude::*;
 use convergence::report::{fmt_f64, Table};
 use netsim::time::SimDuration;
@@ -14,9 +14,8 @@ use topology::mesh::MeshDegree;
 
 fn main() {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
     let mut observer = SweepObserver::new("ext_tcp", args);
-    let runs = runs.min(50);
+    let runs = args.runs.min(50);
     println!("Extension E3 — go-back-N transfer across a failure, {runs} runs/point\n");
 
     let mut table = Table::new(
@@ -32,35 +31,36 @@ fn main() {
     );
     for degree in [MeshDegree::D3, MeshDegree::D4, MeshDegree::D6] {
         for protocol in ProtocolKind::PAPER {
-            let sweep_label = format!("{}/d{degree}/gbn", protocol.label());
-            let meter = observer.meter(&sweep_label, runs);
-            let per_run = par_map_indexed_with(runs, jobs, |i| {
-                let mut cfg = ExperimentConfig::paper(protocol, degree, point_seed(degree, i));
-                cfg.traffic.mode = TrafficMode::GoBackN(GoBackNConfig {
-                    total_packets: 20_000,
-                    ..GoBackNConfig::default()
-                });
-                cfg.traffic.lead = SimDuration::from_secs(2);
-                cfg.traffic.tail = SimDuration::from_secs(120);
-                cfg.drain = SimDuration::from_secs(300);
-                let result = run(&cfg).expect("run succeeds");
-                let report = &result.flow_reports[0];
-                // Stall: longest gap between progress events after the
-                // failure.
-                let mut stall = 0.0f64;
-                for w in report.progress.windows(2) {
-                    if w[1].0 >= result.t_fail {
-                        stall = stall.max(w[1].0.saturating_since(w[0].0).as_secs_f64());
+            let mut cfg = ExperimentConfig::paper(protocol, degree, 0);
+            cfg.traffic.mode = TrafficMode::GoBackN(GoBackNConfig {
+                total_packets: 20_000,
+                ..GoBackNConfig::default()
+            });
+            cfg.traffic.lead = SimDuration::from_secs(2);
+            cfg.traffic.tail = SimDuration::from_secs(120);
+            cfg.drain = SimDuration::from_secs(300);
+            let outcome = observer.sweep(
+                &format!("{}/d{degree}/gbn", protocol.label()),
+                &cfg,
+                runs,
+                point_seed(degree, 0),
+                |result| {
+                    let report = &result.flow_reports[0];
+                    // Stall: longest gap between progress events after the
+                    // failure.
+                    let mut stall = 0.0f64;
+                    for w in report.progress.windows(2) {
+                        if w[1].0 >= result.t_fail {
+                            stall = stall.max(w[1].0.saturating_since(w[0].0).as_secs_f64());
+                        }
                     }
-                }
-                let done = report
-                    .completed_at
-                    .map(|done| done.saturating_since(result.t_fail).as_secs_f64());
-                let telemetry = run_telemetry(i as u64, cfg.seed, 1, protocol.label(), &result);
-                ((stall, report.retransmissions as f64, done), telemetry)
-            }, &|i| meter.tick(i));
-            let (per_run, rows): (Vec<_>, Vec<_>) = per_run.into_iter().unzip();
-            observer.push_rows(&sweep_label, rows);
+                    let done = report
+                        .completed_at
+                        .map(|done| done.saturating_since(result.t_fail).as_secs_f64());
+                    Ok((stall, report.retransmissions as f64, done))
+                },
+            );
+            let per_run = outcome.completed;
             let stalls: Vec<f64> = per_run.iter().map(|&(s, _, _)| s).collect();
             let retx: Vec<f64> = per_run.iter().map(|&(_, r, _)| r).collect();
             let completion: Vec<f64> = per_run.iter().filter_map(|&(_, _, c)| c).collect();

@@ -4,14 +4,14 @@
 //! Paper shape to reproduce: drops fall as the degree rises; at degree ≥ 6
 //! DBF/BGP/BGP-3 drop virtually nothing while RIP remains clearly worst.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{sweep_args, SweepObserver};
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
 
 fn main() {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("fig3_drops", args);
     println!("Figure 3 — packet drops (no route) vs node degree, {runs} runs/point\n");
 
@@ -23,7 +23,7 @@ fn main() {
     for degree in MeshDegree::ALL {
         let mut row = vec![degree.to_string()];
         for protocol in ProtocolKind::PAPER {
-            let point = sweep_point_observed(protocol, degree, runs, jobs, &|_| {}, &mut observer);
+            let point = observer.point(protocol, degree, |_| {});
             row.push(fmt_f64(point.drops_no_route.mean));
         }
         table.push_row(row);

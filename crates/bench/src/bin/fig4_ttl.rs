@@ -5,14 +5,14 @@
 //! BGP has the most, roughly the MRAI ratio (~10×) above BGP-3; loops
 //! disappear in densely connected meshes.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{sweep_args, SweepObserver};
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
 
 fn main() {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("fig4_ttl", args);
     println!("Figure 4 — TTL expirations during convergence, {runs} runs/point\n");
 
@@ -30,7 +30,7 @@ fn main() {
         let mut ttl_row = vec![degree.to_string()];
         let mut loop_row = vec![degree.to_string()];
         for protocol in ProtocolKind::PAPER {
-            let point = sweep_point_observed(protocol, degree, runs, jobs, &|_| {}, &mut observer);
+            let point = observer.point(protocol, degree, |_| {});
             ttl_row.push(fmt_f64(point.ttl_expirations.mean));
             loop_row.push(fmt_f64(point.looped_packets.mean));
         }

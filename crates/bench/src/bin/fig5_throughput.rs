@@ -6,8 +6,9 @@
 //! the ~30 s MRAI, DBF and BGP-3 within seconds. At degree 6 only RIP
 //! still shows a visible dip.
 
-use bench::{sweep_args, sparkline, sweep_series_observed, SweepArgs, SweepObserver};
-use convergence::metrics::series::mean_u64_series;
+use bench::{point_seed, sparkline, sweep_args, SweepObserver};
+use convergence::experiment::ExperimentConfig;
+use convergence::metrics::series::{mean_u64_series, throughput_series};
 use convergence::protocols::ProtocolKind;
 use convergence::report::Table;
 use topology::mesh::MeshDegree;
@@ -17,7 +18,7 @@ const TO_S: i64 = 40;
 
 fn main() {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("fig5_throughput", args);
     println!("Figure 5 — instantaneous throughput vs time, {runs} runs/point");
     println!("window: {FROM_S}..{TO_S} s relative to the failure; rate = 20 pkt/s\n");
@@ -30,11 +31,14 @@ fn main() {
         );
         let mut columns = Vec::new();
         for protocol in ProtocolKind::PAPER {
-            let series =
-                sweep_series_observed(protocol, degree, runs, jobs, FROM_S, TO_S, &mut observer);
-            let through: Vec<Vec<(i64, u64)>> =
-                series.into_iter().map(|s| s.throughput).collect();
-            columns.push(mean_u64_series(&through));
+            let through = observer.sweep(
+                &format!("{protocol}/d{degree}"),
+                &ExperimentConfig::paper(protocol, degree, 0),
+                runs,
+                point_seed(degree, 0),
+                |r| Ok(throughput_series(&r.trace, r.t_fail, FROM_S, TO_S)),
+            );
+            columns.push(mean_u64_series(&through.completed));
             eprintln!("  degree {degree} {protocol} done");
         }
         for i in 0..columns[0].len() {

@@ -7,14 +7,14 @@
 //! packet-drop difference between BGP and BGP-3 is negligible — fast
 //! convergence is not the same thing as good packet delivery.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{sweep_args, SweepObserver};
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
 
 fn main() {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("fig6_convergence", args);
     println!("Figure 6 — convergence times vs node degree, {runs} runs/point\n");
 
@@ -27,7 +27,7 @@ fn main() {
         let mut fwd_row = vec![degree.to_string()];
         let mut rt_row = vec![degree.to_string()];
         for protocol in ProtocolKind::PAPER {
-            let point = sweep_point_observed(protocol, degree, runs, jobs, &|_| {}, &mut observer);
+            let point = observer.point(protocol, degree, |_| {});
             fwd_row.push(fmt_f64(point.forwarding_convergence_s.mean));
             rt_row.push(fmt_f64(point.routing_convergence_s.mean));
         }

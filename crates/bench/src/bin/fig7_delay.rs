@@ -6,8 +6,9 @@
 //! settles back; packets that escape a forwarding loop show much larger
 //! spikes (visible at the loop-prone sparse degrees).
 
-use bench::{sweep_args, sweep_series_observed, SweepArgs, SweepObserver};
-use convergence::metrics::series::mean_delay_series;
+use bench::{point_seed, sweep_args, SweepObserver};
+use convergence::experiment::ExperimentConfig;
+use convergence::metrics::series::{delay_series, mean_delay_series};
 use convergence::protocols::ProtocolKind;
 use convergence::report::Table;
 use topology::mesh::MeshDegree;
@@ -17,7 +18,7 @@ const TO_S: i64 = 40;
 
 fn main() {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("fig7_delay", args);
     println!("Figure 7 — instantaneous packet delay vs time, {runs} runs/point");
     println!("window: {FROM_S}..{TO_S} s relative to the failure\n");
@@ -30,11 +31,14 @@ fn main() {
         );
         let mut columns = Vec::new();
         for protocol in ProtocolKind::PAPER {
-            let series =
-                sweep_series_observed(protocol, degree, runs, jobs, FROM_S, TO_S, &mut observer);
-            let delays: Vec<Vec<(i64, Option<f64>)>> =
-                series.into_iter().map(|s| s.delay).collect();
-            columns.push(mean_delay_series(&delays));
+            let delays = observer.sweep(
+                &format!("{protocol}/d{degree}"),
+                &ExperimentConfig::paper(protocol, degree, 0),
+                runs,
+                point_seed(degree, 0),
+                |r| Ok(delay_series(&r.trace, r.t_fail, FROM_S, TO_S)),
+            );
+            columns.push(mean_delay_series(&delays.completed));
             eprintln!("  degree {degree} {protocol} done");
         }
         for i in 0..columns[0].len() {

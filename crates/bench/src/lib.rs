@@ -2,7 +2,12 @@
 //!
 //! Each binary in `src/bin/` regenerates one of the paper's figures or an
 //! ablation, or measures the engine (`bench_hotpath`, `bench_profile`,
-//! `bench_sweep`). This library provides the shared sweep drivers.
+//! `bench_sweep`). This library parses the shared command line and runs
+//! every sweep through [`SweepObserver::sweep`], a thin layer over the
+//! one sweep driver, `convergence::aggregate::run_sweep`: panics are
+//! isolated, unusable random draws are retried with a derived reseed, and
+//! a slot that still fails is reported on stderr instead of aborting the
+//! binary.
 //!
 //! Every binary accepts an optional positional argument (the number of
 //! randomized runs per sweep point; default 100, the paper's count), a
@@ -18,14 +23,14 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
-use convergence::aggregate::{aggregate_point, run_telemetry, PointSummary};
+use convergence::aggregate::{
+    aggregate_point, run_sweep, PointSummary, RetryPolicy, SweepOptions, SweepOutcome,
+};
 use convergence::experiment::ExperimentConfig;
-use convergence::metrics::series::{delay_series, throughput_series};
 use convergence::metrics::streaming::summarize_streaming;
-use convergence::metrics::summary::{summarize, RunSummary};
-use convergence::parallel::par_map_indexed_with;
+use convergence::metrics::MetricsError;
 use convergence::protocols::ProtocolKind;
-use convergence::runner::{run, RunResult};
+use convergence::runner::RunResult;
 use obs::progress::Progress;
 use obs::telemetry::{render_jsonl, RunTelemetry};
 use topology::mesh::MeshDegree;
@@ -114,17 +119,6 @@ pub fn parse_sweep_args<I: Iterator<Item = String>>(
     parsed
 }
 
-/// Parses the optional runs-per-point argument (compatibility wrapper
-/// over [`sweep_args`]; `--jobs` is accepted but ignored by the caller).
-///
-/// # Panics
-///
-/// Panics with a usage message when the argument is not a number.
-#[must_use]
-pub fn runs_from_args() -> usize {
-    sweep_args().runs
-}
-
 /// A deterministic seed for a sweep point. Seeds depend on the degree and
 /// run index but *not* the protocol, so all protocols face the identical
 /// scenario sequence (flows, failed links) at each degree — the paper
@@ -157,63 +151,103 @@ pub fn append_record(path: &str, record: &str) -> std::io::Result<()> {
     std::fs::write(path, format!("[\n{records}\n]\n"))
 }
 
-/// Collects per-run telemetry across a bench binary's sweeps and, when
-/// `--progress` was given, reports live completion on stderr.
+/// Runs a bench binary's sweeps and collects their per-run telemetry;
+/// when `--progress` was given, reports live completion on stderr.
 ///
-/// One observer lives per binary: each observed sweep appends its rows
-/// (stamped with a `label/slot` context), and [`SweepObserver::finish`]
-/// writes everything as `results/telemetry/<bin>.jsonl` — the per-target
-/// stream `run_all` merges into `results/telemetry.jsonl`. The rows are
-/// in sweep-then-slot order and contain no wall-clock values, so the file
+/// One observer lives per binary: each sweep appends its rows (stamped
+/// with the sweep's label), and [`SweepObserver::finish`] writes
+/// everything as `results/telemetry/<bin>.jsonl` — the per-target stream
+/// `run_all` merges into `results/telemetry.jsonl`. The rows are in
+/// sweep-then-slot order and contain no wall-clock values, so the file
 /// bytes are deterministic for a fixed seed and any `--jobs` count; the
 /// wall clock is used only for the (stderr) ETA display.
 #[derive(Debug)]
 pub struct SweepObserver {
     bin: &'static str,
-    progress: bool,
+    args: SweepArgs,
     started: std::time::Instant,
     rows: Vec<RunTelemetry>,
 }
 
 impl SweepObserver {
-    /// An observer for the binary `bin` honouring the parsed `--progress`
-    /// flag.
+    /// An observer for the binary `bin` honouring the parsed runs count,
+    /// `--jobs` and `--progress`.
     #[must_use]
     pub fn new(bin: &'static str, args: SweepArgs) -> Self {
         SweepObserver {
             bin,
-            progress: args.progress,
+            args,
             started: std::time::Instant::now(),
             rows: Vec::new(),
         }
     }
 
-    /// An observer that neither prints progress nor is ever finished —
-    /// what the unobserved sweep wrappers use internally.
-    #[must_use]
-    pub fn quiet(bin: &'static str) -> Self {
-        SweepObserver::new(bin, SweepArgs { progress: false, ..SweepArgs::default() })
+    /// Runs `runs` seeded repetitions of `config` (seeds
+    /// `base_seed..base_seed+runs`) through the sweep driver on the
+    /// parsed `--jobs` workers, reducing each run with `extract`.
+    ///
+    /// Appends one telemetry row per slot, stamped with `label`, and
+    /// prints every slot that failed all its attempts to stderr. The
+    /// returned outcome still holds the values, failures and rows.
+    pub fn sweep<T: Send>(
+        &mut self,
+        label: &str,
+        config: &ExperimentConfig,
+        runs: usize,
+        base_seed: u64,
+        extract: impl Fn(&RunResult) -> Result<T, MetricsError> + Sync,
+    ) -> SweepOutcome<T> {
+        let progress = Progress::new(runs);
+        let options = SweepOptions {
+            jobs: self.args.jobs,
+            retry: RetryPolicy::default(),
+        };
+        let outcome = run_sweep(config, runs, base_seed, options, extract, |i| {
+            progress.mark_done(i);
+            if self.args.progress {
+                let elapsed = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                eprintln!("{}", progress.render(label, Some(elapsed)));
+            }
+        });
+        for failure in &outcome.failed {
+            eprintln!(
+                "  {label}: seed {} failed after {} attempts: {}",
+                failure.seed, failure.attempts, failure.error
+            );
+        }
+        self.rows
+            .extend(outcome.telemetry.iter().map(|row| RunTelemetry {
+                label: label.to_string(),
+                ..row.clone()
+            }));
+        outcome
     }
 
-    /// The live progress meter for one sweep of `total` runs. Binaries
-    /// that drive `par_map_indexed_with` themselves pair this with
-    /// [`ProgressMeter::tick`] in the completion callback.
-    #[must_use]
-    pub fn meter(&self, label: &str, total: usize) -> ProgressMeter {
-        ProgressMeter {
-            label: label.to_string(),
-            enabled: self.progress,
-            started: self.started,
-            progress: Progress::new(total),
-        }
-    }
-
-    /// Appends one sweep's telemetry rows, stamping each with `label`.
-    pub fn push_rows(&mut self, label: &str, rows: Vec<RunTelemetry>) {
-        for mut row in rows {
-            row.label = label.to_string();
-            self.rows.push(row);
-        }
+    /// One (protocol, degree) point of the paper experiment at the parsed
+    /// runs count, with `customize` applied to the configuration: the
+    /// streaming summaries of its completed runs, aggregated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no run of the point completed.
+    pub fn point(
+        &mut self,
+        protocol: ProtocolKind,
+        degree: MeshDegree,
+        customize: impl FnOnce(&mut ExperimentConfig),
+    ) -> PointSummary {
+        let mut config = ExperimentConfig::paper(protocol, degree, 0);
+        customize(&mut config);
+        let label = format!("{protocol}/d{degree}");
+        let outcome = self.sweep(
+            &label,
+            &config,
+            self.args.runs,
+            point_seed(degree, 0),
+            summarize_streaming,
+        );
+        aggregate_point(&outcome.completed)
+            .unwrap_or_else(|e| panic!("{label}: no run completed: {e}"))
     }
 
     /// All rows collected so far, in sweep-then-slot order.
@@ -241,232 +275,6 @@ impl SweepObserver {
         std::fs::write(&path, self.render_jsonl())?;
         Ok(path)
     }
-}
-
-/// Live completion meter for one sweep (see [`SweepObserver::meter`]).
-#[derive(Debug)]
-pub struct ProgressMeter {
-    label: String,
-    enabled: bool,
-    started: std::time::Instant,
-    progress: Progress,
-}
-
-impl ProgressMeter {
-    /// Marks run slot `i` complete; prints a progress line when enabled.
-    pub fn tick(&self, i: usize) {
-        self.progress.mark_done(i);
-        if self.enabled {
-            let elapsed = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            eprintln!("{}", self.progress.render(&self.label, Some(elapsed)));
-        }
-    }
-}
-
-/// The telemetry context label of one (protocol, degree) sweep point.
-fn point_label(protocol: ProtocolKind, degree: MeshDegree) -> String {
-    format!("{protocol}/d{degree}")
-}
-
-/// Runs `runs` seeded repetitions of the paper experiment for one
-/// (protocol, degree) point on up to `jobs` worker threads, applying
-/// `customize` to each configuration, and maps every result through
-/// `extract`.
-///
-/// Each worker discards the run's trace as soon as `extract` returns, so
-/// the sweep retains `runs × T`, never `runs` full traces. Results come
-/// back in run-index order regardless of `jobs`.
-///
-/// # Panics
-///
-/// Panics if any run fails (the paper's regular meshes never do).
-pub fn sweep_map<T: Send>(
-    protocol: ProtocolKind,
-    degree: MeshDegree,
-    runs: usize,
-    jobs: usize,
-    customize: &(dyn Fn(&mut ExperimentConfig) + Sync),
-    extract: &(dyn Fn(&RunResult, &RunSummary) -> T + Sync),
-) -> Vec<T> {
-    sweep_map_observed(
-        protocol,
-        degree,
-        runs,
-        jobs,
-        customize,
-        extract,
-        &mut SweepObserver::quiet("adhoc"),
-    )
-}
-
-/// [`sweep_map`] recording per-run telemetry (and live progress) into
-/// `observer`.
-///
-/// # Panics
-///
-/// Panics if any run fails (the paper's regular meshes never do).
-pub fn sweep_map_observed<T: Send>(
-    protocol: ProtocolKind,
-    degree: MeshDegree,
-    runs: usize,
-    jobs: usize,
-    customize: &(dyn Fn(&mut ExperimentConfig) + Sync),
-    extract: &(dyn Fn(&RunResult, &RunSummary) -> T + Sync),
-    observer: &mut SweepObserver,
-) -> Vec<T> {
-    let label = point_label(protocol, degree);
-    let meter = observer.meter(&label, runs);
-    let slots = par_map_indexed_with(
-        runs,
-        jobs,
-        |i| {
-            let mut cfg = ExperimentConfig::paper(protocol, degree, point_seed(degree, i));
-            customize(&mut cfg);
-            let result =
-                run(&cfg).unwrap_or_else(|e| panic!("{protocol} d{degree} run {i} failed: {e}"));
-            let telemetry = run_telemetry(i as u64, cfg.seed, 1, protocol.label(), &result);
-            let summary = summarize(&result)
-                .unwrap_or_else(|e| panic!("{protocol} d{degree} run {i}: {e}"));
-            (extract(&result, &summary), telemetry)
-        },
-        &|i| meter.tick(i),
-    );
-    let mut out = Vec::with_capacity(slots.len());
-    let mut rows = Vec::with_capacity(slots.len());
-    for (value, telemetry) in slots {
-        out.push(value);
-        rows.push(telemetry);
-    }
-    observer.push_rows(&label, rows);
-    out
-}
-
-/// Runs one sweep point and aggregates the scalar summaries.
-///
-/// Uses the streaming metric observers: each run's trace is folded into
-/// its [`RunSummary`] in a single pass and dropped, so a 100-run point
-/// holds 100 summaries instead of 100 event traces. The summaries are
-/// identical to the trace-based path's.
-///
-/// # Panics
-///
-/// Panics if any run fails (the paper's regular meshes never do).
-#[must_use]
-pub fn sweep_point(
-    protocol: ProtocolKind,
-    degree: MeshDegree,
-    runs: usize,
-    jobs: usize,
-    customize: &(dyn Fn(&mut ExperimentConfig) + Sync),
-) -> PointSummary {
-    sweep_point_observed(
-        protocol,
-        degree,
-        runs,
-        jobs,
-        customize,
-        &mut SweepObserver::quiet("adhoc"),
-    )
-}
-
-/// [`sweep_point`] recording per-run telemetry (and live progress) into
-/// `observer`. The telemetry never feeds the aggregated summaries, so
-/// figure CSVs are unchanged by observation.
-///
-/// # Panics
-///
-/// Panics if any run fails (the paper's regular meshes never do).
-#[must_use]
-pub fn sweep_point_observed(
-    protocol: ProtocolKind,
-    degree: MeshDegree,
-    runs: usize,
-    jobs: usize,
-    customize: &(dyn Fn(&mut ExperimentConfig) + Sync),
-    observer: &mut SweepObserver,
-) -> PointSummary {
-    let label = point_label(protocol, degree);
-    let meter = observer.meter(&label, runs);
-    let slots = par_map_indexed_with(
-        runs,
-        jobs,
-        |i| {
-            let mut cfg = ExperimentConfig::paper(protocol, degree, point_seed(degree, i));
-            customize(&mut cfg);
-            let result =
-                run(&cfg).unwrap_or_else(|e| panic!("{protocol} d{degree} run {i} failed: {e}"));
-            let telemetry = run_telemetry(i as u64, cfg.seed, 1, protocol.label(), &result);
-            let summary = summarize_streaming(&result)
-                .unwrap_or_else(|e| panic!("{protocol} d{degree} run {i}: {e}"));
-            (summary, telemetry)
-        },
-        &|i| meter.tick(i),
-    );
-    let mut summaries = Vec::with_capacity(slots.len());
-    let mut rows = Vec::with_capacity(slots.len());
-    for (summary, telemetry) in slots {
-        summaries.push(summary);
-        rows.push(telemetry);
-    }
-    observer.push_rows(&label, rows);
-    aggregate_point(&summaries).expect("nonempty sweep")
-}
-
-/// Per-run series extracted for the Figure 5/7 time plots.
-#[derive(Debug, Clone)]
-pub struct SeriesPoint {
-    /// Delivered packets per second, seconds relative to failure.
-    pub throughput: Vec<(i64, u64)>,
-    /// Mean delivered-packet delay per second.
-    pub delay: Vec<(i64, Option<f64>)>,
-}
-
-/// Runs a sweep point collecting throughput and delay series over the
-/// window `[from_s, to_s)` seconds around the failure.
-#[must_use]
-pub fn sweep_series(
-    protocol: ProtocolKind,
-    degree: MeshDegree,
-    runs: usize,
-    jobs: usize,
-    from_s: i64,
-    to_s: i64,
-) -> Vec<SeriesPoint> {
-    sweep_series_observed(
-        protocol,
-        degree,
-        runs,
-        jobs,
-        from_s,
-        to_s,
-        &mut SweepObserver::quiet("adhoc"),
-    )
-}
-
-/// [`sweep_series`] recording per-run telemetry (and live progress) into
-/// `observer`.
-#[must_use]
-pub fn sweep_series_observed(
-    protocol: ProtocolKind,
-    degree: MeshDegree,
-    runs: usize,
-    jobs: usize,
-    from_s: i64,
-    to_s: i64,
-    observer: &mut SweepObserver,
-) -> Vec<SeriesPoint> {
-    sweep_map_observed(
-        protocol,
-        degree,
-        runs,
-        jobs,
-        &|_| {},
-        &|result, _| SeriesPoint {
-            throughput: throughput_series(&result.trace, result.t_fail, from_s, to_s),
-            delay: delay_series(&result.trace, result.t_fail, from_s, to_s),
-        },
-        observer,
-    )
 }
 
 /// The directory figure CSVs are written into.
@@ -551,32 +359,29 @@ mod tests {
         let _ = parse_sweep_args(["1".to_string(), "2".to_string()].into_iter(), None);
     }
 
+    fn observer(runs: usize, jobs: usize) -> SweepObserver {
+        SweepObserver::new("bench-lib-test", SweepArgs { runs, jobs, progress: false })
+    }
+
     #[test]
     fn tiny_sweep_runs_end_to_end() {
-        let point = sweep_point(ProtocolKind::Spf, MeshDegree::D6, 2, 1, &|_| {});
+        let point = observer(2, 1).point(ProtocolKind::Spf, MeshDegree::D6, |_| {});
         assert_eq!(point.drops_total.n, 2);
         assert!(point.delivery_ratio.mean > 0.9);
     }
 
     #[test]
     fn sweep_point_is_identical_for_any_job_count() {
-        let sequential = sweep_point(ProtocolKind::Spf, MeshDegree::D6, 3, 1, &|_| {});
-        let parallel = sweep_point(ProtocolKind::Spf, MeshDegree::D6, 3, 3, &|_| {});
+        let sequential = observer(3, 1).point(ProtocolKind::Spf, MeshDegree::D6, |_| {});
+        let parallel = observer(3, 3).point(ProtocolKind::Spf, MeshDegree::D6, |_| {});
         assert_eq!(sequential, parallel);
     }
 
     #[test]
     fn telemetry_bytes_are_identical_for_any_job_count() {
         let jsonl = |jobs: usize| {
-            let mut observer = SweepObserver::quiet("determinism-test");
-            let _ = sweep_point_observed(
-                ProtocolKind::Rip,
-                MeshDegree::D6,
-                3,
-                jobs,
-                &|_| {},
-                &mut observer,
-            );
+            let mut observer = observer(3, jobs);
+            let _ = observer.point(ProtocolKind::Rip, MeshDegree::D6, |_| {});
             observer.render_jsonl().into_bytes()
         };
         let sequential = jsonl(1);
@@ -595,7 +400,7 @@ mod tests {
     fn sweep_csv_bytes_are_identical_for_any_job_count() {
         use convergence::report::{fmt_f64, Table};
         let csv = |jobs: usize| {
-            let point = sweep_point(ProtocolKind::Dbf, MeshDegree::D6, 2, jobs, &|_| {});
+            let point = observer(2, jobs).point(ProtocolKind::Dbf, MeshDegree::D6, |_| {});
             let mut table =
                 Table::new(["delivery", "no-route", "rtconv"].map(String::from).to_vec());
             table.push_row(vec![
@@ -606,5 +411,57 @@ mod tests {
             table.to_csv().into_bytes()
         };
         assert_eq!(csv(1), csv(4));
+    }
+
+    #[test]
+    fn a_panicking_draw_is_retried_instead_of_aborting_the_point() {
+        use convergence::experiment::ProtocolFactory;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        // Exactly one protocol build panics: build 5 installs a node of
+        // slot 0's first attempt (builds 0..=48 are its 49 nodes).
+        let builds = Arc::new(AtomicUsize::new(0));
+        let factory = {
+            let builds = Arc::clone(&builds);
+            ProtocolFactory::new(move || {
+                assert_ne!(builds.fetch_add(1, Ordering::Relaxed), 5, "injected panic");
+                Box::new(spf::Spf::default())
+            })
+        };
+        let mut observer = observer(3, 1);
+        let point = observer.point(ProtocolKind::Spf, MeshDegree::D6, |cfg| {
+            cfg.protocol_override = Some(factory);
+        });
+        assert_eq!(point.drops_total.n, 3, "every slot completes");
+        let attempts: Vec<u32> = observer.rows().iter().map(|r| r.attempts).collect();
+        assert_eq!(attempts, [2, 1, 1]);
+        assert!(observer.rows().iter().all(|r| r.ok));
+    }
+
+    #[test]
+    fn an_unsatisfiable_draw_yields_failed_rows_instead_of_aborting() {
+        use convergence::failure::{FailurePlan, SelectionError};
+        use convergence::runner::RunError;
+        // 50 simultaneous link failures cannot leave the 84-edge degree-4
+        // mesh connected: every attempt of every slot is unsatisfiable.
+        let mut cfg = ExperimentConfig::paper(ProtocolKind::Dbf, MeshDegree::D4, 0);
+        cfg.failure = FailurePlan::MultipleLinks { count: 50 };
+        let mut observer = observer(2, 2);
+        let outcome = observer.sweep("unsatisfiable", &cfg, 2, 1, summarize_streaming);
+        assert!(outcome.completed.is_empty());
+        assert_eq!(outcome.failed.len(), 2);
+        for failure in &outcome.failed {
+            assert!(matches!(
+                failure.error,
+                RunError::Selection(SelectionError::NotEnoughLinks { requested: 50, .. })
+            ));
+        }
+        assert_eq!(observer.rows().len(), 2);
+        for row in observer.rows() {
+            assert!(!row.ok);
+            assert_eq!(row.label, "unsatisfiable");
+            assert_eq!(row.attempts, RetryPolicy::default().max_attempts);
+            assert!(row.error.contains("of 50 links can fail"), "{}", row.error);
+        }
     }
 }

@@ -1,102 +1,27 @@
 //! Multi-run aggregation: the paper averages every number over 100
 //! randomized runs per (protocol, degree) point.
 //!
-//! Sweeps are embarrassingly parallel — each run slot is a pure function
-//! of its seed — so [`run_many_jobs`] and [`run_sweep_with`] distribute
-//! slots over a [`std::thread::scope`] worker pool and reassemble results
-//! in slot order. For every `jobs` value the output is **bit-identical**
-//! to the sequential execution: same seeds, same summaries, same CSV
-//! bytes downstream. [`SweepMode::Streaming`] additionally folds each
-//! run's trace into the single-pass metric observers and discards it, so
-//! a 100-run sweep holds 100 summaries instead of 100 full event traces.
+//! [`run_sweep`] is the one sweep driver: every figure, ablation and
+//! extension runs its slots through it. Each slot is a pure function of
+//! its seed, so slots are distributed over a scoped worker pool and
+//! reassembled in slot order; for every `jobs` value the outcome is
+//! **bit-identical** to the sequential execution: same seeds, same
+//! values, same CSV and telemetry bytes downstream. The caller's
+//! extractor reduces each run to what the sweep keeps, so a streaming
+//! sweep (`summarize_streaming`) holds one summary per run, never a full
+//! event trace.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use netsim::simulator::SimStats;
 use obs::telemetry::RunTelemetry;
 use serde::{Deserialize, Serialize};
 
 use crate::experiment::ExperimentConfig;
-use crate::metrics::streaming::summarize_streaming;
-use crate::metrics::summary::{summarize, RunSummary};
+use crate::metrics::summary::RunSummary;
 use crate::metrics::MetricsError;
 use crate::parallel::par_map_indexed;
 use crate::runner::{run, RunError, RunResult};
-
-/// The protocol label a sweep stamps into its telemetry rows: the
-/// configured [`ProtocolKind`](crate::protocols::ProtocolKind) label, or
-/// the instance name reported by a protocol-override factory.
-///
-/// Probing the override costs one throwaway build. The hardened sweep
-/// must survive a panicking factory (that is its contract), so a panic
-/// during the probe is caught here and the label falls back to the
-/// configured kind's.
-#[must_use]
-pub fn protocol_label(config: &ExperimentConfig) -> String {
-    match &config.protocol_override {
-        Some(factory) => {
-            catch_unwind(AssertUnwindSafe(|| factory.build().name().to_string()))
-                .unwrap_or_else(|_| config.protocol.label().to_string())
-        }
-        None => config.protocol.label().to_string(),
-    }
-}
-
-/// Builds the telemetry record of a completed run slot from its engine
-/// counters.
-#[must_use]
-pub fn run_telemetry(
-    slot: u64,
-    seed: u64,
-    attempts: u32,
-    protocol: &str,
-    result: &RunResult,
-) -> RunTelemetry {
-    let s = result.stats;
-    RunTelemetry {
-        label: String::new(),
-        slot,
-        seed,
-        attempts,
-        ok: true,
-        protocol: protocol.to_string(),
-        events_processed: s.events_processed,
-        queue_high_water: s.queue_high_water,
-        control_messages: s.control_messages_sent,
-        control_bytes: s.control_bytes_sent,
-        control_retransmits: s.control_retransmits,
-        packets_injected: s.packets_injected,
-        packets_delivered: s.packets_delivered,
-        packets_dropped: s.packets_dropped,
-        watchdog_trips: 0,
-        error: String::new(),
-    }
-}
-
-/// Builds the telemetry record of a slot that failed all attempts.
-#[must_use]
-pub fn failed_telemetry(
-    slot: u64,
-    seed: u64,
-    attempts: u32,
-    protocol: &str,
-    error: &RunError,
-) -> RunTelemetry {
-    let (watchdog_trips, events_processed) = match error {
-        RunError::Watchdog { events, .. } => (1, *events),
-        _ => (0, 0),
-    };
-    RunTelemetry {
-        slot,
-        seed,
-        attempts,
-        ok: false,
-        protocol: protocol.to_string(),
-        events_processed,
-        watchdog_trips,
-        error: error.to_string(),
-        ..RunTelemetry::default()
-    }
-}
 
 /// Mean / standard deviation / extremes of one metric across runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -146,77 +71,6 @@ impl Aggregate {
     }
 }
 
-/// Executes `runs` seeded repetitions of `config` (seeds
-/// `base_seed..base_seed+runs`), returning each run's result and summary.
-///
-/// Sequential convenience wrapper over [`run_many_jobs`].
-///
-/// # Errors
-///
-/// Returns the [`RunError`] of the lowest-indexed failing slot.
-pub fn run_many(
-    config: &ExperimentConfig,
-    runs: usize,
-    base_seed: u64,
-) -> Result<Vec<(RunResult, RunSummary)>, RunError> {
-    run_many_jobs(config, runs, base_seed, 1)
-}
-
-/// [`run_many`] on up to `jobs` worker threads (`0` = all available
-/// cores).
-///
-/// Per-slot seeds are assigned exactly as in the sequential path, and
-/// results are returned in slot order, so the output is identical for
-/// every `jobs` value.
-///
-/// # Errors
-///
-/// Returns the [`RunError`] of the lowest-indexed failing slot — the same
-/// error the sequential execution would have stopped at.
-pub fn run_many_jobs(
-    config: &ExperimentConfig,
-    runs: usize,
-    base_seed: u64,
-    jobs: usize,
-) -> Result<Vec<(RunResult, RunSummary)>, RunError> {
-    run_many_jobs_observed(config, runs, base_seed, jobs).map(|(results, _)| results)
-}
-
-/// [`run_many_jobs`] that additionally returns one [`RunTelemetry`]
-/// record per run, in slot order. The telemetry is a pure function of the
-/// seeds — byte-identical (once rendered) for every `jobs` value.
-///
-/// # Errors
-///
-/// Returns the [`RunError`] of the lowest-indexed failing slot.
-#[allow(clippy::type_complexity)]
-pub fn run_many_jobs_observed(
-    config: &ExperimentConfig,
-    runs: usize,
-    base_seed: u64,
-    jobs: usize,
-) -> Result<(Vec<(RunResult, RunSummary)>, Vec<RunTelemetry>), RunError> {
-    let protocol = protocol_label(config);
-    let slots: Result<Vec<_>, RunError> = par_map_indexed(runs, jobs, |i| {
-        let mut cfg = config.clone();
-        cfg.seed = base_seed + i as u64;
-        let result = run(&cfg)?;
-        let telemetry = run_telemetry(i as u64, cfg.seed, 1, &protocol, &result);
-        let summary = summarize(&result)?;
-        Ok((result, summary, telemetry))
-    })
-    .into_iter()
-    .collect();
-    let slots = slots?;
-    let mut results = Vec::with_capacity(slots.len());
-    let mut telemetry = Vec::with_capacity(slots.len());
-    for (result, summary, t) in slots {
-        results.push((result, summary));
-        telemetry.push(t);
-    }
-    Ok((results, telemetry))
-}
-
 /// Retry behaviour of [`run_sweep`] when a run's random draw produces an
 /// unusable scenario ([`RunError::is_retryable`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -238,50 +92,21 @@ impl RetryPolicy {
     ///
     /// Deterministic, collision-averse (golden-ratio stride in the upper
     /// bits, far from the dense `base_seed..base_seed+runs` band), and
-    /// attempt 0 is the unmodified seed so retry-free sweeps match
-    /// [`run_many`] exactly.
+    /// attempt 0 is the unmodified seed, so a slot that succeeds first try
+    /// is exactly [`run`] on seed `base_seed + slot`.
     #[must_use]
     pub fn derive_seed(seed: u64, attempt: u32) -> u64 {
         seed.wrapping_add(u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 }
 
-/// What a sweep keeps per completed run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SweepMode {
-    /// Keep the full [`RunResult`] (trace included) next to the summary —
-    /// needed when callers extract per-run series or engine counters.
-    #[default]
-    Trace,
-    /// Fold each run's trace through the streaming metric observers
-    /// ([`summarize_streaming`]) and discard the trace: memory per run
-    /// shrinks from the full event volume to one [`RunSummary`]. The
-    /// summaries are identical to the trace path's.
-    Streaming,
-}
-
-/// Execution options of [`run_sweep_with`].
+/// Execution options of [`run_sweep`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SweepOptions {
     /// Worker threads (`0` = all available cores, `1` = sequential).
     pub jobs: usize,
     /// Retry behaviour for retryable scenario errors.
     pub retry: RetryPolicy,
-    /// What to keep per completed run.
-    pub mode: SweepMode,
-}
-
-impl SweepOptions {
-    /// Sequential, trace-keeping options with the given retry policy —
-    /// the behaviour of the original `run_sweep`.
-    #[must_use]
-    pub fn sequential(retry: RetryPolicy) -> Self {
-        SweepOptions {
-            jobs: 1,
-            retry,
-            mode: SweepMode::Trace,
-        }
-    }
 }
 
 /// One run slot that produced no usable result even after retries.
@@ -296,192 +121,162 @@ pub struct FailedRun {
     pub error: RunError,
 }
 
-/// One successfully completed sweep slot.
+/// Everything a sweep produced.
 #[derive(Debug)]
-pub struct CompletedRun {
-    /// The full run result; `None` in [`SweepMode::Streaming`], where the
-    /// trace was folded into the summary and discarded.
-    pub result: Option<RunResult>,
-    /// The run's scalar summary.
-    pub summary: RunSummary,
-    /// Attempts the slot consumed, the first included (> 1 when retryable
-    /// scenario errors forced reseeds before this success).
-    pub attempts: u32,
-}
-
-/// Everything a hardened sweep produced.
-#[derive(Debug)]
-pub struct SweepOutcome {
-    /// Every successful run, in slot order.
-    pub completed: Vec<CompletedRun>,
+pub struct SweepOutcome<T> {
+    /// The extracted value of every successful slot, in slot order.
+    pub completed: Vec<T>,
     /// Slots that failed all attempts, in slot order.
     pub failed: Vec<FailedRun>,
-    /// Total retry attempts consumed across the sweep (0 when every slot
-    /// succeeded first try).
-    pub retries: u64,
-    /// One record per slot — completed *and* failed — in slot order.
+    /// One record per slot, completed *and* failed, in slot order.
     pub telemetry: Vec<RunTelemetry>,
 }
 
-impl SweepOutcome {
-    /// Summaries of the successful runs.
+impl<T> SweepOutcome<T> {
+    /// Retry attempts consumed across the sweep (0 when every slot
+    /// settled on its first attempt).
     #[must_use]
-    pub fn summaries(&self) -> Vec<RunSummary> {
-        self.completed.iter().map(|c| c.summary.clone()).collect()
-    }
-
-    /// Retained full results of the successful runs (empty in
-    /// [`SweepMode::Streaming`]).
-    pub fn results(&self) -> impl Iterator<Item = &RunResult> {
-        self.completed.iter().filter_map(|c| c.result.as_ref())
+    pub fn retries(&self) -> u64 {
+        self.telemetry
+            .iter()
+            .map(|t| u64::from(t.attempts.saturating_sub(1)))
+            .sum()
     }
 }
 
-/// Per-slot outcome before reassembly. The completed payload is boxed:
-/// a trace-retaining [`CompletedRun`] is hundreds of bytes, a
-/// [`FailedRun`] a handful. Every slot carries its retry count and
-/// telemetry record.
-enum SlotOutcome {
-    Completed(Box<CompletedRun>, u64, RunTelemetry),
-    Failed(FailedRun, u64, RunTelemetry),
-}
-
-/// Executes `runs` seeded repetitions of `config` like [`run_many`], but
-/// hardened for sweeps over adversarial configurations: every run is
-/// isolated with [`catch_unwind`] (a panicking run becomes a
-/// [`RunError::Panicked`] entry instead of tearing down the sweep), and
-/// retryable errors (no path, unsatisfiable failure selection, caught
-/// panics) are retried with deterministically derived reseeds up to
-/// `retry.max_attempts` total attempts. Every slot's telemetry records
-/// its true attempt count, not just the final attempt's outcome.
+/// Executes `runs` seeded repetitions of `config` (seeds
+/// `base_seed..base_seed+runs`) and reduces each run with `extract`.
 ///
-/// Sequential, trace-keeping convenience wrapper over [`run_sweep_with`].
-#[must_use]
-pub fn run_sweep(
-    config: &ExperimentConfig,
-    runs: usize,
-    base_seed: u64,
-    retry: RetryPolicy,
-) -> SweepOutcome {
-    run_sweep_with(config, runs, base_seed, SweepOptions::sequential(retry))
-}
-
-/// The hardened sweep with explicit execution options: worker threads,
-/// retry policy and per-run retention ([`SweepMode`]).
+/// This is the one sweep driver, hardened for adversarial
+/// configurations:
+/// - every attempt, `extract` included, is isolated with [`catch_unwind`]:
+///   a panic becomes a [`RunError::Panicked`] instead of tearing down the
+///   sweep;
+/// - retryable errors (no path, unsatisfiable failure selection, caught
+///   panics) are retried with [`RetryPolicy::derive_seed`] reseeds up to
+///   `options.retry.max_attempts` total attempts; an `extract` error is a
+///   property of the scenario, not the draw, and is reported at once;
+/// - every slot, completed or failed, yields one [`RunTelemetry`] record
+///   stamped with `config.protocol`'s label and the slot's true attempt
+///   count;
+/// - `on_done(slot)` fires on the worker thread as each slot settles, in
+///   completion order (progress meters); it cannot affect the outcome.
 ///
 /// The sweep itself never fails: unsalvageable slots are reported in
-/// [`SweepOutcome::failed`] with their typed error and attempt count.
-/// Panic isolation and the retry/reseed logic run inside each worker, and
-/// slots are reassembled in slot order, so the outcome is identical for
-/// every `jobs` value.
-#[must_use]
-pub fn run_sweep_with(
+/// [`SweepOutcome::failed`] with their typed error. Slots run on up to
+/// `options.jobs` workers and are reassembled in slot order, so the
+/// outcome is identical for every `jobs` value.
+pub fn run_sweep<T, E, D>(
     config: &ExperimentConfig,
     runs: usize,
     base_seed: u64,
     options: SweepOptions,
-) -> SweepOutcome {
+    extract: E,
+    on_done: D,
+) -> SweepOutcome<T>
+where
+    T: Send,
+    E: Fn(&RunResult) -> Result<T, MetricsError> + Sync,
+    D: Fn(usize) + Sync,
+{
     let max_attempts = options.retry.max_attempts.max(1);
-    let protocol = protocol_label(config);
-    let slots = par_map_indexed(runs, options.jobs, |i| {
-        let slot_seed = base_seed + i as u64;
-        let mut attempt = 0;
-        let mut retries = 0u64;
-        loop {
-            let mut cfg = config.clone();
-            cfg.seed = RetryPolicy::derive_seed(slot_seed, attempt);
-            let attempt_result = catch_unwind(AssertUnwindSafe(|| run(&cfg)))
+    let protocol = config.protocol.label();
+    let slots = par_map_indexed(
+        runs,
+        options.jobs,
+        |i| {
+            let seed = base_seed + i as u64;
+            let mut attempts = 1;
+            loop {
+                let mut cfg = config.clone();
+                cfg.seed = RetryPolicy::derive_seed(seed, attempts - 1);
+                let attempt = catch_unwind(AssertUnwindSafe(|| {
+                    let result = run(&cfg)?;
+                    Ok((result.stats, extract(&result)))
+                }))
                 .unwrap_or_else(|payload| Err(RunError::Panicked(panic_message(&payload))));
-            match attempt_result {
-                Ok(result) => {
-                    // Telemetry is captured here, while the result (and its
-                    // engine counters) is still alive — the streaming mode
-                    // discards the RunResult right below.
-                    let telemetry =
-                        run_telemetry(i as u64, slot_seed, attempt + 1, &protocol, &result);
-                    let completed = match options.mode {
-                        SweepMode::Trace => summarize(&result).map(|summary| CompletedRun {
-                            summary,
-                            result: Some(result),
-                            attempts: attempt + 1,
-                        }),
-                        SweepMode::Streaming => {
-                            summarize_streaming(&result).map(|summary| CompletedRun {
-                                summary,
-                                result: None,
-                                attempts: attempt + 1,
-                            })
-                        }
-                    };
-                    match completed {
-                        Ok(completed) => {
-                            break SlotOutcome::Completed(Box::new(completed), retries, telemetry)
-                        }
-                        // A metrics failure is a property of the scenario,
-                        // not the draw — report it, never retry it.
-                        Err(e) => {
-                            let error = RunError::from(e);
-                            let telemetry = failed_telemetry(
-                                i as u64,
-                                slot_seed,
-                                attempt + 1,
-                                &protocol,
-                                &error,
-                            );
-                            break SlotOutcome::Failed(
-                                FailedRun {
-                                    seed: slot_seed,
-                                    attempts: attempt + 1,
-                                    error,
-                                },
-                                retries,
-                                telemetry,
-                            );
-                        }
+                let error = match attempt {
+                    Ok((stats, Ok(value))) => {
+                        let row = slot_telemetry(i, seed, attempts, protocol, Ok(&stats));
+                        break (Ok(value), row);
                     }
-                }
-                Err(error) => {
-                    if error.is_retryable() && attempt + 1 < max_attempts {
-                        attempt += 1;
-                        retries += 1;
+                    Ok((_, Err(e))) => RunError::from(e),
+                    Err(e) if e.is_retryable() && attempts < max_attempts => {
+                        attempts += 1;
                         continue;
                     }
-                    let telemetry =
-                        failed_telemetry(i as u64, slot_seed, attempt + 1, &protocol, &error);
-                    break SlotOutcome::Failed(
-                        FailedRun {
-                            seed: slot_seed,
-                            attempts: attempt + 1,
-                            error,
-                        },
-                        retries,
-                        telemetry,
-                    );
-                }
+                    Err(e) => e,
+                };
+                let row = slot_telemetry(i, seed, attempts, protocol, Err(&error));
+                break (
+                    Err(FailedRun {
+                        seed,
+                        attempts,
+                        error,
+                    }),
+                    row,
+                );
             }
-        }
-    });
+        },
+        on_done,
+    );
     let mut outcome = SweepOutcome {
         completed: Vec::with_capacity(runs),
         failed: Vec::new(),
-        retries: 0,
         telemetry: Vec::with_capacity(runs),
     };
-    for slot in slots {
+    for (slot, row) in slots {
         match slot {
-            SlotOutcome::Completed(completed, retries, telemetry) => {
-                outcome.completed.push(*completed);
-                outcome.retries += retries;
-                outcome.telemetry.push(telemetry);
-            }
-            SlotOutcome::Failed(failed, retries, telemetry) => {
-                outcome.failed.push(failed);
-                outcome.retries += retries;
-                outcome.telemetry.push(telemetry);
+            Ok(value) => outcome.completed.push(value),
+            Err(failed) => outcome.failed.push(failed),
+        }
+        outcome.telemetry.push(row);
+    }
+    outcome
+}
+
+/// The telemetry record of one settled slot: the engine counters of its
+/// successful run, or its error.
+fn slot_telemetry(
+    slot: usize,
+    seed: u64,
+    attempts: u32,
+    protocol: &str,
+    outcome: Result<&SimStats, &RunError>,
+) -> RunTelemetry {
+    let row = RunTelemetry {
+        slot: slot as u64,
+        seed,
+        attempts,
+        protocol: protocol.to_string(),
+        ..RunTelemetry::default()
+    };
+    match outcome {
+        Ok(s) => RunTelemetry {
+            ok: true,
+            events_processed: s.events_processed,
+            queue_high_water: s.queue_high_water,
+            control_messages: s.control_messages_sent,
+            control_bytes: s.control_bytes_sent,
+            control_retransmits: s.control_retransmits,
+            packets_injected: s.packets_injected,
+            packets_delivered: s.packets_delivered,
+            packets_dropped: s.packets_dropped,
+            ..row
+        },
+        Err(error) => {
+            let (watchdog_trips, events_processed) = match error {
+                RunError::Watchdog { events, .. } => (1, *events),
+                _ => (0, 0),
+            };
+            RunTelemetry {
+                events_processed,
+                watchdog_trips,
+                error: error.to_string(),
+                ..row
             }
         }
     }
-    outcome
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

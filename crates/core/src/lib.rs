@@ -18,6 +18,11 @@
 //! println!("delivered {}/{} packets", summary.delivered, summary.injected);
 //! # Ok::<(), convergence::runner::RunError>(())
 //! ```
+//!
+//! Multi-run sweeps go through one driver, [`aggregate::run_sweep`]: it
+//! seeds slot `i` with `base_seed + i`, runs the slots on a worker pool,
+//! isolates panics, retries unusable random draws and reduces each run
+//! with an extractor such as `summarize_streaming`.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -36,10 +41,8 @@ pub mod transport;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use crate::aggregate::{
-        aggregate_point, failed_telemetry, protocol_label, run_many, run_many_jobs,
-        run_many_jobs_observed, run_sweep, run_sweep_with, run_telemetry, Aggregate,
-        CompletedRun, FailedRun, PointSummary, RetryPolicy, SweepMode, SweepOptions,
-        SweepOutcome,
+        aggregate_point, run_sweep, Aggregate, FailedRun, PointSummary, RetryPolicy,
+        SweepOptions, SweepOutcome,
     };
     pub use crate::experiment::{
         ExperimentConfig, TopologySpec, TrafficConfig, TrafficMode, WarmupPolicy, WatchdogPolicy,
@@ -51,7 +54,6 @@ pub mod prelude {
     pub use crate::metrics::streaming::{summarize_streaming, SummaryObserver};
     pub use crate::metrics::summary::{summarize, RunSummary};
     pub use crate::metrics::MetricsError;
-    pub use crate::parallel::{par_map_indexed, par_map_indexed_with};
     pub use crate::protocols::ProtocolKind;
     pub use crate::report::Table;
     pub use crate::runner::{run, run_observed, Flow, RunError, RunResult};

@@ -5,9 +5,10 @@
 //! point; the runs share nothing but their configuration, so they can be
 //! executed on any number of worker threads *without changing the
 //! output*: each run slot is a pure function of its index, and results
-//! are always returned in slot order. `par_map_indexed(n, jobs, f)` is
-//! therefore bit-identical to `(0..n).map(f).collect()` for every `jobs`
-//! value — parallelism is purely a wall-clock optimization.
+//! are always returned in slot order. `par_map_indexed(n, jobs, f, _)`
+//! is therefore bit-identical to `(0..n).map(f).collect()` for every
+//! `jobs` value — parallelism is purely a wall-clock optimization. The
+//! sweep driver, [`crate::aggregate::run_sweep`], is its one user.
 //!
 //! Built on [`std::thread::scope`] (no external thread-pool crate; the
 //! workspace builds offline against `vendor/`). Work distribution is a
@@ -28,40 +29,24 @@ pub fn effective_jobs(requested: usize) -> usize {
 }
 
 /// Maps `f` over `0..count` on up to `jobs` worker threads, returning the
-/// results in index order.
+/// results in index order. `on_done(i)` fires on the worker thread right
+/// after slot `i`'s result is produced, in whatever order slots actually
+/// finish; it is for side-band reporting (progress meters) only.
 ///
 /// Guarantees, for any `jobs`:
-/// - `f` is invoked exactly once per index;
+/// - `f` and `on_done` are invoked exactly once per index;
 /// - the returned vector equals the sequential `(0..count).map(f)`;
-/// - a panic inside `f` propagates (wrap `f`'s body in
-///   [`std::panic::catch_unwind`] first if slots must be isolated, as the
-///   sweep harness does).
+/// - a panic inside `f` propagates (the sweep driver wraps each slot in
+///   [`std::panic::catch_unwind`] first, so its slots are isolated).
 ///
 /// With `jobs <= 1` (or fewer than two slots) no threads are spawned and
-/// `f` runs on the caller's thread — the sequential path stays the
+/// `f` runs on the caller's thread: the sequential path stays the
 /// baseline the parallel one is compared against.
-pub fn par_map_indexed<T, F>(count: usize, jobs: usize, f: F) -> Vec<T>
+pub(crate) fn par_map_indexed<T, F, D>(count: usize, jobs: usize, f: F, on_done: D) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
-{
-    par_map_indexed_with(count, jobs, f, &|_| {})
-}
-
-/// [`par_map_indexed`] with a completion callback: `on_done(i)` fires on
-/// the worker thread right after slot `i`'s result is produced, in
-/// whatever order slots actually finish. The callback is for side-band
-/// reporting (progress meters) only — results are still reassembled in
-/// slot order, so it cannot affect the output.
-pub fn par_map_indexed_with<T, F>(
-    count: usize,
-    jobs: usize,
-    f: F,
-    on_done: &(dyn Fn(usize) + Sync),
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
+    D: Fn(usize) + Sync,
 {
     let jobs = effective_jobs(jobs).min(count);
     if jobs <= 1 || count <= 1 {
@@ -113,7 +98,7 @@ mod tests {
     #[test]
     fn results_are_in_index_order_for_any_job_count() {
         for jobs in [1, 2, 3, 8, 64] {
-            let out = par_map_indexed(17, jobs, |i| i * i);
+            let out = par_map_indexed(17, jobs, |i| i * i, |_| {});
             assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
         }
     }
@@ -122,7 +107,7 @@ mod tests {
     fn zero_jobs_means_available_parallelism() {
         assert!(effective_jobs(0) >= 1);
         assert_eq!(effective_jobs(5), 5);
-        let out = par_map_indexed(4, 0, |i| i);
+        let out = par_map_indexed(4, 0, |i| i, |_| {});
         assert_eq!(out, vec![0, 1, 2, 3]);
     }
 
@@ -130,14 +115,14 @@ mod tests {
     fn each_index_runs_exactly_once() {
         use std::sync::atomic::AtomicU32;
         let calls: Vec<AtomicU32> = (0..50).map(|_| AtomicU32::new(0)).collect();
-        par_map_indexed(50, 4, |i| calls[i].fetch_add(1, Ordering::Relaxed));
+        par_map_indexed(50, 4, |i| calls[i].fetch_add(1, Ordering::Relaxed), |_| {});
         assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
-        assert_eq!(par_map_indexed(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(par_map_indexed(1, 4, |i| i), vec![0]);
+        assert_eq!(par_map_indexed(0, 4, |i| i, |_| {}), Vec::<usize>::new());
+        assert_eq!(par_map_indexed(1, 4, |i| i, |_| {}), vec![0]);
     }
 
     #[test]
@@ -145,11 +130,11 @@ mod tests {
         use std::sync::atomic::AtomicU32;
         for jobs in [1, 4] {
             let fired: Vec<AtomicU32> = (0..20).map(|_| AtomicU32::new(0)).collect();
-            let out = par_map_indexed_with(
+            let out = par_map_indexed(
                 20,
                 jobs,
                 |i| i * 2,
-                &|i| {
+                |i| {
                     fired[i].fetch_add(1, Ordering::Relaxed);
                 },
             );

@@ -206,12 +206,13 @@ fn unsatisfiable_sweep_completes_with_typed_errors() {
     // sweep itself must finish instead of panicking.
     let mut cfg = ExperimentConfig::paper(ProtocolKind::Dbf, MeshDegree::D4, 0);
     cfg.failure = FailurePlan::MultipleLinks { count: 50 };
-    let retry = convergence::aggregate::RetryPolicy::default();
-    let outcome = run_sweep(&cfg, 4, 1, retry);
+    let retry = RetryPolicy::default();
+    let options = SweepOptions { jobs: 1, retry };
+    let outcome = run_sweep(&cfg, 4, 1, options, summarize_streaming, |_| {});
     assert!(outcome.completed.is_empty());
     assert_eq!(outcome.failed.len(), 4);
     assert_eq!(
-        outcome.retries,
+        outcome.retries(),
         4 * u64::from(retry.max_attempts - 1),
         "every slot exhausts its retries"
     );
@@ -231,16 +232,18 @@ fn unsatisfiable_sweep_completes_with_typed_errors() {
 #[test]
 fn satisfiable_sweep_still_completes_every_slot() {
     let cfg = ExperimentConfig::paper(ProtocolKind::Dbf, MeshDegree::D4, 0);
-    let outcome = run_sweep(&cfg, 3, 7000, convergence::aggregate::RetryPolicy::default());
+    let outcome = run_sweep(&cfg, 3, 7000, SweepOptions::default(), summarize, |_| {});
     assert_eq!(outcome.completed.len(), 3);
     assert!(outcome.failed.is_empty());
-    assert_eq!(outcome.retries, 0);
-    // First-try sweeps use the same seeds as run_many, so summaries match.
-    let reference = run_many(&cfg, 3, 7000).expect("run_many succeeds");
-    assert_eq!(
-        outcome.summaries(),
-        reference.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>()
-    );
+    assert_eq!(outcome.retries(), 0);
+    // A first-try slot is plain `run` on seed base_seed + slot.
+    let reference: Vec<RunSummary> = (7000..7003)
+        .map(|seed| {
+            let cfg = ExperimentConfig { seed, ..cfg.clone() };
+            summarize(&run(&cfg).expect("run succeeds")).expect("summary")
+        })
+        .collect();
+    assert_eq!(outcome.completed, reference);
 }
 
 #[test]
@@ -417,8 +420,8 @@ fn watchdog_aborts_runaway_runs_with_typed_error() {
     }
     // A watchdog abort is a resource bound, not a bad draw: sweeps report
     // it without burning retries.
-    let outcome = run_sweep(&cfg, 2, 20, convergence::aggregate::RetryPolicy::default());
+    let outcome = run_sweep(&cfg, 2, 20, SweepOptions::default(), summarize_streaming, |_| {});
     assert_eq!(outcome.failed.len(), 2);
-    assert_eq!(outcome.retries, 0);
+    assert_eq!(outcome.retries(), 0);
     assert!(outcome.failed.iter().all(|f| f.attempts == 1));
 }

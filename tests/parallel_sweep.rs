@@ -1,6 +1,7 @@
-//! End-to-end tests of the parallel sweep engine: bit-identical results
-//! for every worker count, streaming-vs-trace metric equality, and panic
-//! isolation inside a multi-threaded sweep.
+//! End-to-end tests of the sweep driver, `run_sweep`: bit-identical
+//! results for every worker count, equality of the `summarize` and
+//! `summarize_streaming` extractors, and panic isolation inside a
+//! multi-threaded sweep.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -10,66 +11,56 @@ use convergence::prelude::*;
 use spf::Spf;
 use topology::mesh::MeshDegree;
 
-fn options(jobs: usize, mode: SweepMode) -> SweepOptions {
+fn options(jobs: usize) -> SweepOptions {
     SweepOptions {
         jobs,
         retry: RetryPolicy::default(),
-        mode,
     }
 }
 
 #[test]
 fn run_many_is_bit_identical_for_every_job_count() {
     let cfg = ExperimentConfig::paper(ProtocolKind::Dbf, MeshDegree::D4, 0);
-    let sequential = run_many_jobs(&cfg, 4, 901, 1).expect("sequential runs succeed");
-    let parallel = run_many_jobs(&cfg, 4, 901, 4).expect("parallel runs succeed");
-    assert_eq!(sequential.len(), parallel.len());
-    for ((seq_result, seq_summary), (par_result, par_summary)) in
-        sequential.iter().zip(parallel.iter())
-    {
-        assert_eq!(seq_summary, par_summary);
-        assert_eq!(seq_result.trace.len(), par_result.trace.len());
-        assert_eq!(
-            seq_result.stats.events_processed,
-            par_result.stats.events_processed
-        );
-    }
+    let extract =
+        |r: &RunResult| Ok((summarize(r)?, r.trace.len(), r.stats.events_processed));
+    let sequential = run_sweep(&cfg, 4, 901, options(1), extract, |_| {});
+    let parallel = run_sweep(&cfg, 4, 901, options(4), extract, |_| {});
+    assert!(sequential.failed.is_empty());
+    assert_eq!(sequential.completed.len(), 4);
+    assert_eq!(sequential.completed, parallel.completed);
 }
 
 #[test]
 fn hardened_sweep_is_bit_identical_for_every_job_count() {
     let cfg = ExperimentConfig::paper(ProtocolKind::Rip, MeshDegree::D4, 0);
-    let sequential = run_sweep_with(&cfg, 4, 300, options(1, SweepMode::Trace));
-    let parallel = run_sweep_with(&cfg, 4, 300, options(4, SweepMode::Trace));
+    let sequential = run_sweep(&cfg, 4, 300, options(1), summarize, |_| {});
+    let parallel = run_sweep(&cfg, 4, 300, options(4), summarize, |_| {});
     assert!(sequential.failed.is_empty());
     assert!(parallel.failed.is_empty());
-    assert_eq!(sequential.retries, parallel.retries);
-    assert_eq!(sequential.summaries(), parallel.summaries());
+    assert_eq!(sequential.retries(), parallel.retries());
+    assert_eq!(sequential.completed, parallel.completed);
 }
 
 #[test]
 fn streaming_mode_matches_trace_mode_for_each_paper_protocol() {
     for protocol in [ProtocolKind::Rip, ProtocolKind::Dbf, ProtocolKind::Bgp3] {
         let cfg = ExperimentConfig::paper(protocol, MeshDegree::D4, 0);
-        let trace = run_sweep_with(&cfg, 3, 700, options(2, SweepMode::Trace));
-        let streaming = run_sweep_with(&cfg, 3, 700, options(2, SweepMode::Streaming));
+        let trace = run_sweep(&cfg, 3, 700, options(2), summarize, |_| {});
+        let streaming = run_sweep(&cfg, 3, 700, options(2), summarize_streaming, |_| {});
         assert!(trace.failed.is_empty(), "{protocol}: trace sweep failed");
+        assert_eq!(trace.completed.len(), 3);
         assert_eq!(
-            trace.summaries(),
-            streaming.summaries(),
+            trace.completed, streaming.completed,
             "{protocol}: streaming fold diverged from the trace analyzers"
         );
-        // Streaming discards every trace; trace mode keeps them all.
-        assert_eq!(streaming.results().count(), 0);
-        assert_eq!(trace.results().count(), 3);
     }
 }
 
 #[test]
 fn sweep_telemetry_is_bit_identical_for_every_job_count() {
     let cfg = ExperimentConfig::paper(ProtocolKind::Dbf, MeshDegree::D4, 0);
-    let sequential = run_sweep_with(&cfg, 3, 512, options(1, SweepMode::Streaming));
-    let parallel = run_sweep_with(&cfg, 3, 512, options(3, SweepMode::Streaming));
+    let sequential = run_sweep(&cfg, 3, 512, options(1), summarize_streaming, |_| {});
+    let parallel = run_sweep(&cfg, 3, 512, options(3), summarize_streaming, |_| {});
     assert_eq!(sequential.telemetry, parallel.telemetry);
     assert_eq!(
         render_jsonl(&sequential.telemetry),
@@ -87,17 +78,15 @@ fn sweep_telemetry_is_bit_identical_for_every_job_count() {
         assert!(row.queue_high_water > 0);
         assert_eq!(row.packets_injected, 1000);
     }
-    // Streaming mode discards results but never the telemetry.
-    assert_eq!(sequential.results().count(), 0);
 }
 
 #[test]
 fn retry_attempts_are_recorded_in_telemetry() {
     // Exactly one protocol build panics, early enough to land inside
-    // slot 0's first attempt (the sweep's label probe consumes build 0;
-    // builds 1..=49 install slot 0's 49 nodes). The retry — with a
-    // derived seed — completes, and the sweep must report the true
-    // attempt count, not just the final attempt's success.
+    // slot 0's first attempt (builds 0..=48 install slot 0's 49 nodes).
+    // The retry, with a derived seed, completes, and the sweep must
+    // report the true attempt count, not just the final attempt's
+    // success.
     let builds = Arc::new(AtomicUsize::new(0));
     let factory = {
         let builds = Arc::clone(&builds);
@@ -113,11 +102,10 @@ fn retry_attempts_are_recorded_in_telemetry() {
     let mut cfg = ExperimentConfig::paper(ProtocolKind::Spf, MeshDegree::D4, 0);
     cfg.protocol_override = Some(factory);
 
-    let outcome = run_sweep_with(&cfg, 2, 40, options(1, SweepMode::Streaming));
+    let outcome = run_sweep(&cfg, 2, 40, options(1), summarize_streaming, |_| {});
     assert!(outcome.failed.is_empty(), "retry should have salvaged slot 0");
-    assert_eq!(outcome.retries, 1);
-    assert_eq!(outcome.completed[0].attempts, 2);
-    assert_eq!(outcome.completed[1].attempts, 1);
+    assert_eq!(outcome.completed.len(), 2);
+    assert_eq!(outcome.retries(), 1);
     assert_eq!(outcome.telemetry.len(), 2);
     assert_eq!(outcome.telemetry[0].attempts, 2);
     assert_eq!(outcome.telemetry[1].attempts, 1);
@@ -130,15 +118,16 @@ fn exhausted_retries_yield_a_failed_telemetry_record() {
     let mut cfg = ExperimentConfig::paper(ProtocolKind::Spf, MeshDegree::D4, 0);
     cfg.protocol_override = Some(factory);
 
-    let outcome = run_sweep_with(
+    let outcome = run_sweep(
         &cfg,
         1,
         40,
         SweepOptions {
             jobs: 1,
             retry: RetryPolicy { max_attempts: 2 },
-            mode: SweepMode::Streaming,
         },
+        summarize_streaming,
+        |_| {},
     );
     assert!(outcome.completed.is_empty());
     assert_eq!(outcome.failed.len(), 1);
@@ -177,15 +166,16 @@ fn a_panicking_run_is_isolated_and_reported() {
     let mut cfg = ExperimentConfig::paper(ProtocolKind::Spf, MeshDegree::D4, 0);
     cfg.protocol_override = Some(factory);
 
-    let outcome = run_sweep_with(
+    let outcome = run_sweep(
         &cfg,
         runs,
         40,
         SweepOptions {
             jobs: 2,
             retry: RetryPolicy { max_attempts: 1 },
-            mode: SweepMode::Streaming,
         },
+        summarize_streaming,
+        |_| {},
     );
     assert_eq!(outcome.completed.len(), runs - 1);
     assert_eq!(outcome.failed.len(), 1);
