@@ -4,8 +4,11 @@
 //! to it as `<name>.summary.txt`. SPF and DUAL get the same pair, and so
 //! do two fault scenarios: an impaired-link run (loss plus jitter, so
 //! frame arrivals leave the calendar's FIFO lane) and a router
-//! crash/restart. One more summary fixture pins a loaded run (5 flows ×
-//! 400 pps, the fig5/fig7 load).
+//! crash/restart. Two traffic variants get the pair as well: Poisson
+//! arrivals (packets injected by eagerly scheduled events) and a
+//! go-back-N transfer (application timers and ACK-sized data frames).
+//! One more summary fixture pins a loaded run (5 flows × 400 pps, the
+//! fig5/fig7 load).
 //!
 //! Any engine change that reorders events, alters a tie-break, or drifts
 //! a timer shows up here as a byte-level diff of the rendered trace —
@@ -72,6 +75,29 @@ fn crash_restart_config() -> ExperimentConfig {
     cfg.failure = FailurePlan::NodeCrashRestart {
         down: SimDuration::from_secs(5),
     };
+    cfg
+}
+
+/// The golden scenario with Poisson arrivals: every packet is its own
+/// eagerly scheduled injection event.
+fn poisson_config() -> ExperimentConfig {
+    let mut cfg = golden_config(ProtocolKind::Rip);
+    cfg.traffic.mode = TrafficMode::Poisson;
+    cfg
+}
+
+/// The golden scenario with a small go-back-N transfer in place of CBR:
+/// retransmission timers are application timers, and the 40-byte ACKs
+/// are data frames whose serialization delay differs from the data
+/// packets'. The failure comes 100 ms into the transfer, so packets are
+/// lost and a retransmission timer fires.
+fn gbn_config() -> ExperimentConfig {
+    let mut cfg = golden_config(ProtocolKind::Dbf);
+    cfg.traffic.lead = SimDuration::from_millis(100);
+    cfg.traffic.mode = TrafficMode::GoBackN(GoBackNConfig {
+        total_packets: 200,
+        ..GoBackNConfig::default()
+    });
     cfg
 }
 
@@ -175,6 +201,16 @@ fn golden_trace_crash_restart() {
     check_golden_trace(&crash_restart_config(), "crash_restart");
 }
 
+#[test]
+fn golden_trace_poisson() {
+    check_golden_trace(&poisson_config(), "poisson");
+}
+
+#[test]
+fn golden_trace_gbn() {
+    check_golden_trace(&gbn_config(), "gbn");
+}
+
 /// The golden scenario itself is deterministic: two runs render
 /// byte-identical traces (guards the fixtures against flakiness of the
 /// scenario rather than of the engine).
@@ -228,4 +264,14 @@ fn golden_summary_impaired() {
 #[test]
 fn golden_summary_crash_restart() {
     check_golden_summary(&crash_restart_config(), "crash_restart");
+}
+
+#[test]
+fn golden_summary_poisson() {
+    check_golden_summary(&poisson_config(), "poisson");
+}
+
+#[test]
+fn golden_summary_gbn() {
+    check_golden_summary(&gbn_config(), "gbn");
 }
