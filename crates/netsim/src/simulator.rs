@@ -1201,7 +1201,7 @@ impl Simulator {
     /// Schedules the end of a frame's serialization, `delay` from now.
     /// Data frames share one serialization delay on a uniform network, so
     /// they go to their FIFO lane; control frames vary in size and go to
-    /// the heap.
+    /// the calendar's serialization heap.
     #[inline]
     fn schedule_serialized(
         &mut self,
