@@ -37,7 +37,9 @@ enum State {
     /// Nesting depth of `/* */` pairs.
     BlockComment(u32),
     /// Plain or byte string; `true` while the next char is escaped.
-    Str { escaped: bool },
+    Str {
+        escaped: bool,
+    },
     /// Raw (byte) string closed by `"` followed by this many `#`.
     RawStr(u32),
 }
@@ -297,11 +299,7 @@ fn mark_test_regions(code: &[String]) -> Vec<bool> {
             }
             k += 1;
         }
-        for flag in in_test
-            .iter_mut()
-            .take(end_line + 1)
-            .skip(start_line)
-        {
+        for flag in in_test.iter_mut().take(end_line + 1).skip(start_line) {
             *flag = true;
         }
         search_from = k.max(attr_start + 1);
@@ -521,7 +519,10 @@ fn lib_after() { x.unwrap(); }
 ";
         let f = lex(src);
         assert!(f.in_test[1] && f.in_test[4]);
-        assert!(!f.in_test[5], "string brace must not close the module early");
+        assert!(
+            !f.in_test[5],
+            "string brace must not close the module early"
+        );
     }
 
     #[test]

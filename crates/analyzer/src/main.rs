@@ -38,8 +38,9 @@ fn parse_args() -> Result<Options, String> {
             },
             "--quiet" | "-q" => opts.quiet = true,
             "--help" | "-h" => {
-                return Err("usage: simlint [--root <dir>] [--baseline write|check] [--quiet]"
-                    .to_string())
+                return Err(
+                    "usage: simlint [--root <dir>] [--baseline write|check] [--quiet]".to_string(),
+                )
             }
             other => return Err(format!("unknown argument {other:?}")),
         }

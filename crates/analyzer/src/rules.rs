@@ -202,8 +202,7 @@ fn collect_allows(ctx: &FileContext, file: &LexedFile) -> (Vec<Allow>, Vec<Findi
                 Some(rule) => {
                     // A whole-line comment covers the next line; a
                     // trailing comment covers its own line.
-                    let own_code_blank =
-                        file.code.get(idx).is_none_or(|c| c.trim().is_empty());
+                    let own_code_blank = file.code.get(idx).is_none_or(|c| c.trim().is_empty());
                     let covered = if own_code_blank { line + 1 } else { line };
                     allows.push(Allow {
                         rule,
@@ -234,9 +233,7 @@ fn collect_allows(ctx: &FileContext, file: &LexedFile) -> (Vec<Allow>, Vec<Findi
 
 /// Parses `allow(<name>, reason = "...")`, returning the rule name.
 fn parse_allow(s: &str) -> Result<&str, &'static str> {
-    let body = s
-        .strip_prefix("allow(")
-        .ok_or("expected allow(...)")?;
+    let body = s.strip_prefix("allow(").ok_or("expected allow(...)")?;
     let close = body.rfind(')').ok_or("missing closing parenthesis")?;
     let body = &body[..close];
     let (name, rest) = body.split_once(',').ok_or("missing reason")?;
@@ -409,9 +406,7 @@ pub fn count_node_keyed_maps(code: &str) -> usize {
                         Some(args) => {
                             let args = args.trim_start();
                             args.strip_prefix("NodeId").is_some_and(|after| {
-                                !after.starts_with(|c: char| {
-                                    c.is_ascii_alphanumeric() || c == '_'
-                                })
+                                !after.starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_')
                             })
                         }
                         None => false,
@@ -495,20 +490,29 @@ mod tests {
 
     #[test]
     fn classification_covers_the_layout() {
-        assert_eq!(lib_ctx("crates/netsim/src/simulator.rs").kind, FileKind::Lib);
+        assert_eq!(
+            lib_ctx("crates/netsim/src/simulator.rs").kind,
+            FileKind::Lib
+        );
         assert_eq!(lib_ctx("crates/netsim/src/simulator.rs").krate, "netsim");
-        assert_eq!(lib_ctx("crates/netsim/tests/engine.rs").kind, FileKind::Test);
+        assert_eq!(
+            lib_ctx("crates/netsim/tests/engine.rs").kind,
+            FileKind::Test
+        );
         assert_eq!(lib_ctx("crates/bench/src/lib.rs").kind, FileKind::Bench);
-        assert_eq!(lib_ctx("crates/bench/src/bin/run_all.rs").kind, FileKind::Bench);
-        assert_eq!(lib_ctx("crates/core/benches/engine.rs").kind, FileKind::Bench);
+        assert_eq!(
+            lib_ctx("crates/bench/src/bin/run_all.rs").kind,
+            FileKind::Bench
+        );
+        assert_eq!(
+            lib_ctx("crates/core/benches/engine.rs").kind,
+            FileKind::Bench
+        );
         assert_eq!(lib_ctx("src/lib.rs").kind, FileKind::Lib);
         assert_eq!(lib_ctx("src/lib.rs").krate, "");
         assert_eq!(lib_ctx("examples/quickstart.rs").kind, FileKind::Example);
         assert_eq!(lib_ctx("tests/extensions.rs").kind, FileKind::Test);
-        assert_eq!(
-            lib_ctx("crates/analyzer/src/main.rs").kind,
-            FileKind::Bin
-        );
+        assert_eq!(lib_ctx("crates/analyzer/src/main.rs").kind, FileKind::Bin);
         assert!(classify("vendor/rand/src/lib.rs").is_none());
         assert!(classify("target/debug/build.rs").is_none());
     }
@@ -533,7 +537,8 @@ use std::collections::HashMap;
         let report = check_file(&lib_ctx("crates/netsim/src/x.rs"), &lex(src));
         assert!(report.findings.is_empty(), "{:?}", report.findings);
         // Trailing form covers its own line.
-        let src2 = "use std::collections::HashMap; // simlint: allow(unordered-map, reason = \"x\")\n";
+        let src2 =
+            "use std::collections::HashMap; // simlint: allow(unordered-map, reason = \"x\")\n";
         let report2 = check_file(&lib_ctx("crates/netsim/src/x.rs"), &lex(src2));
         assert!(report2.findings.is_empty());
     }
@@ -544,7 +549,10 @@ use std::collections::HashMap;
         let report = check_file(&lib_ctx("crates/netsim/src/x.rs"), &lex(src));
         let rules: Vec<RuleId> = report.findings.iter().map(|f| f.rule).collect();
         assert!(rules.contains(&RuleId::A001));
-        assert!(rules.contains(&RuleId::D001), "malformed allow must not suppress");
+        assert!(
+            rules.contains(&RuleId::D001),
+            "malformed allow must not suppress"
+        );
     }
 
     #[test]
@@ -595,7 +603,10 @@ mod tests {
 
     #[test]
     fn r001_does_not_match_lookalikes() {
-        assert_eq!(count_panics("x.unwrap_or(0); expect_err(); should_panic; panicking"), 0);
+        assert_eq!(
+            count_panics("x.unwrap_or(0); expect_err(); should_panic; panicking"),
+            0
+        );
         assert_eq!(count_panics("x.unwrap();"), 1);
         assert_eq!(count_panics("Option::unwrap (x)"), 1);
         assert_eq!(count_panics("panic! (\"boom\")"), 1);
@@ -651,9 +662,15 @@ mod tests {
     fn d004_counts_node_keyed_maps_only() {
         assert_eq!(count_node_keyed_maps("x: BTreeMap<NodeId, SimTime>,"), 1);
         assert_eq!(count_node_keyed_maps("y: HashMap < NodeId , u32 >,"), 1);
-        assert_eq!(count_node_keyed_maps("z: BTreeMap<NodeId, BTreeMap<NodeId, V>>,"), 2);
+        assert_eq!(
+            count_node_keyed_maps("z: BTreeMap<NodeId, BTreeMap<NodeId, V>>,"),
+            2
+        );
         // Keyed by something else, or NodeId only as a value/prefix.
-        assert_eq!(count_node_keyed_maps("a: BTreeMap<PacketId, PacketLog>,"), 0);
+        assert_eq!(
+            count_node_keyed_maps("a: BTreeMap<PacketId, PacketLog>,"),
+            0
+        );
         assert_eq!(count_node_keyed_maps("b: BTreeMap<Edge, Vec<NodeId>>,"), 0);
         assert_eq!(count_node_keyed_maps("c: BTreeMap<NodeIdx, V>,"), 0);
         assert_eq!(count_node_keyed_maps("d: MyBTreeMap<NodeId, V>,"), 0);
@@ -665,7 +682,10 @@ mod tests {
         let file = lex("let m: BTreeMap<NodeId, u32> = BTreeMap::new();\n");
         let hit = check_file(&lib_ctx("crates/netsim/src/x.rs"), &file);
         assert_eq!(hit.d004_lines, vec![1]);
-        assert!(hit.findings.is_empty(), "D004 is ratcheted, not a hard finding");
+        assert!(
+            hit.findings.is_empty(),
+            "D004 is ratcheted, not a hard finding"
+        );
         // Outside the sim crates, or outside lib code, the rule is off.
         assert!(check_file(&lib_ctx("crates/analyzer/src/x.rs"), &file)
             .d004_lines

@@ -151,7 +151,10 @@ fn node_keyed_maps_are_counted_for_d004() {
     let a = analyzed("d004");
     // Two live sites (the D004-waived one and the PacketId-keyed map do
     // not count); the non-sim `util` crate is out of scope entirely.
-    assert_eq!(a.d004.get("crates/netsim/src/lib.rs").map(Vec::len), Some(2));
+    assert_eq!(
+        a.d004.get("crates/netsim/src/lib.rs").map(Vec::len),
+        Some(2)
+    );
     assert!(!a.d004.contains_key("crates/util/src/lib.rs"));
     // D004 sites are ratchet-governed, not hard findings.
     assert!(a.findings.is_empty(), "unexpected: {:?}", a.findings);
@@ -214,5 +217,8 @@ fn binary_enforces_committed_d004_baseline() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("error[D004]"), "{stdout}");
-    assert!(stdout.contains("DenseMap"), "help must point at the dense types: {stdout}");
+    assert!(
+        stdout.contains("DenseMap"),
+        "help must point at the dense types: {stdout}"
+    );
 }

@@ -19,16 +19,22 @@ use topology::mesh::MeshDegree;
 fn with_mode(kind: ProtocolKind, mode: DampingMode) -> ProtocolFactory {
     match kind {
         ProtocolKind::Rip => ProtocolFactory::new(move || {
-            Box::new(rip::Rip::with_config(rip::RipConfig {
-                damping_mode: mode,
-                ..rip::RipConfig::default()
-            }).expect("valid config"))
+            Box::new(
+                rip::Rip::with_config(rip::RipConfig {
+                    damping_mode: mode,
+                    ..rip::RipConfig::default()
+                })
+                .expect("valid config"),
+            )
         }),
         ProtocolKind::Dbf => ProtocolFactory::new(move || {
-            Box::new(dbf::Dbf::with_config(dbf::DbfConfig {
-                damping_mode: mode,
-                ..dbf::DbfConfig::default()
-            }).expect("valid config"))
+            Box::new(
+                dbf::Dbf::with_config(dbf::DbfConfig {
+                    damping_mode: mode,
+                    ..dbf::DbfConfig::default()
+                })
+                .expect("valid config"),
+            )
         }),
         other => panic!("damping ablation only applies to RIP/DBF, not {other}"),
     }
@@ -41,9 +47,16 @@ fn main() {
     println!("Ablation A4 — triggered-update damping semantics, {runs} runs/point\n");
 
     let mut table = Table::new(
-        ["protocol", "degree", "mode", "no-route", "ttl-expired", "fwdconv(s)"]
-            .map(String::from)
-            .to_vec(),
+        [
+            "protocol",
+            "degree",
+            "mode",
+            "no-route",
+            "ttl-expired",
+            "fwdconv(s)",
+        ]
+        .map(String::from)
+        .to_vec(),
     );
     for kind in [ProtocolKind::Rip, ProtocolKind::Dbf] {
         for degree in [MeshDegree::D3, MeshDegree::D4, MeshDegree::D5] {

@@ -17,10 +17,13 @@ use topology::mesh::MeshDegree;
 
 fn rip_with_holddown(secs: u64) -> ProtocolFactory {
     ProtocolFactory::new(move || {
-        Box::new(Rip::with_config(RipConfig {
-            hold_down: Some(SimDuration::from_secs(secs)),
-            ..RipConfig::default()
-        }).expect("valid config"))
+        Box::new(
+            Rip::with_config(RipConfig {
+                hold_down: Some(SimDuration::from_secs(secs)),
+                ..RipConfig::default()
+            })
+            .expect("valid config"),
+        )
     })
 }
 
@@ -31,9 +34,16 @@ fn main() {
     println!("Ablation A5 — RIP hold-down timer, {runs} runs/point\n");
 
     let mut table = Table::new(
-        ["degree", "hold-down", "no-route", "ttl-expired", "fwdconv(s)", "rtconv(s)"]
-            .map(String::from)
-            .to_vec(),
+        [
+            "degree",
+            "hold-down",
+            "no-route",
+            "ttl-expired",
+            "fwdconv(s)",
+            "rtconv(s)",
+        ]
+        .map(String::from)
+        .to_vec(),
     );
     for degree in [MeshDegree::D3, MeshDegree::D4, MeshDegree::D6] {
         for (label, factory) in [

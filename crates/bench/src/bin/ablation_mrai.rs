@@ -37,15 +37,22 @@ fn main() {
         .map(String::from)
         .to_vec(),
     );
-    for degree in [MeshDegree::D3, MeshDegree::D4, MeshDegree::D5, MeshDegree::D6] {
-        let vendor =
-            observer.point(ProtocolKind::Bgp, degree, |_| {});
+    for degree in [
+        MeshDegree::D3,
+        MeshDegree::D4,
+        MeshDegree::D5,
+        MeshDegree::D6,
+    ] {
+        let vendor = observer.point(ProtocolKind::Bgp, degree, |_| {});
         let pair = observer.point(ProtocolKind::Bgp, degree, |cfg: &mut ExperimentConfig| {
             cfg.protocol_override = Some(convergence::experiment::ProtocolFactory::new(|| {
-                Box::new(Bgp::with_config(BgpConfig {
-                    mrai_scope: MraiScope::PerNeighborDestination,
-                    ..BgpConfig::standard()
-                }).expect("valid config"))
+                Box::new(
+                    Bgp::with_config(BgpConfig {
+                        mrai_scope: MraiScope::PerNeighborDestination,
+                        ..BgpConfig::standard()
+                    })
+                    .expect("valid config"),
+                )
             }));
         });
         table.push_row(vec![

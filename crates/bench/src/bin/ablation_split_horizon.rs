@@ -14,10 +14,13 @@ use topology::mesh::MeshDegree;
 
 fn dbf_with(mode: SplitHorizon) -> ProtocolFactory {
     ProtocolFactory::new(move || {
-        Box::new(Dbf::with_config(DbfConfig {
-            split_horizon: mode,
-            ..DbfConfig::default()
-        }).expect("valid config"))
+        Box::new(
+            Dbf::with_config(DbfConfig {
+                split_horizon: mode,
+                ..DbfConfig::default()
+            })
+            .expect("valid config"),
+        )
     })
 }
 
@@ -33,9 +36,16 @@ fn main() {
         ("disabled", SplitHorizon::Disabled),
     ];
     let mut table = Table::new(
-        ["degree", "mode", "no-route", "ttl-expired", "looped", "rtconv(s)"]
-            .map(String::from)
-            .to_vec(),
+        [
+            "degree",
+            "mode",
+            "no-route",
+            "ttl-expired",
+            "looped",
+            "rtconv(s)",
+        ]
+        .map(String::from)
+        .to_vec(),
     );
     for degree in [MeshDegree::D3, MeshDegree::D4, MeshDegree::D5] {
         for (label, mode) in modes {

@@ -26,9 +26,7 @@ use std::time::Instant;
 use bench::point_seed;
 use convergence::prelude::*;
 use convergence::report::Table;
-use obs::span::{
-    Recorder, EVENT_DISPATCH, METRIC_FOLDING, PROTOCOL_PROCESSING, TRACE_RECORDING,
-};
+use obs::span::{Recorder, EVENT_DISPATCH, METRIC_FOLDING, PROTOCOL_PROCESSING, TRACE_RECORDING};
 use topology::mesh::MeshDegree;
 
 const PHASES: [&str; 4] = [
@@ -65,8 +63,8 @@ fn profile_protocol(protocol: ProtocolKind, degree: MeshDegree, runs: usize) -> 
         events += result.stats.events_processed;
         stale_timer_pops += result.stats.stale_timer_pops;
         recorder.enter(METRIC_FOLDING);
-        let summary = summarize_streaming(&result)
-            .unwrap_or_else(|e| panic!("{protocol} run {i}: {e}"));
+        let summary =
+            summarize_streaming(&result).unwrap_or_else(|e| panic!("{protocol} run {i}: {e}"));
         recorder.exit();
         assert!(summary.injected > 0, "profiled run injected no packets");
     }
@@ -122,9 +120,11 @@ fn main() {
 
     let mut table = Table::new(
         std::iter::once("protocol".to_string())
-            .chain(PHASES.iter().flat_map(|p| {
-                [format!("{p} (ms)"), format!("{p} calls")]
-            }))
+            .chain(
+                PHASES
+                    .iter()
+                    .flat_map(|p| [format!("{p} (ms)"), format!("{p} calls")]),
+            )
             .chain(["events".to_string(), "stale timer pops".to_string()])
             .collect(),
     );

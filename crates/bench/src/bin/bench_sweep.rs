@@ -40,9 +40,23 @@ fn leg(
     extract: fn(&RunResult) -> Result<RunSummary, MetricsError>,
 ) -> SweepOutcome<RunSummary> {
     let config = ExperimentConfig::paper(PROTOCOL, DEGREE, 0);
-    let options = SweepOptions { jobs, retry: RetryPolicy::default() };
-    let outcome = run_sweep(&config, runs, point_seed(DEGREE, 0), options, extract, |_| {});
-    assert!(outcome.failed.is_empty(), "failed runs: {:?}", outcome.failed);
+    let options = SweepOptions {
+        jobs,
+        retry: RetryPolicy::default(),
+    };
+    let outcome = run_sweep(
+        &config,
+        runs,
+        point_seed(DEGREE, 0),
+        options,
+        extract,
+        |_| {},
+    );
+    assert!(
+        outcome.failed.is_empty(),
+        "failed runs: {:?}",
+        outcome.failed
+    );
     outcome
 }
 
@@ -51,9 +65,17 @@ fn leg(
 fn point_csv(summaries: &[RunSummary]) -> String {
     let point = aggregate_point(summaries).expect("nonempty sweep");
     let mut table = Table::new(
-        ["protocol", "degree", "delivery %", "no-route", "ttl", "fwdconv(s)", "rtconv(s)"]
-            .map(String::from)
-            .to_vec(),
+        [
+            "protocol",
+            "degree",
+            "delivery %",
+            "no-route",
+            "ttl",
+            "fwdconv(s)",
+            "rtconv(s)",
+        ]
+        .map(String::from)
+        .to_vec(),
     );
     table.push_row(vec![
         PROTOCOL.to_string(),
@@ -103,7 +125,11 @@ fn main() {
     let t0 = Instant::now();
     let sequential = leg(runs, 1, summarize);
     let sequential_s = t0.elapsed().as_secs_f64();
-    let events_total: u64 = sequential.telemetry.iter().map(|t| t.events_processed).sum();
+    let events_total: u64 = sequential
+        .telemetry
+        .iter()
+        .map(|t| t.events_processed)
+        .sum();
     let seq_summaries = sequential.completed;
     let seq_csv = point_csv(&seq_summaries);
     println!("  sequential/trace   {sequential_s:.3}s");

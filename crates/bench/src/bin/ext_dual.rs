@@ -21,9 +21,17 @@ fn main() {
 
     let protocols = [ProtocolKind::Dual, ProtocolKind::Dbf, ProtocolKind::Bgp3];
     let mut table = Table::new(
-        ["degree", "protocol", "no-route", "ttl-expired", "looped", "fwdconv(s)", "rtconv(s)"]
-            .map(String::from)
-            .to_vec(),
+        [
+            "degree",
+            "protocol",
+            "no-route",
+            "ttl-expired",
+            "looped",
+            "fwdconv(s)",
+            "rtconv(s)",
+        ]
+        .map(String::from)
+        .to_vec(),
     );
     for degree in MeshDegree::ALL {
         for protocol in protocols {

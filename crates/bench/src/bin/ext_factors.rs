@@ -18,12 +18,20 @@ fn main() {
     let args = sweep_args();
     let runs = args.runs;
     let mut observer = SweepObserver::new("ext_factors", args);
-    println!("Extension E7 — §4 factors: switch-over windows and path stretch, {runs} runs/point\n");
+    println!(
+        "Extension E7 — §4 factors: switch-over windows and path stretch, {runs} runs/point\n"
+    );
 
     let mut table = Table::new(
-        ["degree", "protocol", "max switch-over (s)", "mean stretch", "transient paths"]
-            .map(String::from)
-            .to_vec(),
+        [
+            "degree",
+            "protocol",
+            "max switch-over (s)",
+            "mean stretch",
+            "transient paths",
+        ]
+        .map(String::from)
+        .to_vec(),
     );
     for degree in [MeshDegree::D3, MeshDegree::D4, MeshDegree::D6] {
         for protocol in ProtocolKind::PAPER {

@@ -17,10 +17,13 @@ use topology::mesh::MeshDegree;
 
 fn bgp3_with_damping() -> ProtocolFactory {
     ProtocolFactory::new(|| {
-        Box::new(Bgp::with_config(BgpConfig {
-            flap_damping: Some(FlapConfig::aggressive()),
-            ..BgpConfig::bgp3()
-        }).expect("valid config"))
+        Box::new(
+            Bgp::with_config(BgpConfig {
+                flap_damping: Some(FlapConfig::aggressive()),
+                ..BgpConfig::bgp3()
+            })
+            .expect("valid config"),
+        )
     })
 }
 
@@ -37,9 +40,16 @@ fn main() {
         up: SimDuration::from_secs(3),
     };
     let mut table = Table::new(
-        ["degree", "damping", "delivery %", "no-route", "rtconv(s)", "msgs"]
-            .map(String::from)
-            .to_vec(),
+        [
+            "degree",
+            "damping",
+            "delivery %",
+            "no-route",
+            "rtconv(s)",
+            "msgs",
+        ]
+        .map(String::from)
+        .to_vec(),
     );
     for degree in [MeshDegree::D4, MeshDegree::D6] {
         for (label, factory) in [

@@ -49,8 +49,11 @@ fn main() {
             let (summaries, lost): (Vec<_>, Vec<u64>) = outcome.completed.into_iter().unzip();
             let completed = summaries.len().max(1) as f64;
             let point = aggregate_point(&summaries).expect("nonempty sweep");
-            let queue_drops =
-                summaries.iter().map(|s| s.drops.queue_overflow as f64).sum::<f64>() / completed;
+            let queue_drops = summaries
+                .iter()
+                .map(|s| s.drops.queue_overflow as f64)
+                .sum::<f64>()
+                / completed;
             table.push_row(vec![
                 rate.to_string(),
                 protocol.label().to_string(),

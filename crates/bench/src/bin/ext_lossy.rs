@@ -49,19 +49,31 @@ fn main() {
                 cfg.link.impairment = Impairment::lossy(loss);
             }
             let sweep_label = format!("{}/d{degree}/loss-{:.0}", protocol.label(), loss * 100.0);
-            let outcome =
-                observer.sweep(&sweep_label, &cfg, runs, point_seed(degree, 0), summarize_streaming);
+            let outcome = observer.sweep(
+                &sweep_label,
+                &cfg,
+                runs,
+                point_seed(degree, 0),
+                summarize_streaming,
+            );
             let completed = outcome.completed.len().max(1) as f64;
-            let retransmits =
-                outcome.telemetry.iter().map(|t| t.control_retransmits).sum::<u64>() as f64
-                    / completed;
+            let retransmits = outcome
+                .telemetry
+                .iter()
+                .map(|t| t.control_retransmits)
+                .sum::<u64>() as f64
+                / completed;
             let point = aggregate_point(&outcome.completed).expect("nonempty sweep");
             table.push_row(vec![
                 format!("{:.0}", loss * 100.0),
                 protocol.to_string(),
                 format!("{:.2}", 100.0 * point.delivery_ratio.mean),
                 fmt_f64(
-                    outcome.completed.iter().map(|s| s.drops.impaired as f64).sum::<f64>()
+                    outcome
+                        .completed
+                        .iter()
+                        .map(|s| s.drops.impaired as f64)
+                        .sum::<f64>()
                         / completed,
                 ),
                 fmt_f64(point.drops_no_route.mean),

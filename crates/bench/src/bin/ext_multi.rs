@@ -17,9 +17,17 @@ fn main() {
 
     let protocols = [ProtocolKind::Dbf, ProtocolKind::Bgp3];
     let mut table = Table::new(
-        ["scenario", "degree", "protocol", "delivery", "no-route", "ttl", "rtconv(s)"]
-            .map(String::from)
-            .to_vec(),
+        [
+            "scenario",
+            "degree",
+            "protocol",
+            "delivery",
+            "no-route",
+            "ttl",
+            "rtconv(s)",
+        ]
+        .map(String::from)
+        .to_vec(),
     );
     for degree in [MeshDegree::D4, MeshDegree::D6] {
         for protocol in protocols {

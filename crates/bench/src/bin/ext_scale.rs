@@ -24,9 +24,17 @@ fn main() {
     println!("Extension E5 — mesh size scaling (degree 8), {runs} runs/point\n");
 
     let mut table = Table::new(
-        ["mesh", "nodes", "protocol", "delivery %", "no-route", "fwdconv(s)", "rtconv(s)"]
-            .map(String::from)
-            .to_vec(),
+        [
+            "mesh",
+            "nodes",
+            "protocol",
+            "delivery %",
+            "no-route",
+            "fwdconv(s)",
+            "rtconv(s)",
+        ]
+        .map(String::from)
+        .to_vec(),
     );
     for size in [7usize, 10, 13, 15] {
         for protocol in [ProtocolKind::Rip, ProtocolKind::Dbf, ProtocolKind::Bgp3] {

@@ -18,9 +18,11 @@ fn main() {
     println!("Extension E1 — SPF and DUAL vs the paper's family, {runs} runs/point\n");
 
     let mut table = Table::new(
-        ["degree", "metric", "RIP", "DBF", "BGP", "BGP-3", "SPF", "DUAL"]
-            .map(String::from)
-            .to_vec(),
+        [
+            "degree", "metric", "RIP", "DBF", "BGP", "BGP-3", "SPF", "DUAL",
+        ]
+        .map(String::from)
+        .to_vec(),
     );
     for degree in [MeshDegree::D3, MeshDegree::D4, MeshDegree::D6] {
         let points: Vec<_> = ProtocolKind::ALL

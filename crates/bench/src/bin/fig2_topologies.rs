@@ -12,14 +12,24 @@ fn main() {
 
     for degree in [MeshDegree::D4, MeshDegree::D5, MeshDegree::D6] {
         let mesh = Mesh::regular(7, 7, degree);
-        println!("--- degree {degree} ({} links) ---", mesh.graph().num_edges());
+        println!(
+            "--- degree {degree} ({} links) ---",
+            mesh.graph().num_edges()
+        );
         println!("{}", mesh.render_ascii());
     }
 
     let mut table = Table::new(
-        ["degree", "links", "interior deg", "mean deg", "diameter", "mean path len"]
-            .map(String::from)
-            .to_vec(),
+        [
+            "degree",
+            "links",
+            "interior deg",
+            "mean deg",
+            "diameter",
+            "mean path len",
+        ]
+        .map(String::from)
+        .to_vec(),
     );
     for degree in MeshDegree::ALL {
         let mesh = Mesh::regular(7, 7, degree);

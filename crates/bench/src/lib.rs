@@ -324,32 +324,61 @@ mod tests {
 
     #[test]
     fn arg_parsing_accepts_runs_jobs_and_env() {
-        let args = |v: &[&str]| v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>().into_iter();
+        let args = |v: &[&str]| {
+            v.iter()
+                .map(|s| (*s).to_string())
+                .collect::<Vec<_>>()
+                .into_iter()
+        };
         assert_eq!(parse_sweep_args(args(&[]), None), SweepArgs::default());
         assert_eq!(
             parse_sweep_args(args(&["25"]), None),
-            SweepArgs { runs: 25, jobs: 1, progress: false }
+            SweepArgs {
+                runs: 25,
+                jobs: 1,
+                progress: false
+            }
         );
         assert_eq!(
             parse_sweep_args(args(&["25", "--jobs", "4"]), None),
-            SweepArgs { runs: 25, jobs: 4, progress: false }
+            SweepArgs {
+                runs: 25,
+                jobs: 4,
+                progress: false
+            }
         );
         assert_eq!(
             parse_sweep_args(args(&["--jobs=8", "10"]), None),
-            SweepArgs { runs: 10, jobs: 8, progress: false }
+            SweepArgs {
+                runs: 10,
+                jobs: 8,
+                progress: false
+            }
         );
         // Env fallback applies, explicit flag wins.
         assert_eq!(
             parse_sweep_args(args(&["5"]), Some("2".into())),
-            SweepArgs { runs: 5, jobs: 2, progress: false }
+            SweepArgs {
+                runs: 5,
+                jobs: 2,
+                progress: false
+            }
         );
         assert_eq!(
             parse_sweep_args(args(&["5", "--jobs", "3"]), Some("2".into())),
-            SweepArgs { runs: 5, jobs: 3, progress: false }
+            SweepArgs {
+                runs: 5,
+                jobs: 3,
+                progress: false
+            }
         );
         assert_eq!(
             parse_sweep_args(args(&["--progress", "5", "--jobs", "2"]), None),
-            SweepArgs { runs: 5, jobs: 2, progress: true }
+            SweepArgs {
+                runs: 5,
+                jobs: 2,
+                progress: true
+            }
         );
     }
 
@@ -360,7 +389,14 @@ mod tests {
     }
 
     fn observer(runs: usize, jobs: usize) -> SweepObserver {
-        SweepObserver::new("bench-lib-test", SweepArgs { runs, jobs, progress: false })
+        SweepObserver::new(
+            "bench-lib-test",
+            SweepArgs {
+                runs,
+                jobs,
+                progress: false,
+            },
+        )
     }
 
     #[test]
@@ -401,8 +437,11 @@ mod tests {
         use convergence::report::{fmt_f64, Table};
         let csv = |jobs: usize| {
             let point = observer(2, jobs).point(ProtocolKind::Dbf, MeshDegree::D6, |_| {});
-            let mut table =
-                Table::new(["delivery", "no-route", "rtconv"].map(String::from).to_vec());
+            let mut table = Table::new(
+                ["delivery", "no-route", "rtconv"]
+                    .map(String::from)
+                    .to_vec(),
+            );
             table.push_row(vec![
                 format!("{:.6}", point.delivery_ratio.mean),
                 fmt_f64(point.drops_no_route.mean),

@@ -181,8 +181,7 @@ impl FlapDamper {
         let reuse_in = newly_suppressed.then(|| {
             // penalty * 0.5^(dt/half_life) = reuse  =>  dt = hl*log2(p/r)
             let halves = (penalty / config.reuse_threshold).log2();
-            SimDuration::from_secs_f64(halves * config.half_life.as_secs_f64())
-                .max(MIN_REUSE_CHECK)
+            SimDuration::from_secs_f64(halves * config.half_life.as_secs_f64()).max(MIN_REUSE_CHECK)
         });
         FlapOutcome {
             suppressed: state.suppressed,
@@ -302,12 +301,7 @@ mod tests {
         let mut d = damper();
         d.record(n(1), n(2), FlapEvent::Withdrawal, SimTime::from_secs(0));
         // 30 s later (3 half-lives) the 1000 penalty is only 125.
-        let out = d.record(
-            n(1),
-            n(2),
-            FlapEvent::Withdrawal,
-            SimTime::from_secs(30),
-        );
+        let out = d.record(n(1), n(2), FlapEvent::Withdrawal, SimTime::from_secs(30));
         assert!(!out.suppressed, "1125 stays under 2000");
     }
 

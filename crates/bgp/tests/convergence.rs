@@ -88,8 +88,12 @@ fn withdrawal_bypasses_mrai() {
     // reach node 0 within transmission+detection time, not an MRAI window.
     let mut builder = netsim::simulator::SimulatorBuilder::new();
     let nodes = builder.add_nodes(3);
-    builder.add_link(nodes[0], nodes[1], LinkConfig::default()).unwrap();
-    builder.add_link(nodes[1], nodes[2], LinkConfig::default()).unwrap();
+    builder
+        .add_link(nodes[0], nodes[1], LinkConfig::default())
+        .unwrap();
+    builder
+        .add_link(nodes[1], nodes[2], LinkConfig::default())
+        .unwrap();
     builder.seed(4);
     let mut sim = builder.build().unwrap();
     for &n in &nodes {
@@ -100,7 +104,8 @@ fn withdrawal_bypasses_mrai() {
     assert!(sim.forwarding_path(nodes[0], nodes[2]).is_complete());
 
     let link = sim.link_between(nodes[1], nodes[2]).unwrap();
-    sim.schedule_link_failure(SimTime::from_secs(200), link).unwrap();
+    sim.schedule_link_failure(SimTime::from_secs(200), link)
+        .unwrap();
     // Detection at 200.05 s; allow 100 ms for the withdrawal to transit.
     sim.run_until(SimTime::from_millis(200_150));
     assert_eq!(
@@ -124,7 +129,8 @@ fn bgp_reconverges_after_failure_with_valid_paths() {
     };
     let (a, b) = (path[2], path[3]);
     let link = sim.link_between(a, b).unwrap();
-    sim.schedule_link_failure(SimTime::from_secs(160), link).unwrap();
+    sim.schedule_link_failure(SimTime::from_secs(160), link)
+        .unwrap();
     sim.run_until(SimTime::from_secs(300));
 
     let degraded = mesh.graph().without_edge(topology::graph::Edge::new(a, b));
@@ -151,10 +157,14 @@ fn bgp_switches_instantly_on_dense_mesh() {
     };
     let (a, b) = (path[1], path[2]);
     let link = sim.link_between(a, b).unwrap();
-    sim.schedule_link_failure(SimTime::from_secs(160), link).unwrap();
+    sim.schedule_link_failure(SimTime::from_secs(160), link)
+        .unwrap();
     sim.run_until(SimTime::from_millis(160_051));
     let next = sim.fib(a).next_hop(dst);
-    assert!(next.is_some(), "BGP should switch from Adj-RIB-In instantly");
+    assert!(
+        next.is_some(),
+        "BGP should switch from Adj-RIB-In instantly"
+    );
     assert_ne!(next, Some(b));
 }
 
@@ -164,7 +174,8 @@ fn per_destination_mrai_converges_no_slower() {
         Bgp::with_config(BgpConfig {
             mrai_scope: MraiScope::PerNeighborDestination,
             ..BgpConfig::standard()
-        }).expect("valid config")
+        })
+        .expect("valid config")
     };
     let (mut scoped, mesh) = bgp_mesh(MeshDegree::D4, 7, per_pair);
     scoped.run_until(SimTime::from_secs(900));
@@ -212,24 +223,32 @@ fn damped_withdrawals_ride_the_mrai() {
     let build = |damp: bool| {
         let mut builder = netsim::simulator::SimulatorBuilder::new();
         let nodes = builder.add_nodes(3);
-        builder.add_link(nodes[0], nodes[1], LinkConfig::default()).unwrap();
-        builder.add_link(nodes[1], nodes[2], LinkConfig::default()).unwrap();
+        builder
+            .add_link(nodes[0], nodes[1], LinkConfig::default())
+            .unwrap();
+        builder
+            .add_link(nodes[1], nodes[2], LinkConfig::default())
+            .unwrap();
         builder.seed(17);
         let mut sim = builder.build().unwrap();
         for &n in &nodes {
             sim.install_protocol(
                 n,
-                Box::new(Bgp::with_config(bgp::BgpConfig {
-                    damp_withdrawals: damp,
-                    ..bgp::BgpConfig::standard()
-                }).expect("valid config")),
+                Box::new(
+                    Bgp::with_config(bgp::BgpConfig {
+                        damp_withdrawals: damp,
+                        ..bgp::BgpConfig::standard()
+                    })
+                    .expect("valid config"),
+                ),
             )
             .unwrap();
         }
         sim.start();
         sim.run_until(SimTime::from_secs(120));
         let link = sim.link_between(nodes[1], nodes[2]).unwrap();
-        sim.schedule_link_failure(SimTime::from_secs(200), link).unwrap();
+        sim.schedule_link_failure(SimTime::from_secs(200), link)
+            .unwrap();
         (sim, nodes)
     };
 
@@ -256,8 +275,12 @@ fn session_reset_flushes_adj_rib_in() {
     // through the initial RIB exchange rather than trusting stale state.
     let mut builder = netsim::simulator::SimulatorBuilder::new();
     let nodes = builder.add_nodes(3);
-    builder.add_link(nodes[0], nodes[1], LinkConfig::default()).unwrap();
-    builder.add_link(nodes[1], nodes[2], LinkConfig::default()).unwrap();
+    builder
+        .add_link(nodes[0], nodes[1], LinkConfig::default())
+        .unwrap();
+    builder
+        .add_link(nodes[1], nodes[2], LinkConfig::default())
+        .unwrap();
     builder.seed(23);
     let mut sim = builder.build().unwrap();
     for &n in &nodes {
@@ -266,10 +289,12 @@ fn session_reset_flushes_adj_rib_in() {
     sim.start();
     sim.run_until(SimTime::from_secs(60));
     let link = sim.link_between(nodes[0], nodes[1]).unwrap();
-    sim.schedule_link_failure(SimTime::from_secs(70), link).unwrap();
+    sim.schedule_link_failure(SimTime::from_secs(70), link)
+        .unwrap();
     sim.run_until(SimTime::from_secs(80));
     assert_eq!(sim.fib(nodes[0]).next_hop(nodes[2]), None, "partitioned");
-    sim.schedule_link_recovery(SimTime::from_secs(90), link).unwrap();
+    sim.schedule_link_recovery(SimTime::from_secs(90), link)
+        .unwrap();
     sim.run_until(SimTime::from_secs(150));
     assert!(
         sim.forwarding_path(nodes[0], nodes[2]).is_complete(),

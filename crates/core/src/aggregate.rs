@@ -380,8 +380,7 @@ mod tests {
         let values: Vec<f64> = (0..1000).map(|i| 1.0e9 + f64::from(i) * 0.25).collect();
         let a = Aggregate::of(&values).unwrap();
         let mean = values.iter().sum::<f64>() / values.len() as f64;
-        let var =
-            values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / values.len() as f64;
+        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / values.len() as f64;
         assert!((a.mean - mean).abs() < 1e-3);
         assert!((a.std_dev - var.sqrt()).abs() < 1e-6);
     }

@@ -6,8 +6,8 @@ use std::fmt;
 use netsim::ident::NodeId;
 use netsim::impairment::Impairment;
 use netsim::rng::SimRng;
-use netsim::time::SimDuration;
 use netsim::simulator::{ForwardingPath, Simulator};
+use netsim::time::SimDuration;
 use topology::graph::{Edge, Graph};
 
 /// What fails during a run.
@@ -304,14 +304,8 @@ pub fn choose_failure(
             let mut chosen: Vec<Edge> = Vec::new();
             // First pick from the live path, then from anywhere, always
             // keeping the network connected.
-            let mut candidates: Vec<Edge> = p
-                .windows(2)
-                .map(|w| Edge::new(w[0], w[1]))
-                .collect();
-            let mut extras: Vec<Edge> = graph
-                .edges()
-                .filter(|e| !candidates.contains(e))
-                .collect();
+            let mut candidates: Vec<Edge> = p.windows(2).map(|w| Edge::new(w[0], w[1])).collect();
+            let mut extras: Vec<Edge> = graph.edges().filter(|e| !candidates.contains(e)).collect();
             while chosen.len() < *count && !(candidates.is_empty() && extras.is_empty()) {
                 let pool = if candidates.is_empty() {
                     &mut extras
@@ -417,7 +411,8 @@ mod tests {
         let mut b = netsim::simulator::SimulatorBuilder::new();
         let n0 = b.add_node();
         let n1 = b.add_node();
-        b.add_link(n0, n1, netsim::link::LinkConfig::default()).unwrap();
+        b.add_link(n0, n1, netsim::link::LinkConfig::default())
+            .unwrap();
         let sim = b.build().unwrap();
         let mut g = Graph::new(2);
         g.add_edge(n0, n1);
@@ -441,7 +436,8 @@ mod tests {
         let mut b = netsim::simulator::SimulatorBuilder::new();
         let n0 = b.add_node();
         let n1 = b.add_node();
-        b.add_link(n0, n1, netsim::link::LinkConfig::default()).unwrap();
+        b.add_link(n0, n1, netsim::link::LinkConfig::default())
+            .unwrap();
         let sim = b.build().unwrap();
         let mut g = Graph::new(2);
         g.add_edge(n0, n1);
@@ -463,7 +459,8 @@ mod tests {
         let mut b = netsim::simulator::SimulatorBuilder::new();
         let n0 = b.add_node();
         let n1 = b.add_node();
-        b.add_link(n0, n1, netsim::link::LinkConfig::default()).unwrap();
+        b.add_link(n0, n1, netsim::link::LinkConfig::default())
+            .unwrap();
         let sim = b.build().unwrap();
         let mut g = Graph::new(2);
         g.add_edge(n0, n1);

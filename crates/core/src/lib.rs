@@ -41,8 +41,8 @@ pub mod transport;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use crate::aggregate::{
-        aggregate_point, run_sweep, Aggregate, FailedRun, PointSummary, RetryPolicy,
-        SweepOptions, SweepOutcome,
+        aggregate_point, run_sweep, Aggregate, FailedRun, PointSummary, RetryPolicy, SweepOptions,
+        SweepOutcome,
     };
     pub use crate::experiment::{
         ExperimentConfig, TopologySpec, TrafficConfig, TrafficMode, WarmupPolicy, WatchdogPolicy,
@@ -50,13 +50,13 @@ pub mod prelude {
     pub use crate::failure::{
         FailurePlan, FailureSelection, ImpairmentAction, RestartAction, SelectionError,
     };
-    pub use netsim::impairment::Impairment;
     pub use crate::metrics::streaming::{summarize_streaming, SummaryObserver};
     pub use crate::metrics::summary::{summarize, RunSummary};
     pub use crate::metrics::MetricsError;
     pub use crate::protocols::ProtocolKind;
     pub use crate::report::Table;
     pub use crate::runner::{run, run_observed, Flow, RunError, RunResult};
-    pub use obs::telemetry::{render_jsonl, RunTelemetry};
     pub use crate::transport::{GoBackNConfig, WindowFlowReport};
+    pub use netsim::impairment::Impairment;
+    pub use obs::telemetry::{render_jsonl, RunTelemetry};
 }

@@ -39,7 +39,10 @@ impl FibReplay {
 
     /// Applies one trace event (non-route events are ignored).
     pub fn apply(&mut self, event: &TraceEvent) {
-        if let TraceEvent::RouteChanged { node, dest, new, .. } = event {
+        if let TraceEvent::RouteChanged {
+            node, dest, new, ..
+        } = event
+        {
             self.fibs[node.index()][dest.index()] = *new;
         }
     }
@@ -204,7 +207,10 @@ mod tests {
             PathOutcome::Complete(vec![n(0), n(1), n(2)])
         );
         replay.apply(&route(3, 1, 2, None));
-        assert_eq!(replay.walk(n(0), n(2)), PathOutcome::Broken(vec![n(0), n(1)]));
+        assert_eq!(
+            replay.walk(n(0), n(2)),
+            PathOutcome::Broken(vec![n(0), n(1)])
+        );
         replay.apply(&route(4, 1, 2, Some(0)));
         assert_eq!(
             replay.walk(n(0), n(2)),
@@ -225,11 +231,8 @@ mod tests {
     #[test]
     fn routing_convergence_zero_without_changes() {
         let trace = Trace::from_events(vec![route(1_000, 0, 2, Some(1))]);
-        let secs = routing_convergence_time(
-            &trace,
-            SimTime::from_secs(10),
-            SimDuration::from_millis(50),
-        );
+        let secs =
+            routing_convergence_time(&trace, SimTime::from_secs(10), SimDuration::from_millis(50));
         assert_eq!(secs, 0.0);
     }
 
@@ -242,11 +245,11 @@ mod tests {
         // immediately, so two distinct outcomes then repair steps.
         assert!(matches!(history.timeline[0].1, PathOutcome::Complete(_)));
         assert!(history.transient_path_count() >= 2);
-        assert!(matches!(history.final_outcome(), Some(PathOutcome::Complete(_))));
-        let delay = history.convergence_delay(
-            SimTime::from_secs(10),
-            SimDuration::from_millis(50),
-        );
+        assert!(matches!(
+            history.final_outcome(),
+            Some(PathOutcome::Complete(_))
+        ));
+        let delay = history.convergence_delay(SimTime::from_secs(10), SimDuration::from_millis(50));
         assert!((delay - 2.45).abs() < 1e-9);
     }
 

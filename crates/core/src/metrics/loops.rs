@@ -225,11 +225,7 @@ mod tests {
 
     #[test]
     fn unresolved_packets_are_flagged() {
-        let trace = Trace::from_events(vec![
-            inject(0, 5, 0, 9),
-            hop(1, 5, 0, 1),
-            hop(2, 5, 1, 0),
-        ]);
+        let trace = Trace::from_events(vec![inject(0, 5, 0, 9), hop(1, 5, 0, 1), hop(2, 5, 1, 0)]);
         let report = analyze_loops(&trace);
         assert_eq!(report.encounters[0].fate, LoopFate::Unresolved);
     }

@@ -21,7 +21,9 @@ pub mod stretch;
 pub mod summary;
 pub mod switchover;
 
-pub use convergence::{path_history, routing_convergence_time, FibReplay, PathHistory, PathOutcome};
+pub use convergence::{
+    path_history, routing_convergence_time, FibReplay, PathHistory, PathOutcome,
+};
 pub use drops::{count_delivered, count_drops, DropCounts};
 pub use loops::{analyze_loops, LoopEncounter, LoopFate, LoopReport};
 pub use series::{delay_series, mean_delay_series, mean_u64_series, throughput_series};
@@ -51,7 +53,10 @@ impl fmt::Display for MetricsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MetricsError::UnreachableDestination { src, dst } => {
-                write!(f, "receiver {dst} unreachable from {src} before the failure")
+                write!(
+                    f,
+                    "receiver {dst} unreachable from {src} before the failure"
+                )
             }
             MetricsError::EmptySweep => write!(f, "cannot aggregate zero run summaries"),
         }

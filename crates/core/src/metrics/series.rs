@@ -117,8 +117,8 @@ pub fn mean_delay_series(series: &[Vec<(i64, Option<f64>)>]) -> Vec<(i64, Option
         .map(|i| {
             let second = series[0][i].0;
             let values: Vec<f64> = series.iter().filter_map(|s| s[i].1).collect();
-            let mean = (!values.is_empty())
-                .then(|| values.iter().sum::<f64>() / values.len() as f64);
+            let mean =
+                (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64);
             (second, mean)
         })
         .collect()
@@ -151,10 +151,7 @@ mod tests {
             delivered(12_000, 11_900, 5), // bucket 2
         ]);
         let series = throughput_series(&trace, t_fail, -2, 3);
-        assert_eq!(
-            series,
-            vec![(-2, 1), (-1, 1), (0, 2), (1, 0), (2, 1)]
-        );
+        assert_eq!(series, vec![(-2, 1), (-1, 1), (0, 2), (1, 0), (2, 1)]);
     }
 
     #[test]

@@ -23,9 +23,9 @@ use topology::graph::{Edge, Graph};
 use topology::shortest_path::bfs;
 
 use crate::metrics::convergence::{FibReplay, PathOutcome};
-use crate::metrics::MetricsError;
 use crate::metrics::drops::DropCounts;
 use crate::metrics::summary::{summarize, RunSummary};
+use crate::metrics::MetricsError;
 use crate::runner::{Flow, RunResult};
 
 /// In-flight per-packet loop-forensics state (recycled for another packet
@@ -111,12 +111,12 @@ impl SummaryObserver {
         t_fail: SimTime,
         detection: SimDuration,
     ) -> Result<Self, MetricsError> {
-        let dist_before = bfs(graph, flow.sender)
-            .distance(flow.receiver)
-            .ok_or(MetricsError::UnreachableDestination {
+        let dist_before = bfs(graph, flow.sender).distance(flow.receiver).ok_or(
+            MetricsError::UnreachableDestination {
                 src: flow.sender,
                 dst: flow.receiver,
-            })?;
+            },
+        )?;
         let mut degraded = graph.clone();
         for edge in failed {
             degraded = degraded.without_edge(*edge);
@@ -304,7 +304,9 @@ impl SummaryObserver {
                 .last_route_change
                 .map_or(0.0, |t| t.saturating_since(detect_at).as_secs_f64()),
             forwarding_convergence_s: if self.last_path_change > self.t_fail {
-                self.last_path_change.saturating_since(detect_at).as_secs_f64()
+                self.last_path_change
+                    .saturating_since(detect_at)
+                    .as_secs_f64()
             } else {
                 0.0
             },

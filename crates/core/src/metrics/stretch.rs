@@ -68,9 +68,9 @@ pub fn flow_stretch(
     let mut out = Vec::new();
     for event in trace {
         match event {
-            TraceEvent::PacketInjected { id, src: s, dst: d, .. }
-                if s == src && d == dst =>
-            {
+            TraceEvent::PacketInjected {
+                id, src: s, dst: d, ..
+            } if s == src && d == dst => {
                 flow_packets.insert(id, ());
             }
             TraceEvent::PacketDelivered { time, id, hops, .. }

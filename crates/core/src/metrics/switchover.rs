@@ -47,7 +47,11 @@ pub fn switch_overs(trace: &Trace, from: SimTime) -> Vec<SwitchOver> {
     let mut windows = Vec::new();
     for event in trace {
         let TraceEvent::RouteChanged {
-            time, node, dest, new, ..
+            time,
+            node,
+            dest,
+            new,
+            ..
         } = event
         else {
             continue;
@@ -94,11 +98,7 @@ pub struct SwitchOverStats {
 
 /// Aggregates the windows affecting `dest`.
 #[must_use]
-pub fn stats_for_dest(
-    windows: &[SwitchOver],
-    dest: NodeId,
-    run_end: SimTime,
-) -> SwitchOverStats {
+pub fn stats_for_dest(windows: &[SwitchOver], dest: NodeId, run_end: SimTime) -> SwitchOverStats {
     let durations: Vec<f64> = windows
         .iter()
         .filter(|w| w.dest == dest)

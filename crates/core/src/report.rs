@@ -105,10 +105,7 @@ impl Table {
         let mut out = String::new();
         let row = |cells: &[String]| format!("| {} |\n", cells.join(" | "));
         out.push_str(&row(&self.headers));
-        out.push_str(&format!(
-            "|{}\n",
-            "---|".repeat(self.headers.len())
-        ));
+        out.push_str(&format!("|{}\n", "---|".repeat(self.headers.len())));
         for r in &self.rows {
             out.push_str(&row(r));
         }

@@ -105,10 +105,9 @@ impl fmt::Display for RunError {
                 flow.sender, flow.receiver
             ),
             RunError::Selection(e) => write!(f, "failure selection failed: {e}"),
-            RunError::Watchdog { events, at } => write!(
-                f,
-                "watchdog aborted run after {events} events at t={at}"
-            ),
+            RunError::Watchdog { events, at } => {
+                write!(f, "watchdog aborted run after {events} events at t={at}")
+            }
             RunError::MissingSourceAgent { node } => {
                 write!(f, "no go-back-N source agent on {node} after the run")
             }
@@ -264,7 +263,10 @@ pub fn run_observed(
             }
             break Flow { sender, receiver };
         };
-        if !sim.forwarding_path(flow.sender, flow.receiver).is_complete() {
+        if !sim
+            .forwarding_path(flow.sender, flow.receiver)
+            .is_complete()
+        {
             return Err(RunError::NoPath(flow));
         }
         flows.push(flow);
@@ -412,7 +414,12 @@ mod tests {
 
     #[test]
     fn spf_run_completes_and_conserves_packets() {
-        let result = run(&ExperimentConfig::paper(ProtocolKind::Spf, MeshDegree::D4, 3)).unwrap();
+        let result = run(&ExperimentConfig::paper(
+            ProtocolKind::Spf,
+            MeshDegree::D4,
+            3,
+        ))
+        .unwrap();
         let s = result.stats;
         assert_eq!(s.packets_injected, 20 * 50); // 20 pps x 50 s window
         assert_eq!(s.packets_injected, s.packets_delivered + s.packets_dropped);
@@ -435,8 +442,18 @@ mod tests {
 
     #[test]
     fn different_seeds_vary_the_scenario() {
-        let a = run(&ExperimentConfig::paper(ProtocolKind::Spf, MeshDegree::D4, 1)).unwrap();
-        let b = run(&ExperimentConfig::paper(ProtocolKind::Spf, MeshDegree::D4, 2)).unwrap();
+        let a = run(&ExperimentConfig::paper(
+            ProtocolKind::Spf,
+            MeshDegree::D4,
+            1,
+        ))
+        .unwrap();
+        let b = run(&ExperimentConfig::paper(
+            ProtocolKind::Spf,
+            MeshDegree::D4,
+            2,
+        ))
+        .unwrap();
         assert!(a.flows != b.flows || a.failure != b.failure);
     }
 

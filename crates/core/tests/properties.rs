@@ -154,7 +154,12 @@ proptest! {
 
 #[test]
 fn summary_equals_oracle_on_a_paper_run() {
-    let result = run(&ExperimentConfig::paper(ProtocolKind::Spf, MeshDegree::D4, 3)).unwrap();
+    let result = run(&ExperimentConfig::paper(
+        ProtocolKind::Spf,
+        MeshDegree::D4,
+        3,
+    ))
+    .unwrap();
     assert_eq!(
         summarize(&result).unwrap(),
         oracle::summarize_by_passes(&result).unwrap()
@@ -163,7 +168,12 @@ fn summary_equals_oracle_on_a_paper_run() {
 
 #[test]
 fn summary_equals_oracle_on_a_low_degree_run() {
-    let result = run(&ExperimentConfig::paper(ProtocolKind::Rip, MeshDegree::D3, 5)).unwrap();
+    let result = run(&ExperimentConfig::paper(
+        ProtocolKind::Rip,
+        MeshDegree::D3,
+        5,
+    ))
+    .unwrap();
     let summary = summarize(&result).unwrap();
     assert_eq!(summary, oracle::summarize_by_passes(&result).unwrap());
     assert!(summary.looped_packets > 0 || summary.drops.total() > 0);
@@ -175,7 +185,12 @@ fn summary_equals_oracle_on_a_low_degree_run() {
 /// BGP-3 at degree 3, seeds 0–39) three had any.
 #[test]
 fn summary_equals_oracle_when_looping_packets_escape() {
-    let result = run(&ExperimentConfig::paper(ProtocolKind::Bgp3, MeshDegree::D3, 21)).unwrap();
+    let result = run(&ExperimentConfig::paper(
+        ProtocolKind::Bgp3,
+        MeshDegree::D3,
+        21,
+    ))
+    .unwrap();
     let summary = summarize(&result).unwrap();
     assert!(summary.loop_escapes > 0);
     assert_eq!(summary, oracle::summarize_by_passes(&result).unwrap());
@@ -202,7 +217,10 @@ fn summary_equals_oracle_under_several_flows() {
     // the mean delay of a full decode.
     let secs = |t: netsim::time::SimTime| (t.as_nanos() / 1_000_000_000) as i64;
     let end = result.trace.iter().last().expect("records").time();
-    let (from, to) = (-secs(result.t_fail) - 1, secs(end) - secs(result.t_fail) + 1);
+    let (from, to) = (
+        -secs(result.t_fail) - 1,
+        secs(end) - secs(result.t_fail) + 1,
+    );
     let throughput = throughput_series(&result.trace, result.t_fail, from, to);
     let delays = delay_series(&result.trace, result.t_fail, from, to);
     let delivered: u64 = throughput.iter().map(|&(_, n)| n).sum();

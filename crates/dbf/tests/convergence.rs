@@ -42,7 +42,11 @@ fn assert_steady_state(sim: &Simulator, mesh: &Mesh) {
 
 #[test]
 fn dbf_converges_to_shortest_paths() {
-    for (degree, seed) in [(MeshDegree::D3, 1), (MeshDegree::D5, 2), (MeshDegree::D8, 3)] {
+    for (degree, seed) in [
+        (MeshDegree::D3, 1),
+        (MeshDegree::D5, 2),
+        (MeshDegree::D8, 3),
+    ] {
         let (mut sim, mesh) = dbf_mesh(degree, seed);
         sim.run_until(SimTime::from_secs(80));
         assert_steady_state(&sim, &mesh);
@@ -65,7 +69,8 @@ fn dbf_switches_instantly_on_dense_mesh() {
     // Fail a link in the middle of the live path.
     let (a, b) = (path[2], path[3]);
     let link = sim.link_between(a, b).unwrap();
-    sim.schedule_link_failure(SimTime::from_secs(90), link).unwrap();
+    sim.schedule_link_failure(SimTime::from_secs(90), link)
+        .unwrap();
 
     // 1 ms after detection (detection delay = 50 ms) the upstream router
     // already has an alternate installed.
@@ -101,7 +106,8 @@ fn dbf_sparse_mesh_may_lose_reachability_but_recovers() {
     };
     let (a, b) = (path[1], path[2]);
     let link = sim.link_between(a, b).unwrap();
-    sim.schedule_link_failure(SimTime::from_secs(90), link).unwrap();
+    sim.schedule_link_failure(SimTime::from_secs(90), link)
+        .unwrap();
     sim.run_until(SimTime::from_secs(170));
     let degraded = mesh.graph().without_edge(topology::graph::Edge::new(a, b));
     let sp = bfs(&degraded, src);
@@ -130,8 +136,12 @@ fn dbf_cached_poison_prevents_bogus_alternates() {
     // dies, node 1 must NOT pick node 0 as an alternate.
     let mut builder = netsim::simulator::SimulatorBuilder::new();
     let nodes = builder.add_nodes(3);
-    builder.add_link(nodes[0], nodes[1], LinkConfig::default()).unwrap();
-    builder.add_link(nodes[1], nodes[2], LinkConfig::default()).unwrap();
+    builder
+        .add_link(nodes[0], nodes[1], LinkConfig::default())
+        .unwrap();
+    builder
+        .add_link(nodes[1], nodes[2], LinkConfig::default())
+        .unwrap();
     builder.seed(8);
     let mut sim = builder.build().unwrap();
     for &n in &nodes {
@@ -140,7 +150,8 @@ fn dbf_cached_poison_prevents_bogus_alternates() {
     sim.start();
     sim.run_until(SimTime::from_secs(60));
     let link = sim.link_between(nodes[1], nodes[2]).unwrap();
-    sim.schedule_link_failure(SimTime::from_secs(60), link).unwrap();
+    sim.schedule_link_failure(SimTime::from_secs(60), link)
+        .unwrap();
     sim.run_until(SimTime::from_secs(120));
     assert_eq!(sim.fib(nodes[1]).next_hop(nodes[2]), None);
     assert_eq!(sim.fib(nodes[0]).next_hop(nodes[2]), None);
@@ -157,7 +168,9 @@ fn dbf_and_rip_agree_at_steady_state() {
     builder.seed(6);
     let mut sim_rip = builder.build().unwrap();
     for node in mesh.graph().nodes() {
-        sim_rip.install_protocol(node, Box::new(rip::Rip::new())).unwrap();
+        sim_rip
+            .install_protocol(node, Box::new(rip::Rip::new()))
+            .unwrap();
     }
     sim_rip.start();
     sim_rip.run_until(SimTime::from_secs(80));

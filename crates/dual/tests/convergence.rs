@@ -43,7 +43,11 @@ fn assert_steady_state(sim: &Simulator, mesh: &Mesh, graph: &topology::graph::Gr
 
 #[test]
 fn dual_converges_to_shortest_paths() {
-    for (degree, seed) in [(MeshDegree::D3, 1), (MeshDegree::D4, 2), (MeshDegree::D8, 3)] {
+    for (degree, seed) in [
+        (MeshDegree::D3, 1),
+        (MeshDegree::D4, 2),
+        (MeshDegree::D8, 3),
+    ] {
         let (mut sim, mesh) = dual_mesh(degree, seed);
         sim.run_until(SimTime::from_secs(30));
         assert_steady_state(&sim, &mesh, mesh.graph());
@@ -57,7 +61,8 @@ fn dual_reconverges_after_failure() {
     let a = mesh.node_at(3, 3);
     let b = mesh.node_at(4, 3);
     let link = sim.link_between(a, b).unwrap();
-    sim.schedule_link_failure(SimTime::from_secs(40), link).unwrap();
+    sim.schedule_link_failure(SimTime::from_secs(40), link)
+        .unwrap();
     sim.run_until(SimTime::from_secs(90));
     let degraded = mesh.graph().without_edge(topology::graph::Edge::new(a, b));
     assert_steady_state(&sim, &mesh, &degraded);
@@ -81,13 +86,10 @@ fn dual_never_forms_forwarding_loops() {
             };
             let hop = (seed as usize) % (path.len() - 1);
             let link = sim.link_between(path[hop], path[hop + 1]).unwrap();
-            sim.schedule_link_failure(SimTime::from_secs(40), link).unwrap();
+            sim.schedule_link_failure(SimTime::from_secs(40), link)
+                .unwrap();
             for i in 0..600u64 {
-                sim.schedule_default_packet(
-                    SimTime::from_millis(35_000 + i * 50),
-                    src,
-                    dst,
-                );
+                sim.schedule_default_packet(SimTime::from_millis(35_000 + i * 50), src, dst);
             }
             sim.run_until(SimTime::from_secs(120));
             let ttl_drops = sim
@@ -103,10 +105,7 @@ fn dual_never_forms_forwarding_loops() {
                     )
                 })
                 .count();
-            assert_eq!(
-                ttl_drops, 0,
-                "DUAL looped at degree {degree}, seed {seed}"
-            );
+            assert_eq!(ttl_drops, 0, "DUAL looped at degree {degree}, seed {seed}");
         }
     }
 }
@@ -127,7 +126,8 @@ fn dual_freeze_blackholes_during_diffusion_on_sparse_mesh() {
             other => panic!("not converged: {other:?}"),
         };
         let link = sim.link_between(path[1], path[2]).unwrap();
-        sim.schedule_link_failure(SimTime::from_secs(40), link).unwrap();
+        sim.schedule_link_failure(SimTime::from_secs(40), link)
+            .unwrap();
         for i in 0..400u64 {
             sim.schedule_default_packet(SimTime::from_millis(39_000 + i * 50), src, dst);
         }

@@ -68,15 +68,9 @@ pub(crate) enum EventKind {
     /// The transmitter of `channel` finished serializing its current frame.
     /// `epoch` guards against stale events after a link failure cleared the
     /// transmitter.
-    FrameSerialized {
-        channel: ChannelId,
-        epoch: u64,
-    },
+    FrameSerialized { channel: ChannelId, epoch: u64 },
     /// A frame finished propagating and arrives at the channel's head node.
-    FrameArrived {
-        channel: ChannelId,
-        frame: Frame,
-    },
+    FrameArrived { channel: ChannelId, frame: Frame },
     /// A protocol timer fired at `node`.
     TimerFired { node: NodeId, timer: TimerId },
     /// Both directions of `link` go down.
@@ -84,7 +78,11 @@ pub(crate) enum EventKind {
     /// Both directions of `link` come back up.
     LinkRecover { link: LinkId },
     /// `node` locally detects that its attachment to `link` changed state.
-    LinkStateDetected { node: NodeId, link: LinkId, up: bool },
+    LinkStateDetected {
+        node: NodeId,
+        link: LinkId,
+        up: bool,
+    },
     /// A traffic source injects a data packet at its attachment node.
     InjectPacket { packet: Packet },
     /// Tick `tick` of constant-bit-rate source `source` (an index into the
@@ -94,11 +92,17 @@ pub(crate) enum EventKind {
     CbrTick { source: usize, tick: u64 },
     /// The impairment of both channels of `link` changes to `impairment`
     /// (the onset or the end of a lossy period).
-    SetImpairment { link: LinkId, impairment: Impairment },
+    SetImpairment {
+        link: LinkId,
+        impairment: Impairment,
+    },
     /// `node` reboots with cold routing state: its FIB is wiped, its
     /// pending protocol timers die and `protocol` replaces the crashed
     /// instance.
-    NodeRestart { node: NodeId, protocol: FreshProtocol },
+    NodeRestart {
+        node: NodeId,
+        protocol: FreshProtocol,
+    },
 }
 
 /// What a main-heap key carries besides its order: the fields of a timer
@@ -292,7 +296,10 @@ impl EventQueue {
             "attempt to schedule an event at {at} before now {}",
             self.now
         );
-        debug_assert!(seq < self.next_seq, "sequence number {seq} was never reserved");
+        debug_assert!(
+            seq < self.next_seq,
+            "sequence number {seq} was never reserved"
+        );
         if let EventKind::FrameSerialized { channel, epoch } = kind {
             self.serialized.push(SerializedKey {
                 time: at,
@@ -613,7 +620,10 @@ mod tests {
         while let Some((t, _, kind)) = pop_any(&mut lazy) {
             let id = channel_of(&kind);
             if id < TICKS {
-                assert!(lazy.len() <= before.len() + after.len(), "one tick pending at most");
+                assert!(
+                    lazy.len() <= before.len() + after.len(),
+                    "one tick pending at most"
+                );
                 let next = id + 1;
                 if next < TICKS {
                     lazy.schedule_reserved(tick_at(next), base + u64::from(next), marker(next));

@@ -159,7 +159,13 @@ mod tests {
         let names: Vec<String> = DropReason::ALL.iter().map(|r| r.to_string()).collect();
         assert_eq!(
             names,
-            ["no-route", "ttl-expired", "link-down", "queue-overflow", "impaired"]
+            [
+                "no-route",
+                "ttl-expired",
+                "link-down",
+                "queue-overflow",
+                "impaired"
+            ]
         );
     }
 }

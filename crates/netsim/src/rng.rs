@@ -128,8 +128,12 @@ mod tests {
         let mut d = root3.derive(6);
         // Different salt gives a different stream (overwhelmingly likely).
         assert_ne!(
-            (0..8).map(|_| c1.gen_range_u64(0, 1 << 32)).collect::<Vec<_>>(),
-            (0..8).map(|_| d.gen_range_u64(0, 1 << 32)).collect::<Vec<_>>()
+            (0..8)
+                .map(|_| c1.gen_range_u64(0, 1 << 32))
+                .collect::<Vec<_>>(),
+            (0..8)
+                .map(|_| d.gen_range_u64(0, 1 << 32))
+                .collect::<Vec<_>>()
         );
     }
 

@@ -253,10 +253,7 @@ mod tests {
     #[test]
     fn duration_conversions_agree() {
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1000));
-        assert_eq!(
-            SimDuration::from_millis(1),
-            SimDuration::from_micros(1000)
-        );
+        assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1000));
         assert_eq!(SimDuration::from_micros(1), SimDuration::from_nanos(1000));
         assert_eq!(SimDuration::from_secs_f64(0.25).as_nanos(), 250_000_000);
     }

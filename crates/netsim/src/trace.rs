@@ -174,10 +174,9 @@ impl TraceEvent {
             node.map_or_else(|| "-".to_string(), |n| n.to_string())
         }
         match self {
-            TraceEvent::PacketInjected { time, id, src, dst } => format!(
-                "inject t={} id={id} src={src} dst={dst}",
-                time.as_nanos()
-            ),
+            TraceEvent::PacketInjected { time, id, src, dst } => {
+                format!("inject t={} id={id} src={src} dst={dst}", time.as_nanos())
+            }
             TraceEvent::PacketForwarded {
                 time,
                 id,
@@ -875,7 +874,10 @@ mod tests {
             b: NodeId::new(1),
         });
         assert_eq!(t.len(), 2);
-        assert_eq!(t.iter().next().map(|e| e.time()), Some(SimTime::from_secs(1)));
+        assert_eq!(
+            t.iter().next().map(|e| e.time()),
+            Some(SimTime::from_secs(1))
+        );
         assert_eq!(t.iter().count(), 2);
         assert!(!t.is_empty());
     }
@@ -1081,7 +1083,11 @@ mod tests {
         let census = trace.census();
         assert_eq!(census, decoded_census(&trace));
         assert_eq!(
-            (census.route_changes, census.detections, census.node_restarts),
+            (
+                census.route_changes,
+                census.detections,
+                census.node_restarts
+            ),
             (2, 2, 1)
         );
     }
@@ -1100,7 +1106,10 @@ mod tests {
         assert_eq!(skipped.next_kind(), None);
         kinds.sort_unstable();
         kinds.dedup();
-        assert_eq!(kinds, (PACKET_INJECTED..=NODE_RESTARTED).collect::<Vec<_>>());
+        assert_eq!(
+            kinds,
+            (PACKET_INJECTED..=NODE_RESTARTED).collect::<Vec<_>>()
+        );
     }
 
     /// A `PacketDelivered` with every field at its widest encoding.

@@ -120,7 +120,13 @@ fn request_reply_round_trip() {
         }),
     )
     .unwrap();
-    sim.install_app(nodes[3], Box::new(Echo { received: Vec::new() })).unwrap();
+    sim.install_app(
+        nodes[3],
+        Box::new(Echo {
+            received: Vec::new(),
+        }),
+    )
+    .unwrap();
     sim.start();
     sim.run_to_completion();
 
@@ -157,7 +163,8 @@ fn mid_run_installation_starts_immediately() {
     let (mut sim, nodes) = line_with_routes(2);
     sim.start();
     sim.run_until(SimTime::from_secs(7));
-    sim.install_app(nodes[0], Box::new(StartStamp { at: None })).unwrap();
+    sim.install_app(nodes[0], Box::new(StartStamp { at: None }))
+        .unwrap();
     let agent = sim.take_app(nodes[0]).unwrap();
     let stamp = agent.as_any().downcast_ref::<StartStamp>().unwrap();
     assert_eq!(stamp.at, Some(SimTime::from_secs(7)));
@@ -207,13 +214,18 @@ fn app_timers_are_separate_from_protocol_timers() {
     let mut b = SimulatorBuilder::new();
     let node = b.add_node();
     let mut sim = b.build().unwrap();
-    sim.install_protocol(node, Box::new(TimerProto { fired: 0 })).unwrap();
-    sim.install_app(node, Box::new(TimerApp { fired: 0 })).unwrap();
+    sim.install_protocol(node, Box::new(TimerProto { fired: 0 }))
+        .unwrap();
+    sim.install_app(node, Box::new(TimerApp { fired: 0 }))
+        .unwrap();
     sim.start();
     sim.run_to_completion();
 
     let proto = sim.protocol(node).unwrap();
-    assert_eq!(proto.as_any().downcast_ref::<TimerProto>().unwrap().fired, 1);
+    assert_eq!(
+        proto.as_any().downcast_ref::<TimerProto>().unwrap().fired,
+        1
+    );
     let app = sim.take_app(node).unwrap();
     assert_eq!(app.as_any().downcast_ref::<TimerApp>().unwrap().fired, 1);
 }
@@ -241,7 +253,8 @@ fn app_cancel_timer_prevents_firing() {
     let mut b = SimulatorBuilder::new();
     let node = b.add_node();
     let mut sim = b.build().unwrap();
-    sim.install_app(node, Box::new(CancelApp { fired: false })).unwrap();
+    sim.install_app(node, Box::new(CancelApp { fired: false }))
+        .unwrap();
     sim.start();
     sim.run_to_completion();
     let app = sim.take_app(node).unwrap();
@@ -268,10 +281,12 @@ fn app_packets_respect_the_forwarding_plane() {
     }
     let mut b = SimulatorBuilder::new();
     let nodes = b.add_nodes(2);
-    b.add_link(nodes[0], nodes[1], LinkConfig::default()).unwrap();
+    b.add_link(nodes[0], nodes[1], LinkConfig::default())
+        .unwrap();
     let mut sim = b.build().unwrap();
     // No routing protocol installed: empty FIBs.
-    sim.install_app(nodes[0], Box::new(Blind { peer: nodes[1] })).unwrap();
+    sim.install_app(nodes[0], Box::new(Blind { peer: nodes[1] }))
+        .unwrap();
     sim.start();
     sim.run_to_completion();
     assert_eq!(sim.stats().packets_dropped, 1);

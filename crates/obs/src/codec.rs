@@ -304,7 +304,10 @@ mod tests {
         // Unknown tag.
         assert_eq!(decompress(b"OBZ1\x01\x07"), Err(CodecError::Corrupt));
         // Literal run longer than the stream.
-        assert_eq!(decompress(b"OBZ1\x05\x00\x05ab"), Err(CodecError::Truncated));
+        assert_eq!(
+            decompress(b"OBZ1\x05\x00\x05ab"),
+            Err(CodecError::Truncated)
+        );
         // Match before any output exists.
         assert_eq!(
             decompress(b"OBZ1\x04\x01\x01\x04"),

@@ -66,7 +66,8 @@ fn rip_reconverges_after_link_failure() {
     let a = mesh.node_at(3, 3);
     let b = mesh.node_at(3, 4);
     let link = sim.link_between(a, b).unwrap();
-    sim.schedule_link_failure(SimTime::from_secs(90), link).unwrap();
+    sim.schedule_link_failure(SimTime::from_secs(90), link)
+        .unwrap();
     sim.run_until(SimTime::from_secs(200));
 
     let degraded = mesh.graph().without_edge(topology::graph::Edge::new(a, b));
@@ -103,7 +104,8 @@ fn rip_loses_reachability_during_switchover() {
     };
     let (a, b) = (path[0], path[1]);
     let link = sim.link_between(a, b).unwrap();
-    sim.schedule_link_failure(SimTime::from_secs(90), link).unwrap();
+    sim.schedule_link_failure(SimTime::from_secs(90), link)
+        .unwrap();
     // Just after detection (90 s + 50 ms) the head router must have no
     // route: RIP keeps no alternate path information.
     sim.run_until(SimTime::from_millis(90_200));
@@ -136,13 +138,15 @@ fn rip_runs_are_deterministic() {
 fn faster_periodic_interval_converges_faster() {
     let converge_time = |config: RipConfig| -> u64 {
         let mesh = Mesh::regular(5, 5, MeshDegree::D4);
-        let (mut builder, _) =
-            to_simulator_builder(mesh.graph(), LinkConfig::default()).unwrap();
+        let (mut builder, _) = to_simulator_builder(mesh.graph(), LinkConfig::default()).unwrap();
         builder.seed(3);
         let mut sim = builder.build().unwrap();
         for node in mesh.graph().nodes() {
-            sim.install_protocol(node, Box::new(Rip::with_config(config).expect("valid config")))
-                .unwrap();
+            sim.install_protocol(
+                node,
+                Box::new(Rip::with_config(config).expect("valid config")),
+            )
+            .unwrap();
         }
         sim.start();
         for step in 1..=3000u64 {
@@ -178,8 +182,12 @@ fn poisoned_reverse_prevents_two_node_count_to_infinity() {
     // must never offer node 1 a route to 2 (it would be through 1 itself).
     let mut builder = netsim::simulator::SimulatorBuilder::new();
     let nodes = builder.add_nodes(3);
-    builder.add_link(nodes[0], nodes[1], LinkConfig::default()).unwrap();
-    builder.add_link(nodes[1], nodes[2], LinkConfig::default()).unwrap();
+    builder
+        .add_link(nodes[0], nodes[1], LinkConfig::default())
+        .unwrap();
+    builder
+        .add_link(nodes[1], nodes[2], LinkConfig::default())
+        .unwrap();
     builder.seed(5);
     let mut sim = builder.build().unwrap();
     for &n in &nodes {
@@ -190,7 +198,8 @@ fn poisoned_reverse_prevents_two_node_count_to_infinity() {
     assert!(sim.forwarding_path(nodes[0], nodes[2]).is_complete());
 
     let link = sim.link_between(nodes[1], nodes[2]).unwrap();
-    sim.schedule_link_failure(SimTime::from_secs(60), link).unwrap();
+    sim.schedule_link_failure(SimTime::from_secs(60), link)
+        .unwrap();
     sim.run_until(SimTime::from_secs(200));
     // With poisoned reverse there is no counting: both nodes know 2 is gone.
     assert_eq!(sim.fib(nodes[0]).next_hop(nodes[2]), None);
@@ -200,9 +209,13 @@ fn poisoned_reverse_prevents_two_node_count_to_infinity() {
         .trace()
         .iter()
         .filter(|e| {
-            matches!(e, netsim::trace::TraceEvent::PacketDropped {
-                reason: netsim::packet::DropReason::TtlExpired, ..
-            })
+            matches!(
+                e,
+                netsim::trace::TraceEvent::PacketDropped {
+                    reason: netsim::packet::DropReason::TtlExpired,
+                    ..
+                }
+            )
         })
         .count();
     assert_eq!(loops, 0);
@@ -215,7 +228,8 @@ fn rip_fib_never_points_at_detected_down_neighbor() {
     let a = mesh.node_at(3, 2);
     let b = mesh.node_at(3, 3);
     if let Some(link) = sim.link_between(a, b) {
-        sim.schedule_link_failure(SimTime::from_secs(90), link).unwrap();
+        sim.schedule_link_failure(SimTime::from_secs(90), link)
+            .unwrap();
         sim.run_until(SimTime::from_secs(150));
         for dst in mesh.graph().nodes() {
             assert_ne!(sim.fib(a).next_hop(dst), Some(b), "dest {dst}");
@@ -249,8 +263,7 @@ fn hold_down_delays_recovery_without_adding_loops() {
     use routing_core::damping::DampingMode;
     let with_config = |hold: Option<netsim::time::SimDuration>, seed: u64| {
         let mesh = Mesh::regular(7, 7, MeshDegree::D4);
-        let (mut builder, _) =
-            to_simulator_builder(mesh.graph(), LinkConfig::default()).unwrap();
+        let (mut builder, _) = to_simulator_builder(mesh.graph(), LinkConfig::default()).unwrap();
         builder.seed(seed);
         let mut sim = builder.build().unwrap();
         let config = RipConfig {
@@ -259,8 +272,11 @@ fn hold_down_delays_recovery_without_adding_loops() {
             ..RipConfig::default()
         };
         for node in mesh.graph().nodes() {
-            sim.install_protocol(node, Box::new(Rip::with_config(config).expect("valid config")))
-                .unwrap();
+            sim.install_protocol(
+                node,
+                Box::new(Rip::with_config(config).expect("valid config")),
+            )
+            .unwrap();
         }
         sim.start();
         sim.run_until(SimTime::from_secs(80));
@@ -276,7 +292,8 @@ fn hold_down_delays_recovery_without_adding_loops() {
             other => panic!("not converged: {other:?}"),
         };
         let link = sim.link_between(path[2], path[3]).unwrap();
-        sim.schedule_link_failure(SimTime::from_secs(90), link).unwrap();
+        sim.schedule_link_failure(SimTime::from_secs(90), link)
+            .unwrap();
         // Probe reachability each second until the path heals.
         for s in 91..300u64 {
             sim.run_until(SimTime::from_secs(s));
@@ -306,7 +323,8 @@ fn rip_messages_never_exceed_25_entries_on_the_wire() {
     let a = mesh.node_at(3, 3);
     let b = mesh.node_at(3, 4);
     let link = sim.link_between(a, b).unwrap();
-    sim.schedule_link_failure(SimTime::from_secs(90), link).unwrap();
+    sim.schedule_link_failure(SimTime::from_secs(90), link)
+        .unwrap();
     sim.run_until(SimTime::from_secs(150));
     let mut seen_large = false;
     for event in sim.trace() {

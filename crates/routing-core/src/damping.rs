@@ -332,7 +332,10 @@ mod tests {
             SimDuration::from_secs(5),
         );
         let mut rng = SimRng::seed_from(2);
-        assert!(matches!(s.on_change(&mut rng), TriggerAction::SendNowThenHold(_)));
+        assert!(matches!(
+            s.on_change(&mut rng),
+            TriggerAction::SendNowThenHold(_)
+        ));
         assert_eq!(s.on_change(&mut rng), TriggerAction::AlreadyPending);
         // Deferred changes flush at expiry and the hold-down reopens.
         let (flush, rearm) = s.on_timer_expired(&mut rng, true);

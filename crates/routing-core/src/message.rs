@@ -43,8 +43,7 @@ impl DvMessage {
     /// use [`pack_entries`] to split larger batches.
     #[must_use]
     pub fn new(entries: impl IntoIterator<Item = DvEntry>) -> Self {
-        let entries: InlineVec<DvEntry, MAX_ENTRIES_PER_MESSAGE> =
-            entries.into_iter().collect();
+        let entries: InlineVec<DvEntry, MAX_ENTRIES_PER_MESSAGE> = entries.into_iter().collect();
         assert!(
             entries.len() <= MAX_ENTRIES_PER_MESSAGE,
             "message overflow: {} entries",

@@ -20,9 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(!(m + 1).is_finite());
 /// assert_eq!(m + 99, Metric::INFINITY);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Metric(u8);
 
 impl Metric {

@@ -99,7 +99,11 @@ impl LinkStateDb {
         dist[source.index()] = 0;
         // Entries: (distance, tie-break id, node). The first hop is carried
         // implicitly through `first_hop`.
-        heap.push(std::cmp::Reverse((0, source.index() as u32, source.index() as u32)));
+        heap.push(std::cmp::Reverse((
+            0,
+            source.index() as u32,
+            source.index() as u32,
+        )));
         while let Some(std::cmp::Reverse((d, _, at_ix))) = heap.pop() {
             let at = NodeId::new(at_ix);
             if done[at.index()] {
@@ -121,7 +125,11 @@ impl LinkStateDb {
                     } else {
                         first_hop[at.index()]
                     };
-                    heap.push(std::cmp::Reverse((nd, next.index() as u32, next.index() as u32)));
+                    heap.push(std::cmp::Reverse((
+                        nd,
+                        next.index() as u32,
+                        next.index() as u32,
+                    )));
                 }
             }
         }

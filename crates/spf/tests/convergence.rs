@@ -60,7 +60,8 @@ fn spf_reconverges_quickly_after_failure() {
     };
     let (a, b) = (path[2], path[3]);
     let link = sim.link_between(a, b).unwrap();
-    sim.schedule_link_failure(SimTime::from_secs(10), link).unwrap();
+    sim.schedule_link_failure(SimTime::from_secs(10), link)
+        .unwrap();
     // Detection 50 ms + flood ~10 ms + SPF delay 50 ms: well inside 1 s.
     sim.run_until(SimTime::from_secs(11));
     let degraded = mesh.graph().without_edge(topology::graph::Edge::new(a, b));

@@ -187,11 +187,7 @@ mod tests {
     #[test]
     fn valid_alternate_exists_in_dense_mesh() {
         let mesh = Mesh::regular(7, 7, MeshDegree::D6);
-        let edge = mesh
-            .graph()
-            .edges()
-            .next()
-            .expect("mesh has edges");
+        let edge = mesh.graph().edges().next().expect("mesh has edges");
         assert!(has_valid_alternate(
             mesh.graph(),
             edge,

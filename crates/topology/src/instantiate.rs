@@ -55,8 +55,7 @@ mod tests {
     #[test]
     fn every_edge_becomes_a_link() {
         let mesh = Mesh::regular(5, 5, MeshDegree::D6);
-        let (builder, links) =
-            to_simulator_builder(mesh.graph(), LinkConfig::default()).unwrap();
+        let (builder, links) = to_simulator_builder(mesh.graph(), LinkConfig::default()).unwrap();
         let sim = builder.build().unwrap();
         assert_eq!(sim.num_links(), mesh.graph().num_edges());
         for (edge, link) in &links {

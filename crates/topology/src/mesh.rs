@@ -214,7 +214,10 @@ impl Mesh {
     /// Panics if the coordinates are out of range.
     #[must_use]
     pub fn node_at(&self, row: usize, col: usize) -> NodeId {
-        assert!(row < self.rows && col < self.cols, "({row},{col}) out of range");
+        assert!(
+            row < self.rows && col < self.cols,
+            "({row},{col}) out of range"
+        );
         NodeId::new((row * self.cols + col) as u32)
     }
 
@@ -269,7 +272,9 @@ impl Mesh {
             }
             // Connector row: vertical and diagonal links.
             for c in 0..self.cols {
-                let down = self.graph.has_edge(self.node_at(r, c), self.node_at(r + 1, c));
+                let down = self
+                    .graph
+                    .has_edge(self.node_at(r, c), self.node_at(r + 1, c));
                 let diag_right = c + 1 < self.cols
                     && self
                         .graph
@@ -339,7 +344,10 @@ mod tests {
             .map(|&d| Mesh::regular(7, 7, d).graph().num_edges())
             .collect();
         for w in counts.windows(2) {
-            assert!(w[0] < w[1], "edge counts not strictly increasing: {counts:?}");
+            assert!(
+                w[0] < w[1],
+                "edge counts not strictly increasing: {counts:?}"
+            );
         }
     }
 

@@ -127,11 +127,7 @@ proptest! {
 fn handshake_lemma_holds_for_all_meshes() {
     for degree in MeshDegree::ALL {
         let mesh = Mesh::regular(7, 7, degree);
-        let degree_sum: usize = mesh
-            .graph()
-            .nodes()
-            .map(|n| mesh.graph().degree(n))
-            .sum();
+        let degree_sum: usize = mesh.graph().nodes().map(|n| mesh.graph().degree(n)).sum();
         assert_eq!(degree_sum, 2 * mesh.graph().num_edges());
     }
 }

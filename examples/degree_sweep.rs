@@ -18,9 +18,16 @@ fn main() -> Result<(), RunError> {
     println!("degree sweep, {runs} runs per point (paper uses 100)\n");
 
     let mut table = Table::new(
-        ["degree", "protocol", "delivery %", "no-route", "ttl", "fwdconv(s)"]
-            .map(String::from)
-            .to_vec(),
+        [
+            "degree",
+            "protocol",
+            "delivery %",
+            "no-route",
+            "ttl",
+            "fwdconv(s)",
+        ]
+        .map(String::from)
+        .to_vec(),
     );
     for degree in MeshDegree::ALL {
         for protocol in ProtocolKind::PAPER {

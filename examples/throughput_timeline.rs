@@ -33,15 +33,19 @@ fn main() -> Result<(), RunError> {
         for i in 0..runs {
             let cfg = ExperimentConfig::paper(protocol, degree, 500 + i as u64);
             let result = run(&cfg)?;
-            all.push(throughput_series(&result.trace, result.t_fail, FROM_S, TO_S));
+            all.push(throughput_series(
+                &result.trace,
+                result.t_fail,
+                FROM_S,
+                TO_S,
+            ));
         }
         let mean = mean_u64_series(&all);
         // Render as rows of a bar chart, one character per second.
         let bars: String = mean
             .iter()
             .map(|&(_, v)| {
-                const GLYPHS: [char; 9] =
-                    [' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
+                const GLYPHS: [char; 9] = [' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
                 let ix = ((v / 20.0) * 8.0).round().clamp(0.0, 8.0) as usize;
                 GLYPHS[ix]
             })

@@ -26,11 +26,7 @@ fn main() -> Result<(), RunError> {
     let flow = result.flows[0];
     println!(
         "DBF, degree 4, seed {seed}; flow {} -> {}; link {} -- {} fails at {:.3}s",
-        flow.sender,
-        flow.receiver,
-        result.failure.edges[0].a,
-        result.failure.edges[0].b,
-        t_fail
+        flow.sender, flow.receiver, result.failure.edges[0].a, result.failure.edges[0].b, t_fail
     );
     println!("events within ±{window}s of the failure:\n");
 
@@ -45,31 +41,40 @@ fn main() -> Result<(), RunError> {
             TraceEvent::PacketInjected { id, src, dst, .. } => {
                 format!("inject   {id} {src} -> {dst}")
             }
-            TraceEvent::PacketForwarded { id, node, next_hop, .. } => {
+            TraceEvent::PacketForwarded {
+                id, node, next_hop, ..
+            } => {
                 format!("forward  {id} at {node} -> {next_hop}")
             }
             TraceEvent::PacketDelivered { id, node, hops, .. } => {
                 format!("DELIVER  {id} at {node} after {hops} hops")
             }
-            TraceEvent::PacketDropped { id, node, reason, .. } => {
+            TraceEvent::PacketDropped {
+                id, node, reason, ..
+            } => {
                 format!("DROP     {id} at {node} ({reason})")
             }
-            TraceEvent::RouteChanged { node, dest, old, new, .. } => {
-                let fmt = |h: Option<netsim::ident::NodeId>| {
-                    h.map_or("-".to_string(), |n| n.to_string())
-                };
-                format!(
-                    "route    {node}: dest {dest} {} => {}",
-                    fmt(old),
-                    fmt(new)
-                )
+            TraceEvent::RouteChanged {
+                node,
+                dest,
+                old,
+                new,
+                ..
+            } => {
+                let fmt =
+                    |h: Option<netsim::ident::NodeId>| h.map_or("-".to_string(), |n| n.to_string());
+                format!("route    {node}: dest {dest} {} => {}", fmt(old), fmt(new))
             }
-            TraceEvent::ControlSent { from, to, bytes, .. } => {
+            TraceEvent::ControlSent {
+                from, to, bytes, ..
+            } => {
                 format!("control  {from} -> {to} ({bytes} B)")
             }
             TraceEvent::LinkFailed { a, b, .. } => format!("FAIL     link {a} -- {b}"),
             TraceEvent::LinkRecovered { a, b, .. } => format!("RECOVER  link {a} -- {b}"),
-            TraceEvent::LinkStateDetected { node, neighbor, up, .. } => {
+            TraceEvent::LinkStateDetected {
+                node, neighbor, up, ..
+            } => {
                 format!(
                     "detect   {node} sees link to {neighbor} {}",
                     if up { "UP" } else { "DOWN" }
@@ -87,6 +92,9 @@ fn main() -> Result<(), RunError> {
             break;
         }
     }
-    println!("\n{shown} events shown of {} total in the run", result.trace.len());
+    println!(
+        "\n{shown} events shown of {} total in the run",
+        result.trace.len()
+    );
     Ok(())
 }

@@ -16,13 +16,18 @@ fn spf_outconverges_every_distance_vector_protocol() {
         (0..5u64)
             .map(|seed| {
                 let cfg = ExperimentConfig::paper(protocol, MeshDegree::D3, 50 + seed);
-                summarize(&run(&cfg).expect("run succeeds")).expect("summary").routing_convergence_s
+                summarize(&run(&cfg).expect("run succeeds"))
+                    .expect("summary")
+                    .routing_convergence_s
             })
             .sum::<f64>()
             / 5.0
     };
     let spf = rt(ProtocolKind::Spf);
-    assert!(spf < 1.0, "SPF should converge in under a second, got {spf}");
+    assert!(
+        spf < 1.0,
+        "SPF should converge in under a second, got {spf}"
+    );
     for protocol in [ProtocolKind::Rip, ProtocolKind::Bgp] {
         let dv = rt(protocol);
         assert!(
@@ -59,7 +64,11 @@ fn double_link_failure_never_partitions() {
         assert!(degraded.is_connected(), "seed {seed} partitioned the mesh");
         // SPF reroutes around both failures.
         let s = summarize(&result).expect("summary");
-        assert!(s.delivery_ratio() > 0.95, "seed {seed}: {}", s.delivery_ratio());
+        assert!(
+            s.delivery_ratio() > 0.95,
+            "seed {seed}: {}",
+            s.delivery_ratio()
+        );
     }
 }
 
@@ -74,7 +83,11 @@ fn router_failure_takes_down_all_its_links() {
         result.graph.neighbors(victim).len(),
         "every incident link must fail"
     );
-    assert!(result.failure.edges.iter().all(|e| e.a == victim || e.b == victim));
+    assert!(result
+        .failure
+        .edges
+        .iter()
+        .all(|e| e.a == victim || e.b == victim));
     // The victim was an interior router of the flow's path, not an
     // endpoint.
     let flow = result.flows[0];
@@ -129,7 +142,11 @@ fn no_failure_baseline_is_perfect_for_all_protocols() {
         let mut cfg = ExperimentConfig::paper(protocol, MeshDegree::D4, 77);
         cfg.failure = FailurePlan::None;
         let s = summarize(&run(&cfg).expect("run succeeds")).expect("summary");
-        assert_eq!(s.drops.total(), 0, "{protocol} dropped packets with no failure");
+        assert_eq!(
+            s.drops.total(),
+            0,
+            "{protocol} dropped packets with no failure"
+        );
         assert_eq!(s.routing_convergence_s, 0.0);
         assert_eq!(s.transient_paths, 0);
     }

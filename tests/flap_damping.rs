@@ -21,10 +21,13 @@ fn run_flapping(damping: bool, seed: u64) -> RunSummary {
     cfg.traffic.tail = SimDuration::from_secs(60);
     if damping {
         cfg.protocol_override = Some(ProtocolFactory::new(|| {
-            Box::new(Bgp::with_config(BgpConfig {
-                flap_damping: Some(FlapConfig::aggressive()),
-                ..BgpConfig::bgp3()
-            }).expect("valid config"))
+            Box::new(
+                Bgp::with_config(BgpConfig {
+                    flap_damping: Some(FlapConfig::aggressive()),
+                    ..BgpConfig::bgp3()
+                })
+                .expect("valid config"),
+            )
         }));
     }
     summarize(&run(&cfg).expect("run succeeds")).expect("summary")
@@ -40,7 +43,10 @@ fn flapping_link_recovers_without_damping() {
         injected += s.injected;
     }
     let ratio = delivered as f64 / injected as f64;
-    assert!(ratio > 0.95, "undamped BGP-3 should ride out flaps: {ratio:.3}");
+    assert!(
+        ratio > 0.95,
+        "undamped BGP-3 should ride out flaps: {ratio:.3}"
+    );
 }
 
 #[test]
@@ -77,10 +83,13 @@ fn single_failure_is_unaffected_by_damping() {
         let mut cfg = ExperimentConfig::paper(ProtocolKind::Bgp3, MeshDegree::D6, 8400);
         if damping {
             cfg.protocol_override = Some(ProtocolFactory::new(|| {
-                Box::new(Bgp::with_config(BgpConfig {
-                    flap_damping: Some(FlapConfig::aggressive()),
-                    ..BgpConfig::bgp3()
-                }).expect("valid config"))
+                Box::new(
+                    Bgp::with_config(BgpConfig {
+                        flap_damping: Some(FlapConfig::aggressive()),
+                        ..BgpConfig::bgp3()
+                    })
+                    .expect("valid config"),
+                )
             }));
         }
         summarize(&run(&cfg).expect("run succeeds")).expect("summary")

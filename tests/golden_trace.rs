@@ -63,8 +63,7 @@ fn loaded_config() -> ExperimentConfig {
 /// is scheduled at its own jittered time.
 fn impaired_config() -> ExperimentConfig {
     let mut cfg = golden_config(ProtocolKind::Bgp3);
-    cfg.link.impairment =
-        Impairment::lossy(0.05).with_jitter(SimDuration::from_micros(700));
+    cfg.link.impairment = Impairment::lossy(0.05).with_jitter(SimDuration::from_micros(700));
     cfg
 }
 
@@ -130,7 +129,10 @@ fn check_golden_summary(cfg: &ExperimentConfig, name: &str) {
         return;
     };
     let golden = String::from_utf8(golden).expect("fixture is utf-8");
-    assert_eq!(rendered, golden, "{name}: summary differs from the golden fixture");
+    assert_eq!(
+        rendered, golden,
+        "{name}: summary differs from the golden fixture"
+    );
 }
 
 fn check_golden_trace(cfg: &ExperimentConfig, name: &str) {

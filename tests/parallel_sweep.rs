@@ -21,8 +21,7 @@ fn options(jobs: usize) -> SweepOptions {
 #[test]
 fn run_many_is_bit_identical_for_every_job_count() {
     let cfg = ExperimentConfig::paper(ProtocolKind::Dbf, MeshDegree::D4, 0);
-    let extract =
-        |r: &RunResult| Ok((summarize(r)?, r.trace.len(), r.stats.events_processed));
+    let extract = |r: &RunResult| Ok((summarize(r)?, r.trace.len(), r.stats.events_processed));
     let sequential = run_sweep(&cfg, 4, 901, options(1), extract, |_| {});
     let parallel = run_sweep(&cfg, 4, 901, options(4), extract, |_| {});
     assert!(sequential.failed.is_empty());
@@ -103,7 +102,10 @@ fn retry_attempts_are_recorded_in_telemetry() {
     cfg.protocol_override = Some(factory);
 
     let outcome = run_sweep(&cfg, 2, 40, options(1), summarize_streaming, |_| {});
-    assert!(outcome.failed.is_empty(), "retry should have salvaged slot 0");
+    assert!(
+        outcome.failed.is_empty(),
+        "retry should have salvaged slot 0"
+    );
     assert_eq!(outcome.completed.len(), 2);
     assert_eq!(outcome.retries(), 1);
     assert_eq!(outcome.telemetry.len(), 2);

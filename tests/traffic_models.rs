@@ -21,7 +21,11 @@ fn poisson_traffic_delivers_like_cbr_on_average() {
         let p = run_mode(TrafficMode::Poisson, 600 + seed);
         poisson_total += p.delivered;
         poisson_injected += p.injected;
-        assert!(p.delivery_ratio() > 0.98, "seed {seed}: {}", p.delivery_ratio());
+        assert!(
+            p.delivery_ratio() > 0.98,
+            "seed {seed}: {}",
+            p.delivery_ratio()
+        );
     }
     // Poisson injects ~rate x window packets on average (20 x 50 = 1000/run).
     let mean_injected = poisson_injected as f64 / 6.0;
@@ -123,7 +127,8 @@ fn cost_failover_falls_back_to_the_expensive_link() {
     sim.start();
     sim.run_until(SimTime::from_secs(90));
     let link = sim.link_between(nodes[1], nodes[2]).unwrap();
-    sim.schedule_link_failure(SimTime::from_secs(100), link).unwrap();
+    sim.schedule_link_failure(SimTime::from_secs(100), link)
+        .unwrap();
     sim.run_until(SimTime::from_secs(200));
     assert_eq!(sim.fib(nodes[0]).next_hop(nodes[3]), Some(nodes[3]));
 }

@@ -50,7 +50,10 @@ fn reliability_masks_convergence_loss_on_sparse_mesh() {
     // and retransmits, but everything eventually arrives in order.
     let (result, report) = run_transfer(ProtocolKind::Rip, MeshDegree::D3, 2, 4000);
     let completed = report.completed_at.expect("transfer should finish");
-    assert!(report.retransmissions > 0, "the outage must force retransmission");
+    assert!(
+        report.retransmissions > 0,
+        "the outage must force retransmission"
+    );
     assert!(completed > result.t_fail);
     // The stall is visible as zero goodput right after the failure...
     let during = report.goodput(result.t_fail, result.t_fail + SimDuration::from_secs(5));
@@ -83,10 +86,7 @@ fn multiple_transfers_share_the_network() {
     let result = run(&cfg).expect("run succeeds");
     assert_eq!(result.flow_reports.len(), 3);
     for (i, report) in result.flow_reports.iter().enumerate() {
-        assert!(
-            report.completed_at.is_some(),
-            "flow {i} did not complete"
-        );
+        assert!(report.completed_at.is_some(), "flow {i} did not complete");
     }
     // Endpoints pairwise distinct.
     for i in 0..3 {
