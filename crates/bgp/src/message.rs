@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Two, not more: convergence updates overwhelmingly carry one or two
 /// NLRI (per-pair MRAI sends exactly one), and every extra inline slot
-/// grows the message value copied into its `Arc` — profiling showed
+/// grows the message value copied into its `Rc` — profiling showed
 /// eight slots cost BGP ~13% in protocol processing for no allocation
 /// win. Bulk updates (initial RIB exchange, session reset withdrawals)
 /// spill to the heap, which is the rare path.

@@ -25,10 +25,6 @@ use routing_core::path::AsPath;
 
 use crate::message::{BgpUpdate, INLINE_DESTS};
 
-/// Hops after the local AS that an [`AnnounceTable`] order key encodes,
-/// one 16-bit field each.
-const KEY_HOPS: usize = 8;
-
 /// Paths received from each neighbor, one row per destination and one
 /// column per neighbor slot.
 #[derive(Debug, Clone, Default)]
@@ -136,22 +132,27 @@ where
 ///
 /// Every path in the table starts with the owning router's own id, so
 /// paths order by the hops after it. A path's *order key* packs its first
-/// [`KEY_HOPS`] hops after the owner into 16-bit fields, most significant
+/// hops after the owner into fields of equal width, most significant
 /// first, each holding `id + 1`; a missing hop is 0, so a prefix keys
-/// below its extensions. Two different keys therefore order exactly as
-/// their paths do, and only equal keys need a full path comparison. Once
-/// any encoded hop id is `0xffff` or more, keys are off for the rest of
-/// the table's life: every key becomes 0 and every comparison falls back
-/// to the paths.
+/// below its extensions. The field width is the bit length of the
+/// table's destination count: every router id is below it, so each id
+/// fits, and a 128-bit key holds as many hops as fit (21 on the 7×7
+/// mesh, 16 on the 15×15 one). Two different keys therefore order exactly
+/// as their paths do, and only equal keys need a full path comparison.
+/// Once any encoded hop id does not fit in a field, keys are off for the
+/// rest of the table's life: every key becomes 0 and every comparison
+/// falls back to the paths.
 #[derive(Debug, Clone)]
 pub struct AnnounceTable {
     owner: NodeId,
     /// `routes[dest]` = the path announced for `dest` and its order key.
     routes: Vec<Option<(u128, AsPath)>>,
+    /// Bits per order-key field.
+    width: u32,
     keyed: bool,
-    /// `(key, dest)` pairs of the update fan-out being grouped, kept
-    /// between calls so grouping does not allocate.
-    order: Vec<(u128, NodeId)>,
+    /// `(key, position in dests)` pairs of the update fan-out being
+    /// grouped, kept between calls so grouping does not allocate.
+    order: Vec<(u128, usize)>,
 }
 
 impl AnnounceTable {
@@ -161,6 +162,7 @@ impl AnnounceTable {
         AnnounceTable {
             owner,
             routes: vec![None; num_dests],
+            width: (usize::BITS - num_dests.leading_zeros()).max(1),
             keyed: true,
             order: Vec::new(),
         }
@@ -175,7 +177,7 @@ impl AnnounceTable {
     pub fn set(&mut self, dest: NodeId, path: Option<AsPath>) {
         debug_assert!(path.as_ref().is_none_or(|p| p.first() == Some(self.owner)));
         let route = path.map(|path| {
-            let key = match self.keyed.then(|| order_key(&path)).flatten() {
+            let key = match self.keyed.then(|| order_key(&path, self.width)).flatten() {
                 Some(key) => key,
                 None => {
                     self.turn_keys_off();
@@ -201,30 +203,35 @@ impl AnnounceTable {
     /// order, each listing its destinations in `dests` order; then one
     /// withdrawal of every destination with no path, if there is any.
     /// This is a stable sort of the `(path, dest)` pairs by path, with one
-    /// update per run of equal paths.
+    /// update per run of equal paths. It is computed as an unstable sort
+    /// by order key, then path, then position in `dests`: positions are
+    /// unique, so that order is total and equals the stable one.
     pub fn updates_for(&mut self, peer: NodeId, dests: &[NodeId], mut send: impl FnMut(BgpUpdate)) {
         let routes = &self.routes;
         let route = |dest: NodeId| routes.get(dest.index()).and_then(Option::as_ref);
-        let path = |dest: NodeId| route(dest).map(|(_, path)| path);
+        let path = |position: usize| route(dests[position]).map(|(_, path)| path);
         let mut withdrawn: InlineVec<NodeId, INLINE_DESTS> = InlineVec::new();
-        for &dest in dests {
+        for (position, &dest) in dests.iter().enumerate() {
             if dest == peer {
                 continue;
             }
             match route(dest) {
-                Some(&(key, _)) => self.order.push((key, dest)),
+                Some(&(key, _)) => self.order.push((key, position)),
                 None => withdrawn.push(dest),
             }
         }
-        self.order
-            .sort_by(|a, b| a.0.cmp(&b.0).then_with(|| path(a.1).cmp(&path(b.1))));
+        self.order.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| path(a.1).cmp(&path(b.1)))
+                .then(a.1.cmp(&b.1))
+        });
         for run in self
             .order
             .chunk_by(|a, b| a.0 == b.0 && path(a.1) == path(b.1))
         {
             if let Some(shared) = path(run[0].1) {
                 let announced: InlineVec<NodeId, INLINE_DESTS> =
-                    run.iter().map(|&(_, dest)| dest).collect();
+                    run.iter().map(|&(_, position)| dests[position]).collect();
                 send(BgpUpdate::announce(shared.clone(), announced));
             }
         }
@@ -235,17 +242,20 @@ impl AnnounceTable {
     }
 }
 
-/// The order key of `path` (see [`AnnounceTable`]), or `None` if one of
-/// its encoded hop ids does not fit in a field.
-fn order_key(path: &AsPath) -> Option<u128> {
+/// The order key of `path` (see [`AnnounceTable`]) with `width`-bit
+/// fields, or `None` if one of its encoded hop ids does not fit in a
+/// field.
+fn order_key(path: &AsPath, width: u32) -> Option<u128> {
     let after_owner = path.hops().get(1..).unwrap_or(&[]);
     let mut key = 0u128;
-    for i in 0..KEY_HOPS {
-        let field = match after_owner.get(i) {
-            Some(hop) => u16::try_from(hop.index() + 1).ok()?,
-            None => 0,
-        };
-        key = (key << 16) | u128::from(field);
+    for i in 0..(u128::BITS / width) as usize {
+        let field = after_owner
+            .get(i)
+            .map_or(0, |hop| u128::from(hop.raw()) + 1);
+        if field >> width != 0 {
+            return None;
+        }
+        key = (key << width) | field;
     }
     Some(key)
 }
@@ -339,5 +349,44 @@ mod tests {
     #[test]
     fn selection_of_nothing_is_none() {
         assert_eq!(select(Vec::new()), None);
+    }
+
+    /// Owner 0's path with `after_owner` after it.
+    fn owned(after_owner: &[u32]) -> AsPath {
+        path(&[&[0], after_owner].concat())
+    }
+
+    #[test]
+    fn a_49_destination_table_keys_21_hops() {
+        let table = AnnounceTable::new(n(0), 49);
+        let key = |after_owner: &[u32]| order_key(&owned(after_owner), table.width);
+        let mut hops = vec![48; 21];
+        let mut other = hops.clone();
+        other[20] = 47;
+        assert!(key(&other) < key(&hops), "the 21st hop is keyed");
+        hops.push(48);
+        other = hops.clone();
+        other[21] = 47;
+        assert_eq!(key(&other), key(&hops), "the 22nd is not");
+    }
+
+    #[test]
+    fn paths_agreeing_on_every_keyed_hop_order_by_the_next() {
+        let mut table = AnnounceTable::new(n(0), 225);
+        let shared: Vec<u32> = (200..216).collect();
+        let low = owned(&[shared.as_slice(), &[2, 9]].concat());
+        let high = owned(&[shared.as_slice(), &[3]].concat());
+        assert_eq!(order_key(&low, table.width), order_key(&high, table.width));
+        table.set(n(1), Some(high.clone()));
+        table.set(n(2), Some(low.clone()));
+        let mut updates = Vec::new();
+        table.updates_for(n(9), &[n(1), n(2)], |u| updates.push(u));
+        assert_eq!(
+            updates,
+            [
+                BgpUpdate::announce(low, vec![n(2)]),
+                BgpUpdate::announce(high, vec![n(1)]),
+            ]
+        );
     }
 }

@@ -4,9 +4,14 @@
 //!
 //! Random sequences of announcements and withdrawals fill the table; after
 //! every step the updates for a random destination list must equal the
-//! reference's. The generated paths share long prefixes (more hops than an
-//! order key encodes), include the owner's origin path, and sometimes
-//! carry node ids at and above `0xffff`, which do not fit in a key field.
+//! reference's. An order key has one field per hop, as wide as the bit
+//! length of the table's destination count, so a 10-destination table
+//! keys 32 hops and a 96-destination one 18. The generated paths share
+//! prefixes of up to 47 hops, longer than either key encodes, include the
+//! owner's origin path, and sometimes carry node ids at and above
+//! `0xffff`, which do not fit in a key field. The wide case queries 64
+//! or more destinations over a few shared paths: shorter slices are
+//! insertion-sorted, which keeps equal entries in order by accident.
 
 use bgp::{AnnounceTable, BgpUpdate};
 use netsim::ident::NodeId;
@@ -15,7 +20,11 @@ use routing_core::path::AsPath;
 
 const DESTS: u32 = 10;
 
-/// Ids that do or do not fit in a 16-bit `id + 1` key field.
+/// Destinations of the wide fan-out case.
+const WIDE_DESTS: u32 = 96;
+
+/// Ids around the 16-bit and 32-bit limits; none fits in a key field of a
+/// [`DESTS`]-destination table.
 const EDGE_IDS: [u32; 4] = [0xfffe, 0xffff, 0x1_0000, u32::MAX - 1];
 
 /// The updates a stable sort of `(path, dest)` by path yields.
@@ -56,9 +65,9 @@ proptest! {
 
     #[test]
     fn keyed_order_matches_a_stable_sort_by_path(
-        setup in (0u32..4, prop::collection::vec(0u32..10, 1..12), 0u32..3),
+        setup in (0u32..4, prop::collection::vec(0u32..10, 1..48), 0u32..3),
         sets in prop::collection::vec(
-            ((0u32..DESTS, 0u32..14), prop::collection::vec(0u32..10, 0..4)),
+            ((0u32..DESTS, 0u32..52), prop::collection::vec(0u32..10, 0..4)),
             1..30,
         ),
         query in (prop::collection::vec(0u32..DESTS, 1..16), 0u32..DESTS + 2),
@@ -77,8 +86,9 @@ proptest! {
         let mut expected: Vec<Option<AsPath>> = vec![None; DESTS as usize];
         for ((dest, take), suffix) in sets {
             let dest = NodeId::new(dest);
-            // 13 withdraws; 0 with no suffix is the origin path `[owner]`.
-            let path = (take < 13).then(|| {
+            // 48 and above withdraw; 0 with no suffix is the origin path
+            // `[owner]`.
+            let path = (take < 48).then(|| {
                 let shared = &prefix[..(take as usize).min(prefix.len())];
                 let mut hops = vec![owner];
                 hops.extend_from_slice(shared);
@@ -93,6 +103,44 @@ proptest! {
                 table.updates_for(peer, dests, |u| updates.push(u));
                 prop_assert_eq!(updates, reference(&expected, peer, dests));
             }
+        }
+    }
+
+    #[test]
+    fn wide_fan_outs_match_a_stable_sort_by_path(
+        shared in (prop::collection::vec(0u32..10, 1..48), prop::collection::vec(
+            (0u32..48, prop::collection::vec(0u32..10, 0..3)),
+            1..5,
+        )),
+        assign in prop::collection::vec(0u32..5, WIDE_DESTS as usize..WIDE_DESTS as usize + 1),
+        query in (prop::collection::vec(0u32..WIDE_DESTS, 64..160), 0u32..WIDE_DESTS + 2),
+    ) {
+        let (prefix, tails) = shared;
+        let owner = NodeId::new(0);
+        let paths: Vec<AsPath> = tails
+            .iter()
+            .map(|(take, suffix)| {
+                let mut hops = vec![owner];
+                hops.extend(prefix.iter().take(*take as usize).map(|&r| hop(r, false)));
+                hops.extend(suffix.iter().map(|&r| hop(r, false)));
+                AsPath::from_hops(hops)
+            })
+            .collect();
+        let mut table = AnnounceTable::new(owner, WIDE_DESTS as usize);
+        let mut expected: Vec<Option<AsPath>> = Vec::new();
+        for (dest, &pick) in assign.iter().enumerate() {
+            // A pick past the last path withdraws.
+            let path = paths.get(pick as usize).cloned();
+            table.set(NodeId::new(dest as u32), path.clone());
+            expected.push(path);
+        }
+        let (dests, peer) = query;
+        let dests: Vec<NodeId> = dests.into_iter().map(NodeId::new).collect();
+        let all: Vec<NodeId> = (0..WIDE_DESTS).map(NodeId::new).collect();
+        for (peer, dests) in [(NodeId::new(peer), &dests), (owner, &all)] {
+            let mut updates = Vec::new();
+            table.updates_for(peer, dests, |u| updates.push(u));
+            prop_assert_eq!(updates, reference(&expected, peer, dests));
         }
     }
 }

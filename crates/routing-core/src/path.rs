@@ -1,7 +1,12 @@
 //! AS paths for path-vector routing.
+//!
+//! A path's hops sit behind an `Rc`, not an `Arc`: a path lives inside
+//! one simulation run, and a run never leaves its thread (see
+//! [`SharedPayload`](netsim::protocol::SharedPayload)), so clones and
+//! drops need no atomic reference counts.
 
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use netsim::ident::NodeId;
 use serde::{Deserialize, Serialize};
@@ -9,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// A BGP-style AS path: the sequence of routers an announcement traversed,
 /// most recent first (the paper models one router per AS).
 ///
-/// The hop sequence is stored behind an `Arc`, so cloning a path — which
+/// The hop sequence is stored behind an `Rc`, so cloning a path — which
 /// BGP does for every Adj-RIB-In slot and every re-announcement — bumps a
 /// reference count instead of copying hops. Equality, ordering and
 /// hashing compare hop *contents*, exactly as the old `Vec`-backed
@@ -29,16 +34,16 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AsPath {
-    hops: Arc<[NodeId]>,
+    hops: Rc<[NodeId]>,
 }
 
 // Equality/ordering/hashing compare hop contents (identical to the old
-// `Vec`-backed derive), with an `Arc::ptr_eq` fast path: thanks to
+// `Vec`-backed derive), with an `Rc::ptr_eq` fast path: thanks to
 // refcount sharing, most comparisons on the hot path are between clones
 // of one allocation and never touch the hops at all.
 impl PartialEq for AsPath {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.hops, &other.hops) || self.hops == other.hops
+        Rc::ptr_eq(&self.hops, &other.hops) || self.hops == other.hops
     }
 }
 
@@ -52,7 +57,7 @@ impl PartialOrd for AsPath {
 
 impl Ord for AsPath {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        if Arc::ptr_eq(&self.hops, &other.hops) {
+        if Rc::ptr_eq(&self.hops, &other.hops) {
             std::cmp::Ordering::Equal
         } else {
             self.hops.cmp(&other.hops)
@@ -71,7 +76,7 @@ impl AsPath {
     #[must_use]
     pub fn origin(node: NodeId) -> Self {
         AsPath {
-            hops: Arc::from([node].as_slice()),
+            hops: Rc::from([node].as_slice()),
         }
     }
 
@@ -84,7 +89,7 @@ impl AsPath {
     pub fn from_hops(hops: Vec<NodeId>) -> Self {
         assert!(!hops.is_empty(), "AS path must contain the origin");
         AsPath {
-            hops: Arc::from(hops),
+            hops: Rc::from(hops),
         }
     }
 
@@ -205,10 +210,10 @@ mod tests {
     fn clones_share_storage_but_equals_need_not() {
         let a = AsPath::origin(n(1)).prepended(n(2));
         let b = a.clone();
-        assert!(Arc::ptr_eq(&a.hops, &b.hops));
+        assert!(Rc::ptr_eq(&a.hops, &b.hops));
         let c = AsPath::from_hops(vec![n(2), n(1)]);
         assert_eq!(a, c);
-        assert!(!Arc::ptr_eq(&a.hops, &c.hops));
+        assert!(!Rc::ptr_eq(&a.hops, &c.hops));
     }
 
     #[test]
