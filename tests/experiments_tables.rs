@@ -1,5 +1,6 @@
 //! EXPERIMENTS.md's Figure 3, 4 and 6 tables are copies of the committed
-//! CSVs in `results/`, cell for cell.
+//! CSVs in `results/`, cell for cell, and its Figure 5 and 7 summary rows
+//! are what their rules compute from the committed series.
 //!
 //! Each checked table is the first Markdown table after the line that
 //! names its CSV (`results/<name>.csv`) and before the next section
@@ -17,6 +18,10 @@ const TABLES: [&str; 4] = [
     "fig6a_forwarding_convergence",
     "fig6b_routing_convergence",
 ];
+
+/// The per-second series whose summaries EXPERIMENTS.md shows, as its
+/// text names them; each summary row takes the degree from its first cell.
+const SUMMARIES: [&str; 2] = ["fig5_throughput_d{3,4,6}", "fig7_delay_d{4,5,6}"];
 
 fn read(relative: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(relative);
@@ -89,6 +94,104 @@ fn differences(name: &str, doc: &[Vec<String>], csv: &[Vec<String>]) -> Vec<Stri
         }
     }
     out
+}
+
+/// The summary `metric` of one protocol's `(t, value)` series, formatted
+/// as EXPERIMENTS.md shows it, or `None` for a metric with no rule.
+fn statistic(metric: &str, series: &[(f64, f64)]) -> Option<String> {
+    let (before, after): (Vec<_>, Vec<_>) = series.iter().copied().partition(|&(t, _)| t < 0.0);
+    fn values(part: &[(f64, f64)]) -> impl Iterator<Item = f64> + '_ {
+        part.iter().map(|&(_, v)| v)
+    }
+    Some(match metric {
+        "min pkt/s" => format!("{:.1}", values(&after).fold(f64::INFINITY, f64::min)),
+        "back to 19 pkt/s (s)" => {
+            let back = after
+                .iter()
+                .rposition(|&(_, v)| v < 19.0)
+                .map_or(0, |i| i + 1);
+            match after.get(back) {
+                Some((t, _)) => format!("{t}"),
+                None => format!(">{}", after.last()?.0),
+            }
+        }
+        "baseline (ms)" => format!("{:.1}", values(&before).sum::<f64>() / before.len() as f64),
+        "peak (ms)" => format!("{:.1}", values(&after).fold(f64::NEG_INFINITY, f64::max)),
+        _ => return None,
+    })
+}
+
+/// Every summary cell of the `series` table in `doc` that differs from
+/// what its rule computes from `results/`.
+fn summary_differences(doc: &str, series: &str) -> Vec<String> {
+    let (prefix, _) = series
+        .split_once('{')
+        .expect("a series name ends in a degree set");
+    let rows = doc_table(doc, series);
+    let mut out = Vec::new();
+    for row in &rows[1..] {
+        let (degree, metric) = (&row[0], &row[1]);
+        let name = format!("{prefix}{degree}");
+        let csv = csv_rows(&name);
+        for (protocol, cell) in rows[0].iter().zip(row).skip(2) {
+            let column = csv[0].iter().position(|h| h == protocol);
+            let Some(column) = column else {
+                out.push(format!("{name} has no column {protocol}"));
+                continue;
+            };
+            let values: Vec<(f64, f64)> = csv[1..]
+                .iter()
+                .map(|r| (r[0].parse().unwrap(), r[column].parse().unwrap()))
+                .collect();
+            match statistic(metric, &values) {
+                Some(computed) if computed == *cell => {}
+                Some(computed) => out.push(format!(
+                    "{name} {metric}, {protocol}: table {cell:?}, CSV gives {computed:?}"
+                )),
+                None => out.push(format!("{name}: no rule for metric {metric:?}")),
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn summary_rows_follow_their_rules_on_the_committed_series() {
+    let doc = read("EXPERIMENTS.md");
+    let diffs: Vec<String> = SUMMARIES
+        .iter()
+        .flat_map(|series| summary_differences(&doc, series))
+        .collect();
+    assert!(
+        diffs.is_empty(),
+        "EXPERIMENTS.md summaries differ from results/:\n{}",
+        diffs.join("\n")
+    );
+}
+
+#[test]
+fn summary_rules_read_the_failure_at_t_zero() {
+    let series = [
+        (-2.0, 20.0),
+        (-1.0, 19.0),
+        (0.0, 3.0),
+        (1.0, 19.5),
+        (2.0, 18.0),
+        (3.0, 20.0),
+    ];
+    let stat = |metric| statistic(metric, &series).unwrap();
+    assert_eq!(stat("min pkt/s"), "3.0");
+    assert_eq!(stat("back to 19 pkt/s (s)"), "3");
+    assert_eq!(stat("baseline (ms)"), "19.5");
+    assert_eq!(stat("peak (ms)"), "20.0");
+    assert_eq!(
+        statistic("back to 19 pkt/s (s)", &series[..5]).unwrap(),
+        ">2"
+    );
+    assert_eq!(
+        statistic("back to 19 pkt/s (s)", &series[3..4]).unwrap(),
+        "1"
+    );
 }
 
 #[test]
