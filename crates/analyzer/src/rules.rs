@@ -501,7 +501,11 @@ mod tests {
         );
         assert_eq!(lib_ctx("crates/bench/src/lib.rs").kind, FileKind::Bench);
         assert_eq!(
-            lib_ctx("crates/bench/src/bin/run_all.rs").kind,
+            lib_ctx("crates/bench/src/bin/sweeps.rs").kind,
+            FileKind::Bench
+        );
+        assert_eq!(
+            lib_ctx("crates/bench/src/bin/sweeps/figures.rs").kind,
             FileKind::Bench
         );
         assert_eq!(

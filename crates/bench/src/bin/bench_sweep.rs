@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use bench::{append_record, point_seed, sweep_args};
+use bench::{append_record, point_seed, sweep_args, DEFAULT_RUNS};
 use convergence::prelude::*;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
@@ -107,7 +107,7 @@ fn json_f64(v: f64) -> String {
 
 fn main() {
     let args = sweep_args();
-    let runs = args.runs;
+    let runs = args.runs.unwrap_or(DEFAULT_RUNS);
     // The point of the harness is to measure parallelism, so `--jobs`
     // below 2 still benchmarks a multi-worker leg.
     let jobs = convergence::parallel::effective_jobs(args.jobs).max(4);

@@ -1,17 +1,16 @@
 //! # bench — figure regeneration and performance benchmarks
 //!
-//! Each binary in `src/bin/` regenerates one of the paper's figures or an
-//! ablation, or measures the engine (`bench_hotpath`, `bench_profile`,
-//! `bench_sweep`). This library parses the shared command line and runs
-//! every sweep through [`SweepObserver::sweep`], a thin layer over the
-//! one sweep driver, `convergence::aggregate::run_sweep`: panics are
-//! isolated, unusable random draws are retried with a derived reseed, and
-//! a slot that still fails is reported on stderr instead of aborting the
-//! binary.
+//! The `sweeps` binary regenerates the paper's figures, ablations and
+//! extensions, one row of its target table each; `bench_hotpath`,
+//! `bench_profile` and `bench_sweep` measure the engine. This library
+//! parses the shared command line and runs every sweep through
+//! [`SweepObserver::sweep`], a thin layer over the one sweep driver,
+//! `convergence::aggregate::run_sweep`: panics are isolated, unusable
+//! random draws are retried with a derived reseed, and a slot that still
+//! fails is reported on stderr instead of aborting the binary.
 //!
-//! Every binary accepts an optional positional argument (the number of
-//! randomized runs per sweep point; default 100, the paper's count), a
-//! `--jobs N` flag (worker threads per sweep point; `0` = all cores,
+//! The shared arguments are an optional positional count (randomized runs
+//! per sweep point), a `--jobs N` flag (worker threads; `0` = all cores,
 //! default 1, `JOBS` env var as fallback), and a `--progress` flag (live
 //! per-sweep completion and ETA on stderr). Sweeps are deterministic for
 //! every job count: per-run seeds depend only on the slot index, and
@@ -31,9 +30,11 @@ use convergence::metrics::streaming::summarize_streaming;
 use convergence::metrics::MetricsError;
 use convergence::protocols::ProtocolKind;
 use convergence::runner::RunResult;
-use obs::progress::Progress;
 use obs::telemetry::{render_jsonl, RunTelemetry};
+use progress::Progress;
 use topology::mesh::MeshDegree;
+
+mod progress;
 
 /// Default randomized runs per sweep point (the paper's §5 count).
 pub const DEFAULT_RUNS: usize = 100;
@@ -41,11 +42,11 @@ pub const DEFAULT_RUNS: usize = 100;
 /// Base seed for sweeps; per-point seeds derive deterministically.
 pub const BASE_SEED: u64 = 20030622;
 
-/// Command-line options shared by every figure binary.
+/// Command-line options shared by the sweep binaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepArgs {
-    /// Randomized runs per sweep point.
-    pub runs: usize,
+    /// Randomized runs per sweep point; `None` when no count was given.
+    pub runs: Option<usize>,
     /// Worker threads per sweep point (`0` = all cores, `1` =
     /// sequential).
     pub jobs: usize,
@@ -57,15 +58,16 @@ pub struct SweepArgs {
 impl Default for SweepArgs {
     fn default() -> Self {
         SweepArgs {
-            runs: DEFAULT_RUNS,
+            runs: None,
             jobs: 1,
             progress: false,
         }
     }
 }
 
-/// Parses `[runs-per-point] [--jobs N]` from the process arguments, with
-/// the `JOBS` environment variable as a fallback for the flag.
+/// Parses `[runs-per-point] [--jobs N] [--progress]` from the process
+/// arguments, with the `JOBS` environment variable as a fallback for the
+/// flag.
 ///
 /// # Panics
 ///
@@ -92,7 +94,6 @@ pub fn parse_sweep_args<I: Iterator<Item = String>>(
             .parse()
             .unwrap_or_else(|_| panic!("{USAGE}; JOBS env var not a number: {env:?}"));
     }
-    let mut runs_seen = false;
     while let Some(arg) = args.next() {
         if arg == "--progress" {
             parsed.progress = true;
@@ -107,11 +108,11 @@ pub fn parse_sweep_args<I: Iterator<Item = String>>(
             parsed.jobs = value
                 .parse()
                 .unwrap_or_else(|_| panic!("{USAGE}; got --jobs={value:?}"));
-        } else if !runs_seen {
-            parsed.runs = arg
-                .parse()
-                .unwrap_or_else(|_| panic!("{USAGE}; got {arg:?}"));
-            runs_seen = true;
+        } else if parsed.runs.is_none() {
+            parsed.runs = Some(
+                arg.parse()
+                    .unwrap_or_else(|_| panic!("{USAGE}; got {arg:?}")),
+            );
         } else {
             panic!("{USAGE}; unexpected argument {arg:?}");
         }
@@ -151,35 +152,42 @@ pub fn append_record(path: &str, record: &str) -> std::io::Result<()> {
     std::fs::write(path, format!("[\n{records}\n]\n"))
 }
 
-/// Runs a bench binary's sweeps and collects their per-run telemetry;
+/// Runs one sweep target's sweeps and collects their per-run telemetry;
 /// when `--progress` was given, reports live completion on stderr.
 ///
-/// One observer lives per binary: each sweep appends its rows (stamped
+/// One observer lives per target: each sweep appends its rows (stamped
 /// with the sweep's label), and [`SweepObserver::finish`] writes
-/// everything as `results/telemetry/<bin>.jsonl` — the per-target stream
-/// `run_all` merges into `results/telemetry.jsonl`. The rows are in
-/// sweep-then-slot order and contain no wall-clock values, so the file
-/// bytes are deterministic for a fixed seed and any `--jobs` count; the
-/// wall clock is used only for the (stderr) ETA display.
+/// everything as `results/telemetry/<target>.jsonl` — the per-target
+/// stream `sweeps all` also merges into `results/telemetry.jsonl`. The
+/// rows are in sweep-then-slot order and contain no wall-clock values, so
+/// the file bytes are deterministic for a fixed seed and any `--jobs`
+/// count; the wall clock is used only for the (stderr) ETA display.
 #[derive(Debug)]
 pub struct SweepObserver {
-    bin: &'static str,
+    target: &'static str,
     args: SweepArgs,
     started: std::time::Instant,
     rows: Vec<RunTelemetry>,
 }
 
 impl SweepObserver {
-    /// An observer for the binary `bin` honouring the parsed runs count,
-    /// `--jobs` and `--progress`.
+    /// An observer for the target `target` honouring the parsed runs
+    /// count ([`DEFAULT_RUNS`] when none was given), `--jobs` and
+    /// `--progress`.
     #[must_use]
-    pub fn new(bin: &'static str, args: SweepArgs) -> Self {
+    pub fn new(target: &'static str, args: SweepArgs) -> Self {
         SweepObserver {
-            bin,
+            target,
             args,
             started: std::time::Instant::now(),
             rows: Vec::new(),
         }
+    }
+
+    /// The randomized runs per sweep point.
+    #[must_use]
+    pub fn runs(&self) -> usize {
+        self.args.runs.unwrap_or(DEFAULT_RUNS)
     }
 
     /// Runs `runs` seeded repetitions of `config` (seeds
@@ -242,7 +250,7 @@ impl SweepObserver {
         let outcome = self.sweep(
             &label,
             &config,
-            self.args.runs,
+            self.runs(),
             point_seed(degree, 0),
             summarize_streaming,
         );
@@ -262,7 +270,7 @@ impl SweepObserver {
         render_jsonl(&self.rows)
     }
 
-    /// Writes the collected rows to `results/telemetry/<bin>.jsonl`,
+    /// Writes the collected rows to `results/telemetry/<target>.jsonl`,
     /// returning the path.
     ///
     /// # Errors
@@ -271,7 +279,7 @@ impl SweepObserver {
     pub fn finish(&self) -> std::io::Result<std::path::PathBuf> {
         let dir = results_dir().join("telemetry");
         std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{}.jsonl", self.bin));
+        let path = dir.join(format!("{}.jsonl", self.target));
         std::fs::write(&path, self.render_jsonl())?;
         Ok(path)
     }
@@ -324,61 +332,31 @@ mod tests {
 
     #[test]
     fn arg_parsing_accepts_runs_jobs_and_env() {
-        let args = |v: &[&str]| {
-            v.iter()
-                .map(|s| (*s).to_string())
-                .collect::<Vec<_>>()
-                .into_iter()
+        let parse = |v: &[&str], env: Option<&str>| {
+            parse_sweep_args(v.iter().map(|s| (*s).to_string()), env.map(String::from))
         };
-        assert_eq!(parse_sweep_args(args(&[]), None), SweepArgs::default());
+        let parsed = |runs: Option<usize>, jobs: usize, progress: bool| SweepArgs {
+            runs,
+            jobs,
+            progress,
+        };
+        assert_eq!(parse(&[], None), SweepArgs::default());
+        assert_eq!(parse(&[], None), parsed(None, 1, false));
+        assert_eq!(parse(&["25"], None), parsed(Some(25), 1, false));
         assert_eq!(
-            parse_sweep_args(args(&["25"]), None),
-            SweepArgs {
-                runs: 25,
-                jobs: 1,
-                progress: false
-            }
+            parse(&["25", "--jobs", "4"], None),
+            parsed(Some(25), 4, false)
         );
-        assert_eq!(
-            parse_sweep_args(args(&["25", "--jobs", "4"]), None),
-            SweepArgs {
-                runs: 25,
-                jobs: 4,
-                progress: false
-            }
-        );
-        assert_eq!(
-            parse_sweep_args(args(&["--jobs=8", "10"]), None),
-            SweepArgs {
-                runs: 10,
-                jobs: 8,
-                progress: false
-            }
-        );
+        assert_eq!(parse(&["--jobs=8", "10"], None), parsed(Some(10), 8, false));
         // Env fallback applies, explicit flag wins.
+        assert_eq!(parse(&["5"], Some("2")), parsed(Some(5), 2, false));
         assert_eq!(
-            parse_sweep_args(args(&["5"]), Some("2".into())),
-            SweepArgs {
-                runs: 5,
-                jobs: 2,
-                progress: false
-            }
+            parse(&["5", "--jobs", "3"], Some("2")),
+            parsed(Some(5), 3, false)
         );
         assert_eq!(
-            parse_sweep_args(args(&["5", "--jobs", "3"]), Some("2".into())),
-            SweepArgs {
-                runs: 5,
-                jobs: 3,
-                progress: false
-            }
-        );
-        assert_eq!(
-            parse_sweep_args(args(&["--progress", "5", "--jobs", "2"]), None),
-            SweepArgs {
-                runs: 5,
-                jobs: 2,
-                progress: true
-            }
+            parse(&["--progress", "5", "--jobs", "2"], None),
+            parsed(Some(5), 2, true)
         );
     }
 
@@ -392,7 +370,7 @@ mod tests {
         SweepObserver::new(
             "bench-lib-test",
             SweepArgs {
-                runs,
+                runs: Some(runs),
                 jobs,
                 progress: false,
             },
@@ -415,20 +393,21 @@ mod tests {
 
     #[test]
     fn telemetry_bytes_are_identical_for_any_job_count() {
-        let jsonl = |jobs: usize| {
+        let swept = |jobs: usize| {
             let mut observer = observer(3, jobs);
             let _ = observer.point(ProtocolKind::Rip, MeshDegree::D6, |_| {});
-            observer.render_jsonl().into_bytes()
+            observer
         };
-        let sequential = jsonl(1);
-        assert_eq!(sequential, jsonl(4));
-        let text = String::from_utf8(sequential).expect("jsonl is utf-8");
+        let sequential = swept(1);
+        let text = sequential.render_jsonl();
+        assert_eq!(text.as_bytes(), swept(4).render_jsonl().as_bytes());
         assert_eq!(text.lines().count(), 3);
         assert!(text.starts_with("{\"label\":\"RIP/d6\",\"slot\":0,"));
         for line in text.lines() {
             assert!(line.contains("\"attempts\":1,\"ok\":true,\"protocol\":\"RIP\""));
-            assert!(obs::telemetry::field_u64(line, "events_processed").unwrap_or(0) > 0);
-            assert!(obs::telemetry::field_u64(line, "queue_high_water").unwrap_or(0) > 0);
+        }
+        for row in sequential.rows() {
+            assert!(row.events_processed > 0 && row.queue_high_water > 0);
         }
     }
 

@@ -17,10 +17,6 @@
 //!   `results/telemetry.jsonl`: integer-only fields and a fixed JSON key
 //!   order make the rendering byte-deterministic for a fixed seed,
 //!   regardless of worker-thread count.
-//! - [`progress::Progress`] is a lock-free live progress tracker for
-//!   parallel sweeps.
-//! - [`codec`] is a small LZ77-style compressor used to store golden
-//!   trace fixtures compactly.
 //!
 //! The crate deliberately depends on nothing — not even the workspace's
 //! vendored stubs — so every layer (netsim upward) can use it without
@@ -31,9 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod codec;
 pub mod metrics;
-pub mod progress;
 pub mod span;
 pub mod telemetry;
 

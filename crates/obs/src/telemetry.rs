@@ -117,39 +117,6 @@ pub fn escape_json(s: &str) -> String {
     out
 }
 
-/// Extracts the integer value of `"key":<number>` from a telemetry JSON
-/// line (the hand-rolled reader used by `run_all` to aggregate per-bin
-/// telemetry into the manifest).
-#[must_use]
-pub fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    rest[..end].parse().ok()
-}
-
-/// Extracts the boolean value of `"key":true|false` from a telemetry
-/// JSON line.
-#[must_use]
-pub fn field_bool(line: &str, key: &str) -> Option<bool> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,16 +143,12 @@ mod tests {
     }
 
     #[test]
-    fn json_line_has_fixed_key_order_and_round_trips_fields() {
+    fn json_line_has_a_fixed_key_order() {
         let line = sample().to_json_line();
         assert!(line.starts_with("{\"label\":\"fig3/dbf/d4\",\"slot\":7,"));
         assert!(line.ends_with("\"watchdog_trips\":0,\"error\":\"\"}"));
-        assert_eq!(field_u64(&line, "seed"), Some(20030622));
-        assert_eq!(field_u64(&line, "events_processed"), Some(123_456));
-        assert_eq!(field_u64(&line, "queue_high_water"), Some(890));
-        assert_eq!(field_bool(&line, "ok"), Some(true));
-        assert_eq!(field_u64(&line, "missing"), None);
-        assert_eq!(field_bool(&line, "missing"), None);
+        assert!(line.contains(",\"seed\":20030622,\"attempts\":2,\"ok\":true,"));
+        assert!(line.contains(",\"events_processed\":123456,\"queue_high_water\":890,"));
     }
 
     #[test]

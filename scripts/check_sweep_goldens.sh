@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Runs every sweep binary at 2 runs/point with --jobs 2 in a temporary
-# directory and compares its outputs with the committed goldens under
-# tests/golden/sweeps/: every CSV and telemetry JSONL through
+# Runs every target of the sweeps binary (`sweeps <name> 2 --jobs 2`) in a
+# temporary directory and compares its outputs with the committed goldens
+# under tests/golden/sweeps/: every CSV and telemetry JSONL through
 # scripts/compare_results.py (no protocol may differ, not even in engine
 # counters), every stdout byte for byte with cmp, and the file lists.
 #
-# The targets are run_all's FIGURES and EXTRAS lists, in that order.
+# The target names are the rows of the sweeps binary's table, in order,
+# as its usage message lists them.
 #
 # Usage: scripts/check_sweep_goldens.sh
 #        GOLDEN_REGEN=1 scripts/check_sweep_goldens.sh   # rewrite the goldens
@@ -15,16 +16,15 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 golden="$root/tests/golden/sweeps"
 bin_dir="${CARGO_TARGET_DIR:-$root/target}/release"
 
-targets=$(sed -n '/^const FIGURES/,/^];/p; /^const EXTRAS/,/^];/p' \
-    "$root/crates/bench/src/bin/run_all.rs" | grep -o '"[a-z0-9_]*"' | tr -d '"')
-
 cargo build --release --offline -q -p bench --manifest-path "$root/Cargo.toml"
+targets=$("$bin_dir/sweeps" 2>&1 | sed -n 's/^targets: //p' || true)
+[ -n "$targets" ] || { echo "FAILED: sweeps lists no targets" >&2; exit 1; }
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 mkdir -p "$work/stdout"
 for target in $targets; do
-    (cd "$work" && "$bin_dir/$target" 2 --jobs 2 > "stdout/$target.txt" 2> /dev/null) ||
+    (cd "$work" && "$bin_dir/sweeps" "$target" 2 --jobs 2 > "stdout/$target.txt" 2> /dev/null) ||
         { echo "FAILED: $target exited nonzero" >&2; exit 1; }
 done
 

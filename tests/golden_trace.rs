@@ -14,8 +14,9 @@
 //! a timer shows up here as a byte-level diff of the rendered trace —
 //! *before* it can silently shift the paper's figures. Any metrics change
 //! that moves a reported number, down to the last bit of a float, shows
-//! up as a summary diff. The trace fixtures are compressed with the
-//! dependency-free `obs` codec, so they stay small enough to commit.
+//! up as a summary diff. The trace fixtures are compressed with the small
+//! LZ77 codec in `golden_trace/codec.rs`, so they stay small enough to
+//! commit.
 //!
 //! To regenerate after an *intentional* behavior change:
 //!
@@ -25,6 +26,9 @@
 //!
 //! and commit the updated fixtures together with the change that
 //! justified them.
+
+#[path = "golden_trace/codec.rs"]
+mod codec;
 
 use convergence::experiment::TopologySpec;
 use convergence::prelude::*;
@@ -139,10 +143,10 @@ fn check_golden_trace(cfg: &ExperimentConfig, name: &str) {
     let result = run(cfg).expect("golden run succeeds");
     let rendered = result.trace.render_lines();
     let file = format!("{name}.trace.lz");
-    let Some(compressed) = golden_fixture(&file, &obs::codec::compress(rendered.as_bytes())) else {
+    let Some(compressed) = golden_fixture(&file, &codec::compress(rendered.as_bytes())) else {
         return;
     };
-    let golden = obs::codec::decompress(&compressed).expect("fixture decompresses");
+    let golden = codec::decompress(&compressed).expect("fixture decompresses");
     let golden = String::from_utf8(golden).expect("fixture is utf-8");
     if rendered != golden {
         // Point at the first divergent line: a full multi-thousand-line
