@@ -1,23 +1,26 @@
-//! # bench — figure regeneration and performance benchmarks
+//! # bench — figure regeneration
 //!
 //! The `sweeps` binary regenerates the paper's figures, ablations and
-//! extensions, one row of its target table each; `bench_hotpath`,
-//! `bench_profile` and `bench_sweep` measure the engine. This library
-//! parses the shared command line and runs every sweep through
-//! [`SweepObserver::sweep`], a thin layer over the one sweep driver,
+//! extensions, one row of its target table each. This library parses its
+//! command line and runs every sweep through [`SweepObserver::sweep`], a
+//! thin layer over the one sweep driver,
 //! `convergence::aggregate::run_sweep`: panics are isolated, unusable
 //! random draws are retried with a derived reseed, and a slot that still
 //! fails is reported on stderr instead of aborting the binary.
 //!
-//! The shared arguments are an optional positional count (randomized runs
-//! per sweep point), a `--jobs N` flag (worker threads; `0` = all cores,
-//! default 1, `JOBS` env var as fallback), and a `--progress` flag (live
-//! per-sweep completion and ETA on stderr). Sweeps are deterministic for
-//! every job count: per-run seeds depend only on the slot index, and
-//! results are assembled in slot order, so the printed tables and CSVs
-//! are byte-identical whether a sweep ran on one thread or sixteen.
-//! Results are printed as aligned tables and written as CSV under
-//! `results/`, with per-run telemetry under `results/telemetry/`.
+//! The arguments after the target are an optional positional count
+//! (randomized runs per sweep point), a `--jobs N` flag (worker threads;
+//! `0` = all cores, default 1, `JOBS` env var as fallback), and a
+//! `--progress` flag (live per-sweep completion and ETA on stderr).
+//! Sweeps are deterministic for every job count: per-run seeds depend
+//! only on the slot index, and results are assembled in slot order, so
+//! the printed tables and CSVs are byte-identical whether a sweep ran on
+//! one thread or sixteen. Results are printed as aligned tables and
+//! written as CSV under `results/`, with per-run telemetry under
+//! `results/telemetry/`.
+//!
+//! The engine is measured elsewhere: `perfbench/` times it, and the root
+//! package's `tests/work_counts.rs` pins how much work it does.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -36,13 +39,10 @@ use topology::mesh::MeshDegree;
 
 mod progress;
 
-/// Default randomized runs per sweep point (the paper's §5 count).
-pub const DEFAULT_RUNS: usize = 100;
-
 /// Base seed for sweeps; per-point seeds derive deterministically.
 pub const BASE_SEED: u64 = 20030622;
 
-/// Command-line options shared by the sweep binaries.
+/// The `sweeps` command-line options after the target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepArgs {
     /// Randomized runs per sweep point; `None` when no count was given.
@@ -65,19 +65,8 @@ impl Default for SweepArgs {
     }
 }
 
-/// Parses `[runs-per-point] [--jobs N] [--progress]` from the process
-/// arguments, with the `JOBS` environment variable as a fallback for the
-/// flag.
-///
-/// # Panics
-///
-/// Panics with a usage message on malformed arguments.
-#[must_use]
-pub fn sweep_args() -> SweepArgs {
-    parse_sweep_args(std::env::args().skip(1), std::env::var("JOBS").ok())
-}
-
-/// Testable core of [`sweep_args`].
+/// Parses `[runs-per-point] [--jobs N] [--progress]`, with `jobs_env`
+/// (the `JOBS` environment variable) as a fallback for the flag.
 ///
 /// # Panics
 ///
@@ -129,29 +118,6 @@ pub fn point_seed(degree: MeshDegree, run_index: usize) -> u64 {
     BASE_SEED + u64::from(degree.as_u32()) * 100_000 + run_index as u64
 }
 
-/// Appends `record` (a JSON object) to the JSON array in `path`, as the
-/// performance harnesses keep their histories. A file that holds a single
-/// object becomes the array's first record.
-///
-/// # Errors
-///
-/// Returns the error of writing `path`.
-pub fn append_record(path: &str, record: &str) -> std::io::Result<()> {
-    let old = std::fs::read_to_string(path).unwrap_or_default();
-    let old = old.trim();
-    let earlier = match old.strip_prefix('[').and_then(|o| o.strip_suffix(']')) {
-        Some(list) => list.trim(),
-        None => old,
-    };
-    let record = record.trim();
-    let records = if earlier.is_empty() {
-        record.to_string()
-    } else {
-        format!("{earlier},\n{record}")
-    };
-    std::fs::write(path, format!("[\n{records}\n]\n"))
-}
-
 /// Runs one sweep target's sweeps and collects their per-run telemetry;
 /// when `--progress` was given, reports live completion on stderr.
 ///
@@ -172,8 +138,7 @@ pub struct SweepObserver {
 
 impl SweepObserver {
     /// An observer for the target `target` honouring the parsed runs
-    /// count ([`DEFAULT_RUNS`] when none was given), `--jobs` and
-    /// `--progress`.
+    /// count, `--jobs` and `--progress`.
     #[must_use]
     pub fn new(target: &'static str, args: SweepArgs) -> Self {
         SweepObserver {
@@ -185,9 +150,13 @@ impl SweepObserver {
     }
 
     /// The randomized runs per sweep point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the observer was made without a runs count.
     #[must_use]
     pub fn runs(&self) -> usize {
-        self.args.runs.unwrap_or(DEFAULT_RUNS)
+        self.args.runs.expect("a sweeping target has a runs count")
     }
 
     /// Runs `runs` seeded repetitions of `config` (seeds

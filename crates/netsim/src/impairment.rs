@@ -100,19 +100,6 @@ impl Impairment {
         self
     }
 
-    /// Overrides the reliable-session retransmission delay.
-    #[must_use]
-    pub fn with_retransmit_delay(mut self, delay: SimDuration) -> Self {
-        self.retransmit_delay = delay;
-        self
-    }
-
-    /// The loss probability as a fraction.
-    #[must_use]
-    pub fn loss_fraction(&self) -> f64 {
-        f64::from(self.loss_ppm) / f64::from(PPM_SCALE)
-    }
-
     /// Returns `true` if this impairment never alters any frame.
     ///
     /// No-op impairments draw nothing from the impairment RNG, which is
@@ -154,7 +141,6 @@ mod tests {
     fn none_is_noop_and_default() {
         assert!(Impairment::NONE.is_noop());
         assert_eq!(Impairment::default(), Impairment::NONE);
-        assert_eq!(Impairment::NONE.loss_fraction(), 0.0);
     }
 
     #[test]
@@ -169,13 +155,11 @@ mod tests {
     fn builders_compose() {
         let imp = Impairment::lossy(0.05)
             .with_jitter(SimDuration::from_millis(3))
-            .with_reordering(0.01, SimDuration::from_millis(10))
-            .with_retransmit_delay(SimDuration::from_millis(500));
+            .with_reordering(0.01, SimDuration::from_millis(10));
         assert_eq!(imp.loss_ppm, 50_000);
         assert_eq!(imp.jitter, SimDuration::from_millis(3));
         assert_eq!(imp.reorder_ppm, 10_000);
         assert_eq!(imp.reorder_extra, SimDuration::from_millis(10));
-        assert_eq!(imp.retransmit_delay, SimDuration::from_millis(500));
         assert!(!imp.is_noop());
     }
 

@@ -401,12 +401,6 @@ impl Simulator {
         self.recorder.take()
     }
 
-    /// Mutable access to the attached recorder (for callers recording
-    /// their own counters alongside engine spans).
-    pub fn recorder_mut(&mut self) -> Option<&mut obs::span::Recorder> {
-        self.recorder.as_deref_mut()
-    }
-
     /// When a FIB entry last changed (the time of the last
     /// [`TraceEvent::RouteChanged`]; zero before any change).
     #[must_use]
@@ -700,23 +694,6 @@ impl Simulator {
         }
         self.queue
             .schedule(at, EventKind::SetImpairment { link, impairment });
-        Ok(())
-    }
-
-    /// Immediately changes `link`'s impairment (both directions).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the link does not exist.
-    pub fn set_link_impairment(
-        &mut self,
-        link: LinkId,
-        impairment: Impairment,
-    ) -> Result<(), BuildError> {
-        if link.index() >= self.links.len() {
-            return Err(BuildError::NoSuchLink(link));
-        }
-        self.apply_impairment(link, impairment);
         Ok(())
     }
 

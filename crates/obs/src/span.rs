@@ -1,15 +1,16 @@
 //! Hierarchical spans with exclusive-time attribution.
 //!
 //! A [`Recorder`] maintains a span stack over an injected
-//! [`TimeSource`]. Closing a span records its *exclusive* time — total
-//! minus the time spent in nested spans — into the registry histogram of
+//! [`TimeSource`]. Closing a span adds one call and its *exclusive*
+//! time — total minus the time spent in nested spans — to the totals of
 //! the span's name, so a set of phase spans partitions the measured time
 //! without double counting. With a manual (simulated-time) source the
 //! recording is byte-deterministic; an external wall-clock source turns
 //! the same instrumentation into a profiler.
 
+use std::collections::BTreeMap;
+
 use crate::clock::TimeSource;
-use crate::metrics::Registry;
 
 /// Span name: one engine event being dispatched (the event loop body,
 /// exclusive of the nested phases below).
@@ -18,8 +19,6 @@ pub const EVENT_DISPATCH: &str = "event_dispatch";
 pub const PROTOCOL_PROCESSING: &str = "protocol_processing";
 /// Span name: appending records to the run trace.
 pub const TRACE_RECORDING: &str = "trace_recording";
-/// Span name: folding a finished run's trace into its metrics.
-pub const METRIC_FOLDING: &str = "metric_folding";
 
 #[derive(Debug)]
 struct Frame {
@@ -29,11 +28,18 @@ struct Frame {
     child: u64,
 }
 
-/// Records hierarchical spans and counters against an injected clock.
+/// The closed spans of one name.
+#[derive(Debug, Default)]
+struct Totals {
+    calls: u64,
+    exclusive_ns: u64,
+}
+
+/// Records hierarchical spans against an injected clock.
 #[derive(Debug)]
 pub struct Recorder {
     clock: TimeSource,
-    registry: Registry,
+    totals: BTreeMap<&'static str, Totals>,
     stack: Vec<Frame>,
 }
 
@@ -64,7 +70,7 @@ impl Recorder {
     pub fn with_clock(clock: TimeSource) -> Self {
         Recorder {
             clock,
-            registry: Registry::new(),
+            totals: BTreeMap::new(),
             stack: Vec::with_capacity(8),
         }
     }
@@ -90,16 +96,18 @@ impl Recorder {
         });
     }
 
-    /// Closes the innermost span, recording its exclusive time into the
-    /// histogram of its name. Closing with an empty stack is a no-op, so
-    /// unbalanced instrumentation degrades instead of failing.
+    /// Closes the innermost span, adding one call and its exclusive time
+    /// to the totals of its name. Closing with an empty stack is a no-op,
+    /// so unbalanced instrumentation degrades instead of failing.
     pub fn exit(&mut self) {
         let Some(frame) = self.stack.pop() else {
             return;
         };
         let total = self.clock.now().saturating_sub(frame.start);
         let exclusive = total.saturating_sub(frame.child);
-        self.registry.record(frame.name, exclusive);
+        let totals = self.totals.entry(frame.name).or_default();
+        totals.calls += 1;
+        totals.exclusive_ns = totals.exclusive_ns.saturating_add(exclusive);
         if let Some(parent) = self.stack.last_mut() {
             parent.child = parent.child.saturating_add(total);
         }
@@ -114,25 +122,13 @@ impl Recorder {
     /// Total exclusive nanoseconds recorded under span `name`.
     #[must_use]
     pub fn exclusive_ns(&self, name: &'static str) -> u64 {
-        self.registry.histogram(name).map_or(0, |h| h.sum())
+        self.totals.get(name).map_or(0, |t| t.exclusive_ns)
     }
 
     /// How many spans named `name` have closed.
     #[must_use]
     pub fn calls(&self, name: &'static str) -> u64 {
-        self.registry.histogram(name).map_or(0, |h| h.count())
-    }
-
-    /// The underlying counter/histogram registry.
-    #[must_use]
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Mutable access to the registry (for counters recorded alongside
-    /// spans).
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
+        self.totals.get(name).map_or(0, |t| t.calls)
     }
 }
 
@@ -180,25 +176,7 @@ mod tests {
         let mut r = Recorder::manual();
         r.exit();
         assert_eq!(r.depth(), 0);
-        assert!(r.registry().render_lines().is_empty());
-    }
-
-    #[test]
-    fn deterministic_rendering_for_identical_histories() {
-        let record = || {
-            let mut r = Recorder::manual();
-            for i in 0..100u64 {
-                r.set_time(i * 10);
-                r.enter(EVENT_DISPATCH);
-                r.set_time(i * 10 + 3);
-                r.enter(PROTOCOL_PROCESSING);
-                r.set_time(i * 10 + 7);
-                r.exit();
-                r.exit();
-            }
-            r.registry().render_lines()
-        };
-        assert_eq!(record(), record());
+        assert!(r.totals.is_empty());
     }
 
     #[test]
