@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn point_seeds_are_unique_per_degree_and_run() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for degree in MeshDegree::ALL {
             for i in 0..100 {
                 assert!(seen.insert(point_seed(degree, i)));

@@ -85,7 +85,7 @@ impl BgpConfig {
     /// The shortest possible MRAI window.
     #[must_use]
     pub fn mrai_min(&self) -> SimDuration {
-        self.mrai_mean - self.mrai_jitter
+        self.mrai_mean.saturating_sub(self.mrai_jitter)
     }
 
     /// The longest possible MRAI window.

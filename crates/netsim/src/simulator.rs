@@ -385,13 +385,11 @@ impl Simulator {
     }
 
     /// Attaches a span recorder. Engine activity from here on is measured
-    /// against it: each processed event opens an
-    /// [`obs::span::EVENT_DISPATCH`] span at its simulated timestamp, with
-    /// nested [`obs::span::PROTOCOL_PROCESSING`] and
-    /// [`obs::span::TRACE_RECORDING`] spans inside. With the recorder's
-    /// default manual clock the recording is a deterministic function of
-    /// the run; an external (wall-clock) recorder turns the same spans
-    /// into a profile.
+    /// against its clock: each processed event opens an
+    /// [`obs::span::EVENT_DISPATCH`] span, with nested
+    /// [`obs::span::PROTOCOL_PROCESSING`] and
+    /// [`obs::span::TRACE_RECORDING`] spans inside. Over a wall clock the
+    /// spans are a profile of the run; the run itself is unchanged.
     pub fn set_recorder(&mut self, recorder: Box<obs::span::Recorder>) {
         self.recorder = Some(recorder);
     }
@@ -814,7 +812,7 @@ impl Simulator {
                 break;
             };
             self.stats.events_processed += 1;
-            self.obs_event_start(t);
+            self.obs_enter(obs::span::EVENT_DISPATCH);
             self.handle((t, seq), kind);
             self.obs_exit();
         }
@@ -825,16 +823,6 @@ impl Simulator {
     }
 
     // ---- internal machinery ----------------------------------------------
-
-    /// Opens the per-event dispatch span, first advancing the recorder's
-    /// (manual) clock to the event's simulated timestamp.
-    #[inline]
-    fn obs_event_start(&mut self, t: SimTime) {
-        if let Some(rec) = self.recorder.as_deref_mut() {
-            rec.set_time(t.as_nanos());
-            rec.enter(obs::span::EVENT_DISPATCH);
-        }
-    }
 
     /// Opens a span on the attached recorder, if any.
     #[inline]

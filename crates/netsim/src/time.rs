@@ -154,6 +154,12 @@ impl SimDuration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
+
+    /// Returns `self - rhs`, saturating to zero.
+    #[must_use]
+    pub const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
+        SimDuration(self.0.saturating_sub(rhs.0))
+    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -189,18 +195,6 @@ impl Add for SimDuration {
 impl AddAssign for SimDuration {
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
-    }
-}
-
-impl Sub for SimDuration {
-    type Output = SimDuration;
-
-    fn sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(
-            self.0
-                .checked_sub(rhs.0)
-                .expect("SimDuration subtraction underflow"),
-        )
     }
 }
 

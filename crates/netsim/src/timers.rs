@@ -86,6 +86,10 @@ impl TimerSlab {
                 slot
             }
             None => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "slot ids run out only past 2^32 armed timers, which exhaust memory first"
+                )]
                 let slot = u32::try_from(self.slots.len()).expect("timer slab overflow");
                 self.slots.push(Some(entry));
                 self.gens.push(0);

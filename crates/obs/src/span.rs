@@ -1,16 +1,13 @@
 //! Hierarchical spans with exclusive-time attribution.
 //!
-//! A [`Recorder`] maintains a span stack over an injected
-//! [`TimeSource`]. Closing a span adds one call and its *exclusive*
-//! time — total minus the time spent in nested spans — to the totals of
-//! the span's name, so a set of phase spans partitions the measured time
-//! without double counting. With a manual (simulated-time) source the
-//! recording is byte-deterministic; an external wall-clock source turns
-//! the same instrumentation into a profiler.
+//! A [`Recorder`] maintains a span stack over an injected nanosecond
+//! clock. Closing a span adds one call and its *exclusive* time — total
+//! minus the time spent in nested spans — to the totals of the span's
+//! name, so a set of phase spans partitions the measured time without
+//! double counting. This crate never reads a clock itself: the caller
+//! that profiles (perfbench) owns the wall clock and hands it in.
 
 use std::collections::BTreeMap;
-
-use crate::clock::TimeSource;
 
 /// Span name: one engine event being dispatched (the event loop body,
 /// exclusive of the nested phases below).
@@ -36,38 +33,26 @@ struct Totals {
 }
 
 /// Records hierarchical spans against an injected clock.
-#[derive(Debug)]
 pub struct Recorder {
-    clock: TimeSource,
+    clock: Box<dyn Fn() -> u64 + Send>,
     totals: BTreeMap<&'static str, Totals>,
     stack: Vec<Frame>,
 }
 
-impl Default for Recorder {
-    fn default() -> Self {
-        Recorder::manual()
+impl std::fmt::Debug for Recorder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Recorder")
+            .field("totals", &self.totals)
+            .field("stack", &self.stack)
+            .finish_non_exhaustive()
     }
 }
 
 impl Recorder {
-    /// A recorder over a manual (deterministic) time source starting at
-    /// zero. The instrumented code advances it with
-    /// [`Recorder::set_time`].
-    #[must_use]
-    pub fn manual() -> Self {
-        Recorder::with_clock(TimeSource::manual())
-    }
-
-    /// A recorder over an external nanosecond closure (a wall clock owned
+    /// A recorder over an external nanosecond clock (a wall clock owned
     /// by bench code).
     #[must_use]
-    pub fn external(f: Box<dyn Fn() -> u64 + Send>) -> Self {
-        Recorder::with_clock(TimeSource::external(f))
-    }
-
-    /// A recorder over an explicit time source.
-    #[must_use]
-    pub fn with_clock(clock: TimeSource) -> Self {
+    pub fn external(clock: Box<dyn Fn() -> u64 + Send>) -> Self {
         Recorder {
             clock,
             totals: BTreeMap::new(),
@@ -75,20 +60,9 @@ impl Recorder {
         }
     }
 
-    /// Advances a manual clock to `nanos` (no-op for external clocks).
-    pub fn set_time(&mut self, nanos: u64) {
-        self.clock.set(nanos);
-    }
-
-    /// The clock's current reading.
-    #[must_use]
-    pub fn now(&self) -> u64 {
-        self.clock.now()
-    }
-
     /// Opens a span named `name` at the current time.
     pub fn enter(&mut self, name: &'static str) {
-        let start = self.clock.now();
+        let start = (self.clock)();
         self.stack.push(Frame {
             name,
             start,
@@ -103,7 +77,7 @@ impl Recorder {
         let Some(frame) = self.stack.pop() else {
             return;
         };
-        let total = self.clock.now().saturating_sub(frame.start);
+        let total = (self.clock)().saturating_sub(frame.start);
         let exclusive = total.saturating_sub(frame.child);
         let totals = self.totals.entry(frame.name).or_default();
         totals.calls += 1;
@@ -111,12 +85,6 @@ impl Recorder {
         if let Some(parent) = self.stack.last_mut() {
             parent.child = parent.child.saturating_add(total);
         }
-    }
-
-    /// Current span nesting depth.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.stack.len()
     }
 
     /// Total exclusive nanoseconds recorded under span `name`.
@@ -135,35 +103,44 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// A recorder over a counter the test sets by hand.
+    fn stepped() -> (Recorder, Arc<AtomicU64>) {
+        let now = Arc::new(AtomicU64::new(0));
+        let clock = Arc::clone(&now);
+        let rec = Recorder::external(Box::new(move || clock.load(Ordering::Relaxed)));
+        (rec, now)
+    }
 
     #[test]
     fn exclusive_time_subtracts_children() {
-        let mut r = Recorder::manual();
-        r.set_time(0);
+        let (mut r, now) = stepped();
         r.enter("outer");
-        r.set_time(10);
+        now.store(10, Ordering::Relaxed);
         r.enter("inner");
-        r.set_time(30);
+        now.store(30, Ordering::Relaxed);
         r.exit(); // inner: 20 exclusive
-        r.set_time(35);
+        now.store(35, Ordering::Relaxed);
         r.exit(); // outer: 35 total - 20 child = 15 exclusive
         assert_eq!(r.exclusive_ns("inner"), 20);
         assert_eq!(r.exclusive_ns("outer"), 15);
         assert_eq!(r.calls("outer"), 1);
-        assert_eq!(r.depth(), 0);
+        assert!(r.stack.is_empty());
     }
 
     #[test]
     fn sibling_children_accumulate_into_the_parent() {
-        let mut r = Recorder::manual();
+        let (mut r, now) = stepped();
         r.enter("outer");
         for t in [10u64, 20, 30, 40] {
-            r.set_time(t.saturating_sub(10));
+            now.store(t - 10, Ordering::Relaxed);
             r.enter("child");
-            r.set_time(t);
+            now.store(t, Ordering::Relaxed);
             r.exit();
         }
-        r.set_time(50);
+        now.store(50, Ordering::Relaxed);
         r.exit();
         // Four 10 ns children cover [0, 40); the parent keeps [40, 50).
         assert_eq!(r.calls("child"), 4);
@@ -173,17 +150,18 @@ mod tests {
 
     #[test]
     fn unbalanced_exit_is_a_noop() {
-        let mut r = Recorder::manual();
+        let (mut r, _) = stepped();
         r.exit();
-        assert_eq!(r.depth(), 0);
+        assert!(r.stack.is_empty());
         assert!(r.totals.is_empty());
     }
 
     #[test]
-    fn external_clock_is_read_through() {
-        let mut r = Recorder::external(Box::new(|| 42));
-        assert_eq!(r.now(), 42);
+    fn a_clock_that_runs_backwards_adds_zero() {
+        let (mut r, now) = stepped();
+        now.store(42, Ordering::Relaxed);
         r.enter("x");
+        now.store(7, Ordering::Relaxed);
         r.exit();
         assert_eq!(r.exclusive_ns("x"), 0);
         assert_eq!(r.calls("x"), 1);

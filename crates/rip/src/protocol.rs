@@ -414,7 +414,7 @@ impl RoutingProtocol for Rip {
                 self.table.clear_changed();
                 let jitter = self.config.periodic_jitter;
                 let next = ctx.rng().gen_duration(
-                    self.config.periodic_interval - jitter,
+                    self.config.periodic_interval.saturating_sub(jitter),
                     self.config.periodic_interval + jitter,
                 );
                 ctx.set_timer(next, TimerToken::compose(timer::PERIODIC, 0));

@@ -10,7 +10,7 @@
 //!
 //! The implementation is `unsafe`-free (slots are `Option<T>`), which
 //! costs a discriminant per inline element — an explicit trade against
-//! the repo-wide `forbid(unsafe_code)` policy enforced by simlint S001.
+//! the `#![forbid(unsafe_code)]` every crate root carries.
 
 use std::fmt;
 
