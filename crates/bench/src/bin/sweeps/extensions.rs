@@ -212,7 +212,7 @@ pub fn flap(f: &mut Frame<'_>) -> io::Result<()> {
                 &cfg,
                 runs,
                 point_seed(degree, 0),
-                summarize_streaming,
+                summarize,
             );
             let point = aggregate_point(&outcome.completed).expect("nonempty sweep");
             table.push_row(vec![
@@ -265,7 +265,7 @@ pub fn scale(f: &mut Frame<'_>) -> io::Result<()> {
                 &cfg,
                 runs,
                 BASE_SEED + size as u64 * 1000,
-                summarize_streaming,
+                summarize,
             );
             let point = aggregate_point(&outcome.completed).expect("nonempty sweep");
             table.push_row(vec![
@@ -397,13 +397,9 @@ pub fn lossy(f: &mut Frame<'_>) -> io::Result<()> {
                 cfg.link.impairment = Impairment::lossy(loss);
             }
             let sweep_label = format!("{}/d{degree}/loss-{:.0}", protocol.label(), loss * 100.0);
-            let outcome = f.sweeps.sweep(
-                &sweep_label,
-                &cfg,
-                runs,
-                point_seed(degree, 0),
-                summarize_streaming,
-            );
+            let outcome =
+                f.sweeps
+                    .sweep(&sweep_label, &cfg, runs, point_seed(degree, 0), summarize);
             let completed = outcome.completed.len().max(1) as f64;
             let retransmits = outcome
                 .telemetry
@@ -469,7 +465,7 @@ pub fn load(f: &mut Frame<'_>) -> io::Result<()> {
                 &cfg,
                 runs,
                 point_seed(MeshDegree::D4, 0),
-                |r| Ok((summarize_streaming(r)?, r.stats.control_messages_lost)),
+                |r| Ok((summarize(r)?, r.stats.control_messages_lost)),
             );
             let (summaries, lost): (Vec<_>, Vec<u64>) = outcome.completed.into_iter().unzip();
             let completed = summaries.len().max(1) as f64;

@@ -29,7 +29,7 @@ use convergence::aggregate::{
     aggregate_point, run_sweep, PointSummary, RetryPolicy, SweepOptions, SweepOutcome,
 };
 use convergence::experiment::ExperimentConfig;
-use convergence::metrics::streaming::summarize_streaming;
+use convergence::metrics::summary::summarize;
 use convergence::metrics::MetricsError;
 use convergence::protocols::ProtocolKind;
 use convergence::runner::RunResult;
@@ -202,7 +202,7 @@ impl SweepObserver {
 
     /// One (protocol, degree) point of the paper experiment at the parsed
     /// runs count, with `customize` applied to the configuration: the
-    /// streaming summaries of its completed runs, aggregated.
+    /// summaries of its completed runs, aggregated.
     ///
     /// # Panics
     ///
@@ -221,7 +221,7 @@ impl SweepObserver {
             &config,
             self.runs(),
             point_seed(degree, 0),
-            summarize_streaming,
+            summarize,
         );
         aggregate_point(&outcome.completed)
             .unwrap_or_else(|e| panic!("{label}: no run completed: {e}"))
@@ -434,7 +434,7 @@ mod tests {
         let mut cfg = ExperimentConfig::paper(ProtocolKind::Dbf, MeshDegree::D4, 0);
         cfg.failure = FailurePlan::MultipleLinks { count: 50 };
         let mut observer = observer(2, 2);
-        let outcome = observer.sweep("unsatisfiable", &cfg, 2, 1, summarize_streaming);
+        let outcome = observer.sweep("unsatisfiable", &cfg, 2, 1, summarize);
         assert!(outcome.completed.is_empty());
         assert_eq!(outcome.failed.len(), 2);
         for failure in &outcome.failed {

@@ -45,6 +45,7 @@ fn assert_steady_state(sim: &Simulator, mesh: &Mesh) {
 
 fn last_route_change(sim: &Simulator) -> f64 {
     sim.trace()
+        .unwrap()
         .iter()
         .filter_map(|e| match e {
             TraceEvent::RouteChanged { time, .. } => Some(time.as_secs_f64()),
@@ -197,7 +198,10 @@ fn bgp_runs_are_deterministic() {
     let digest = |seed: u64| {
         let (mut sim, _) = bgp_mesh(MeshDegree::D5, seed, Bgp::bgp3);
         sim.run_until(SimTime::from_secs(200));
-        (sim.stats().control_messages_sent, sim.trace().len())
+        (
+            sim.stats().control_messages_sent,
+            sim.trace().unwrap().len(),
+        )
     };
     assert_eq!(digest(8), digest(8));
 }

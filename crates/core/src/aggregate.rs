@@ -7,9 +7,9 @@
 //! reassembled in slot order; for every `jobs` value the outcome is
 //! **bit-identical** to the sequential execution: same seeds, same
 //! values, same CSV and telemetry bytes downstream. The caller's
-//! extractor reduces each run to what the sweep keeps, so a streaming
-//! sweep (`summarize_streaming`) holds one summary per run, never a full
-//! event trace.
+//! extractor reduces each run to what the sweep keeps, so a sweep that
+//! extracts `summarize` holds one summary per run; no run keeps its
+//! event trace in the first place.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

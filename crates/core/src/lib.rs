@@ -22,7 +22,7 @@
 //! Multi-run sweeps go through one driver, [`aggregate::run_sweep`]: it
 //! seeds slot `i` with `base_seed + i`, runs the slots on a worker pool,
 //! isolates panics, retries unusable random draws and reduces each run
-//! with an extractor such as `summarize_streaming`.
+//! with an extractor such as `summarize`.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(
@@ -59,12 +59,12 @@ pub mod prelude {
     pub use crate::failure::{
         FailurePlan, FailureSelection, ImpairmentAction, RestartAction, SelectionError,
     };
-    pub use crate::metrics::streaming::{summarize_streaming, SummaryObserver};
+    pub use crate::metrics::streaming::SummaryObserver;
     pub use crate::metrics::summary::{summarize, RunSummary};
     pub use crate::metrics::MetricsError;
     pub use crate::protocols::ProtocolKind;
     pub use crate::report::Table;
-    pub use crate::runner::{run, run_observed, Flow, RunError, RunResult};
+    pub use crate::runner::{run, run_observed, run_traced, Flow, RunError, RunRecord, RunResult};
     pub use crate::transport::{GoBackNConfig, WindowFlowReport};
     pub use netsim::impairment::Impairment;
     pub use obs::telemetry::{render_jsonl, RunTelemetry};

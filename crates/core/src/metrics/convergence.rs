@@ -7,7 +7,7 @@
 
 use netsim::ident::NodeId;
 use netsim::time::{SimDuration, SimTime};
-use netsim::trace::{Trace, TraceEvent};
+use netsim::trace::{Trace, TraceEvent, TraceSink};
 
 /// A snapshot-walk outcome (mirrors the simulator's live walker, but over
 /// replayed FIB state).
@@ -74,6 +74,14 @@ impl FibReplay {
             }
         }
         PathOutcome::Complete(path)
+    }
+}
+
+/// Applies every `RouteChanged` record it is handed.
+impl TraceSink for FibReplay {
+    #[inline]
+    fn record(&mut self, event: &TraceEvent) {
+        self.apply(event);
     }
 }
 

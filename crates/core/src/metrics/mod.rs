@@ -1,12 +1,13 @@
 //! Trace analysis: every quantity the paper's evaluation plots.
 //!
 //! Run summaries come from one implementation, the single-pass
-//! [`streaming`] observer: [`summarize`] replays a stored trace through
-//! it, and streaming sweeps feed it a run's trace before dropping the run.
-//! The per-metric modules hold post-hoc analyzers over a whole trace (loop
-//! forensics, path histories, the fig5/fig7 time series, ...) for callers
-//! that want more than a scalar per run; the test suite composes them into
-//! the reference oracle the observer is checked against.
+//! [`streaming`] observer, which every run folds while it runs;
+//! [`summarize`] returns its result. The fig5/fig7 [`series`] read the
+//! deliveries the run's record kept. The other per-metric modules hold
+//! post-hoc analyzers over a kept trace (loop forensics, path histories,
+//! ...) for callers of `run_traced` that want more than a scalar per run;
+//! the test suite composes them into the reference oracle the observer is
+//! checked against.
 
 use std::fmt;
 
@@ -27,7 +28,7 @@ pub use convergence::{
 pub use drops::{count_delivered, count_drops, DropCounts};
 pub use loops::{analyze_loops, LoopEncounter, LoopFate, LoopReport};
 pub use series::{delay_series, mean_delay_series, mean_u64_series, throughput_series};
-pub use streaming::{summarize_streaming, SummaryObserver};
+pub use streaming::SummaryObserver;
 pub use stretch::{flow_stretch, mean_stretch, PacketStretch};
 pub use summary::{summarize, RunSummary};
 pub use switchover::{stats_for_dest, switch_overs, SwitchOver, SwitchOverStats};

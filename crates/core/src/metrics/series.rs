@@ -3,10 +3,12 @@
 //!
 //! Buckets are one second wide and indexed relative to the failure instant
 //! (bucket `k` covers `[t_fail + k, t_fail + k + 1)` seconds), matching the
-//! paper's normalized time axis.
+//! paper's normalized time axis. Both series read the deliveries a run's
+//! [`RunRecord`] kept.
 
 use netsim::time::SimTime;
-use netsim::trace::Trace;
+
+use crate::runner::RunRecord;
 
 /// Computes the bucket index of `time` relative to `t_fail`, if it falls
 /// inside `[from_s, to_s)`.
@@ -24,23 +26,23 @@ fn bucket_of(time: SimTime, t_fail: SimTime, from_s: i64, to_s: i64) -> Option<i
 ///
 /// ```
 /// use convergence::metrics::series::throughput_series;
-/// use netsim::trace::Trace;
+/// use convergence::runner::RunRecord;
 /// use netsim::time::SimTime;
 ///
-/// let series = throughput_series(&Trace::new(), SimTime::from_secs(50), -10, 40);
+/// let series = throughput_series(&RunRecord::default(), SimTime::from_secs(50), -10, 40);
 /// assert_eq!(series.len(), 50);
 /// assert!(series.iter().all(|&(_, count)| count == 0));
 /// ```
 #[must_use]
 pub fn throughput_series(
-    trace: &Trace,
+    record: &RunRecord,
     t_fail: SimTime,
     from_s: i64,
     to_s: i64,
 ) -> Vec<(i64, u64)> {
     assert!(from_s < to_s, "empty bucket range");
     let mut counts = vec![0u64; (to_s - from_s) as usize];
-    for (time, _) in trace.deliveries() {
+    for &(time, _) in record.deliveries() {
         if let Some(bucket) = bucket_of(time, t_fail, from_s, to_s) {
             counts[(bucket - from_s) as usize] += 1;
         }
@@ -56,7 +58,7 @@ pub fn throughput_series(
 /// `None` for buckets with no deliveries.
 #[must_use]
 pub fn delay_series(
-    trace: &Trace,
+    record: &RunRecord,
     t_fail: SimTime,
     from_s: i64,
     to_s: i64,
@@ -65,7 +67,7 @@ pub fn delay_series(
     let buckets = (to_s - from_s) as usize;
     let mut sum = vec![0.0f64; buckets];
     let mut count = vec![0u64; buckets];
-    for (time, sent_at) in trace.deliveries() {
+    for &(time, sent_at) in record.deliveries() {
         if let Some(bucket) = bucket_of(time, t_fail, from_s, to_s) {
             let ix = (bucket - from_s) as usize;
             sum[ix] += time.saturating_since(sent_at).as_secs_f64();
@@ -128,7 +130,16 @@ pub fn mean_delay_series(series: &[Vec<(i64, Option<f64>)>]) -> Vec<(i64, Option
 mod tests {
     use super::*;
     use netsim::ident::{NodeId, PacketId};
-    use netsim::trace::TraceEvent;
+    use netsim::trace::{TraceEvent, TraceSink};
+
+    /// The record a run with these records would keep.
+    fn record_of(events: Vec<TraceEvent>) -> RunRecord {
+        let mut record = RunRecord::default();
+        for event in &events {
+            record.record(event);
+        }
+        record
+    }
 
     fn delivered(at_ms: u64, sent_ms: u64, id: u64) -> TraceEvent {
         TraceEvent::PacketDelivered {
@@ -143,34 +154,34 @@ mod tests {
     #[test]
     fn throughput_buckets_relative_to_failure() {
         let t_fail = SimTime::from_secs(10);
-        let trace = Trace::from_events(vec![
+        let record = record_of(vec![
             delivered(8_500, 8_400, 1),  // bucket -2
             delivered(9_999, 9_900, 2),  // bucket -1
             delivered(10_000, 9_950, 3), // bucket 0 (inclusive start)
             delivered(10_999, 10_900, 4),
             delivered(12_000, 11_900, 5), // bucket 2
         ]);
-        let series = throughput_series(&trace, t_fail, -2, 3);
+        let series = throughput_series(&record, t_fail, -2, 3);
         assert_eq!(series, vec![(-2, 1), (-1, 1), (0, 2), (1, 0), (2, 1)]);
     }
 
     #[test]
     fn out_of_window_deliveries_are_ignored() {
         let t_fail = SimTime::from_secs(10);
-        let trace = Trace::from_events(vec![delivered(100_000, 99_000, 1)]);
-        let series = throughput_series(&trace, t_fail, -10, 40);
+        let record = record_of(vec![delivered(100_000, 99_000, 1)]);
+        let series = throughput_series(&record, t_fail, -10, 40);
         assert!(series.iter().all(|&(_, c)| c == 0));
     }
 
     #[test]
     fn delay_series_averages_within_buckets() {
         let t_fail = SimTime::from_secs(1);
-        let trace = Trace::from_events(vec![
+        let record = record_of(vec![
             delivered(1_100, 1_000, 1), // 0.1 s delay, bucket 0
             delivered(1_900, 1_600, 2), // 0.3 s delay, bucket 0
             delivered(2_500, 2_450, 3), // 0.05 s delay, bucket 1
         ]);
-        let series = delay_series(&trace, t_fail, 0, 3);
+        let series = delay_series(&record, t_fail, 0, 3);
         assert!((series[0].1.unwrap() - 0.2).abs() < 1e-9);
         assert!((series[1].1.unwrap() - 0.05).abs() < 1e-9);
         assert_eq!(series[2].1, None);

@@ -2,9 +2,11 @@
 //!
 //! [`SummaryObserver`] computes every metric the paper reports as an
 //! online fold: one [`observe`](SummaryObserver::observe) call per
-//! [`TraceEvent`], in trace order. [`summarize`] is one such pass over a
-//! run's stored trace. Streaming sweeps fold each finished run and drop it
-//! straight away, so a 100-run sweep never holds 100 traces.
+//! [`TraceEvent`], in trace order. It is a [`TraceSink`], and the runner
+//! attaches it to the simulator from failure selection on, so a run's
+//! summary is finished when the run is: no run keeps or replays a trace
+//! to be summarized. The routes the warm-up installed reach it as a
+//! [`FibReplay`] ([`SummaryObserver::with_routes`]).
 //!
 //! Each fold mirrors one of the post-hoc analyzers in the sibling modules
 //! (drops, loops, path history, switch-overs, stretch, routing convergence
@@ -18,7 +20,7 @@ use netsim::ident::{NodeId, PacketId};
 use netsim::packet::DropReason;
 use netsim::simulator::SimStats;
 use netsim::time::{SimDuration, SimTime};
-use netsim::trace::TraceEvent;
+use netsim::trace::{TraceEvent, TraceSink};
 use topology::graph::{Edge, Graph};
 use topology::shortest_path::bfs;
 
@@ -152,6 +154,15 @@ impl SummaryObserver {
             stretch_count: 0,
             last_event_time: None,
         })
+    }
+
+    /// Starts the fold from `routes` instead of empty FIBs: the FIB state
+    /// left by the route records that came before the observer was
+    /// attached.
+    #[must_use]
+    pub fn with_routes(mut self, routes: FibReplay) -> Self {
+        self.replay = routes;
+        self
     }
 
     /// Folds one trace event. Must be called in trace (time) order.
@@ -326,8 +337,17 @@ impl SummaryObserver {
     }
 }
 
-/// The summary of a finished run; the same function as [`summarize`],
-/// kept under the name the streaming sweep mode and the benchmarks use.
+impl TraceSink for SummaryObserver {
+    #[inline]
+    fn record(&mut self, event: &TraceEvent) {
+        self.observe(event);
+    }
+}
+
+/// The summary of a finished run; the same function as [`summarize`].
+/// Nothing in the workspace calls it: it remains only because the
+/// benchmark in `perfbench/` names it, until a change to the benchmark
+/// drops it there.
 ///
 /// # Errors
 ///

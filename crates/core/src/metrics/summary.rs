@@ -3,7 +3,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::drops::DropCounts;
-use crate::metrics::streaming::SummaryObserver;
 use crate::metrics::MetricsError;
 use crate::runner::RunResult;
 
@@ -52,14 +51,15 @@ impl RunSummary {
     }
 }
 
-/// Computes the full summary of a finished run: one pass of a
-/// [`SummaryObserver`] over the stored trace.
+/// The full summary of a finished run. The run folded it while it ran
+/// ([`RunResult::summary`]), so this is a copy of that.
 ///
 /// # Errors
 ///
-/// [`MetricsError::UnreachableDestination`] if the first flow's receiver
-/// was unreachable even before the failure; never for results produced by
-/// [`run`](crate::runner::run), whose warm-up check rejects such flows.
+/// None today: a run whose first flow's receiver was unreachable before
+/// the failure fails in [`run`](crate::runner::run) itself, with
+/// [`RunError::Metrics`](crate::runner::RunError::Metrics). The `Result`
+/// keeps the shape sweep extractors take.
 ///
 /// # Examples
 ///
@@ -76,17 +76,7 @@ impl RunSummary {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn summarize(result: &RunResult) -> Result<RunSummary, MetricsError> {
-    let mut observer = SummaryObserver::new(
-        &result.graph,
-        &result.failure.edges,
-        result.flows[0],
-        result.t_fail,
-        result.detection,
-    )?;
-    for event in &result.trace {
-        observer.observe(&event);
-    }
-    Ok(observer.finish(&result.stats))
+    Ok(result.summary.clone())
 }
 
 #[cfg(test)]

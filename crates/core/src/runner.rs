@@ -1,5 +1,15 @@
 //! The single-run engine: warm up, verify steady state, start traffic,
-//! break something, record everything.
+//! break something, and fold what happens into the run's products while
+//! it happens.
+//!
+//! A run attaches one trace sink to the simulator (see
+//! [`netsim::trace::TraceSink`]), a fan-out of:
+//! - the [`RunRecord`]: record counts by kind and the `(time, sent_at)`
+//!   of every delivery;
+//! - during warm-up, a [`FibReplay`] of the routes it installs; from
+//!   failure selection on, the [`SummaryObserver`] that folds the
+//!   summary, started from that replay;
+//! - in [`run_traced`] only, the full [`Trace`].
 
 use std::error::Error;
 use std::fmt;
@@ -7,14 +17,17 @@ use std::fmt;
 use netsim::error::{BuildError, EventBudgetExceeded};
 use netsim::ident::NodeId;
 use netsim::rng::SimRng;
-use netsim::simulator::{CbrSource, SimStats};
+use netsim::simulator::{CbrSource, SimStats, Simulator};
 use netsim::time::{SimDuration, SimTime};
-use netsim::trace::Trace;
+use netsim::trace::{Trace, TraceCensus, TraceEvent, TraceSink};
 use topology::graph::Graph;
 use topology::instantiate::to_simulator_builder;
 
 use crate::experiment::{ExperimentConfig, TrafficMode};
 use crate::failure::{choose_failure, FailureSelection, SelectionError};
+use crate::metrics::convergence::FibReplay;
+use crate::metrics::streaming::SummaryObserver;
+use crate::metrics::summary::RunSummary;
 use crate::metrics::MetricsError;
 use crate::transport::{GoBackNSink, GoBackNSource, WindowFlowReport};
 
@@ -27,11 +40,49 @@ pub struct Flow {
     pub receiver: NodeId,
 }
 
+/// What a run keeps of its trace: the number of records of each kind
+/// and the `(time, sent_at)` of every delivery, in time order, which is
+/// all the fig5/fig7 series read. Filled as a [`TraceSink`] while the run
+/// goes on; [`run_traced`] keeps the full trace beside it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunRecord {
+    census: TraceCensus,
+    deliveries: Vec<(SimTime, SimTime)>,
+}
+
+impl RunRecord {
+    /// Record counts by kind.
+    #[must_use]
+    pub fn census(&self) -> TraceCensus {
+        self.census
+    }
+
+    /// The `(time, sent_at)` of every `PacketDelivered` record, in time
+    /// order.
+    #[must_use]
+    pub fn deliveries(&self) -> &[(SimTime, SimTime)] {
+        &self.deliveries
+    }
+}
+
+impl TraceSink for RunRecord {
+    #[inline]
+    fn record(&mut self, event: &TraceEvent) {
+        self.census.record(event);
+        if let TraceEvent::PacketDelivered { time, sent_at, .. } = *event {
+            self.deliveries.push((time, sent_at));
+        }
+    }
+}
+
 /// Everything a finished run produced.
 #[derive(Debug)]
 pub struct RunResult {
-    /// The full event trace.
-    pub trace: Trace,
+    /// What the run kept of its trace: counts by kind and deliveries.
+    /// [`run_traced`] returns the full trace as well.
+    pub trace: RunRecord,
+    /// The run's summary, folded while it ran.
+    pub summary: RunSummary,
     /// The topology the run used.
     pub graph: Graph,
     /// The traffic flows (one in the paper's setup).
@@ -86,9 +137,15 @@ pub enum RunError {
     /// Produced only by sweep-level isolation
     /// ([`crate::aggregate::run_sweep`]), never by [`run`] itself.
     Panicked(String),
-    /// The run finished but its trace could not be summarized. Produced
-    /// by the sweep drivers that fold metrics, never by [`run`] itself.
+    /// The run's summary could not be computed: from [`run`] when the
+    /// first flow's receiver is unreachable in the topology before the
+    /// failure (the summary's stretch baseline), and from the sweep
+    /// drivers when an extractor fails.
     Metrics(MetricsError),
+    /// The trace sink the runner attached was gone when it came to take
+    /// it back. Nothing but the runner reaches the simulator during a
+    /// run, so this signals a bug in the runner itself.
+    LostTraceSink,
 }
 
 impl fmt::Display for RunError {
@@ -113,6 +170,7 @@ impl fmt::Display for RunError {
             }
             RunError::Panicked(msg) => write!(f, "run panicked: {msg}"),
             RunError::Metrics(e) => write!(f, "summarizing the run failed: {e}"),
+            RunError::LostTraceSink => write!(f, "the run's trace sink was replaced"),
         }
     }
 }
@@ -161,10 +219,12 @@ impl RunError {
     }
 }
 
-/// Executes one run.
+/// Executes one run, folding its summary, census and deliveries as it
+/// goes; no trace is kept.
 ///
 /// The run is a pure function of `config` (including its seed): the same
-/// configuration always produces the identical trace.
+/// configuration always produces the identical trace, and so the same
+/// record and summary.
 ///
 /// # Errors
 ///
@@ -205,6 +265,42 @@ pub fn run_observed(
     config: &ExperimentConfig,
     recorder: Option<Box<obs::span::Recorder>>,
 ) -> Result<(RunResult, Option<Box<obs::span::Recorder>>), RunError> {
+    run_with(config, recorder, None).map(|(result, (recorder, _))| (result, recorder))
+}
+
+/// [`run`] that also keeps the full trace, for the golden traces, the
+/// oracle tests and single-run forensics. The trace is one more sink on
+/// the same run, so the result equals [`run`]'s.
+///
+/// # Errors
+///
+/// See [`RunError`].
+pub fn run_traced(config: &ExperimentConfig) -> Result<(RunResult, Trace), RunError> {
+    let (result, (_, trace)) = run_with(config, None, Some(Trace::new()))?;
+    Ok((result, trace.unwrap_or_default()))
+}
+
+/// The sinks attached during warm-up.
+type WarmUpSinks = (RunRecord, (FibReplay, Option<Trace>));
+
+/// The sinks attached from failure selection on.
+type ObservingSinks = (RunRecord, (SummaryObserver, Option<Trace>));
+
+/// Takes the runner's sinks of type `S` back from `sim`.
+fn take_sinks<S: TraceSink>(sim: &mut Simulator) -> Result<S, RunError> {
+    sim.take_trace_sink().ok_or(RunError::LostTraceSink)
+}
+
+/// What a run hands back beside its result: the recorder it was given
+/// and the trace it kept, if any.
+type HandedBack = (Option<Box<obs::span::Recorder>>, Option<Trace>);
+
+/// The body of every run: `keep` is the trace to fill, if any.
+fn run_with(
+    config: &ExperimentConfig,
+    recorder: Option<Box<obs::span::Recorder>>,
+    keep: Option<Trace>,
+) -> Result<(RunResult, HandedBack), RunError> {
     config.validate().map_err(RunError::Invalid)?;
     let realized = config.topology.realize();
     let (mut builder, link_map) = to_simulator_builder(&realized.graph, config.link)?;
@@ -213,6 +309,11 @@ pub fn run_observed(
     if let Some(rec) = recorder {
         sim.set_recorder(rec);
     }
+    let warm_up: WarmUpSinks = (
+        RunRecord::default(),
+        (FibReplay::new(realized.graph.num_nodes()), keep),
+    );
+    sim.replace_trace_sink(Box::new(warm_up));
     for node in realized.graph.nodes() {
         let instance = match &config.protocol_override {
             Some(factory) => factory.build(),
@@ -282,8 +383,20 @@ pub fn run_observed(
         &mut exp_rng,
     )?;
 
-    // ---- Traffic. ---------------------------------------------------------
+    // ---- The summary fold starts from the warm-up's routes. ------------
     let t_fail = warmup_end + config.traffic.lead;
+    let observer = SummaryObserver::new(
+        &realized.graph,
+        &failure.edges,
+        flows[0],
+        t_fail,
+        config.link.detection_delay,
+    )?;
+    let (record, (routes, keep)) = take_sinks::<WarmUpSinks>(&mut sim)?;
+    let observing: ObservingSinks = (record, (observer.with_routes(routes), keep));
+    sim.replace_trace_sink(Box::new(observing));
+
+    // ---- Traffic. ---------------------------------------------------------
     let t_start = warmup_end;
     let t_end = t_fail + config.traffic.tail;
     match config.traffic.mode {
@@ -321,7 +434,7 @@ pub fn run_observed(
                         flow.receiver,
                         config.traffic.packet_bytes,
                         config.traffic.ttl,
-                    );
+                    )?;
                 }
             }
         }
@@ -380,9 +493,11 @@ pub fn run_observed(
         }
     }
     let recorder = sim.take_recorder();
+    let (record, (observer, keep)) = take_sinks::<ObservingSinks>(&mut sim)?;
     Ok((
         RunResult {
-            trace: sim.into_trace(),
+            trace: record,
+            summary: observer.finish(&stats),
             graph: realized.graph,
             flows,
             failure,
@@ -393,7 +508,7 @@ pub fn run_observed(
             stats,
             flow_reports,
         },
-        recorder,
+        (recorder, keep),
     ))
 }
 
@@ -437,7 +552,8 @@ mod tests {
         assert_eq!(a.flows, b.flows);
         assert_eq!(a.failure, b.failure);
         assert_eq!(a.t_fail, b.t_fail);
-        assert_eq!(a.trace.len(), b.trace.len());
+        assert_eq!(a.trace, b.trace);
+        assert_eq!(a.summary, b.summary);
     }
 
     #[test]

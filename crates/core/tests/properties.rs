@@ -37,9 +37,9 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let cfg = ExperimentConfig::paper(protocol, degree, seed);
-        let result = run(&cfg).expect("run succeeds");
-        let drops = count_drops(&result.trace);
-        let delivered = count_delivered(&result.trace);
+        let (result, trace) = run_traced(&cfg).expect("run succeeds");
+        let drops = count_drops(&trace);
+        let delivered = count_delivered(&trace);
         prop_assert_eq!(result.stats.packets_injected, delivered + drops.total());
         prop_assert_eq!(result.stats.packets_delivered, delivered);
         prop_assert_eq!(result.stats.packets_dropped, drops.total());
@@ -74,7 +74,7 @@ proptest! {
         sim.run_until(SimTime::from_secs(130));
 
         let mut replay = FibReplay::new(mesh.graph().num_nodes());
-        for event in sim.trace() {
+        for event in sim.trace().unwrap() {
             replay.apply(&event);
         }
         for src in mesh.graph().nodes() {
@@ -105,10 +105,10 @@ proptest! {
     #[test]
     fn throughput_series_sums_to_deliveries(seed in 0u64..10_000) {
         let cfg = ExperimentConfig::paper(ProtocolKind::Spf, MeshDegree::D5, seed);
-        let result = run(&cfg).expect("run succeeds");
+        let (result, trace) = run_traced(&cfg).expect("run succeeds");
         let series = throughput_series(&result.trace, result.t_fail, -10, 41);
         let sum: u64 = series.iter().map(|&(_, v)| v).sum();
-        prop_assert_eq!(sum, count_delivered(&result.trace));
+        prop_assert_eq!(sum, count_delivered(&trace));
     }
 
     /// Loop forensics and TTL drops agree: every TTL-expired packet
@@ -119,14 +119,13 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let cfg = ExperimentConfig::paper(ProtocolKind::Bgp, degree, seed);
-        let result = run(&cfg).expect("run succeeds");
-        let report = analyze_loops(&result.trace);
-        let ttl_drops = count_drops(&result.trace).ttl_expired;
+        let (_, trace) = run_traced(&cfg).expect("run succeeds");
+        let report = analyze_loops(&trace);
+        let ttl_drops = count_drops(&trace).ttl_expired;
         prop_assert_eq!(report.ttl_killed() as u64, ttl_drops);
     }
 
-    /// Summaries are invariant under recomputation (pure functions of the
-    /// trace).
+    /// Summaries are invariant under recomputation.
     #[test]
     fn summarize_is_pure(seed in 0u64..10_000) {
         let cfg = ExperimentConfig::paper(ProtocolKind::Dbf, MeshDegree::D4, seed);
@@ -144,17 +143,17 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let cfg = ExperimentConfig::paper(protocol, degree, seed);
-        let result = run(&cfg).expect("run succeeds");
+        let (result, trace) = run_traced(&cfg).expect("run succeeds");
         prop_assert_eq!(
             summarize(&result).expect("summary"),
-            oracle::summarize_by_passes(&result).expect("oracle summary")
+            oracle::summarize_by_passes(&result, &trace).expect("oracle summary")
         );
     }
 }
 
 #[test]
 fn summary_equals_oracle_on_a_paper_run() {
-    let result = run(&ExperimentConfig::paper(
+    let (result, trace) = run_traced(&ExperimentConfig::paper(
         ProtocolKind::Spf,
         MeshDegree::D4,
         3,
@@ -162,20 +161,23 @@ fn summary_equals_oracle_on_a_paper_run() {
     .unwrap();
     assert_eq!(
         summarize(&result).unwrap(),
-        oracle::summarize_by_passes(&result).unwrap()
+        oracle::summarize_by_passes(&result, &trace).unwrap()
     );
 }
 
 #[test]
 fn summary_equals_oracle_on_a_low_degree_run() {
-    let result = run(&ExperimentConfig::paper(
+    let (result, trace) = run_traced(&ExperimentConfig::paper(
         ProtocolKind::Rip,
         MeshDegree::D3,
         5,
     ))
     .unwrap();
     let summary = summarize(&result).unwrap();
-    assert_eq!(summary, oracle::summarize_by_passes(&result).unwrap());
+    assert_eq!(
+        summary,
+        oracle::summarize_by_passes(&result, &trace).unwrap()
+    );
     assert!(summary.looped_packets > 0 || summary.drops.total() > 0);
 }
 
@@ -185,7 +187,7 @@ fn summary_equals_oracle_on_a_low_degree_run() {
 /// BGP-3 at degree 3, seeds 0–39) three had any.
 #[test]
 fn summary_equals_oracle_when_looping_packets_escape() {
-    let result = run(&ExperimentConfig::paper(
+    let (result, trace) = run_traced(&ExperimentConfig::paper(
         ProtocolKind::Bgp3,
         MeshDegree::D3,
         21,
@@ -193,7 +195,10 @@ fn summary_equals_oracle_when_looping_packets_escape() {
     .unwrap();
     let summary = summarize(&result).unwrap();
     assert!(summary.loop_escapes > 0);
-    assert_eq!(summary, oracle::summarize_by_passes(&result).unwrap());
+    assert_eq!(
+        summary,
+        oracle::summarize_by_passes(&result, &trace).unwrap()
+    );
 }
 
 /// Several concurrent CBR flows (the loaded fig5/fig7 shape, shortened):
@@ -206,17 +211,17 @@ fn summary_equals_oracle_under_several_flows() {
     cfg.traffic.rate_pps = 200;
     cfg.traffic.lead = netsim::time::SimDuration::from_secs(2);
     cfg.traffic.tail = netsim::time::SimDuration::from_secs(8);
-    let result = run(&cfg).expect("run succeeds");
+    let (result, trace) = run_traced(&cfg).expect("run succeeds");
     assert_eq!(result.stats.packets_injected, 5 * 200 * 10);
     assert_eq!(
         summarize(&result).expect("summary"),
-        oracle::summarize_by_passes(&result).expect("oracle summary")
+        oracle::summarize_by_passes(&result, &trace).expect("oracle summary")
     );
-    // The fig5/fig7 series read only the delivery records. Over a window
-    // covering the whole run they count every delivery and average to
-    // the mean delay of a full decode.
+    // The fig5/fig7 series read only the deliveries the run's record
+    // kept. Over a window covering the whole run they count every
+    // delivery and average to the mean delay of a full decode.
     let secs = |t: netsim::time::SimTime| (t.as_nanos() / 1_000_000_000) as i64;
-    let end = result.trace.iter().last().expect("records").time();
+    let end = trace.iter().last().expect("records").time();
     let (from, to) = (
         -secs(result.t_fail) - 1,
         secs(end) - secs(result.t_fail) + 1,
@@ -224,13 +229,13 @@ fn summary_equals_oracle_under_several_flows() {
     let throughput = throughput_series(&result.trace, result.t_fail, from, to);
     let delays = delay_series(&result.trace, result.t_fail, from, to);
     let delivered: u64 = throughput.iter().map(|&(_, n)| n).sum();
-    assert_eq!(delivered, count_delivered(&result.trace));
+    assert_eq!(delivered, count_delivered(&trace));
     let delay_sum: f64 = throughput
         .iter()
         .zip(&delays)
         .filter_map(|(&(_, n), &(_, mean))| mean.map(|m| m * n as f64))
         .sum();
-    let expected = oracle::mean_delay(&result.trace).expect("deliveries");
+    let expected = oracle::mean_delay(&trace).expect("deliveries");
     assert!((delay_sum / delivered as f64 - expected).abs() < 1e-9 * expected);
 }
 

@@ -124,7 +124,10 @@ fn dbf_runs_are_deterministic() {
     let digest = |seed: u64| {
         let (mut sim, _) = dbf_mesh(MeshDegree::D4, seed);
         sim.run_until(SimTime::from_secs(100));
-        (sim.stats().control_messages_sent, sim.trace().len())
+        (
+            sim.stats().control_messages_sent,
+            sim.trace().unwrap().len(),
+        )
     };
     assert_eq!(digest(77), digest(77));
 }

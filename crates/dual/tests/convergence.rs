@@ -89,11 +89,13 @@ fn dual_never_forms_forwarding_loops() {
             sim.schedule_link_failure(SimTime::from_secs(40), link)
                 .unwrap();
             for i in 0..600u64 {
-                sim.schedule_default_packet(SimTime::from_millis(35_000 + i * 50), src, dst);
+                sim.schedule_default_packet(SimTime::from_millis(35_000 + i * 50), src, dst)
+                    .unwrap();
             }
             sim.run_until(SimTime::from_secs(120));
             let ttl_drops = sim
                 .trace()
+                .unwrap()
                 .iter()
                 .filter(|e| {
                     matches!(
@@ -129,7 +131,8 @@ fn dual_freeze_blackholes_during_diffusion_on_sparse_mesh() {
         sim.schedule_link_failure(SimTime::from_secs(40), link)
             .unwrap();
         for i in 0..400u64 {
-            sim.schedule_default_packet(SimTime::from_millis(39_000 + i * 50), src, dst);
+            sim.schedule_default_packet(SimTime::from_millis(39_000 + i * 50), src, dst)
+                .unwrap();
         }
         sim.run_until(SimTime::from_secs(120));
         total_drops += sim.stats().packets_dropped;
@@ -144,7 +147,10 @@ fn dual_runs_are_deterministic() {
     let digest = |seed: u64| {
         let (mut sim, _) = dual_mesh(MeshDegree::D4, seed);
         sim.run_until(SimTime::from_secs(60));
-        (sim.stats().control_messages_sent, sim.trace().len())
+        (
+            sim.stats().control_messages_sent,
+            sim.trace().unwrap().len(),
+        )
     };
     assert_eq!(digest(42), digest(42));
 }

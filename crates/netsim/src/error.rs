@@ -23,6 +23,13 @@ pub enum BuildError {
     EmptyNetwork,
     /// A constant-bit-rate source was given a zero inter-packet gap.
     ZeroCbrGap,
+    /// An event was scheduled before the simulator's current time.
+    InThePast {
+        /// The requested time.
+        at: SimTime,
+        /// The simulator's time when it was asked.
+        now: SimTime,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -37,6 +44,9 @@ impl fmt::Display for BuildError {
             BuildError::NoSuchLink(l) => write!(f, "no such link {l}"),
             BuildError::EmptyNetwork => write!(f, "network has no nodes"),
             BuildError::ZeroCbrGap => write!(f, "CBR source has a zero inter-packet gap"),
+            BuildError::InThePast { at, now } => {
+                write!(f, "cannot schedule an event at {at}, before now ({now})")
+            }
         }
     }
 }

@@ -259,11 +259,8 @@ impl EventQueue {
         self.now
     }
 
-    /// Schedules `kind` at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
+    /// Schedules `kind` at absolute time `at`, which must not be in the
+    /// past (see [`schedule_reserved`](Self::schedule_reserved)).
     pub(crate) fn schedule(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.reserve(1);
         self.schedule_reserved(at, seq, kind);
@@ -287,11 +284,13 @@ impl EventQueue {
     /// at most once. The event's kind picks its store (see the module
     /// docs).
     ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
+    /// `at` must not be before now. Callers guarantee it: the engine
+    /// schedules at now plus a delay, at a timer's or CBR tick's due time
+    /// (never earlier than the pop that moves it), and the simulator's
+    /// public scheduling calls reject a past time with
+    /// `BuildError::InThePast` before they get here. Debug builds check it.
     pub(crate) fn schedule_reserved(&mut self, at: SimTime, seq: u64, kind: EventKind) {
-        assert!(
+        debug_assert!(
             at >= self.now,
             "attempt to schedule an event at {at} before now {}",
             self.now
@@ -480,6 +479,18 @@ mod tests {
             EventKind::FrameSerialized { channel, .. } => channel.index() as u32,
             _ => panic!("unexpected event"),
         }
+    }
+
+    /// The calendar relies on its callers never to schedule in the past
+    /// (see `schedule_reserved`); debug builds check that they do not.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before now")]
+    fn scheduling_in_the_past_is_caught_in_debug_builds() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(2), marker(0));
+        let _ = pop_any(&mut q);
+        q.schedule(SimTime::from_secs(1), marker(1));
     }
 
     #[test]

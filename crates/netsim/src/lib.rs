@@ -44,7 +44,7 @@
 //! sim.install_protocol(n0, Box::new(Hotwire))?;
 //! sim.install_protocol(n1, Box::new(Hotwire))?;
 //! sim.start();
-//! sim.schedule_default_packet(SimTime::from_millis(10), n0, n1);
+//! sim.schedule_default_packet(SimTime::from_millis(10), n0, n1)?;
 //! sim.run_until(SimTime::from_secs(1));
 //! assert_eq!(sim.stats().packets_delivered, 1);
 //! # Ok(())
@@ -95,4 +95,4 @@ pub use simulator::{
     SimulatorBuilder,
 };
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEvent};
+pub use trace::{Trace, TraceCensus, TraceEvent, TraceSink};

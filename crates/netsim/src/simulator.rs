@@ -16,7 +16,7 @@ use crate::protocol::{RoutingProtocol, SharedPayload, TimerId, TimerToken};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::timers::{TimerEntry, TimerPop, TimerSlab, TimerTarget};
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{Trace, TraceEvent, TraceSink};
 
 /// A router in the simulated network.
 #[derive(Debug)]
@@ -313,7 +313,7 @@ impl SimulatorBuilder {
             // independently of the main stream: enabling or disabling an
             // impairment never perturbs protocol/traffic randomness.
             impairment_rng: SimRng::seed_from(self.seed ^ 0x1a7e_5eed_0f00_cafe),
-            trace: Trace::new(),
+            sink: Box::new(Trace::new()),
             stats: SimStats::default(),
             last_route_change: SimTime::ZERO,
             started: false,
@@ -335,7 +335,8 @@ pub struct Simulator {
     next_packet: u64,
     rng: SimRng,
     impairment_rng: SimRng,
-    trace: Trace,
+    /// Where every trace record goes; a [`Trace`] unless replaced.
+    sink: Box<dyn TraceSink>,
     stats: SimStats,
     /// Time of the last recorded [`TraceEvent::RouteChanged`].
     last_route_change: SimTime,
@@ -406,16 +407,31 @@ impl Simulator {
         self.last_route_change
     }
 
-    /// The trace recorded so far.
+    /// The trace recorded so far, while the simulator's sink is the
+    /// [`Trace`] it was built with; `None` once another sink replaced it.
     #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
+    pub fn trace(&self) -> Option<&Trace> {
+        let sink: &dyn std::any::Any = &*self.sink;
+        sink.downcast_ref()
     }
 
-    /// Consumes the simulator, returning its trace.
-    #[must_use]
-    pub fn into_trace(self) -> Trace {
-        self.trace
+    /// Replaces the sink every trace record goes to from now on and
+    /// returns the previous one. A new simulator records into a
+    /// [`Trace`]; a `Box::new(())` sink keeps nothing.
+    pub fn replace_trace_sink(&mut self, sink: Box<dyn TraceSink>) -> Box<dyn TraceSink> {
+        std::mem::replace(&mut self.sink, sink)
+    }
+
+    /// Takes the attached sink back as its concrete type `S`, leaving a
+    /// sink that keeps nothing in its place. `None`, with the sink left
+    /// attached, if it is of another type.
+    pub fn take_trace_sink<S: TraceSink>(&mut self) -> Option<S> {
+        let sink: &dyn std::any::Any = &*self.sink;
+        if !sink.is::<S>() {
+            return None;
+        }
+        let sink: Box<dyn std::any::Any> = self.replace_trace_sink(Box::new(()));
+        sink.downcast().ok().map(|sink| *sink)
     }
 
     /// Installs an application agent on `node`.
@@ -564,9 +580,10 @@ impl Simulator {
     ///
     /// Returns the packet id for trace correlation.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `at` is in the past or either node is unknown.
+    /// [`BuildError::NoSuchNode`] if either node is unknown, and
+    /// [`BuildError::InThePast`] if `at` is before now.
     pub fn schedule_packet(
         &mut self,
         at: SimTime,
@@ -574,14 +591,28 @@ impl Simulator {
         dst: NodeId,
         size_bytes: u32,
         ttl: u8,
-    ) -> PacketId {
-        assert!(src.index() < self.nodes.len(), "unknown source {src}");
-        assert!(dst.index() < self.nodes.len(), "unknown destination {dst}");
+    ) -> Result<PacketId, BuildError> {
+        for node in [src, dst] {
+            if node.index() >= self.nodes.len() {
+                return Err(BuildError::NoSuchNode(node));
+            }
+        }
+        self.check_not_past(at)?;
         let id = PacketId::new(self.next_packet);
         self.next_packet += 1;
         let packet = Packet::new(id, src, dst, at, size_bytes).with_ttl(ttl);
         self.queue.schedule(at, EventKind::InjectPacket { packet });
-        id
+        Ok(id)
+    }
+
+    /// The check every public scheduling call makes before it reaches the
+    /// calendar, which relies on never being handed a past time.
+    fn check_not_past(&self, at: SimTime) -> Result<(), BuildError> {
+        let now = self.now();
+        if at < now {
+            return Err(BuildError::InThePast { at, now });
+        }
+        Ok(())
     }
 
     /// Registers a constant-bit-rate source and returns the ids of the
@@ -597,13 +628,10 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// [`BuildError::NoSuchNode`] if either endpoint does not exist, and
-    /// [`BuildError::ZeroCbrGap`] if `gap` is zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the first tick (`start`, when `start < end`) is in the
-    /// past.
+    /// [`BuildError::NoSuchNode`] if either endpoint does not exist,
+    /// [`BuildError::ZeroCbrGap`] if `gap` is zero, and
+    /// [`BuildError::InThePast`] if the first tick (`start`, when
+    /// `start < end`) is before now.
     pub fn schedule_cbr(&mut self, source: CbrSource) -> Result<Range<PacketId>, BuildError> {
         for node in [source.src, source.dst] {
             if node.index() >= self.nodes.len() {
@@ -618,6 +646,9 @@ impl Simulator {
             .as_nanos()
             .saturating_sub(source.start.as_nanos());
         let ticks = span.div_ceil(source.gap.as_nanos());
+        if ticks > 0 {
+            self.check_not_past(source.start)?;
+        }
         let first_packet = self.next_packet;
         self.next_packet += ticks;
         let first_seq = self.queue.reserve(ticks);
@@ -643,7 +674,16 @@ impl Simulator {
 
     /// Convenience: schedules a packet with the study defaults
     /// (1000 bytes, TTL 127).
-    pub fn schedule_default_packet(&mut self, at: SimTime, src: NodeId, dst: NodeId) -> PacketId {
+    ///
+    /// # Errors
+    ///
+    /// As [`schedule_packet`](Self::schedule_packet).
+    pub fn schedule_default_packet(
+        &mut self,
+        at: SimTime,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Result<PacketId, BuildError> {
         self.schedule_packet(at, src, dst, 1000, DEFAULT_TTL)
     }
 
@@ -651,11 +691,12 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns an error if the link does not exist.
+    /// Returns an error if the link does not exist or `at` is before now.
     pub fn schedule_link_failure(&mut self, at: SimTime, link: LinkId) -> Result<(), BuildError> {
         if link.index() >= self.links.len() {
             return Err(BuildError::NoSuchLink(link));
         }
+        self.check_not_past(at)?;
         self.queue.schedule(at, EventKind::LinkFail { link });
         Ok(())
     }
@@ -664,11 +705,12 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns an error if the link does not exist.
+    /// Returns an error if the link does not exist or `at` is before now.
     pub fn schedule_link_recovery(&mut self, at: SimTime, link: LinkId) -> Result<(), BuildError> {
         if link.index() >= self.links.len() {
             return Err(BuildError::NoSuchLink(link));
         }
+        self.check_not_past(at)?;
         self.queue.schedule(at, EventKind::LinkRecover { link });
         Ok(())
     }
@@ -680,7 +722,7 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns an error if the link does not exist.
+    /// Returns an error if the link does not exist or `at` is before now.
     pub fn schedule_link_impairment(
         &mut self,
         at: SimTime,
@@ -690,6 +732,7 @@ impl Simulator {
         if link.index() >= self.links.len() {
             return Err(BuildError::NoSuchLink(link));
         }
+        self.check_not_past(at)?;
         self.queue
             .schedule(at, EventKind::SetImpairment { link, impairment });
         Ok(())
@@ -706,7 +749,7 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns an error if the node does not exist.
+    /// Returns an error if the node does not exist or `at` is before now.
     pub fn schedule_node_crash_restart(
         &mut self,
         at: SimTime,
@@ -717,6 +760,7 @@ impl Simulator {
         if node.index() >= self.nodes.len() {
             return Err(BuildError::NoSuchNode(node));
         }
+        self.check_not_past(at)?;
         let links: Vec<LinkId> = self.nodes[node.index()]
             .ports
             .iter()
@@ -840,16 +884,16 @@ impl Simulator {
         }
     }
 
-    /// Appends to the trace, measured as a [`obs::span::TRACE_RECORDING`]
-    /// span when a recorder is attached.
+    /// Hands a record to the trace sink, measured as a
+    /// [`obs::span::TRACE_RECORDING`] span when a recorder is attached.
     #[inline]
     fn record(&mut self, event: TraceEvent) {
         if self.recorder.is_some() {
             self.obs_enter(obs::span::TRACE_RECORDING);
-            self.trace.push(event);
+            self.sink.record(&event);
             self.obs_exit();
         } else {
-            self.trace.push(event);
+            self.sink.record(&event);
         }
     }
 
@@ -1683,5 +1727,64 @@ mod tests {
         assert!(sim
             .schedule_link_recovery(SimTime::from_secs(1), bogus)
             .is_err());
+    }
+
+    #[test]
+    fn every_public_scheduling_call_rejects_a_past_time() {
+        let mut b = SimulatorBuilder::new();
+        let (n0, n1) = (b.add_node(), b.add_node());
+        b.add_link(n0, n1, LinkConfig::default()).unwrap();
+        let mut sim = b.build().unwrap();
+        sim.start();
+        sim.run_until(SimTime::from_secs(2));
+        let (past, now) = (SimTime::from_secs(1), SimTime::from_secs(2));
+        let in_the_past: Result<(), _> = Err(BuildError::InThePast { at: past, now });
+        let link = LinkId::new(0);
+        assert_eq!(
+            sim.schedule_default_packet(past, n0, n1).map(|_| ()),
+            in_the_past
+        );
+        assert_eq!(sim.schedule_link_failure(past, link), in_the_past);
+        assert_eq!(sim.schedule_link_recovery(past, link), in_the_past);
+        assert_eq!(
+            sim.schedule_link_impairment(past, link, Impairment::NONE),
+            in_the_past
+        );
+        let cbr = CbrSource {
+            src: n0,
+            dst: n1,
+            start: past,
+            end: SimTime::from_secs(3),
+            gap: SimDuration::from_millis(50),
+            size_bytes: 1000,
+            ttl: 64,
+        };
+        assert_eq!(sim.schedule_cbr(cbr).map(|_| ()), in_the_past);
+        // A source with no ticks schedules nothing, so its start may lie
+        // anywhere.
+        let empty = CbrSource { end: past, ..cbr };
+        assert_eq!(sim.schedule_cbr(empty).map(|r| r.is_empty()), Ok(true));
+        let fresh: Box<dyn RoutingProtocol> = Box::new(NoRoutes);
+        assert_eq!(
+            sim.schedule_node_crash_restart(past, n0, SimDuration::from_secs(5), fresh)
+                .map(|_| ()),
+            in_the_past
+        );
+        // Nothing was scheduled, and now is still a valid time.
+        assert_eq!(sim.stats().events_processed, 0);
+        assert!(sim.schedule_default_packet(now, n0, n1).is_ok());
+    }
+
+    /// A protocol that installs nothing.
+    struct NoRoutes;
+
+    impl RoutingProtocol for NoRoutes {
+        fn name(&self) -> &'static str {
+            "none"
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! and [`SimDuration`] is a span between two points.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Mul, Sub};
+use std::ops::{Add, AddAssign, Mul};
 
 use serde::{Deserialize, Serialize};
 
@@ -79,20 +79,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Returns the duration elapsed since `earlier`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier` is later than `self`.
-    #[must_use]
-    pub fn since(self, earlier: SimTime) -> SimDuration {
-        assert!(
-            earlier.0 <= self.0,
-            "SimTime::since: earlier ({earlier}) is after self ({self})"
-        );
-        SimDuration(self.0 - earlier.0)
-    }
 }
 
 impl SimDuration {
@@ -125,15 +111,12 @@ impl SimDuration {
 
     /// Creates a duration from fractional seconds, rounding to nanoseconds.
     ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not finite.
+    /// Total: a negative or NaN `secs` gives zero, and one past the range
+    /// (about 584 years, or infinity) gives the longest duration.
     #[must_use]
     pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "SimDuration::from_secs_f64: invalid seconds value {secs}"
-        );
+        // A float-to-integer `as` cast saturates at both ends and maps
+        // NaN to zero.
         SimDuration((secs * 1e9).round() as u64)
     }
 
@@ -173,14 +156,6 @@ impl Add<SimDuration> for SimTime {
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
-    }
-}
-
-impl Sub<SimTime> for SimTime {
-    type Output = SimDuration;
-
-    fn sub(self, rhs: SimTime) -> SimDuration {
-        self.since(rhs)
     }
 }
 
@@ -227,7 +202,7 @@ mod tests {
         let t = SimTime::from_secs(40);
         let d = SimDuration::from_millis(1500);
         assert_eq!((t + d).as_nanos(), 41_500_000_000);
-        assert_eq!((t + d) - t, d);
+        assert_eq!((t + d).saturating_since(t), d);
     }
 
     #[test]
@@ -239,9 +214,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "earlier")]
-    fn since_panics_on_negative_span() {
-        let _ = SimTime::from_secs(1).since(SimTime::from_secs(2));
+    fn from_secs_f64_saturates_instead_of_panicking() {
+        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
+        assert_eq!(SimDuration::from_secs_f64(-0.0), SimDuration::ZERO);
+        assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
+        let longest = SimDuration::from_nanos(u64::MAX);
+        assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), longest);
+        assert_eq!(SimDuration::from_secs_f64(1e12), longest);
+        assert_eq!(
+            SimDuration::from_secs_f64(f64::NEG_INFINITY),
+            SimDuration::ZERO
+        );
+        // In range, it rounds to the nearest nanosecond.
+        assert_eq!(SimDuration::from_secs_f64(1.5e-9).as_nanos(), 2);
+        assert_eq!(
+            SimDuration::from_secs_f64(3600.0),
+            SimDuration::from_secs(3600)
+        );
     }
 
     #[test]

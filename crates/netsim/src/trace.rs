@@ -1,11 +1,16 @@
-//! Run traces.
+//! Run traces and the sinks they flow into.
 //!
-//! The simulator records everything the paper's post-hoc analysis needs:
+//! The simulator emits everything the paper's post-hoc analysis needs:
 //! per-packet lifecycles (including every forwarding hop, for loop
 //! forensics), every FIB change (for convergence timing), control-plane
-//! message counts (for routing load) and link events. Metrics are computed
-//! from the trace by the `convergence` crate, never online, so a single run
-//! can answer every question the paper asks.
+//! message counts (for routing load) and link events. It hands each
+//! [`TraceEvent`] to one [`TraceSink`], in time order, as it happens.
+//! What a run keeps is up to its sink: a [`TraceCensus`] counts records
+//! by kind, a [`Trace`] keeps every record, and a pair of sinks feeds
+//! both (a fan-out). The `convergence` crate's runner folds its summary,
+//! census and deliveries in a sink of its own while the run goes on, and
+//! keeps a [`Trace`] only when asked for one (golden traces, oracle
+//! tests, forensics tools).
 //!
 //! A [`Trace`] keeps its records in a compact byte encoding instead of a
 //! `Vec<TraceEvent>`: a kind byte, the time since the previous record
@@ -13,20 +18,14 @@
 //! bytes where a `TraceEvent` takes 40. The bytes go into fixed-size
 //! chunks that are never reallocated, so a trace holds about as much
 //! memory as its records need: no buffer doubles past its content or is
-//! copied to grow, and a run's peak memory follows its trace length
-//! smoothly. A record is encoded in place at the end of the last chunk:
-//! [`Trace`] starts a new chunk whenever the last one has less room than
-//! the longest record, so no write reallocates a chunk and no record
-//! straddles two.
-//!
-//! Readers get the records back by value, in order, from
-//! [`Trace::iter`]; the encoding is exact, so a decoded record equals
-//! the one recorded. Readers that need only part of a trace skip the
-//! rest undecoded, using the number of varints in each kind of record:
-//! [`Trace::census`] reads only kinds and times, and [`Trace::deliveries`]
-//! decodes the time and injection time of each delivery — all the
-//! fig5/fig7 series read — and only the kind and time of other records.
+//! copied to grow. A record is encoded in place at the end of the last
+//! chunk: [`Trace`] starts a new chunk whenever the last one has less
+//! room than the longest record, so no write reallocates a chunk and no
+//! record straddles two. Readers get the records back by value, in
+//! order, from [`Trace::iter`]; the encoding is exact, so a decoded
+//! record equals the one recorded.
 
+use std::any::Any;
 use std::fmt;
 use std::iter::FusedIterator;
 
@@ -468,40 +467,6 @@ impl Trace {
         }
         out
     }
-
-    /// Counts records by kind — a quick sanity profile of a run. Reads
-    /// the kind byte and time delta of each record and skips the rest.
-    #[must_use]
-    pub fn census(&self) -> TraceCensus {
-        let mut census = TraceCensus::default();
-        let mut records = self.iter();
-        while let Some(kind) = records.next_kind() {
-            *match kind {
-                PACKET_INJECTED => &mut census.injected,
-                PACKET_FORWARDED => &mut census.forwarded,
-                PACKET_DELIVERED => &mut census.delivered,
-                PACKET_DROPPED => &mut census.dropped,
-                ROUTE_CHANGED => &mut census.route_changes,
-                CONTROL_SENT => &mut census.control_sent,
-                LINK_FAILED => &mut census.link_failures,
-                LINK_RECOVERED => &mut census.link_recoveries,
-                LINK_STATE_DETECTED => &mut census.detections,
-                IMPAIRMENT_CHANGED => &mut census.impairment_changes,
-                _ => &mut census.node_restarts,
-            } += 1;
-            records.skip_varints(fields(kind));
-        }
-        census
-    }
-
-    /// Iterates over the `(time, sent_at)` of every
-    /// [`TraceEvent::PacketDelivered`], in time order — the records the
-    /// throughput and delay series read. Every other record is skipped
-    /// after its kind byte and time delta.
-    #[must_use]
-    pub fn deliveries(&self) -> Deliveries<'_> {
-        Deliveries(self.iter())
-    }
 }
 
 impl fmt::Debug for Trace {
@@ -536,19 +501,6 @@ fn kind_code(event: &TraceEvent) -> u8 {
         TraceEvent::LinkStateDetected { .. } => LINK_STATE_DETECTED,
         TraceEvent::ImpairmentChanged { .. } => IMPAIRMENT_CHANGED,
         TraceEvent::NodeRestarted { .. } => NODE_RESTARTED,
-    }
-}
-
-/// Number of varints that follow the time delta in a record of `kind`:
-/// the one table of the record layouts, for the readers that skip
-/// records without decoding them.
-fn fields(kind: u8) -> usize {
-    match kind {
-        PACKET_DELIVERED | PACKET_DROPPED | ROUTE_CHANGED => 4,
-        PACKET_INJECTED | PACKET_FORWARDED | CONTROL_SENT | LINK_FAILED | LINK_RECOVERED
-        | LINK_STATE_DETECTED => 3,
-        IMPAIRMENT_CHANGED => 2,
-        _ => 1,
     }
 }
 
@@ -617,8 +569,7 @@ pub struct Iter<'a> {
 
 impl Iter<'_> {
     /// Starts the next record: reads its kind byte and time delta, and
-    /// leaves the fields after them unread. Always inlined, so that each
-    /// reader's loop is one function.
+    /// leaves the fields after them to the caller.
     #[inline(always)]
     fn next_kind(&mut self) -> Option<u8> {
         if self.remaining == 0 {
@@ -634,19 +585,6 @@ impl Iter<'_> {
         self.pos += 1;
         self.time = self.time.wrapping_add(self.get());
         Some(kind)
-    }
-
-    /// Skips `n` varints; each ends at the first byte below 0x80.
-    #[inline(always)]
-    fn skip_varints(&mut self, n: usize) {
-        let mut left = n;
-        for (i, &b) in self.bytes[self.pos..].iter().enumerate() {
-            left -= usize::from(b < 0x80);
-            if left == 0 {
-                self.pos += i + 1;
-                return;
-            }
-        }
     }
 
     #[inline]
@@ -792,32 +730,6 @@ impl ExactSizeIterator for Iter<'_> {}
 
 impl FusedIterator for Iter<'_> {}
 
-/// Iterator over the `(time, sent_at)` of a [`Trace`]'s deliveries, from
-/// [`Trace::deliveries`].
-#[derive(Debug, Clone)]
-pub struct Deliveries<'a>(Iter<'a>);
-
-impl Iterator for Deliveries<'_> {
-    type Item = (SimTime, SimTime);
-
-    #[inline]
-    fn next(&mut self) -> Option<(SimTime, SimTime)> {
-        let records = &mut self.0;
-        loop {
-            let kind = records.next_kind()?;
-            if kind == PACKET_DELIVERED {
-                // The packet id, node and hop count come before `sent_at`.
-                records.skip_varints(3);
-                let time = SimTime::from_nanos(records.time);
-                return Some((time, records.sent_at(time)));
-            }
-            records.skip_varints(fields(kind));
-        }
-    }
-}
-
-impl FusedIterator for Deliveries<'_> {}
-
 /// Per-kind record counts of a trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceCensus {
@@ -843,6 +755,89 @@ pub struct TraceCensus {
     pub impairment_changes: u64,
     /// Cold-state router reboots.
     pub node_restarts: u64,
+}
+
+impl TraceCensus {
+    /// Number of records counted, of every kind.
+    #[must_use]
+    pub fn records(&self) -> u64 {
+        self.injected
+            + self.forwarded
+            + self.delivered
+            + self.dropped
+            + self.route_changes
+            + self.control_sent
+            + self.link_failures
+            + self.link_recoveries
+            + self.detections
+            + self.impairment_changes
+            + self.node_restarts
+    }
+}
+
+/// A consumer of trace records: the simulator hands it every
+/// [`TraceEvent`] of a run, once, in non-decreasing time order.
+///
+/// Sinks are trait objects inside the simulator, so the engine and the
+/// protocol contexts stay non-generic; `Any` lets the code that attached
+/// a sink take it back as its concrete type
+/// ([`Simulator::take_trace_sink`](crate::simulator::Simulator::take_trace_sink)).
+pub trait TraceSink: Any {
+    /// Takes one record.
+    fn record(&mut self, event: &TraceEvent);
+}
+
+/// Keeps every record.
+impl TraceSink for Trace {
+    #[inline]
+    fn record(&mut self, event: &TraceEvent) {
+        self.push(*event);
+    }
+}
+
+/// Counts every record by kind.
+impl TraceSink for TraceCensus {
+    #[inline]
+    fn record(&mut self, event: &TraceEvent) {
+        *match event {
+            TraceEvent::PacketInjected { .. } => &mut self.injected,
+            TraceEvent::PacketForwarded { .. } => &mut self.forwarded,
+            TraceEvent::PacketDelivered { .. } => &mut self.delivered,
+            TraceEvent::PacketDropped { .. } => &mut self.dropped,
+            TraceEvent::RouteChanged { .. } => &mut self.route_changes,
+            TraceEvent::ControlSent { .. } => &mut self.control_sent,
+            TraceEvent::LinkFailed { .. } => &mut self.link_failures,
+            TraceEvent::LinkRecovered { .. } => &mut self.link_recoveries,
+            TraceEvent::LinkStateDetected { .. } => &mut self.detections,
+            TraceEvent::ImpairmentChanged { .. } => &mut self.impairment_changes,
+            TraceEvent::NodeRestarted { .. } => &mut self.node_restarts,
+        } += 1;
+    }
+}
+
+/// Discards every record.
+impl TraceSink for () {
+    #[inline]
+    fn record(&mut self, _: &TraceEvent) {}
+}
+
+/// The fan-out: feeds each record to the first sink, then to the second.
+impl<A: TraceSink, B: TraceSink> TraceSink for (A, B) {
+    #[inline]
+    fn record(&mut self, event: &TraceEvent) {
+        self.0.record(event);
+        self.1.record(event);
+    }
+}
+
+/// A sink that may be absent: `None` discards every record.
+impl<S: TraceSink> TraceSink for Option<S> {
+    #[inline]
+    fn record(&mut self, event: &TraceEvent) {
+        if let Some(sink) = self {
+            sink.record(event);
+        }
+    }
 }
 
 impl<'a> IntoIterator for &'a Trace {
@@ -897,7 +892,8 @@ mod tests {
 
     #[test]
     fn census_counts_by_kind() {
-        let t = Trace::from_events(vec![
+        let mut census = TraceCensus::default();
+        for event in [
             TraceEvent::LinkFailed {
                 time: SimTime::from_secs(1),
                 link: LinkId::new(0),
@@ -917,12 +913,58 @@ mod tests {
                 old: None,
                 new: None,
             },
-        ]);
-        let census = t.census();
+        ] {
+            census.record(&event);
+        }
         assert_eq!(census.link_failures, 1);
         assert_eq!(census.detections, 1);
         assert_eq!(census.route_changes, 1);
         assert_eq!(census.injected, 0);
+        assert_eq!(census.records(), 3);
+    }
+
+    #[test]
+    fn census_has_one_counter_per_kind() {
+        let mut census = TraceCensus::default();
+        for event in every_kind_at_the_edges() {
+            census.record(&event);
+        }
+        assert_eq!(
+            (
+                census.route_changes,
+                census.detections,
+                census.node_restarts
+            ),
+            (2, 2, 1)
+        );
+        // Every other kind appears once.
+        assert_eq!(census.records(), 13);
+        assert_eq!(
+            [
+                census.injected,
+                census.forwarded,
+                census.delivered,
+                census.dropped,
+                census.control_sent,
+                census.link_failures,
+                census.link_recoveries,
+                census.impairment_changes,
+            ],
+            [1; 8]
+        );
+    }
+
+    #[test]
+    fn a_fan_out_feeds_every_sink_in_order() {
+        let events = every_kind_at_the_edges();
+        let mut sinks = (TraceCensus::default(), (Some(Trace::new()), None::<Trace>));
+        for event in &events {
+            sinks.record(event);
+        }
+        assert_eq!(sinks.0.records(), events.len() as u64);
+        let kept = sinks.1 .0.expect("kept");
+        assert_eq!(kept.iter().collect::<Vec<_>>(), events);
+        assert!(sinks.1 .1.is_none());
     }
 
     #[test]
@@ -1056,62 +1098,6 @@ mod tests {
         assert_eq!(format!("{trace:?}"), format!("{events:?}"));
     }
 
-    /// Counts the decoded records by kind, the slow way.
-    fn decoded_census(trace: &Trace) -> TraceCensus {
-        let mut c = TraceCensus::default();
-        for event in trace {
-            *match event {
-                TraceEvent::PacketInjected { .. } => &mut c.injected,
-                TraceEvent::PacketForwarded { .. } => &mut c.forwarded,
-                TraceEvent::PacketDelivered { .. } => &mut c.delivered,
-                TraceEvent::PacketDropped { .. } => &mut c.dropped,
-                TraceEvent::RouteChanged { .. } => &mut c.route_changes,
-                TraceEvent::ControlSent { .. } => &mut c.control_sent,
-                TraceEvent::LinkFailed { .. } => &mut c.link_failures,
-                TraceEvent::LinkRecovered { .. } => &mut c.link_recoveries,
-                TraceEvent::LinkStateDetected { .. } => &mut c.detections,
-                TraceEvent::ImpairmentChanged { .. } => &mut c.impairment_changes,
-                TraceEvent::NodeRestarted { .. } => &mut c.node_restarts,
-            } += 1;
-        }
-        c
-    }
-
-    #[test]
-    fn census_skips_records_without_decoding_them() {
-        let trace = Trace::from_events(every_kind_at_the_edges());
-        let census = trace.census();
-        assert_eq!(census, decoded_census(&trace));
-        assert_eq!(
-            (
-                census.route_changes,
-                census.detections,
-                census.node_restarts
-            ),
-            (2, 2, 1)
-        );
-    }
-
-    #[test]
-    fn layout_table_matches_the_encoder() {
-        let trace = Trace::from_events(every_kind_at_the_edges());
-        let (mut decoded, mut skipped) = (trace.iter(), trace.iter());
-        let mut kinds = Vec::new();
-        while decoded.next().is_some() {
-            let kind = skipped.next_kind().expect("as many records skipped");
-            skipped.skip_varints(fields(kind));
-            assert_eq!(skipped.pos, decoded.pos, "kind {kind}");
-            kinds.push(kind);
-        }
-        assert_eq!(skipped.next_kind(), None);
-        kinds.sort_unstable();
-        kinds.dedup();
-        assert_eq!(
-            kinds,
-            (PACKET_INJECTED..=NODE_RESTARTED).collect::<Vec<_>>()
-        );
-    }
-
     /// A `PacketDelivered` with every field at its widest encoding.
     fn largest_record() -> TraceEvent {
         TraceEvent::PacketDelivered {
@@ -1187,7 +1173,6 @@ mod tests {
         // No chunk was ever reallocated, so none grew past its capacity.
         assert!(trace.chunks.iter().all(|c| c.capacity() == CHUNK_BYTES));
         assert_eq!(trace.iter().collect::<Vec<_>>(), events);
-        assert_eq!(trace.census(), decoded_census(&trace));
     }
 
     fn set_time(event: &mut TraceEvent, at: SimTime) {
@@ -1260,49 +1245,6 @@ mod tests {
                 .collect();
             let trace = Trace::from_events(events.clone());
             proptest::prop_assert_eq!(trace.iter().collect::<Vec<_>>(), events);
-        }
-    }
-
-    /// Field values at the edges of the varint encoding, for generated
-    /// records: zero, one and two bytes, `u32::MAX` and up to `u64::MAX`.
-    const EDGES: [u64; 7] = [0, 127, 128, u32::MAX as u64, 1 << 32, 1 << 63, u64::MAX];
-
-    /// Time steps between generated records: zero, small and huge.
-    const STEPS: [u64; 4] = [0, 0, 977, 1 << 40];
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-
-        /// The delivery reader yields exactly the `(time, sent_at)` of
-        /// the decoded deliveries, over random mixes of every kind with
-        /// edge values, across at least three chunks.
-        #[test]
-        fn deliveries_are_the_decoded_deliveries(
-            pattern in proptest::prop::collection::vec(
-                (0u8..11, (0usize..9, 0u64..u64::MAX), (0usize..9, 0u64..u64::MAX)),
-                1..48,
-            ),
-            steps in proptest::prop::collection::vec(0usize..4, 1..16),
-        ) {
-            // Indices past `EDGES` take the random value instead.
-            let pick = |(ix, random): (usize, u64)| EDGES.get(ix).copied().unwrap_or(random);
-            let mut trace = Trace::new();
-            let (mut time, mut i) = (0u64, 0);
-            while trace.chunks.len() < 3 {
-                let (kind, big, other) = pattern[i % pattern.len()];
-                time += STEPS[steps[i % steps.len()]];
-                let at = SimTime::from_nanos(time);
-                trace.push(arbitrary_event(kind, at, pick(big), pick(other)));
-                i += 1;
-            }
-            let expected: Vec<(SimTime, SimTime)> = trace
-                .iter()
-                .filter_map(|event| match event {
-                    TraceEvent::PacketDelivered { time, sent_at, .. } => Some((time, sent_at)),
-                    _ => None,
-                })
-                .collect();
-            proptest::prop_assert_eq!(trace.deliveries().collect::<Vec<_>>(), expected);
         }
     }
 

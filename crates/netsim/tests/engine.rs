@@ -7,7 +7,7 @@ use netsim::packet::DropReason;
 use netsim::protocol::{Payload, RoutingProtocol, TimerToken};
 use netsim::simulator::{ForwardingPath, Peer, ProtocolContext, Simulator, SimulatorBuilder};
 use netsim::time::{SimDuration, SimTime};
-use netsim::trace::TraceEvent;
+use netsim::trace::{Trace, TraceCensus, TraceEvent};
 use netsim::EventBudgetExceeded;
 
 /// Routes every destination via a fixed next hop chosen by a routing map
@@ -71,9 +71,47 @@ fn line(k: usize, config: LinkConfig) -> (Simulator, Vec<NodeId>) {
 
 fn drops_by_reason(sim: &Simulator, reason: DropReason) -> usize {
     sim.trace()
+        .unwrap()
         .iter()
         .filter(|e| matches!(e, TraceEvent::PacketDropped { reason: r, .. } if *r == reason))
         .count()
+}
+
+/// Records go to whichever sink is attached when they happen, and the
+/// code that attached a sink takes it back as its concrete type.
+#[test]
+fn trace_records_go_to_the_attached_sink() {
+    let run = |sink: Option<(TraceCensus, Trace)>| {
+        let (mut sim, nodes) = line(3, LinkConfig::default());
+        let census = sink.map(|sink| sim.replace_trace_sink(Box::new(sink)));
+        sim.start();
+        for ms in [10, 20, 30] {
+            sim.schedule_default_packet(SimTime::from_millis(ms), nodes[0], nodes[2])
+                .unwrap();
+        }
+        sim.run_to_completion();
+        (sim, census.is_some())
+    };
+    let (plain, _) = run(None);
+    let kept = plain.trace().unwrap();
+    let (mut fanned, replaced) = run(Some((TraceCensus::default(), Trace::new())));
+    assert!(replaced);
+    // The default `Trace` sink is gone; asking for another type leaves the
+    // fan-out attached.
+    assert!(fanned.trace().is_none());
+    assert!(fanned.take_trace_sink::<Trace>().is_none());
+    let (census, trace) = fanned
+        .take_trace_sink::<(TraceCensus, Trace)>()
+        .expect("the fan-out");
+    assert_eq!(trace.render_lines(), kept.render_lines());
+    assert_eq!(census.records(), kept.len() as u64);
+    assert_eq!(
+        (census.injected, census.delivered, census.forwarded),
+        (3, 3, 6)
+    );
+    // What is left attached keeps nothing.
+    assert!(fanned.take_trace_sink::<(TraceCensus, Trace)>().is_none());
+    assert!(fanned.take_trace_sink::<()>().is_some());
 }
 
 #[test]
@@ -81,11 +119,12 @@ fn packets_cross_a_line_with_correct_latency() {
     let (mut sim, nodes) = line(5, LinkConfig::default());
     sim.start();
     let t0 = SimTime::from_secs(1);
-    sim.schedule_default_packet(t0, nodes[0], nodes[4]);
+    sim.schedule_default_packet(t0, nodes[0], nodes[4]).unwrap();
     sim.run_until(SimTime::from_secs(2));
     assert_eq!(sim.stats().packets_delivered, 1);
     let delivered = sim
         .trace()
+        .unwrap()
         .iter()
         .find_map(|e| match e {
             TraceEvent::PacketDelivered { time, hops, .. } => Some((time, hops)),
@@ -108,7 +147,7 @@ fn event_budget_binds_only_when_an_event_is_due() {
     let packet_on_a_line = || {
         let (mut sim, nodes) = line(3, LinkConfig::default());
         sim.start();
-        sim.schedule_default_packet(t0, nodes[0], nodes[2]);
+        sim.schedule_default_packet(t0, nodes[0], nodes[2]).unwrap();
         sim
     };
     let mut reference = packet_on_a_line();
@@ -168,12 +207,14 @@ fn ttl_expires_in_forwarding_loop() {
     )
     .unwrap();
     sim.start();
-    sim.schedule_packet(SimTime::from_millis(1), nodes[0], nodes[2], 1000, 64);
+    sim.schedule_packet(SimTime::from_millis(1), nodes[0], nodes[2], 1000, 64)
+        .unwrap();
     sim.run_to_completion();
     assert_eq!(drops_by_reason(&sim, DropReason::TtlExpired), 1);
     // The packet bounced until its TTL ran out: 63 forwards recorded.
     let hops = sim
         .trace()
+        .unwrap()
         .iter()
         .filter(|e| matches!(e, TraceEvent::PacketForwarded { .. }))
         .count();
@@ -192,7 +233,8 @@ fn no_route_drop_when_fib_is_empty() {
     sim.install_protocol(nodes[1], Box::new(StaticRoutes { routes: vec![] }))
         .unwrap();
     sim.start();
-    sim.schedule_default_packet(SimTime::from_millis(1), nodes[0], nodes[1]);
+    sim.schedule_default_packet(SimTime::from_millis(1), nodes[0], nodes[1])
+        .unwrap();
     sim.run_to_completion();
     assert_eq!(drops_by_reason(&sim, DropReason::NoRoute), 1);
     assert_eq!(sim.stats().packets_delivered, 0);
@@ -208,11 +250,14 @@ fn link_failure_loses_in_flight_packets_until_detected() {
     sim.schedule_link_failure(t_fail, link).unwrap();
     // One packet before the failure, several during the detection window,
     // one after detection.
-    sim.schedule_default_packet(SimTime::from_millis(500), nodes[0], nodes[1]);
+    sim.schedule_default_packet(SimTime::from_millis(500), nodes[0], nodes[1])
+        .unwrap();
     for ms in [1010u64, 1020, 1030, 1040] {
-        sim.schedule_default_packet(SimTime::from_millis(ms), nodes[0], nodes[1]);
+        sim.schedule_default_packet(SimTime::from_millis(ms), nodes[0], nodes[1])
+            .unwrap();
     }
-    sim.schedule_default_packet(SimTime::from_millis(1500), nodes[0], nodes[1]);
+    sim.schedule_default_packet(SimTime::from_millis(1500), nodes[0], nodes[1])
+        .unwrap();
     sim.run_to_completion();
     assert_eq!(sim.stats().packets_delivered, 1);
     assert_eq!(drops_by_reason(&sim, DropReason::LinkDown), 4);
@@ -230,6 +275,7 @@ fn detection_events_fire_on_both_endpoints() {
     sim.run_to_completion();
     let detections: Vec<(NodeId, bool)> = sim
         .trace()
+        .unwrap()
         .iter()
         .filter_map(|e| match e {
             TraceEvent::LinkStateDetected { node, up, time, .. } => {
@@ -251,13 +297,15 @@ fn recovery_restores_forwarding() {
         .unwrap();
     sim.schedule_link_recovery(SimTime::from_secs(2), link)
         .unwrap();
-    sim.schedule_default_packet(SimTime::from_secs(3), nodes[0], nodes[1]);
+    sim.schedule_default_packet(SimTime::from_secs(3), nodes[0], nodes[1])
+        .unwrap();
     sim.run_to_completion();
     // StaticRoutes removed the route on link-down and never reinstalls it,
     // so the packet is dropped NoRoute — but the physical link recovered.
     assert_eq!(drops_by_reason(&sim, DropReason::NoRoute), 1);
     let recovered = sim
         .trace()
+        .unwrap()
         .iter()
         .any(|e| matches!(e, TraceEvent::LinkRecovered { .. }));
     assert!(recovered);
@@ -286,6 +334,7 @@ impl RoutingProtocol for PinnedRoutes {
 fn last_route_change_is_the_last_route_changed_record() {
     let last_recorded = |sim: &Simulator| {
         sim.trace()
+            .unwrap()
             .iter()
             .filter(|e| matches!(e, TraceEvent::RouteChanged { .. }))
             .map(|e| e.time())
@@ -327,7 +376,8 @@ fn queue_overflow_drops_excess_packets() {
     sim.start();
     // 6 packets injected back-to-back: 1 transmitting + 2 queued + 3 dropped.
     for i in 0..6u64 {
-        sim.schedule_default_packet(SimTime::from_millis(100 + i), nodes[0], nodes[1]);
+        sim.schedule_default_packet(SimTime::from_millis(100 + i), nodes[0], nodes[1])
+            .unwrap();
     }
     sim.run_to_completion();
     assert_eq!(drops_by_reason(&sim, DropReason::QueueOverflow), 3);
@@ -366,10 +416,11 @@ fn same_seed_reproduces_identical_traces() {
         }
         sim.start();
         for i in 0..50u64 {
-            sim.schedule_default_packet(SimTime::from_millis(10 * i), nodes[0], nodes[2]);
+            sim.schedule_default_packet(SimTime::from_millis(10 * i), nodes[0], nodes[2])
+                .unwrap();
         }
         sim.run_to_completion();
-        format!("{:?}", sim.trace())
+        format!("{:?}", sim.trace().unwrap())
     };
     assert_eq!(run(7), run(7));
     assert_eq!(run(9), run(9));
@@ -528,6 +579,7 @@ fn control_messages_are_counted_and_sized() {
     assert_eq!(sim.stats().control_bytes_sent, 4 * 28);
     let traced: u64 = sim
         .trace()
+        .unwrap()
         .iter()
         .filter_map(|e| match e {
             TraceEvent::ControlSent { bytes, .. } => Some(u64::from(bytes)),
@@ -568,7 +620,8 @@ fn packet_conservation_holds() {
     sim.schedule_link_failure(SimTime::from_secs(1), link)
         .unwrap();
     for i in 0..200u64 {
-        sim.schedule_default_packet(SimTime::from_millis(900 + i), nodes[0], nodes[5]);
+        sim.schedule_default_packet(SimTime::from_millis(900 + i), nodes[0], nodes[5])
+            .unwrap();
     }
     sim.run_to_completion();
     let s = sim.stats();

@@ -97,7 +97,7 @@ proptest! {
                     SimTime::from_millis(10 + i as u64),
                     src,
                     dst,
-                );
+                ).unwrap();
             }
         }
         sim.run_to_completion();
@@ -132,12 +132,12 @@ proptest! {
         // no alternate for the adjacent pair... except via the other side,
         // which it *does* install — so use a helper protocol-free check:
         // count per-reason drops for the packets sent on the dead link.
-        sim.schedule_default_packet(SimTime::from_millis(500), a, b);
-        sim.schedule_default_packet(SimTime::from_millis(1_020), a, b);
+        sim.schedule_default_packet(SimTime::from_millis(500), a, b).unwrap();
+        sim.schedule_default_packet(SimTime::from_millis(1_020), a, b).unwrap();
         sim.run_to_completion();
 
         let reasons: Vec<DropReason> = sim
-            .trace()
+            .trace().unwrap()
             .iter()
             .filter_map(|e| match e {
                 TraceEvent::PacketDropped { reason, .. } => Some(reason),
@@ -160,10 +160,10 @@ proptest! {
                     SimTime::from_millis(i * 13),
                     nodes[0],
                     nodes[(n / 2) as usize],
-                );
+                ).unwrap();
             }
             sim.run_to_completion();
-            (sim.stats(), format!("{:?}", sim.trace().len()))
+            (sim.stats(), format!("{:?}", sim.trace().unwrap().len()))
         };
         prop_assert_eq!(run(seed), run(seed));
     }
@@ -180,10 +180,10 @@ proptest! {
         sim.install_protocol(nodes[1], Box::new(RingRoutes { n: 2 })).unwrap();
         sim.start();
         let t0 = SimTime::from_millis(5);
-        sim.schedule_packet(t0, nodes[0], nodes[1], size, 64);
+        sim.schedule_packet(t0, nodes[0], nodes[1], size, 64).unwrap();
         sim.run_to_completion();
         let delivered_at = sim
-            .trace()
+            .trace().unwrap()
             .iter()
             .find_map(|e| match e {
                 netsim::trace::TraceEvent::PacketDelivered { time, .. } => Some(time),
@@ -226,10 +226,10 @@ proptest! {
         sim.install_protocol(nodes[1], Box::new(Bounce { peer: nodes[0], dest: nodes[2] }))
             .unwrap();
         sim.start();
-        sim.schedule_packet(SimTime::from_millis(1), nodes[0], nodes[2], 500, ttl);
+        sim.schedule_packet(SimTime::from_millis(1), nodes[0], nodes[2], 500, ttl).unwrap();
         sim.run_to_completion();
         let hops = sim
-            .trace()
+            .trace().unwrap()
             .iter()
             .filter(|e| matches!(e, netsim::trace::TraceEvent::PacketForwarded { .. }))
             .count();
@@ -409,7 +409,7 @@ fn flood_run(n: u32, seed: u64, fail_ix: u32, share: bool) -> (String, u64) {
     sim.start();
     sim.run_to_completion();
     (
-        format!("{:?}", sim.trace()),
+        format!("{:?}", sim.trace().unwrap()),
         sim.stats().control_payloads_shared,
     )
 }
@@ -485,7 +485,9 @@ fn cbr_run(
             let mut range = None;
             let mut t = start;
             while t < end {
-                let id = sim.schedule_packet(t, node(src), node(dst), 1000, DEFAULT_TTL);
+                let id = sim
+                    .schedule_packet(t, node(src), node(dst), 1000, DEFAULT_TTL)
+                    .unwrap();
                 let id = id.index() as u64;
                 range.get_or_insert((id, id)).1 = id + 1;
                 t += gap;
@@ -495,7 +497,7 @@ fn cbr_run(
     }
 
     sim.schedule_link_recovery(tie, failed).unwrap();
-    sim.schedule_default_packet(tie, node(2), node(0));
+    sim.schedule_default_packet(tie, node(2), node(0)).unwrap();
     // Stop mid-flow once, then drain: pending ticks must survive a
     // window boundary.
     sim.run_until(tie);
@@ -503,7 +505,7 @@ fn cbr_run(
     let mut stats = sim.stats();
     let high_water = stats.queue_high_water;
     stats.queue_high_water = 0;
-    (sim.trace().render_lines(), ids, stats, high_water)
+    (sim.trace().unwrap().render_lines(), ids, stats, high_water)
 }
 
 fn cbr_flow() -> impl Strategy<Value = CbrFlow> {
@@ -762,7 +764,7 @@ fn juggle_run(
     sim.start();
     sim.run_until(crash);
     sim.run_to_completion();
-    let trace = sim.trace().render_lines();
+    let trace = sim.trace().unwrap().render_lines();
     let log = log.borrow().clone();
     (trace, log, sim.stats())
 }

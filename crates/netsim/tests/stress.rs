@@ -117,7 +117,7 @@ proptest! {
                 let src = NodeId::new((s % nodes) as u32);
                 let dst = NodeId::new((d % nodes) as u32);
                 if src != dst {
-                    sim.schedule_default_packet(SimTime::from_millis(at_ms), src, dst);
+                    sim.schedule_default_packet(SimTime::from_millis(at_ms), src, dst).unwrap();
                 }
             }
             sim.run_until(SimTime::from_secs(120));
@@ -127,7 +127,7 @@ proptest! {
                 stats.packets_injected,
                 stats.packets_delivered + stats.packets_dropped
             );
-            Ok(format!("{stats:?}|{}", sim.trace().len()))
+            Ok(format!("{stats:?}|{}", sim.trace().unwrap().len()))
         };
         prop_assert_eq!(run()?, run()?);
     }
@@ -150,7 +150,7 @@ proptest! {
             SimTime::from_millis(quiet),
             NodeId::new(0),
             NodeId::new(1),
-        );
+        ).unwrap();
         sim.run_to_completion();
         prop_assert_eq!(sim.stats().packets_delivered, 1);
     }

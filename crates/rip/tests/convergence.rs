@@ -127,7 +127,7 @@ fn rip_runs_are_deterministic() {
         (
             sim.stats().control_messages_sent,
             sim.stats().control_bytes_sent,
-            sim.trace().len(),
+            sim.trace().unwrap().len(),
         )
     };
     assert_eq!(digest(42), digest(42));
@@ -207,6 +207,7 @@ fn poisoned_reverse_prevents_two_node_count_to_infinity() {
     // And no forwarding loop ever formed between 0 and 1 for dest 2.
     let loops = sim
         .trace()
+        .unwrap()
         .iter()
         .filter(|e| {
             matches!(
@@ -327,7 +328,7 @@ fn rip_messages_never_exceed_25_entries_on_the_wire() {
         .unwrap();
     sim.run_until(SimTime::from_secs(150));
     let mut seen_large = false;
-    for event in sim.trace() {
+    for event in sim.trace().unwrap() {
         if let netsim::trace::TraceEvent::ControlSent { bytes, .. } = event {
             assert!(bytes <= 524, "oversized RIP message: {bytes} bytes");
             if bytes == 524 {

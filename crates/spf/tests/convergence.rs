@@ -79,7 +79,10 @@ fn spf_runs_are_deterministic() {
     let digest = |seed: u64| {
         let (mut sim, _) = spf_mesh(MeshDegree::D5, seed);
         sim.run_until(SimTime::from_secs(20));
-        (sim.stats().control_messages_sent, sim.trace().len())
+        (
+            sim.stats().control_messages_sent,
+            sim.trace().unwrap().len(),
+        )
     };
     assert_eq!(digest(3), digest(3));
 }

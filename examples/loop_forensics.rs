@@ -21,8 +21,8 @@ fn main() -> Result<(), RunError> {
     // degree-3 mesh (roughly half of the scenarios do).
     for seed in base..base + 50 {
         let cfg = ExperimentConfig::paper(ProtocolKind::Bgp, MeshDegree::D3, seed);
-        let result = run(&cfg)?;
-        let report = analyze_loops(&result.trace);
+        let (result, trace) = run_traced(&cfg)?;
+        let report = analyze_loops(&trace);
         if report.looped_packets() == 0 {
             continue;
         }
@@ -54,7 +54,7 @@ fn main() -> Result<(), RunError> {
 
         println!("forwarding-path timeline (seconds relative to failure):");
         let history = path_history(
-            &result.trace,
+            &trace,
             result.graph.num_nodes(),
             flow.sender,
             flow.receiver,

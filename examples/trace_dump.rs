@@ -21,7 +21,7 @@ fn main() -> Result<(), RunError> {
         .unwrap_or(0.5);
 
     let cfg = ExperimentConfig::paper(ProtocolKind::Dbf, MeshDegree::D4, seed);
-    let result = run(&cfg)?;
+    let (result, trace) = run_traced(&cfg)?;
     let t_fail = result.t_fail.as_secs_f64();
     let flow = result.flows[0];
     println!(
@@ -31,7 +31,7 @@ fn main() -> Result<(), RunError> {
     println!("events within ±{window}s of the failure:\n");
 
     let mut shown = 0usize;
-    for event in &result.trace {
+    for event in &trace {
         let t = event.time().as_secs_f64();
         if (t - t_fail).abs() > window {
             continue;
@@ -92,9 +92,6 @@ fn main() -> Result<(), RunError> {
             break;
         }
     }
-    println!(
-        "\n{shown} events shown of {} total in the run",
-        result.trace.len()
-    );
+    println!("\n{shown} events shown of {} total in the run", trace.len());
     Ok(())
 }

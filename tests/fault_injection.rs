@@ -112,10 +112,10 @@ fn impaired_runs_are_deterministic() {
         .with_jitter(SimDuration::from_millis(5))
         .with_reordering(0.05, SimDuration::from_millis(2));
     let cfg = impaired_config(ProtocolKind::Dbf, MeshDegree::D4, 15, impairment);
-    let a = run(&cfg).expect("first run");
-    let b = run(&cfg).expect("second run");
+    let (a, a_trace) = run_traced(&cfg).expect("first run");
+    let (b, b_trace) = run_traced(&cfg).expect("second run");
     assert!(
-        a.trace.iter().eq(b.trace.iter()),
+        a_trace.iter().eq(b_trace.iter()),
         "impaired traces must be identical event-for-event"
     );
     assert_eq!(
@@ -139,7 +139,7 @@ fn node_crash_restart_recovers_with_cold_state() {
     cfg.failure = FailurePlan::NodeCrashRestart {
         down: SimDuration::from_secs(10),
     };
-    let result = run(&cfg).expect("run succeeds");
+    let (result, trace) = run_traced(&cfg).expect("run succeeds");
     let census = result.trace.census();
     assert_eq!(census.node_restarts, 1, "exactly one cold reboot");
     let restart = result.failure.restart.expect("a restart was selected");
@@ -150,8 +150,7 @@ fn node_crash_restart_recovers_with_cold_state() {
     );
     assert_eq!(census.link_recoveries, degree, "and recovers with it");
     // The reboot is visible in the trace at t_fail + down.
-    let reboot_at = result
-        .trace
+    let reboot_at = trace
         .iter()
         .find_map(|e| match e {
             TraceEvent::NodeRestarted { time, node } if node == restart.node => Some(time),
@@ -173,9 +172,9 @@ fn node_crash_restart_is_reproducible() {
     cfg.failure = FailurePlan::NodeCrashRestart {
         down: SimDuration::from_secs(5),
     };
-    let a = run(&cfg).expect("first run");
-    let b = run(&cfg).expect("second run");
-    assert!(a.trace.iter().eq(b.trace.iter()));
+    let (a, a_trace) = run_traced(&cfg).expect("first run");
+    let (b, b_trace) = run_traced(&cfg).expect("second run");
+    assert!(a_trace.iter().eq(b_trace.iter()));
     assert_eq!(a.failure.restart, b.failure.restart);
     assert_eq!(
         summarize(&a).expect("summary"),
@@ -217,7 +216,7 @@ fn unsatisfiable_sweep_completes_with_typed_errors() {
     cfg.failure = FailurePlan::MultipleLinks { count: 50 };
     let retry = RetryPolicy::default();
     let options = SweepOptions { jobs: 1, retry };
-    let outcome = run_sweep(&cfg, 4, 1, options, summarize_streaming, |_| {});
+    let outcome = run_sweep(&cfg, 4, 1, options, summarize, |_| {});
     assert!(outcome.completed.is_empty());
     assert_eq!(outcome.failed.len(), 4);
     assert_eq!(
@@ -283,7 +282,7 @@ fn reordering_forces_go_back_n_retransmissions() {
     cfg.traffic.tail = SimDuration::from_secs(120);
     cfg.drain = SimDuration::from_secs(300);
 
-    let result = run(&cfg).expect("run succeeds under reordering");
+    let (result, trace) = run_traced(&cfg).expect("run succeeds under reordering");
     let report = &result.flow_reports[0];
     assert!(
         report.retransmissions > 0,
@@ -297,8 +296,8 @@ fn reordering_forces_go_back_n_retransmissions() {
     );
     // Reordering draws from the seeded impairment stream like loss does,
     // so the whole retransmission schedule is reproducible.
-    let again = run(&cfg).expect("second run succeeds");
-    assert!(result.trace.iter().eq(again.trace.iter()));
+    let (again, again_trace) = run_traced(&cfg).expect("second run succeeds");
+    assert!(trace.iter().eq(again_trace.iter()));
     assert_eq!(
         report.retransmissions,
         again.flow_reports[0].retransmissions
@@ -405,6 +404,7 @@ fn crash_restart_landing_on_a_timer_tick_wipes_the_pending_timer() {
     // (links fail, the router itself stays up until reboot).
     let pings_from: Vec<u64> = sim
         .trace()
+        .unwrap()
         .iter()
         .filter_map(|e| match e {
             netsim::trace::TraceEvent::ControlSent { time, from, .. } if from == nodes[0] => {
@@ -432,14 +432,7 @@ fn watchdog_aborts_runaway_runs_with_typed_error() {
     }
     // A watchdog abort is a resource bound, not a bad draw: sweeps report
     // it without burning retries.
-    let outcome = run_sweep(
-        &cfg,
-        2,
-        20,
-        SweepOptions::default(),
-        summarize_streaming,
-        |_| {},
-    );
+    let outcome = run_sweep(&cfg, 2, 20, SweepOptions::default(), summarize, |_| {});
     assert_eq!(outcome.failed.len(), 2);
     assert_eq!(outcome.retries(), 0);
     assert!(outcome.failed.iter().all(|f| f.attempts == 1));

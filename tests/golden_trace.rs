@@ -140,8 +140,8 @@ fn check_golden_summary(cfg: &ExperimentConfig, name: &str) {
 }
 
 fn check_golden_trace(cfg: &ExperimentConfig, name: &str) {
-    let result = run(cfg).expect("golden run succeeds");
-    let rendered = result.trace.render_lines();
+    let (_, trace) = run_traced(cfg).expect("golden run succeeds");
+    let rendered = trace.render_lines();
     let file = format!("{name}.trace.lz");
     let Some(compressed) = golden_fixture(&file, &codec::compress(rendered.as_bytes())) else {
         return;
@@ -222,9 +222,9 @@ fn golden_trace_gbn() {
 /// scenario rather than of the engine).
 #[test]
 fn golden_scenario_is_deterministic() {
-    let a = run(&golden_config(ProtocolKind::Dbf)).expect("run");
-    let b = run(&golden_config(ProtocolKind::Dbf)).expect("run");
-    assert_eq!(a.trace.render_lines(), b.trace.render_lines());
+    let (_, a) = run_traced(&golden_config(ProtocolKind::Dbf)).expect("run");
+    let (_, b) = run_traced(&golden_config(ProtocolKind::Dbf)).expect("run");
+    assert_eq!(a.render_lines(), b.render_lines());
 }
 
 #[test]

@@ -1,6 +1,5 @@
 //! End-to-end tests of the sweep driver, `run_sweep`: bit-identical
-//! results for every worker count, equality of the `summarize` and
-//! `summarize_streaming` extractors, and panic isolation inside a
+//! results for every worker count and panic isolation inside a
 //! multi-threaded sweep.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -21,7 +20,7 @@ fn options(jobs: usize) -> SweepOptions {
 #[test]
 fn run_many_is_bit_identical_for_every_job_count() {
     let cfg = ExperimentConfig::paper(ProtocolKind::Dbf, MeshDegree::D4, 0);
-    let extract = |r: &RunResult| Ok((summarize(r)?, r.trace.len(), r.stats.events_processed));
+    let extract = |r: &RunResult| Ok((summarize(r)?, r.trace.clone(), r.stats.events_processed));
     let sequential = run_sweep(&cfg, 4, 901, options(1), extract, |_| {});
     let parallel = run_sweep(&cfg, 4, 901, options(4), extract, |_| {});
     assert!(sequential.failed.is_empty());
@@ -45,7 +44,7 @@ fn streaming_mode_matches_trace_mode_for_each_paper_protocol() {
     for protocol in [ProtocolKind::Rip, ProtocolKind::Dbf, ProtocolKind::Bgp3] {
         let cfg = ExperimentConfig::paper(protocol, MeshDegree::D4, 0);
         let trace = run_sweep(&cfg, 3, 700, options(2), summarize, |_| {});
-        let streaming = run_sweep(&cfg, 3, 700, options(2), summarize_streaming, |_| {});
+        let streaming = run_sweep(&cfg, 3, 700, options(2), summarize, |_| {});
         assert!(trace.failed.is_empty(), "{protocol}: trace sweep failed");
         assert_eq!(trace.completed.len(), 3);
         assert_eq!(
@@ -58,8 +57,8 @@ fn streaming_mode_matches_trace_mode_for_each_paper_protocol() {
 #[test]
 fn sweep_telemetry_is_bit_identical_for_every_job_count() {
     let cfg = ExperimentConfig::paper(ProtocolKind::Dbf, MeshDegree::D4, 0);
-    let sequential = run_sweep(&cfg, 3, 512, options(1), summarize_streaming, |_| {});
-    let parallel = run_sweep(&cfg, 3, 512, options(3), summarize_streaming, |_| {});
+    let sequential = run_sweep(&cfg, 3, 512, options(1), summarize, |_| {});
+    let parallel = run_sweep(&cfg, 3, 512, options(3), summarize, |_| {});
     assert_eq!(sequential.telemetry, parallel.telemetry);
     assert_eq!(
         render_jsonl(&sequential.telemetry),
@@ -101,7 +100,7 @@ fn retry_attempts_are_recorded_in_telemetry() {
     let mut cfg = ExperimentConfig::paper(ProtocolKind::Spf, MeshDegree::D4, 0);
     cfg.protocol_override = Some(factory);
 
-    let outcome = run_sweep(&cfg, 2, 40, options(1), summarize_streaming, |_| {});
+    let outcome = run_sweep(&cfg, 2, 40, options(1), summarize, |_| {});
     assert!(
         outcome.failed.is_empty(),
         "retry should have salvaged slot 0"
@@ -128,7 +127,7 @@ fn exhausted_retries_yield_a_failed_telemetry_record() {
             jobs: 1,
             retry: RetryPolicy { max_attempts: 2 },
         },
-        summarize_streaming,
+        summarize,
         |_| {},
     );
     assert!(outcome.completed.is_empty());
@@ -176,7 +175,7 @@ fn a_panicking_run_is_isolated_and_reported() {
             jobs: 2,
             retry: RetryPolicy { max_attempts: 1 },
         },
-        summarize_streaming,
+        summarize,
         |_| {},
     );
     assert_eq!(outcome.completed.len(), runs - 1);
