@@ -26,6 +26,10 @@ pub const INLINE_DESTS: usize = 2;
 /// One BGP UPDATE: optionally a set of destinations sharing one announced
 /// path, plus explicitly withdrawn destinations.
 ///
+/// The path is a handle into the run's shared
+/// [`PathTable`](routing_core::path::PathTable), so the derived `==`
+/// compares handles; compare contents through the table.
+///
 /// The destination lists are [`InlineVec`]s: the first [`INLINE_DESTS`]
 /// entries live inside the message value, so short updates — the vast
 /// majority during convergence — never heap-allocate for their lists.
@@ -44,14 +48,15 @@ impl BgpUpdate {
     ///
     /// Accepts anything convertible into the inline list — pass an
     /// already-built [`InlineVec`] to move it in without copying.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `announced` is empty.
+    /// `announced` must not be empty (a caller announces the destinations
+    /// it groups under `path`); debug builds check it.
     #[must_use]
     pub fn announce(path: AsPath, announced: impl Into<InlineVec<NodeId, INLINE_DESTS>>) -> Self {
         let announced = announced.into();
-        assert!(!announced.is_empty(), "empty announcement");
+        debug_assert!(
+            !announced.is_empty(),
+            "empty announcement: callers announce at least one destination"
+        );
         BgpUpdate {
             path: Some(path),
             announced,
@@ -63,14 +68,15 @@ impl BgpUpdate {
     ///
     /// Accepts anything convertible into the inline list — pass an
     /// already-built [`InlineVec`] to move it in without copying.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `withdrawn` is empty.
+    /// `withdrawn` must not be empty (callers withdraw only after checking
+    /// that something is withdrawn); debug builds check it.
     #[must_use]
     pub fn withdraw(withdrawn: impl Into<InlineVec<NodeId, INLINE_DESTS>>) -> Self {
         let withdrawn = withdrawn.into();
-        assert!(!withdrawn.is_empty(), "empty withdrawal");
+        debug_assert!(
+            !withdrawn.is_empty(),
+            "empty withdrawal: callers withdraw at least one destination"
+        );
         BgpUpdate {
             path: None,
             announced: InlineVec::new(),
@@ -89,7 +95,7 @@ impl Payload for BgpUpdate {
     /// BGP-4 sizing: 19-byte header, 2+2·len AS_PATH attribute, 4 bytes per
     /// announced NLRI and per withdrawn route.
     fn size_bytes(&self) -> usize {
-        19 + self.path.as_ref().map_or(0, AsPath::size_bytes)
+        19 + self.path.map_or(0, AsPath::size_bytes)
             + 4 * self.announced.len()
             + 4 * self.withdrawn.len()
     }
@@ -102,6 +108,7 @@ impl Payload for BgpUpdate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use routing_core::path::PathTable;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -109,7 +116,8 @@ mod tests {
 
     #[test]
     fn announce_and_withdraw_constructors() {
-        let a = BgpUpdate::announce(AsPath::origin(n(3)), vec![n(3)]);
+        let mut t = PathTable::new();
+        let a = BgpUpdate::announce(t.origin(n(3)).unwrap(), vec![n(3)]);
         assert_eq!(a.announced, vec![n(3)]);
         assert!(a.withdrawn.is_empty());
         assert!(!a.is_empty());
@@ -121,11 +129,11 @@ mod tests {
 
     #[test]
     fn sizes_grow_with_content() {
-        let short = BgpUpdate::announce(AsPath::origin(n(0)), vec![n(0)]);
-        let long = BgpUpdate::announce(
-            AsPath::origin(n(0)).prepended(n(1)).prepended(n(2)),
-            vec![n(0), n(5), n(6)],
-        );
+        let mut t = PathTable::new();
+        let origin = t.origin(n(0)).unwrap();
+        let short = BgpUpdate::announce(origin, vec![n(0)]);
+        let long_path = t.from_hops(&[n(2), n(1), n(0)]).unwrap();
+        let long = BgpUpdate::announce(long_path, vec![n(0), n(5), n(6)]);
         assert!(long.size_bytes() > short.size_bytes());
         assert_eq!(short.size_bytes(), 19 + 4 + 4);
         let w = BgpUpdate::withdraw(vec![n(9)]);
@@ -133,12 +141,15 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "empty announcement")]
     fn empty_announcement_rejected() {
-        let _ = BgpUpdate::announce(AsPath::origin(n(0)), vec![]);
+        let mut t = PathTable::new();
+        let _ = BgpUpdate::announce(t.origin(n(0)).unwrap(), vec![]);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "empty withdrawal")]
     fn empty_withdrawal_rejected() {
         let _ = BgpUpdate::withdraw(vec![]);

@@ -1,5 +1,6 @@
 //! The BGP protocol engine.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use netsim::dense::{DenseMap, DenseSet};
@@ -8,7 +9,7 @@ use netsim::protocol::{Payload, RoutingProtocol, TimerToken};
 use netsim::simulator::{Peer, ProtocolContext};
 use routing_core::damping::{DampAction, Damper};
 use routing_core::inline::InlineVec;
-use routing_core::path::AsPath;
+use routing_core::path::{AsPath, PathTable};
 
 use crate::config::{BgpConfig, MraiScope};
 use crate::flap::{FlapDamper, FlapEvent, ReuseOutcome};
@@ -79,9 +80,16 @@ mod timer {
 /// re-deciding is [`on_link_up`](RoutingProtocol::on_link_up); it marks
 /// every destination unsettled, and the next decision for a destination
 /// clears its mark.
+///
+/// Paths are handles into the simulator's one [`PathTable`], which every
+/// speaker takes from
+/// [`ProtocolContext::shared`](netsim::simulator::ProtocolContext::shared)
+/// on start; each handler borrows it once and passes it down.
 #[derive(Debug)]
 pub struct Bgp {
     config: BgpConfig,
+    /// The run's shared path table (a private empty one before start).
+    paths: Rc<RefCell<PathTable>>,
     adj_in: AdjRibIn,
     loc_rib: Vec<Option<BestRoute>>,
     /// Destinations whose Loc-RIB entry may differ from the decision
@@ -89,7 +97,7 @@ pub struct Bgp {
     unsettled: Vec<bool>,
     /// The loc-RIB routes prepended with the local AS, computed once per
     /// best-route *change* (not per announcement) so MRAI rounds and
-    /// per-neighbor fan-out only bump a refcount.
+    /// per-neighbor fan-out only copy a handle.
     announce: AnnounceTable,
     dampers: DenseMap<Damper>,
     pending: DenseMap<DenseSet>,
@@ -140,6 +148,7 @@ impl Bgp {
         Bgp {
             flap: FlapDamper::from_valid(config.flap_damping),
             config,
+            paths: Rc::default(),
             adj_in: AdjRibIn::default(),
             loc_rib: Vec::new(),
             unsettled: Vec::new(),
@@ -168,13 +177,13 @@ impl Bgp {
     /// Re-runs the decision process for `dest` and settles it; best-route
     /// changes are collected into the event batches flushed by
     /// [`Bgp::after_changes`].
-    fn re_decide(&mut self, ctx: &mut ProtocolContext<'_>, dest: NodeId) {
+    fn re_decide(&mut self, ctx: &mut ProtocolContext<'_>, table: &mut PathTable, dest: NodeId) {
         self.unsettled[dest.index()] = false;
         if dest == ctx.node() {
             return;
         }
         let selected = decide(&self.adj_in, &self.flap, dest, ctx.peers());
-        if is_installed(self.loc_rib[dest.index()].as_ref(), selected) {
+        if is_installed(table, self.loc_rib[dest.index()].as_ref(), selected) {
             return;
         }
         match selected {
@@ -192,10 +201,12 @@ impl Bgp {
                 }
             }
         }
-        self.announce
-            .set(dest, selected.map(|(_, path)| path.prepended(ctx.node())));
+        // A full path table cannot store the prepended path, so the route
+        // is installed but not announced.
+        let announced = selected.and_then(|(_, path)| table.prepended(path, ctx.node()));
+        self.announce.set(table, dest, announced);
         self.loc_rib[dest.index()] = selected.map(|(neighbor, path)| BestRoute {
-            path: path.clone(),
+            path,
             next_hop: Some(neighbor),
         });
     }
@@ -207,14 +218,16 @@ impl Bgp {
     fn re_decide_if_needed(
         &mut self,
         ctx: &mut ProtocolContext<'_>,
+        table: &mut PathTable,
         dest: NodeId,
         slot_changed: bool,
     ) {
         if slot_changed || self.unsettled[dest.index()] {
-            self.re_decide(ctx, dest);
+            self.re_decide(ctx, table, dest);
         } else {
             debug_assert!(
                 is_installed(
+                    table,
                     self.loc_rib[dest.index()].as_ref(),
                     decide(&self.adj_in, &self.flap, dest, ctx.peers())
                 ),
@@ -229,8 +242,14 @@ impl Bgp {
     /// grouped by path (one update per distinct path, as BGP requires) and
     /// a withdrawal for anything with no best route, in the order
     /// [`AnnounceTable::updates_for`] gives.
-    fn send_routes(&mut self, ctx: &mut ProtocolContext<'_>, neighbor: NodeId, dests: &[NodeId]) {
-        self.announce.updates_for(neighbor, dests, |update| {
+    fn send_routes(
+        &mut self,
+        ctx: &mut ProtocolContext<'_>,
+        table: &PathTable,
+        neighbor: NodeId,
+        dests: &[NodeId],
+    ) {
+        self.announce.updates_for(table, neighbor, dests, |update| {
             ctx.send_reliable(neighbor, Rc::new(update));
         });
     }
@@ -238,7 +257,7 @@ impl Bgp {
     /// Flushes the event's batches: withdrawals immediately, announcements
     /// through the MRAI state machine. The emptied batches are kept for
     /// the next event.
-    fn after_changes(&mut self, ctx: &mut ProtocolContext<'_>) {
+    fn after_changes(&mut self, ctx: &mut ProtocolContext<'_>, table: &PathTable) {
         if !self.withdrawn_batch.is_empty() {
             for slot in 0..ctx.peers().len() {
                 let peer = ctx.peers()[slot];
@@ -266,10 +285,12 @@ impl Bgp {
                 continue;
             }
             match self.config.mrai_scope {
-                MraiScope::PerNeighbor => self.offer_batch_per_neighbor(ctx, peer.neighbor, &batch),
+                MraiScope::PerNeighbor => {
+                    self.offer_batch_per_neighbor(ctx, table, peer.neighbor, &batch);
+                }
                 MraiScope::PerNeighborDestination => {
                     for &dest in &batch {
-                        self.offer_one_per_pair(ctx, peer.neighbor, dest);
+                        self.offer_one_per_pair(ctx, table, peer.neighbor, dest);
                     }
                 }
             }
@@ -281,6 +302,7 @@ impl Bgp {
     fn offer_batch_per_neighbor(
         &mut self,
         ctx: &mut ProtocolContext<'_>,
+        table: &PathTable,
         neighbor: NodeId,
         batch: &[NodeId],
     ) {
@@ -290,7 +312,7 @@ impl Bgp {
         });
         match damper.on_change(ctx.rng()) {
             DampAction::SendNow(window) => {
-                self.send_routes(ctx, neighbor, batch);
+                self.send_routes(ctx, table, neighbor, batch);
                 let epoch = self.epoch(neighbor);
                 let token = timer::neighbor_token(timer::MRAI_NEIGHBOR, epoch, neighbor);
                 ctx.set_timer(window, token);
@@ -307,6 +329,7 @@ impl Bgp {
     fn offer_one_per_pair(
         &mut self,
         ctx: &mut ProtocolContext<'_>,
+        table: &PathTable,
         neighbor: NodeId,
         dest: NodeId,
     ) {
@@ -317,7 +340,7 @@ impl Bgp {
             .get_or_insert_with(dest, || Damper::new(config.mrai_min(), config.mrai_max()));
         match damper.on_change(ctx.rng()) {
             DampAction::SendNow(window) => {
-                self.send_routes(ctx, neighbor, &[dest]);
+                self.send_routes(ctx, table, neighbor, &[dest]);
                 let epoch = self.epoch(neighbor);
                 let token = timer::pair_token(timer::MRAI_PAIR, epoch, neighbor, dest);
                 ctx.set_timer(window, token);
@@ -351,18 +374,28 @@ impl Bgp {
 
 /// The decision process for `dest`: the best stored path from a
 /// perceived-up peer whose route is not flap-suppressed.
-fn decide<'a>(
-    adj_in: &'a AdjRibIn,
+fn decide(
+    adj_in: &AdjRibIn,
     flap: &FlapDamper,
     dest: NodeId,
     peers: &[Peer],
-) -> Option<(NodeId, &'a AsPath)> {
+) -> Option<(NodeId, AsPath)> {
     adj_in.best(dest, peers, |n| !flap.is_suppressed(n, dest))
 }
 
-/// Whether the Loc-RIB entry `current` is the decision `selected`.
-fn is_installed(current: Option<&BestRoute>, selected: Option<(NodeId, &AsPath)>) -> bool {
-    current.map(|r| (r.next_hop, &r.path)) == selected.map(|(n, path)| (Some(n), path))
+/// Whether the Loc-RIB entry `current` is the decision `selected`, paths
+/// compared by content.
+fn is_installed(
+    table: &PathTable,
+    current: Option<&BestRoute>,
+    selected: Option<(NodeId, AsPath)>,
+) -> bool {
+    match (current, selected) {
+        (Some(route), Some((neighbor, path))) => {
+            route.next_hop == Some(neighbor) && table.eq(route.path, path)
+        }
+        (current, selected) => current.is_none() && selected.is_none(),
+    }
 }
 
 /// Whether this router perceives its link to `neighbor` as up.
@@ -387,18 +420,24 @@ impl RoutingProtocol for Bgp {
 
     fn on_start(&mut self, ctx: &mut ProtocolContext<'_>) {
         let n = ctx.num_nodes();
+        self.paths = ctx.shared::<PathTable>();
         self.adj_in = AdjRibIn::new(n, ctx.peers().len());
         self.loc_rib = vec![None; n];
         self.unsettled = vec![false; n];
         self.announce = AnnounceTable::new(ctx.node(), n);
-        let origin = AsPath::origin(ctx.node());
-        self.announce.set(ctx.node(), Some(origin.clone()));
+        let paths = Rc::clone(&self.paths);
+        let mut table = paths.borrow_mut();
+        // A full path table leaves the router announcing nothing.
+        let Some(origin) = table.origin(ctx.node()) else {
+            return;
+        };
+        self.announce.set(&table, ctx.node(), Some(origin));
         self.loc_rib[ctx.node().index()] = Some(BestRoute {
             path: origin,
             next_hop: None,
         });
         self.changed_batch.push(ctx.node());
-        self.after_changes(ctx);
+        self.after_changes(ctx, &table);
     }
 
     fn on_message(&mut self, ctx: &mut ProtocolContext<'_>, from: NodeId, payload: &dyn Payload) {
@@ -410,6 +449,8 @@ impl RoutingProtocol for Bgp {
             debug_assert!(false, "BGP update from non-neighbor {from}");
             return;
         };
+        let paths = Rc::clone(&self.paths);
+        let mut table = paths.borrow_mut();
         for &dest in &update.withdrawn {
             if dest == ctx.node() {
                 continue;
@@ -417,32 +458,27 @@ impl RoutingProtocol for Bgp {
             if self.adj_in.get(slot, dest).is_some() {
                 self.record_flap(ctx, from, dest, FlapEvent::Withdrawal);
             }
-            let slot_changed = self.adj_in.set(slot, dest, None);
-            self.re_decide_if_needed(ctx, dest, slot_changed);
+            let slot_changed = self.adj_in.set(&table, slot, dest, None);
+            self.re_decide_if_needed(ctx, &mut table, dest, slot_changed);
         }
-        if let Some(path) = &update.path {
+        if let Some(path) = update.path {
             debug_assert_eq!(
-                path.first(),
+                table.first(path),
                 Some(from),
                 "announced path must start at peer"
             );
             // Receive-side loop detection: a path containing this AS is
             // treated as a withdrawal (the split-horizon analog of §3).
-            // The stored path is a refcount clone of the sender's hop
-            // sequence — the whole Adj-RIB-In fan-in for one announcement
-            // shares a single allocation.
-            let filtered = if path.contains(ctx.node()) {
-                None
-            } else {
-                Some(path.clone())
-            };
+            // Every Adj-RIB-In the announcement reaches stores the
+            // sender's handle.
+            let filtered = (!table.contains(path, ctx.node())).then_some(path);
             for &dest in &update.announced {
                 if dest == ctx.node() {
                     continue;
                 }
                 if self.flap.is_enabled() {
                     let previous = self.adj_in.get(slot, dest);
-                    match (&filtered, previous) {
+                    match (filtered, previous) {
                         // The loop-filtered "withdrawal" of a stored path.
                         (None, Some(_)) => {
                             self.record_flap(ctx, from, dest, FlapEvent::Withdrawal);
@@ -450,20 +486,22 @@ impl RoutingProtocol for Bgp {
                         (Some(_), _) if self.flap.is_withdrawn(from, dest) => {
                             self.record_flap(ctx, from, dest, FlapEvent::Reannounce);
                         }
-                        (Some(new), Some(old)) if old != new => {
+                        (Some(new), Some(old)) if !table.eq(old, new) => {
                             self.record_flap(ctx, from, dest, FlapEvent::AttributeChange);
                         }
                         _ => {}
                     }
                 }
-                let slot_changed = self.adj_in.set(slot, dest, filtered.clone());
-                self.re_decide_if_needed(ctx, dest, slot_changed);
+                let slot_changed = self.adj_in.set(&table, slot, dest, filtered);
+                self.re_decide_if_needed(ctx, &mut table, dest, slot_changed);
             }
         }
-        self.after_changes(ctx);
+        self.after_changes(ctx, &table);
     }
 
     fn on_timer(&mut self, ctx: &mut ProtocolContext<'_>, token: TimerToken) {
+        let paths = Rc::clone(&self.paths);
+        let mut table = paths.borrow_mut();
         match token.kind() {
             timer::MRAI_NEIGHBOR => {
                 let (epoch, neighbor) = timer::unpack_neighbor(token);
@@ -480,7 +518,7 @@ impl RoutingProtocol for Bgp {
                     set.clear();
                 }
                 if !released.is_empty() && peer_up(ctx, neighbor) {
-                    self.send_routes(ctx, neighbor, &released);
+                    self.send_routes(ctx, &table, neighbor, &released);
                     if let Some(damper) = self.dampers.get_mut(neighbor) {
                         let window = damper.reopen(ctx.rng());
                         let token = timer::neighbor_token(timer::MRAI_NEIGHBOR, epoch, neighbor);
@@ -508,7 +546,7 @@ impl RoutingProtocol for Bgp {
                     .get_mut(neighbor)
                     .is_some_and(|s| s.remove(dest));
                 if was_pending && peer_up(ctx, neighbor) {
-                    self.send_routes(ctx, neighbor, &[dest]);
+                    self.send_routes(ctx, &table, neighbor, &[dest]);
                     if let Some(damper) = self
                         .pair_dampers
                         .get_mut(neighbor)
@@ -527,8 +565,8 @@ impl RoutingProtocol for Bgp {
                 }
                 match self.flap.try_reuse(neighbor, dest, ctx.now()) {
                     ReuseOutcome::Released => {
-                        self.re_decide(ctx, dest);
-                        self.after_changes(ctx);
+                        self.re_decide(ctx, &mut table, dest);
+                        self.after_changes(ctx, &table);
                     }
                     ReuseOutcome::StillSuppressed(delay) => {
                         let token = timer::pair_token(timer::FLAP_REUSE, epoch, neighbor, dest);
@@ -552,10 +590,12 @@ impl RoutingProtocol for Bgp {
         self.pair_dampers.remove(neighbor);
         self.pair_pending.remove(neighbor);
         self.flap.clear_peer(neighbor);
+        let paths = Rc::clone(&self.paths);
+        let mut table = paths.borrow_mut();
         for i in 0..self.loc_rib.len() {
-            self.re_decide(ctx, NodeId::new(i as u32));
+            self.re_decide(ctx, &mut table, NodeId::new(i as u32));
         }
-        self.after_changes(ctx);
+        self.after_changes(ctx, &table);
     }
 
     fn on_link_up(&mut self, ctx: &mut ProtocolContext<'_>, neighbor: NodeId) {
@@ -573,7 +613,9 @@ impl RoutingProtocol for Bgp {
             .filter(|(_, r)| r.is_some())
             .map(|(i, _)| NodeId::new(i as u32))
             .collect();
-        self.send_routes(ctx, neighbor, &all);
+        let paths = Rc::clone(&self.paths);
+        let table = paths.borrow();
+        self.send_routes(ctx, &table, neighbor, &all);
     }
 }
 

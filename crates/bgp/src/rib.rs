@@ -5,13 +5,20 @@
 //! [`AnnounceTable`] of paths to advertise. Selection is the study's
 //! shortest-path policy: fewest ASes, ties to the lowest neighbor id.
 //!
+//! Every table here stores [`AsPath`] handles into the run's shared
+//! [`PathTable`], 8 bytes each. Selection reads only a handle's length;
+//! whatever compares or reads hops takes the path table as an argument
+//! and compares content through [`PathTable::eq`] and [`PathTable::cmp`],
+//! so two handles to equal hops are the same path everywhere.
+//!
 //! # Layout
 //!
 //! Neighbors are addressed by *slot*: a link's position in
 //! [`ProtocolContext::peers`](netsim::simulator::ProtocolContext::peers),
 //! fixed for the whole run. The Adj-RIB-In is one flat table,
 //! `paths[dest * degree + slot]`, so the decision process for one
-//! destination reads one contiguous row, zipped with the peer slice.
+//! destination reads one contiguous row, zipped with the peer slice; at
+//! degree 8 a row is 64 bytes.
 //!
 //! Visiting candidates in slot order rather than neighbor-id order cannot
 //! change the outcome: [`select`] takes the minimum over `(path length,
@@ -21,7 +28,7 @@
 use netsim::ident::NodeId;
 use netsim::simulator::Peer;
 use routing_core::inline::InlineVec;
-use routing_core::path::AsPath;
+use routing_core::path::{AsPath, PathTable};
 
 use crate::message::{BgpUpdate, INLINE_DESTS};
 
@@ -48,17 +55,36 @@ impl AdjRibIn {
 
     /// Records `path` as the latest announcement from the neighbor in
     /// `slot` for `dest`; `None` is a withdrawal. Returns whether the
-    /// stored path changed: paths compare by content (a shared hop
-    /// sequence compares equal without reading it), and an equal path
-    /// leaves the stored one in place.
+    /// stored path changed: paths compare by content in `table`, and an
+    /// equal path leaves the stored handle in place.
+    ///
+    /// `slot` must be a position in the router's peer slice, which has
+    /// `degree` entries: debug builds check it, and release builds store
+    /// nothing for a slot out of range.
     ///
     /// # Panics
     ///
-    /// Panics if `dest` or `slot` is out of range.
-    pub fn set(&mut self, slot: usize, dest: NodeId, path: Option<AsPath>) -> bool {
-        assert!(slot < self.degree, "slot {slot} out of range");
-        let stored = &mut self.paths[dest.index() * self.degree + slot];
-        if *stored == path {
+    /// Panics if `dest` is out of range.
+    pub fn set(
+        &mut self,
+        table: &PathTable,
+        slot: usize,
+        dest: NodeId,
+        path: Option<AsPath>,
+    ) -> bool {
+        let start = dest.index() * self.degree;
+        let Some(stored) = self.paths[start..start + self.degree].get_mut(slot) else {
+            debug_assert!(
+                false,
+                "slot {slot} out of range: slots are positions in the peer slice"
+            );
+            return false;
+        };
+        let unchanged = match (*stored, path) {
+            (Some(old), Some(new)) => table.eq(old, new),
+            (old, new) => old.is_none() && new.is_none(),
+        };
+        if unchanged {
             return false;
         }
         *stored = path;
@@ -67,8 +93,8 @@ impl AdjRibIn {
 
     /// The stored path from the neighbor in `slot` for `dest`.
     #[must_use]
-    pub fn get(&self, slot: usize, dest: NodeId) -> Option<&AsPath> {
-        self.row(dest).get(slot)?.as_ref()
+    pub fn get(&self, slot: usize, dest: NodeId) -> Option<AsPath> {
+        *self.row(dest).get(slot)?
     }
 
     /// Drops everything learned from the neighbor in `slot` (session
@@ -92,21 +118,21 @@ impl AdjRibIn {
     /// The best stored path for `dest` ([`select`]) among perceived-up
     /// peers whose neighbor passes `usable`. `peers` is the router's peer
     /// slice, slot for slot with the table.
-    pub fn best<'a>(
-        &'a self,
+    pub fn best(
+        &self,
         dest: NodeId,
         peers: &[Peer],
         usable: impl Fn(NodeId) -> bool,
-    ) -> Option<(NodeId, &'a AsPath)> {
+    ) -> Option<(NodeId, AsPath)> {
         select(peers.iter().zip(self.row(dest)).filter_map(|(peer, path)| {
-            let path = path.as_ref()?;
+            let path = (*path)?;
             (peer.up && usable(peer.neighbor)).then_some((peer.neighbor, path))
         }))
     }
 }
 
 /// The selected best route for one destination.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BestRoute {
     /// The selected AS path (not yet prepended with the local AS).
     pub path: AsPath,
@@ -117,9 +143,9 @@ pub struct BestRoute {
 /// Selects the best candidate for `dest`: shortest AS path, ties broken by
 /// the lowest announcing neighbor id.
 #[must_use]
-pub fn select<'a, I>(candidates: I) -> Option<(NodeId, &'a AsPath)>
+pub fn select<I>(candidates: I) -> Option<(NodeId, AsPath)>
 where
-    I: IntoIterator<Item = (NodeId, &'a AsPath)>,
+    I: IntoIterator<Item = (NodeId, AsPath)>,
 {
     candidates
         .into_iter()
@@ -150,9 +176,9 @@ pub struct AnnounceTable {
     /// Bits per order-key field.
     width: u32,
     keyed: bool,
-    /// `(key, position in dests)` pairs of the update fan-out being
+    /// `(key, path, position in dests)` of the update fan-out being
     /// grouped, kept between calls so grouping does not allocate.
-    order: Vec<(u128, usize)>,
+    order: Vec<(u128, AsPath, usize)>,
 }
 
 impl AnnounceTable {
@@ -169,15 +195,20 @@ impl AnnounceTable {
     }
 
     /// Sets the path announced for `dest`; `None` means `dest` is
-    /// withdrawn. The path must start with the owner's id.
+    /// withdrawn. The path must be one of `table` and start with the
+    /// owner's id.
     ///
     /// # Panics
     ///
     /// Panics if `dest` is out of range.
-    pub fn set(&mut self, dest: NodeId, path: Option<AsPath>) {
-        debug_assert!(path.as_ref().is_none_or(|p| p.first() == Some(self.owner)));
+    pub fn set(&mut self, table: &PathTable, dest: NodeId, path: Option<AsPath>) {
+        debug_assert!(path.is_none_or(|p| table.first(p) == Some(self.owner)));
         let route = path.map(|path| {
-            let key = match self.keyed.then(|| order_key(&path, self.width)).flatten() {
+            let key = match self
+                .keyed
+                .then(|| order_key(table.hops(path), self.width))
+                .flatten()
+            {
                 Some(key) => key,
                 None => {
                     self.turn_keys_off();
@@ -202,38 +233,39 @@ impl AnnounceTable {
     /// Announcements come first, one per distinct path in ascending path
     /// order, each listing its destinations in `dests` order; then one
     /// withdrawal of every destination with no path, if there is any.
-    /// This is a stable sort of the `(path, dest)` pairs by path, with one
-    /// update per run of equal paths. It is computed as an unstable sort
-    /// by order key, then path, then position in `dests`: positions are
-    /// unique, so that order is total and equals the stable one.
-    pub fn updates_for(&mut self, peer: NodeId, dests: &[NodeId], mut send: impl FnMut(BgpUpdate)) {
-        let routes = &self.routes;
-        let route = |dest: NodeId| routes.get(dest.index()).and_then(Option::as_ref);
-        let path = |position: usize| route(dests[position]).map(|(_, path)| path);
+    /// This is a stable sort of the `(path, dest)` pairs by path content,
+    /// with one update per run of equal paths. It is computed as an
+    /// unstable sort by order key, then path, then position in `dests`:
+    /// positions are unique, so that order is total and equals the stable
+    /// one. Each update carries the handle of its run's first entry.
+    pub fn updates_for(
+        &mut self,
+        table: &PathTable,
+        peer: NodeId,
+        dests: &[NodeId],
+        mut send: impl FnMut(BgpUpdate),
+    ) {
         let mut withdrawn: InlineVec<NodeId, INLINE_DESTS> = InlineVec::new();
         for (position, &dest) in dests.iter().enumerate() {
             if dest == peer {
                 continue;
             }
-            match route(dest) {
-                Some(&(key, _)) => self.order.push((key, position)),
+            match self.routes.get(dest.index()).copied().flatten() {
+                Some((key, path)) => self.order.push((key, path, position)),
                 None => withdrawn.push(dest),
             }
         }
         self.order.sort_unstable_by(|a, b| {
             a.0.cmp(&b.0)
-                .then_with(|| path(a.1).cmp(&path(b.1)))
-                .then(a.1.cmp(&b.1))
+                .then_with(|| table.cmp(a.1, b.1))
+                .then(a.2.cmp(&b.2))
         });
-        for run in self
-            .order
-            .chunk_by(|a, b| a.0 == b.0 && path(a.1) == path(b.1))
-        {
-            if let Some(shared) = path(run[0].1) {
-                let announced: InlineVec<NodeId, INLINE_DESTS> =
-                    run.iter().map(|&(_, position)| dests[position]).collect();
-                send(BgpUpdate::announce(shared.clone(), announced));
-            }
+        for run in self.order.chunk_by(|a, b| a.0 == b.0 && table.eq(a.1, b.1)) {
+            let announced: InlineVec<NodeId, INLINE_DESTS> = run
+                .iter()
+                .map(|&(_, _, position)| dests[position])
+                .collect();
+            send(BgpUpdate::announce(run[0].1, announced));
         }
         self.order.clear();
         if !withdrawn.is_empty() {
@@ -242,11 +274,11 @@ impl AnnounceTable {
     }
 }
 
-/// The order key of `path` (see [`AnnounceTable`]) with `width`-bit
-/// fields, or `None` if one of its encoded hop ids does not fit in a
-/// field.
-fn order_key(path: &AsPath, width: u32) -> Option<u128> {
-    let after_owner = path.hops().get(1..).unwrap_or(&[]);
+/// The order key of a path with `hops` (see [`AnnounceTable`]) with
+/// `width`-bit fields, or `None` if one of its encoded hop ids does not
+/// fit in a field.
+fn order_key(hops: &[NodeId], width: u32) -> Option<u128> {
+    let after_owner = hops.get(1..).unwrap_or(&[]);
     let mut key = 0u128;
     for i in 0..(u128::BITS / width) as usize {
         let field = after_owner
@@ -268,8 +300,10 @@ mod tests {
         NodeId::new(i)
     }
 
-    fn path(hops: &[u32]) -> AsPath {
-        AsPath::from_hops(hops.iter().map(|&h| n(h)).collect())
+    /// A fresh handle to `hops` in `table`.
+    fn path(table: &mut PathTable, hops: &[u32]) -> AsPath {
+        let hops: Vec<NodeId> = hops.iter().map(|&h| n(h)).collect();
+        table.from_hops(&hops).unwrap()
     }
 
     fn peer(neighbor: u32, up: bool) -> Peer {
@@ -282,34 +316,48 @@ mod tests {
 
     #[test]
     fn set_get_clear_round_trip() {
+        let mut t = PathTable::new();
         let mut rib = AdjRibIn::new(4, 2);
-        assert!(rib.set(1, n(3), Some(path(&[1, 3]))));
-        assert_eq!(rib.get(1, n(3)), Some(&path(&[1, 3])));
-        assert!(!rib.set(1, n(3), Some(path(&[1, 3]))), "equal content");
-        assert!(rib.set(1, n(3), Some(path(&[1, 2, 3]))), "other path");
-        assert!(rib.set(1, n(3), None));
-        assert!(!rib.set(1, n(3), None), "withdrawn twice");
+        let p13 = path(&mut t, &[1, 3]);
+        assert!(rib.set(&t, 1, n(3), Some(p13)));
+        assert_eq!(rib.get(1, n(3)), Some(p13));
+        let again = path(&mut t, &[1, 3]);
+        assert!(!rib.set(&t, 1, n(3), Some(again)), "equal content");
+        assert_eq!(rib.get(1, n(3)), Some(p13), "the stored handle stays");
+        let other = path(&mut t, &[1, 2, 3]);
+        assert!(rib.set(&t, 1, n(3), Some(other)), "other path");
+        assert!(rib.set(&t, 1, n(3), None));
+        assert!(!rib.set(&t, 1, n(3), None), "withdrawn twice");
         assert_eq!(rib.get(1, n(3)), None);
-        rib.set(1, n(2), Some(path(&[1, 2])));
-        rib.set(0, n(2), Some(path(&[2])));
+        let (p12, p2) = (path(&mut t, &[1, 2]), path(&mut t, &[2]));
+        rib.set(&t, 1, n(2), Some(p12));
+        rib.set(&t, 0, n(2), Some(p2));
         rib.clear_neighbor(1);
         assert_eq!(rib.get(1, n(2)), None);
-        assert_eq!(rib.get(0, n(2)), Some(&path(&[2])));
-        assert_eq!(rib.row(n(2)), &[Some(path(&[2])), None]);
+        assert_eq!(rib.get(0, n(2)), Some(p2));
+        assert_eq!(rib.row(n(2)), &[Some(p2), None]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "slot 2 out of range")]
+    fn set_checks_the_slot_in_debug_builds() {
+        let mut t = PathTable::new();
+        let p = path(&mut t, &[1]);
+        AdjRibIn::new(4, 2).set(&t, 2, n(1), Some(p));
     }
 
     #[test]
     fn best_filters_down_and_unusable_peers() {
+        let mut t = PathTable::new();
         let mut rib = AdjRibIn::new(4, 2);
-        rib.set(0, n(3), Some(path(&[1, 3])));
-        rib.set(1, n(3), Some(path(&[2, 0, 3])));
+        let (via1, via2) = (path(&mut t, &[1, 3]), path(&mut t, &[2, 0, 3]));
+        rib.set(&t, 0, n(3), Some(via1));
+        rib.set(&t, 1, n(3), Some(via2));
         let peers = [peer(1, true), peer(2, true)];
-        assert_eq!(
-            rib.best(n(3), &peers, |_| true),
-            Some((n(1), &path(&[1, 3])))
-        );
+        assert_eq!(rib.best(n(3), &peers, |_| true), Some((n(1), via1)));
         let only2 = rib.best(n(3), &peers, |nb| nb == n(2));
-        assert_eq!(only2, Some((n(2), &path(&[2, 0, 3]))));
+        assert_eq!(only2, Some((n(2), via2)));
         let peers = [peer(1, false), peer(2, true)];
         assert_eq!(
             rib.best(n(3), &peers, |_| true).map(|(nb, _)| nb),
@@ -320,30 +368,31 @@ mod tests {
 
     #[test]
     fn best_ties_break_to_lowest_neighbor_id_not_slot() {
+        let mut t = PathTable::new();
         let mut rib = AdjRibIn::new(4, 2);
-        rib.set(0, n(3), Some(path(&[7, 3])));
-        rib.set(1, n(3), Some(path(&[5, 3])));
+        let (via7, via5) = (path(&mut t, &[7, 3]), path(&mut t, &[5, 3]));
+        rib.set(&t, 0, n(3), Some(via7));
+        rib.set(&t, 1, n(3), Some(via5));
         let peers = [peer(7, true), peer(5, true)];
-        assert_eq!(
-            rib.best(n(3), &peers, |_| true),
-            Some((n(5), &path(&[5, 3])))
-        );
+        assert_eq!(rib.best(n(3), &peers, |_| true), Some((n(5), via5)));
     }
 
     #[test]
     fn selection_prefers_shorter_paths() {
-        let short = path(&[1, 3]);
-        let long = path(&[2, 0, 3]);
-        let best = select(vec![(n(2), &long), (n(1), &short)]);
-        assert_eq!(best, Some((n(1), &short)));
+        let mut t = PathTable::new();
+        let short = path(&mut t, &[1, 3]);
+        let long = path(&mut t, &[2, 0, 3]);
+        let best = select(vec![(n(2), long), (n(1), short)]);
+        assert_eq!(best, Some((n(1), short)));
     }
 
     #[test]
     fn selection_ties_break_to_lowest_neighbor() {
-        let a = path(&[4, 3]);
-        let b = path(&[2, 3]);
-        let best = select(vec![(n(4), &a), (n(2), &b)]);
-        assert_eq!(best, Some((n(2), &b)));
+        let mut t = PathTable::new();
+        let a = path(&mut t, &[4, 3]);
+        let b = path(&mut t, &[2, 3]);
+        let best = select(vec![(n(4), a), (n(2), b)]);
+        assert_eq!(best, Some((n(2), b)));
     }
 
     #[test]
@@ -351,9 +400,9 @@ mod tests {
         assert_eq!(select(Vec::new()), None);
     }
 
-    /// Owner 0's path with `after_owner` after it.
-    fn owned(after_owner: &[u32]) -> AsPath {
-        path(&[&[0], after_owner].concat())
+    /// Owner 0's hops with `after_owner` after it.
+    fn owned(after_owner: &[u32]) -> Vec<NodeId> {
+        [&[0], after_owner].concat().into_iter().map(n).collect()
     }
 
     #[test]
@@ -372,15 +421,17 @@ mod tests {
 
     #[test]
     fn paths_agreeing_on_every_keyed_hop_order_by_the_next() {
+        let mut t = PathTable::new();
         let mut table = AnnounceTable::new(n(0), 225);
         let shared: Vec<u32> = (200..216).collect();
         let low = owned(&[shared.as_slice(), &[2, 9]].concat());
         let high = owned(&[shared.as_slice(), &[3]].concat());
         assert_eq!(order_key(&low, table.width), order_key(&high, table.width));
-        table.set(n(1), Some(high.clone()));
-        table.set(n(2), Some(low.clone()));
+        let (low, high) = (t.from_hops(&low).unwrap(), t.from_hops(&high).unwrap());
+        table.set(&t, n(1), Some(high));
+        table.set(&t, n(2), Some(low));
         let mut updates = Vec::new();
-        table.updates_for(n(9), &[n(1), n(2)], |u| updates.push(u));
+        table.updates_for(&t, n(9), &[n(1), n(2)], |u| updates.push(u));
         assert_eq!(
             updates,
             [
@@ -388,5 +439,18 @@ mod tests {
                 BgpUpdate::announce(high, vec![n(1)]),
             ]
         );
+    }
+
+    #[test]
+    fn equal_paths_under_distinct_handles_share_one_update() {
+        let mut t = PathTable::new();
+        let mut table = AnnounceTable::new(n(0), 4);
+        let first = path(&mut t, &[0, 2]);
+        let second = path(&mut t, &[0, 2]);
+        table.set(&t, n(1), Some(first));
+        table.set(&t, n(3), Some(second));
+        let mut updates = Vec::new();
+        table.updates_for(&t, n(9), &[n(3), n(1)], |u| updates.push(u));
+        assert_eq!(updates, [BgpUpdate::announce(second, vec![n(3), n(1)])]);
     }
 }

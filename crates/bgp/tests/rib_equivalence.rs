@@ -6,7 +6,10 @@
 //! candidate. Random sequences of announcements, withdrawals, session
 //! resets (`clear_neighbor`), peer up/down flips and flap-suppressed
 //! `(neighbor, destination)` pairs drive both; after every step both must
-//! select the same `(neighbor, path)` for every destination.
+//! select the same `(neighbor, path)` for every destination. Every
+//! generated path gets a fresh handle in one [`PathTable`], and the table
+//! keeps the stored handle when an equal path arrives, so selections and
+//! stored paths are compared by their resolved hops.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -15,7 +18,7 @@ use bgp::AdjRibIn;
 use netsim::ident::NodeId;
 use netsim::simulator::Peer;
 use proptest::prelude::*;
-use routing_core::path::AsPath;
+use routing_core::path::{AsPath, PathTable};
 
 const DESTS: usize = 8;
 
@@ -41,10 +44,10 @@ impl Reference {
         dest: NodeId,
         peers: &[Peer],
         suppressed: &BTreeSet<(NodeId, NodeId)>,
-    ) -> Option<(NodeId, &AsPath)> {
+    ) -> Option<(NodeId, AsPath)> {
         let up = |n: NodeId| peers.iter().any(|p| p.neighbor == n && p.up);
         select(self.paths.iter().filter_map(|(&n, table)| {
-            let path = table[dest.index()].as_ref()?;
+            let path = table[dest.index()]?;
             (up(n) && !suppressed.contains(&(n, dest))).then_some((n, path))
         }))
     }
@@ -68,10 +71,10 @@ fn peers_from(raw: &[u32]) -> Vec<Peer> {
 
 /// An announced path: starts at the announcing neighbor, `len` ASes long,
 /// with `variant` telling apart equal-length paths.
-fn path(neighbor: NodeId, len: u32, variant: u32) -> AsPath {
+fn path(table: &mut PathTable, neighbor: NodeId, len: u32, variant: u32) -> AsPath {
     let mut hops = vec![neighbor];
     hops.extend((1..len).map(|i| NodeId::new(100 + variant * 10 + i)));
-    AsPath::from_hops(hops)
+    table.from_hops(&hops).unwrap()
 }
 
 proptest! {
@@ -83,6 +86,7 @@ proptest! {
         ops in prop::collection::vec(((0u8..7, 0usize..7), (0u32..8, 1u32..5, 0u32..3)), 1..120),
     ) {
         let mut peers = peers_from(&raw_peers);
+        let mut table = PathTable::new();
         let mut rib = AdjRibIn::new(DESTS, peers.len());
         let mut reference = Reference::default();
         let mut suppressed = BTreeSet::new();
@@ -92,12 +96,12 @@ proptest! {
             let dest = NodeId::new(dest);
             match kind {
                 0 | 1 => {
-                    let p = path(neighbor, len, variant);
-                    rib.set(slot, dest, Some(p.clone()));
+                    let p = path(&mut table, neighbor, len, variant);
+                    rib.set(&table, slot, dest, Some(p));
                     reference.set(neighbor, dest, Some(p));
                 }
                 2 => {
-                    rib.set(slot, dest, None);
+                    rib.set(&table, slot, dest, None);
                     reference.set(neighbor, dest, None);
                 }
                 3 => {
@@ -111,11 +115,13 @@ proptest! {
                     }
                 }
             }
+            let hops = |path: AsPath| table.hops(path).to_vec();
             for d in 0..DESTS as u32 {
                 let d = NodeId::new(d);
                 prop_assert_eq!(
-                    rib.best(d, &peers, |n| !suppressed.contains(&(n, d))),
-                    reference.best(d, &peers, &suppressed)
+                    rib.best(d, &peers, |n| !suppressed.contains(&(n, d)))
+                        .map(|(n, p)| (n, hops(p))),
+                    reference.best(d, &peers, &suppressed).map(|(n, p)| (n, hops(p)))
                 );
             }
             for (s, peer) in peers.iter().enumerate() {
@@ -123,8 +129,8 @@ proptest! {
                 let expected = reference
                     .paths
                     .get(&peer.neighbor)
-                    .and_then(|t| t[dest.index()].as_ref());
-                prop_assert_eq!(stored, expected);
+                    .and_then(|t| t[dest.index()]);
+                prop_assert_eq!(stored.map(hops), expected.map(hops));
             }
         }
     }

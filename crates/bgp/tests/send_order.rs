@@ -12,11 +12,15 @@
 //! `0xffff`, which do not fit in a key field. The wide case queries 64
 //! or more destinations over a few shared paths: shorter slices are
 //! insertion-sorted, which keeps equal entries in order by accident.
+//!
+//! Paths are handles into a [`PathTable`], and every generated path gets
+//! a fresh handle, so equal paths often sit under different handles.
+//! Updates are compared by their resolved hops.
 
 use bgp::{AnnounceTable, BgpUpdate};
 use netsim::ident::NodeId;
 use proptest::prelude::*;
-use routing_core::path::AsPath;
+use routing_core::path::{AsPath, PathTable};
 
 const DESTS: u32 = 10;
 
@@ -27,22 +31,43 @@ const WIDE_DESTS: u32 = 96;
 /// [`DESTS`]-destination table.
 const EDGE_IDS: [u32; 4] = [0xfffe, 0xffff, 0x1_0000, u32::MAX - 1];
 
-/// The updates a stable sort of `(path, dest)` by path yields.
-fn reference(table: &[Option<AsPath>], peer: NodeId, dests: &[NodeId]) -> Vec<BgpUpdate> {
+/// An update with its path resolved to hops.
+type Resolved = (Option<Vec<NodeId>>, Vec<NodeId>, Vec<NodeId>);
+
+fn resolve(paths: &PathTable, updates: &[BgpUpdate]) -> Vec<Resolved> {
+    updates
+        .iter()
+        .map(|u| {
+            (
+                u.path.map(|p| paths.hops(p).to_vec()),
+                u.announced.iter().copied().collect(),
+                u.withdrawn.iter().copied().collect(),
+            )
+        })
+        .collect()
+}
+
+/// The updates a stable sort of `(path, dest)` by path hops yields.
+fn reference(
+    paths: &PathTable,
+    table: &[Option<AsPath>],
+    peer: NodeId,
+    dests: &[NodeId],
+) -> Vec<BgpUpdate> {
     let mut pairs = Vec::new();
     let mut withdrawn = Vec::new();
     for &dest in dests.iter().filter(|&&d| d != peer) {
-        match &table[dest.index()] {
-            Some(path) => pairs.push((path.clone(), dest)),
+        match table[dest.index()] {
+            Some(path) => pairs.push((paths.hops(path), path, dest)),
             None => withdrawn.push(dest),
         }
     }
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    pairs.sort_by(|a, b| a.0.cmp(b.0));
     let mut updates: Vec<BgpUpdate> = pairs
         .chunk_by(|a, b| a.0 == b.0)
         .map(|run| {
-            let announced: Vec<NodeId> = run.iter().map(|&(_, dest)| dest).collect();
-            BgpUpdate::announce(run[0].0.clone(), announced)
+            let announced: Vec<NodeId> = run.iter().map(|&(_, _, dest)| dest).collect();
+            BgpUpdate::announce(run[0].1, announced)
         })
         .collect();
     if !withdrawn.is_empty() {
@@ -82,6 +107,7 @@ proptest! {
         let peer = NodeId::new(peer);
         let all: Vec<NodeId> = (0..DESTS).map(NodeId::new).collect();
 
+        let mut paths = PathTable::new();
         let mut table = AnnounceTable::new(owner, DESTS as usize);
         let mut expected: Vec<Option<AsPath>> = vec![None; DESTS as usize];
         for ((dest, take), suffix) in sets {
@@ -93,15 +119,18 @@ proptest! {
                 let mut hops = vec![owner];
                 hops.extend_from_slice(shared);
                 hops.extend(suffix.iter().map(|&r| hop(r, edge)));
-                AsPath::from_hops(hops)
+                paths.from_hops(&hops).unwrap()
             });
-            table.set(dest, path.clone());
+            table.set(&paths, dest, path);
             expected[dest.index()] = path;
 
             for (peer, dests) in [(peer, &dests), (owner, &all)] {
                 let mut updates = Vec::new();
-                table.updates_for(peer, dests, |u| updates.push(u));
-                prop_assert_eq!(updates, reference(&expected, peer, dests));
+                table.updates_for(&paths, peer, dests, |u| updates.push(u));
+                prop_assert_eq!(
+                    resolve(&paths, &updates),
+                    resolve(&paths, &reference(&paths, &expected, peer, dests))
+                );
             }
         }
     }
@@ -117,21 +146,22 @@ proptest! {
     ) {
         let (prefix, tails) = shared;
         let owner = NodeId::new(0);
+        let mut table_paths = PathTable::new();
         let paths: Vec<AsPath> = tails
             .iter()
             .map(|(take, suffix)| {
                 let mut hops = vec![owner];
                 hops.extend(prefix.iter().take(*take as usize).map(|&r| hop(r, false)));
                 hops.extend(suffix.iter().map(|&r| hop(r, false)));
-                AsPath::from_hops(hops)
+                table_paths.from_hops(&hops).unwrap()
             })
             .collect();
         let mut table = AnnounceTable::new(owner, WIDE_DESTS as usize);
         let mut expected: Vec<Option<AsPath>> = Vec::new();
         for (dest, &pick) in assign.iter().enumerate() {
             // A pick past the last path withdraws.
-            let path = paths.get(pick as usize).cloned();
-            table.set(NodeId::new(dest as u32), path.clone());
+            let path = paths.get(pick as usize).copied();
+            table.set(&table_paths, NodeId::new(dest as u32), path);
             expected.push(path);
         }
         let (dests, peer) = query;
@@ -139,8 +169,11 @@ proptest! {
         let all: Vec<NodeId> = (0..WIDE_DESTS).map(NodeId::new).collect();
         for (peer, dests) in [(NodeId::new(peer), &dests), (owner, &all)] {
             let mut updates = Vec::new();
-            table.updates_for(peer, dests, |u| updates.push(u));
-            prop_assert_eq!(updates, reference(&expected, peer, dests));
+            table.updates_for(&table_paths, peer, dests, |u| updates.push(u));
+            prop_assert_eq!(
+                resolve(&table_paths, &updates),
+                resolve(&table_paths, &reference(&table_paths, &expected, peer, dests))
+            );
         }
     }
 }

@@ -1,6 +1,9 @@
 //! The simulation engine: world assembly, the event loop, the data plane
 //! and the protocol context.
 
+use std::any::{Any, TypeId};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -318,6 +321,7 @@ impl SimulatorBuilder {
             last_route_change: SimTime::ZERO,
             started: false,
             recorder: None,
+            shared: BTreeMap::new(),
         })
     }
 }
@@ -345,6 +349,8 @@ pub struct Simulator {
     /// attached, and every check below is a branch on `Option::is_some`,
     /// so unobserved runs pay (almost) nothing.
     recorder: Option<Box<obs::span::Recorder>>,
+    /// One value per type for [`ProtocolContext::shared`].
+    shared: BTreeMap<TypeId, Rc<dyn Any>>,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -1424,7 +1430,9 @@ impl Simulator {
 /// Everything a protocol may legitimately observe or do goes through this
 /// context: it sees only local state (its own FIB and its own
 /// [`peers`](Self::peers) with their *perceived* link states), never the
-/// global topology.
+/// global topology. The one store all routers share,
+/// [`shared`](Self::shared), interns values that travel in messages; it
+/// is never a way to learn another router's state.
 pub struct ProtocolContext<'a> {
     sim: &'a mut Simulator,
     node: NodeId,
@@ -1581,6 +1589,27 @@ impl ProtocolContext<'_> {
     /// The run's deterministic random number generator.
     pub fn rng(&mut self) -> &mut SimRng {
         &mut self.sim.rng
+    }
+
+    /// The simulator's one `T`, created with `T::default()` on the first
+    /// request. Every protocol instance of this simulator gets the same
+    /// value, including a crashed node's fresh instance; another
+    /// simulator has its own.
+    ///
+    /// The store interns values that protocols exchange by message, such
+    /// as BGP's AS paths: a message can carry a small handle into it
+    /// instead of the value. It is never a way to learn another router's
+    /// state; what a router knows still arrives only in messages.
+    pub fn shared<T: Default + 'static>(&mut self) -> Rc<RefCell<T>> {
+        let key = TypeId::of::<T>();
+        if let Some(value) = self.sim.shared.get(&key) {
+            if let Ok(value) = Rc::clone(value).downcast::<RefCell<T>>() {
+                return value;
+            }
+        }
+        let value = Rc::new(RefCell::new(T::default()));
+        self.sim.shared.insert(key, value.clone());
+        value
     }
 }
 

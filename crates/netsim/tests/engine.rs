@@ -1,6 +1,9 @@
 //! End-to-end tests of the simulation engine using small static-routing
 //! protocols.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use netsim::ident::NodeId;
 use netsim::link::LinkConfig;
 use netsim::packet::DropReason;
@@ -692,4 +695,87 @@ fn peers_follow_link_order_and_perceived_state() {
     // Start, detected down, detected back up: add_link order throughout,
     // only the failed link's `up` changing.
     assert_eq!(log.seen, vec![with_n1(true), with_n1(false), with_n1(true)]);
+}
+
+/// Takes the simulator's shared `Vec<NodeId>` on start, appends its node
+/// and keeps the handle.
+#[derive(Default)]
+struct SharedLog {
+    shared: Option<Rc<RefCell<Vec<NodeId>>>>,
+}
+
+impl RoutingProtocol for SharedLog {
+    fn name(&self) -> &'static str {
+        "shared-log"
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn on_start(&mut self, ctx: &mut ProtocolContext<'_>) {
+        let shared = ctx.shared::<Vec<NodeId>>();
+        shared.borrow_mut().push(ctx.node());
+        self.shared = Some(shared);
+    }
+}
+
+/// A started three-node line whose every router runs [`SharedLog`].
+fn shared_log_line() -> (Simulator, Vec<NodeId>) {
+    let mut b = SimulatorBuilder::new();
+    let n = b.add_nodes(3);
+    b.add_link(n[0], n[1], LinkConfig::default()).unwrap();
+    b.add_link(n[1], n[2], LinkConfig::default()).unwrap();
+    let mut sim = b.build().unwrap();
+    for &node in &n {
+        sim.install_protocol(node, Box::new(SharedLog::default()))
+            .unwrap();
+    }
+    sim.start();
+    (sim, n)
+}
+
+fn shared_of(sim: &Simulator, node: NodeId) -> Rc<RefCell<Vec<NodeId>>> {
+    let log = sim
+        .protocol(node)
+        .and_then(|p| p.as_any().downcast_ref::<SharedLog>())
+        .unwrap();
+    Rc::clone(log.shared.as_ref().unwrap())
+}
+
+#[test]
+fn every_protocol_of_a_simulator_shares_one_value() {
+    let (sim, n) = shared_log_line();
+    let first = shared_of(&sim, n[0]);
+    for &node in &n[1..] {
+        assert!(Rc::ptr_eq(&first, &shared_of(&sim, node)));
+    }
+    assert_eq!(*first.borrow(), n, "each start appended to the one value");
+}
+
+#[test]
+fn a_restarted_node_gets_the_same_shared_value() {
+    let (mut sim, n) = shared_log_line();
+    let before = shared_of(&sim, n[1]);
+    sim.schedule_node_crash_restart(
+        SimTime::from_secs(1),
+        n[1],
+        SimDuration::from_secs(1),
+        Box::new(SharedLog::default()),
+    )
+    .unwrap();
+    sim.run_until(SimTime::from_secs(3));
+    let after = shared_of(&sim, n[1]);
+    assert!(Rc::ptr_eq(&before, &after));
+    assert_eq!(*after.borrow(), vec![n[0], n[1], n[2], n[1]]);
+}
+
+#[test]
+fn another_simulator_has_its_own_shared_value() {
+    let (one, n) = shared_log_line();
+    let (two, _) = shared_log_line();
+    let (a, b) = (shared_of(&one, n[0]), shared_of(&two, n[0]));
+    assert!(!Rc::ptr_eq(&a, &b));
+    assert_eq!(*a.borrow(), n);
+    assert_eq!(*b.borrow(), n);
 }

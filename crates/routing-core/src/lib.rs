@@ -29,7 +29,7 @@ pub use damping::{DampAction, Damper};
 pub use inline::InlineVec;
 pub use message::{pack_entries, DvEntry, DvMessage, MAX_ENTRIES_PER_MESSAGE};
 pub use metric::Metric;
-pub use path::AsPath;
+pub use path::{AsPath, PathTable};
 
 /// Selects the best (metric, neighbor) pair with deterministic tie-breaking
 /// toward the lowest neighbor id — the selection rule all protocols in the

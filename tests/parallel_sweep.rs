@@ -40,21 +40,6 @@ fn hardened_sweep_is_bit_identical_for_every_job_count() {
 }
 
 #[test]
-fn streaming_mode_matches_trace_mode_for_each_paper_protocol() {
-    for protocol in [ProtocolKind::Rip, ProtocolKind::Dbf, ProtocolKind::Bgp3] {
-        let cfg = ExperimentConfig::paper(protocol, MeshDegree::D4, 0);
-        let trace = run_sweep(&cfg, 3, 700, options(2), summarize, |_| {});
-        let streaming = run_sweep(&cfg, 3, 700, options(2), summarize, |_| {});
-        assert!(trace.failed.is_empty(), "{protocol}: trace sweep failed");
-        assert_eq!(trace.completed.len(), 3);
-        assert_eq!(
-            trace.completed, streaming.completed,
-            "{protocol}: streaming fold diverged from the trace analyzers"
-        );
-    }
-}
-
-#[test]
 fn sweep_telemetry_is_bit_identical_for_every_job_count() {
     let cfg = ExperimentConfig::paper(ProtocolKind::Dbf, MeshDegree::D4, 0);
     let sequential = run_sweep(&cfg, 3, 512, options(1), summarize, |_| {});
