@@ -10,6 +10,7 @@ use netsim::simulator::{Peer, ProtocolContext};
 use routing_core::damping::{DampAction, Damper};
 use routing_core::inline::InlineVec;
 use routing_core::path::{AsPath, PathTable};
+use routing_core::{reselect, Reselection};
 
 use crate::config::{BgpConfig, MraiScope};
 use crate::flap::{FlapDamper, FlapEvent, ReuseOutcome};
@@ -71,15 +72,22 @@ mod timer {
 /// configurable ([`BgpConfig::standard`] vs [`BgpConfig::bgp3`]).
 ///
 /// The decision process is incremental. For every destination not marked
-/// unsettled, the Loc-RIB entry is what [`AdjRibIn::best`] selects from
-/// the stored paths, the current peer slice and the flap-suppression
-/// state, so an update that leaves its Adj-RIB-In slot unchanged needs no
-/// new decision. Suppression changes only with a changed slot, on a reuse
-/// timer (which re-decides) or on a session reset (which re-decides
-/// everything). The only handler that changes the peer slice without
-/// re-deciding is [`on_link_up`](RoutingProtocol::on_link_up); it marks
-/// every destination unsettled, and the next decision for a destination
-/// clears its mark.
+/// unsettled (the *settled* invariant), the Loc-RIB entry is what
+/// [`AdjRibIn::best`] selects from the stored paths, the current peer
+/// slice and the flap-suppression state, with paths compared by content.
+/// So an update that leaves its Adj-RIB-In slot unchanged needs no new
+/// decision, and one that changes it is decided from the current best and
+/// that one slot's new offer ([`reselect`]): a shorter path (or an equal
+/// one from a lower neighbor id) from another slot wins, a no-better one
+/// changes nothing, and a no-longer path from the best's own slot replaces
+/// the best in place. Only a longer or withdrawn path (or a suppressed
+/// one) on the best's own slot falls back to a full decision.
+/// Suppression changes only with a changed slot, on a reuse timer (which
+/// re-decides) or on a session reset (which re-decides everything). The
+/// only handler that changes the peer slice without re-deciding is
+/// [`on_link_up`](RoutingProtocol::on_link_up); it marks every destination
+/// unsettled, and the next decision for a destination, always a full
+/// one, clears its mark.
 ///
 /// Paths are handles into the simulator's one [`PathTable`], which every
 /// speaker takes from
@@ -174,15 +182,26 @@ impl Bgp {
         self.epochs.get(neighbor).copied().unwrap_or(0)
     }
 
-    /// Re-runs the decision process for `dest` and settles it; best-route
-    /// changes are collected into the event batches flushed by
-    /// [`Bgp::after_changes`].
+    /// Re-runs the decision process for `dest` and settles it.
     fn re_decide(&mut self, ctx: &mut ProtocolContext<'_>, table: &mut PathTable, dest: NodeId) {
         self.unsettled[dest.index()] = false;
         if dest == ctx.node() {
             return;
         }
         let selected = decide(&self.adj_in, &self.flap, dest, ctx.peers());
+        self.install(ctx, table, dest, selected);
+    }
+
+    /// Makes `selected` the Loc-RIB entry for `dest` unless it is already
+    /// installed; best-route changes are collected into the event batches
+    /// flushed by [`Bgp::after_changes`].
+    fn install(
+        &mut self,
+        ctx: &mut ProtocolContext<'_>,
+        table: &mut PathTable,
+        dest: NodeId,
+        selected: Option<(NodeId, AsPath)>,
+    ) {
         if is_installed(table, self.loc_rib[dest.index()].as_ref(), selected) {
             return;
         }
@@ -211,31 +230,54 @@ impl Bgp {
         });
     }
 
-    /// Re-decides `dest` after an update for it, unless the update left
-    /// its Adj-RIB-In slot unchanged (`!slot_changed`) and `dest` is
-    /// settled: then the decision would return what it returned last time.
-    /// Debug builds check exactly that.
+    /// Re-decides `dest` after an update for it. `changed_slot` is the
+    /// slot whose Adj-RIB-In entry the update changed, or `None` if it
+    /// left the entry as it was.
+    ///
+    /// An unsettled `dest` gets a full decision. A settled one with an
+    /// unchanged slot keeps its best route, and a changed slot is decided
+    /// from the current best and that slot's offer alone, falling back to
+    /// a full decision only when [`reselect`] asks for one. Debug builds
+    /// check every outcome short of a full decision against one, paths
+    /// compared by content.
     fn re_decide_if_needed(
         &mut self,
         ctx: &mut ProtocolContext<'_>,
         table: &mut PathTable,
         dest: NodeId,
-        slot_changed: bool,
+        changed_slot: Option<usize>,
     ) {
-        if slot_changed || self.unsettled[dest.index()] {
+        if self.unsettled[dest.index()] {
             self.re_decide(ctx, table, dest);
-        } else {
-            debug_assert!(
-                is_installed(
-                    table,
-                    self.loc_rib[dest.index()].as_ref(),
-                    decide(&self.adj_in, &self.flap, dest, ctx.peers())
-                ),
-                "BGP at {} skipped re-deciding settled {}",
-                ctx.node(),
-                dest
-            );
+            return;
         }
+        if let Some(slot) = changed_slot {
+            let peer = ctx.peers()[slot];
+            let offer = offer(&self.adj_in, &self.flap, slot, dest, &peer);
+            let current = self.loc_rib[dest.index()]
+                .and_then(|route| Some((route.path.len(), route.next_hop?)));
+            match reselect(current, peer.neighbor, offer.map(|path| path.len())) {
+                Reselection::Keep => {}
+                Reselection::TakeOffer => {
+                    let selected = offer.map(|path| (peer.neighbor, path));
+                    self.install(ctx, table, dest, selected);
+                }
+                Reselection::Rescan => {
+                    self.re_decide(ctx, table, dest);
+                    return;
+                }
+            }
+        }
+        debug_assert!(
+            is_installed(
+                table,
+                self.loc_rib[dest.index()].as_ref(),
+                decide(&self.adj_in, &self.flap, dest, ctx.peers())
+            ),
+            "BGP at {} re-decided settled {} without a full decision",
+            ctx.node(),
+            dest
+        );
     }
 
     /// Sends the current state of `dests` to `neighbor`: announcements
@@ -383,6 +425,19 @@ fn decide(
     adj_in.best(dest, peers, |n| !flap.is_suppressed(n, dest))
 }
 
+/// What the neighbor in `slot`, whose link is `peer`, offers to the
+/// decision process for `dest`: its stored path, unless the peer is
+/// perceived down or its route is flap-suppressed.
+fn offer(
+    adj_in: &AdjRibIn,
+    flap: &FlapDamper,
+    slot: usize,
+    dest: NodeId,
+    peer: &Peer,
+) -> Option<AsPath> {
+    adj_in.offer(slot, dest, peer, |n| !flap.is_suppressed(n, dest))
+}
+
 /// Whether the Loc-RIB entry `current` is the decision `selected`, paths
 /// compared by content.
 fn is_installed(
@@ -458,8 +513,8 @@ impl RoutingProtocol for Bgp {
             if self.adj_in.get(slot, dest).is_some() {
                 self.record_flap(ctx, from, dest, FlapEvent::Withdrawal);
             }
-            let slot_changed = self.adj_in.set(&table, slot, dest, None);
-            self.re_decide_if_needed(ctx, &mut table, dest, slot_changed);
+            let changed = self.adj_in.set(&table, slot, dest, None);
+            self.re_decide_if_needed(ctx, &mut table, dest, changed.then_some(slot));
         }
         if let Some(path) = update.path {
             debug_assert_eq!(
@@ -492,8 +547,8 @@ impl RoutingProtocol for Bgp {
                         _ => {}
                     }
                 }
-                let slot_changed = self.adj_in.set(&table, slot, dest, filtered);
-                self.re_decide_if_needed(ctx, &mut table, dest, slot_changed);
+                let changed = self.adj_in.set(&table, slot, dest, filtered);
+                self.re_decide_if_needed(ctx, &mut table, dest, changed.then_some(slot));
             }
         }
         self.after_changes(ctx, &table);

@@ -115,6 +115,21 @@ impl AdjRibIn {
         self.paths.get(start..start + self.degree).unwrap_or(&[])
     }
 
+    /// What the neighbor in `slot`, whose link is `peer`, offers for
+    /// `dest`: its stored path, if the peer is perceived up and passes
+    /// `usable`. [`AdjRibIn::best`] selects among these offers over all
+    /// slots.
+    pub(crate) fn offer(
+        &self,
+        slot: usize,
+        dest: NodeId,
+        peer: &Peer,
+        usable: impl Fn(NodeId) -> bool,
+    ) -> Option<AsPath> {
+        let path = self.get(slot, dest)?;
+        (peer.up && usable(peer.neighbor)).then_some(path)
+    }
+
     /// The best stored path for `dest` ([`select`]) among perceived-up
     /// peers whose neighbor passes `usable`. `peers` is the router's peer
     /// slice, slot for slot with the table.
@@ -364,6 +379,18 @@ mod tests {
             Some(n(2))
         );
         assert_eq!(rib.best(n(0), &peers, |_| true), None);
+    }
+
+    #[test]
+    fn offers_come_from_usable_up_peers() {
+        let mut t = PathTable::new();
+        let mut rib = AdjRibIn::new(4, 2);
+        let via1 = path(&mut t, &[1, 3]);
+        rib.set(&t, 0, n(3), Some(via1));
+        assert_eq!(rib.offer(0, n(3), &peer(1, true), |_| true), Some(via1));
+        assert_eq!(rib.offer(0, n(3), &peer(1, false), |_| true), None);
+        assert_eq!(rib.offer(0, n(3), &peer(1, true), |nb| nb != n(1)), None);
+        assert_eq!(rib.offer(1, n(3), &peer(2, true), |_| true), None);
     }
 
     #[test]

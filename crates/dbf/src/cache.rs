@@ -49,12 +49,22 @@ impl NeighborCache {
     /// returning whether the stored advertisement changed. An unchanged
     /// entry leaves [`NeighborCache::best`] for `dest` unchanged too.
     ///
+    /// `slot` must be a position in the router's peer slice, which has
+    /// `degree` entries: debug builds check it, and release builds store
+    /// nothing for a slot out of range.
+    ///
     /// # Panics
     ///
-    /// Panics if `dest` or `slot` is out of range.
+    /// Panics if `dest` is out of range.
     pub fn update(&mut self, slot: usize, dest: NodeId, metric: Metric) -> bool {
-        assert!(slot < self.degree, "slot {slot} out of range");
-        let stored = &mut self.metrics[dest.index() * self.degree + slot];
+        let start = dest.index() * self.degree;
+        let Some(stored) = self.metrics[start..start + self.degree].get_mut(slot) else {
+            debug_assert!(
+                false,
+                "slot {slot} out of range: slots are positions in the peer slice"
+            );
+            return false;
+        };
         let changed = *stored != Some(metric);
         *stored = Some(metric);
         changed
@@ -83,6 +93,16 @@ impl NeighborCache {
     pub fn row(&self, dest: NodeId) -> &[Option<Metric>] {
         let start = dest.index() * self.degree;
         self.metrics.get(start..start + self.degree).unwrap_or(&[])
+    }
+
+    /// What the neighbor in `slot`, whose link is `peer`, offers for
+    /// `dest`: its advertisement plus the link cost, if the peer is
+    /// perceived up and the sum is finite. [`NeighborCache::best`] is the
+    /// least of these offers over all slots.
+    #[must_use]
+    pub(crate) fn offer(&self, slot: usize, dest: NodeId, peer: &Peer) -> Option<Metric> {
+        let metric = self.advertised(slot, dest)? + peer.cost;
+        (peer.up && metric.is_finite()).then_some(metric)
     }
 
     /// The best route to `dest` through a perceived-up peer: the lowest
@@ -128,6 +148,32 @@ mod tests {
         assert_eq!(c.advertised(1, n(2)), None);
         assert_eq!(c.advertised(0, n(3)), None);
         assert_eq!(c.row(n(3)), &[None, Some(Metric::INFINITY)]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "slot 2 out of range")]
+    fn update_checks_the_slot_in_debug_builds() {
+        NeighborCache::new(4, 2).update(2, n(1), Metric::new(1));
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn update_stores_nothing_for_a_slot_out_of_range() {
+        let mut c = NeighborCache::new(4, 2);
+        assert!(!c.update(2, n(1), Metric::new(1)));
+        assert_eq!(c.row(n(1)), &[None, None]);
+    }
+
+    #[test]
+    fn offers_add_the_link_cost_of_up_peers() {
+        let mut c = NeighborCache::new(4, 2);
+        c.update(0, n(3), Metric::new(2));
+        c.update(1, n(3), Metric::new(15));
+        assert_eq!(c.offer(0, n(3), &peer(5, 2, true)), Some(Metric::new(4)));
+        assert_eq!(c.offer(0, n(3), &peer(5, 2, false)), None, "peer down");
+        assert_eq!(c.offer(1, n(3), &peer(7, 1, true)), None, "infinite");
+        assert_eq!(c.offer(0, n(2), &peer(5, 1, true)), None, "never heard");
     }
 
     #[test]

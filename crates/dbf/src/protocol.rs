@@ -1,13 +1,15 @@
 //! The DBF protocol engine.
 
+use netsim::dense::DenseSet;
 use netsim::ident::NodeId;
 use netsim::protocol::{Payload, RoutingProtocol, TimerId, TimerToken};
 use netsim::simulator::{Peer, ProtocolContext};
 use netsim::time::SimDuration;
 use rip::config::SplitHorizon;
 use routing_core::damping::{TriggerAction, TriggeredScheduler};
-use routing_core::message::{pack_entries, DvEntry, DvMessage};
+use routing_core::message::{send_packed, DvEntry, DvMessage};
 use routing_core::metric::Metric;
+use routing_core::{reselect, Reselection};
 use std::rc::Rc;
 
 use crate::cache::NeighborCache;
@@ -35,19 +37,30 @@ pub struct SelectedRoute {
 /// the best alternate from the cache instead of waiting for the next
 /// periodic update — the paper's "zero time path switch-over" (§4.1).
 ///
-/// Selection is incremental. For every destination not marked unsettled,
-/// `selected[dest]` is what [`NeighborCache::best`] selects from the cache
-/// and the current peer slice, so an advertisement that leaves its cache
-/// entry unchanged needs no re-selection. The only handler that changes
-/// the peer slice without re-selecting everything is
-/// [`on_link_up`](RoutingProtocol::on_link_up); it marks every destination
-/// unsettled, and the next re-selection of a destination clears its mark.
+/// Selection is incremental. For every destination not marked unsettled
+/// (the *settled* invariant), `selected[dest]` is what
+/// [`NeighborCache::best`] selects from the cache and the current peer
+/// slice. So an advertisement that leaves its cache entry unchanged needs
+/// no re-selection, and one that changes it is decided from the current
+/// selection and that one entry ([`reselect`]): a better offer from another
+/// neighbor wins, a no-better one changes nothing, and a no-worse offer
+/// from the selected neighbor keeps it with the new metric. Only a worse
+/// or infinite offer from the selected neighbor falls back to a full
+/// selection. The only handler that changes the peer slice without
+/// re-selecting everything is [`on_link_up`](RoutingProtocol::on_link_up);
+/// it marks every destination unsettled, and the next selection for a
+/// destination, always a full one, clears its mark.
+///
+/// The destinations whose selection changed since the last update went
+/// out are one [`DenseSet`], so checking for changes after a message is
+/// one comparison and a triggered update walks only the changed ones.
 #[derive(Debug)]
 pub struct Dbf {
     config: DbfConfig,
     cache: NeighborCache,
     selected: Vec<Option<SelectedRoute>>,
-    changed: Vec<bool>,
+    /// Destinations whose selection changed since the last update.
+    changed: DenseSet,
     /// Destinations whose selection may differ from the cache's best.
     unsettled: Vec<bool>,
     /// Staleness timer per neighbor slot.
@@ -84,7 +97,7 @@ impl Dbf {
             config,
             cache: NeighborCache::default(),
             selected: Vec::new(),
-            changed: Vec::new(),
+            changed: DenseSet::new(),
             unsettled: Vec::new(),
             neighbor_timers: Vec::new(),
         }
@@ -106,20 +119,31 @@ impl Dbf {
             })
     }
 
-    /// Re-runs route selection for `dest` against the cache, updating the
-    /// FIB and the change flag when the outcome differs, and settles `dest`.
+    /// Re-runs route selection for `dest` against the cache and settles
+    /// `dest`.
     fn recompute(&mut self, ctx: &mut ProtocolContext<'_>, dest: NodeId) {
         self.unsettled[dest.index()] = false;
         if dest == ctx.node() {
             return;
         }
         let best = self.select(dest, ctx.peers());
+        self.install(ctx, dest, best);
+    }
+
+    /// Makes `best` the selection for `dest`, updating the FIB and the
+    /// change set when it differs from the current one.
+    fn install(
+        &mut self,
+        ctx: &mut ProtocolContext<'_>,
+        dest: NodeId,
+        best: Option<SelectedRoute>,
+    ) {
         let slot = &mut self.selected[dest.index()];
         if *slot == best {
             return;
         }
         *slot = best;
-        self.changed[dest.index()] = true;
+        self.changed.insert(dest);
         match best {
             Some(SelectedRoute {
                 next_hop: Some(next),
@@ -131,73 +155,79 @@ impl Dbf {
         }
     }
 
-    /// Re-selects `dest` after an advertisement for it, unless the
-    /// advertisement left its cache entry unchanged (`!entry_changed`) and
-    /// `dest` is settled: then selection would return what it returned
-    /// last time. Debug builds check exactly that.
+    /// Re-selects `dest` after an advertisement for it. `changed_slot` is
+    /// the slot whose cache entry the advertisement changed, or `None` if
+    /// it left the entry as it was.
+    ///
+    /// An unsettled `dest` gets a full selection. A settled one with an
+    /// unchanged entry keeps its selection, and a changed entry is
+    /// decided from the current selection and that entry alone, falling
+    /// back to a full selection only when [`reselect`] asks for one. Debug
+    /// builds check every outcome short of a full selection against one.
     fn recompute_if_needed(
         &mut self,
         ctx: &mut ProtocolContext<'_>,
         dest: NodeId,
-        entry_changed: bool,
+        changed_slot: Option<usize>,
     ) {
-        if entry_changed || self.unsettled[dest.index()] {
+        if self.unsettled[dest.index()] {
             self.recompute(ctx, dest);
-        } else {
-            debug_assert_eq!(
-                self.selected[dest.index()],
-                self.select(dest, ctx.peers()),
-                "DBF at {} skipped re-selecting settled {}",
-                ctx.node(),
-                dest
-            );
+            return;
         }
-    }
-
-    /// Whether any destination's selection changed since the last flush —
-    /// the hot-path check, with no `Vec` materialised just to test
-    /// emptiness.
-    fn has_changes(&self) -> bool {
-        self.changed.iter().any(|&c| c)
-    }
-
-    fn changed_dests(&self) -> Vec<NodeId> {
-        self.changed
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c)
-            .map(|(i, _)| NodeId::new(i as u32))
-            .collect()
-    }
-
-    fn clear_changed(&mut self) {
-        self.changed.fill(false);
+        if let Some(slot) = changed_slot {
+            let peer = ctx.peers()[slot];
+            let offer = self.cache.offer(slot, dest, &peer);
+            let current =
+                self.selected[dest.index()].and_then(|route| Some((route.metric, route.next_hop?)));
+            match reselect(current, peer.neighbor, offer) {
+                Reselection::Keep => {}
+                Reselection::TakeOffer => {
+                    let best = offer.map(|metric| SelectedRoute {
+                        metric,
+                        next_hop: Some(peer.neighbor),
+                    });
+                    self.install(ctx, dest, best);
+                }
+                Reselection::Rescan => {
+                    self.recompute(ctx, dest);
+                    return;
+                }
+            }
+        }
+        debug_assert_eq!(
+            self.selected[dest.index()],
+            self.select(dest, ctx.peers()),
+            "DBF at {} re-selected settled {} without a full selection",
+            ctx.node(),
+            dest
+        );
     }
 
     /// The advertisement for one neighbor under split horizon, as a lazy
     /// iterator — entries stream straight into the inline message
-    /// storage of [`pack_entries`] without an intermediate `Vec`.
+    /// storage of [`send_packed`] without an intermediate `Vec`.
     ///
     /// Unlike RIP's table dump, DBF advertises the *full vector*: a
     /// destination with no selected route is announced with an infinite
     /// metric, which is how withdrawals reach neighbors whose caches would
     /// otherwise hold the stale finite entry forever.
     ///
-    /// `only` (ascending, as [`Dbf::changed_dests`] returns it) restricts
-    /// the advertisement to those destinations; it is walked instead of
-    /// the whole table, in the table's destination order.
-    fn build_entries<'a>(
-        &'a self,
+    /// With `changed_only` (a triggered update) the advertisement carries
+    /// only the changed destinations: it walks the change set instead of
+    /// the whole table, in ascending destination order.
+    fn build_entries(
+        &self,
         neighbor: NodeId,
-        only: Option<&'a [NodeId]>,
-    ) -> impl Iterator<Item = DvEntry> + 'a {
-        debug_assert!(only.is_none_or(|dests| dests.windows(2).all(|w| w[0] < w[1])));
-        let all = only
-            .is_none()
+        changed_only: bool,
+    ) -> impl Iterator<Item = DvEntry> + '_ {
+        let all = (!changed_only)
             .then(|| (0..self.selected.len()).map(|i| NodeId::new(i as u32)))
             .into_iter()
             .flatten();
-        let chosen = only.into_iter().flatten().copied();
+        let chosen = changed_only
+            .then(|| self.changed.iter())
+            .into_iter()
+            .flatten();
         all.chain(chosen).filter_map(move |dest| {
             let metric = match self.selected.get(dest.index())? {
                 None => Metric::INFINITY,
@@ -214,23 +244,23 @@ impl Dbf {
         })
     }
 
-    fn send_update(&self, ctx: &mut ProtocolContext<'_>, to: NodeId, only: Option<&[NodeId]>) {
-        for message in pack_entries(self.build_entries(to, only)) {
+    fn send_update(&self, ctx: &mut ProtocolContext<'_>, to: NodeId, changed_only: bool) {
+        send_packed(self.build_entries(to, changed_only), |message| {
             ctx.send(to, Rc::new(message));
-        }
+        });
     }
 
-    fn send_to_all_up(&self, ctx: &mut ProtocolContext<'_>, only: Option<&[NodeId]>) {
+    fn send_to_all_up(&self, ctx: &mut ProtocolContext<'_>, changed_only: bool) {
         for slot in 0..ctx.peers().len() {
             let peer = ctx.peers()[slot];
             if peer.up {
-                self.send_update(ctx, peer.neighbor, only);
+                self.send_update(ctx, peer.neighbor, changed_only);
             }
         }
     }
 
     fn after_changes(&mut self, ctx: &mut ProtocolContext<'_>) {
-        if !self.has_changes() {
+        if self.changed.is_empty() {
             return;
         }
         match self.scheduler.on_change(ctx.rng()) {
@@ -246,10 +276,9 @@ impl Dbf {
     }
 
     fn flush_changed(&mut self, ctx: &mut ProtocolContext<'_>) {
-        let changed = self.changed_dests();
-        if !changed.is_empty() {
-            self.send_to_all_up(ctx, Some(&changed));
-            self.clear_changed();
+        if !self.changed.is_empty() {
+            self.send_to_all_up(ctx, true);
+            self.changed.clear();
         }
     }
 
@@ -294,14 +323,14 @@ impl RoutingProtocol for Dbf {
         self.cache = NeighborCache::new(n, degree);
         self.neighbor_timers = vec![None; degree];
         self.selected = vec![None; n];
-        self.changed = vec![false; n];
+        self.changed = DenseSet::new();
         self.unsettled = vec![false; n];
         // Self route, announced like any change.
         self.selected[ctx.node().index()] = Some(SelectedRoute {
             metric: Metric::ZERO,
             next_hop: None,
         });
-        self.changed[ctx.node().index()] = true;
+        self.changed.insert(ctx.node());
         let first = ctx
             .rng()
             .gen_duration(SimDuration::ZERO, self.config.periodic_interval);
@@ -323,8 +352,8 @@ impl RoutingProtocol for Dbf {
             if entry.dest == ctx.node() {
                 continue;
             }
-            let entry_changed = self.cache.update(slot, entry.dest, entry.metric);
-            self.recompute_if_needed(ctx, entry.dest, entry_changed);
+            let changed = self.cache.update(slot, entry.dest, entry.metric);
+            self.recompute_if_needed(ctx, entry.dest, changed.then_some(slot));
         }
         self.after_changes(ctx);
     }
@@ -332,8 +361,8 @@ impl RoutingProtocol for Dbf {
     fn on_timer(&mut self, ctx: &mut ProtocolContext<'_>, token: TimerToken) {
         match token.kind() {
             timer::PERIODIC => {
-                self.send_to_all_up(ctx, None);
-                self.clear_changed();
+                self.send_to_all_up(ctx, false);
+                self.changed.clear();
                 let jitter = self.config.periodic_jitter;
                 let next = ctx.rng().gen_duration(
                     self.config.periodic_interval.saturating_sub(jitter),
@@ -342,7 +371,7 @@ impl RoutingProtocol for Dbf {
                 ctx.set_timer(next, TimerToken::compose(timer::PERIODIC, 0));
             }
             timer::TRIGGERED_WINDOW => {
-                let has_changes = self.has_changes();
+                let has_changes = !self.changed.is_empty();
                 let (flush, rearm) = self.scheduler.on_timer_expired(ctx.rng(), has_changes);
                 if flush {
                     self.flush_changed(ctx);
@@ -381,7 +410,7 @@ impl RoutingProtocol for Dbf {
         // a selection that stays as it was until the destination is
         // re-selected.
         self.unsettled.fill(true);
-        self.send_update(ctx, neighbor, None);
+        self.send_update(ctx, neighbor, false);
     }
 }
 
@@ -419,13 +448,14 @@ mod tests {
         let mut dbf = Dbf::new();
         dbf.selected = vec![None, route(2, 5), route(1, 6), route(4, 6)];
         let only = [n(0), n(2), n(3)];
-        let entries: Vec<DvEntry> = dbf.build_entries(n(6), Some(&only)).collect();
+        dbf.changed = [n(3), n(0), n(2)].into_iter().collect();
+        let entries: Vec<DvEntry> = dbf.build_entries(n(6), true).collect();
         let dests: Vec<NodeId> = entries.iter().map(|e| e.dest).collect();
         assert_eq!(dests, only);
         // The same entries, in the same order, as filtering the full
         // advertisement.
         let filtered: Vec<DvEntry> = dbf
-            .build_entries(n(6), None)
+            .build_entries(n(6), false)
             .filter(|e| only.contains(&e.dest))
             .collect();
         assert_eq!(entries, filtered);

@@ -7,7 +7,7 @@ use netsim::protocol::{Payload, RoutingProtocol, SharedPayload, TimerToken};
 use netsim::simulator::ProtocolContext;
 use netsim::time::SimDuration;
 use routing_core::damping::{TriggerAction, TriggeredScheduler};
-use routing_core::message::{pack_entries, DvEntry, DvMessage};
+use routing_core::message::{send_packed, DvEntry, DvMessage};
 use routing_core::metric::Metric;
 
 use crate::config::{RipConfig, SplitHorizon};
@@ -86,38 +86,35 @@ pub fn decide_entry(current: Option<(Metric, bool)>, offered: Metric) -> EntryDe
     }
 }
 
-/// Builds the advertisement entries for one neighbor, applying the
-/// configured split-horizon rule.
+/// The advertisement entries for one neighbor, applying the configured
+/// split-horizon rule, as a lazy iterator: entries stream straight into
+/// the inline message storage of [`send_packed`].
 ///
-/// `only` restricts the advertisement to the given destinations (triggered
-/// updates carry only changed routes). It must be ascending, as
-/// [`RipTable::changed_dests`] returns it: the restricted advertisement
-/// walks `only` instead of the whole table, in time linear in its length,
-/// and keeps the table's destination order.
-#[must_use]
+/// With `changed_only` (a triggered update) the advertisement carries only
+/// the table's changed routes: it walks the change set
+/// ([`RipTable::changed_dests`]) instead of the routes, and keeps the
+/// table's ascending destination order.
 pub fn build_entries(
     table: &RipTable,
     neighbor: NodeId,
     mode: SplitHorizon,
-    only: Option<&[NodeId]>,
-) -> Vec<DvEntry> {
-    debug_assert!(only.is_none_or(|dests| dests.windows(2).all(|w| w[0] < w[1])));
-    let all = only.is_none().then(|| table.iter()).into_iter().flatten();
-    let chosen = only
+    changed_only: bool,
+) -> impl Iterator<Item = DvEntry> + '_ {
+    let all = (!changed_only).then(|| table.iter()).into_iter().flatten();
+    let chosen = changed_only
+        .then(|| table.changed_dests())
         .into_iter()
         .flatten()
-        .filter_map(|&dest| Some((dest, table.get(dest)?)));
-    all.chain(chosen)
-        .filter_map(|(dest, route)| {
-            let toward_neighbor = route.next_hop == Some(neighbor);
-            let metric = match (toward_neighbor, mode) {
-                (true, SplitHorizon::Simple) => return None,
-                (true, SplitHorizon::PoisonReverse) => Metric::INFINITY,
-                _ => route.metric,
-            };
-            Some(DvEntry { dest, metric })
-        })
-        .collect()
+        .filter_map(|dest| Some((dest, table.get(dest)?)));
+    all.chain(chosen).filter_map(move |(dest, route)| {
+        let toward_neighbor = route.next_hop == Some(neighbor);
+        let metric = match (toward_neighbor, mode) {
+            (true, SplitHorizon::Simple) => return None,
+            (true, SplitHorizon::PoisonReverse) => Metric::INFINITY,
+            _ => route.metric,
+        };
+        Some(DvEntry { dest, metric })
+    })
 }
 
 /// A RIP instance for one router.
@@ -170,27 +167,21 @@ impl Rip {
         &self.table
     }
 
-    fn send_update(&self, ctx: &mut ProtocolContext<'_>, to: NodeId, only: Option<&[NodeId]>) {
-        for message in pack_entries(build_entries(
-            &self.table,
-            to,
-            self.config.split_horizon,
-            only,
-        )) {
-            ctx.send(to, Rc::new(message));
-        }
+    fn send_update(&self, ctx: &mut ProtocolContext<'_>, to: NodeId, changed_only: bool) {
+        let entries = build_entries(&self.table, to, self.config.split_horizon, changed_only);
+        send_packed(entries, |message| ctx.send(to, Rc::new(message)));
     }
 
-    fn send_to_all_up(&self, ctx: &mut ProtocolContext<'_>, only: Option<&[NodeId]>) {
+    fn send_to_all_up(&self, ctx: &mut ProtocolContext<'_>, changed_only: bool) {
         for slot in 0..ctx.peers().len() {
             let peer = ctx.peers()[slot];
             if peer.up {
-                self.send_update(ctx, peer.neighbor, only);
+                self.send_update(ctx, peer.neighbor, changed_only);
             }
         }
     }
 
-    /// Flushes triggered updates if any change flags are set, honoring the
+    /// Flushes triggered updates if any route is marked changed, honoring the
     /// damping timer in the configured mode.
     fn after_changes(&mut self, ctx: &mut ProtocolContext<'_>) {
         if !self.table.has_changes() {
@@ -209,9 +200,8 @@ impl Rip {
     }
 
     fn flush_changed(&mut self, ctx: &mut ProtocolContext<'_>) {
-        let changed = self.table.changed_dests();
-        if !changed.is_empty() {
-            self.send_to_all_up(ctx, Some(&changed));
+        if self.table.has_changes() {
+            self.send_to_all_up(ctx, true);
             self.table.clear_changed();
         }
     }
@@ -229,11 +219,11 @@ impl Rip {
             return;
         }
         route.metric = Metric::INFINITY;
-        route.changed = true;
         route.hold_until = hold;
         if let Some(t) = route.timeout_timer.take() {
             ctx.cancel_timer(t);
         }
+        self.table.mark_changed(dest);
         let gc = ctx.set_timer(
             gc_delay,
             TimerToken::compose(timer::GC, dest.index() as u64),
@@ -292,12 +282,12 @@ impl Rip {
                     Route {
                         metric: offered,
                         next_hop: Some(from),
-                        changed: true,
                         timeout_timer: None,
                         gc_timer: None,
                         hold_until: None,
                     },
                 );
+                self.table.mark_changed(dest);
                 self.refresh_timeout(ctx, dest);
                 ctx.install_route(dest, from);
             }
@@ -307,7 +297,7 @@ impl Rip {
                         return; // decision implies an entry; nothing to update
                     };
                     route.metric = offered;
-                    route.changed = true;
+                    self.table.mark_changed(dest);
                     self.refresh_timeout(ctx, dest);
                     // The route may be reviving from the deletion process,
                     // in which case its FIB entry was pulled; reinstall
@@ -328,7 +318,7 @@ impl Rip {
                 };
                 route.metric = offered;
                 route.next_hop = Some(from);
-                route.changed = true;
+                self.table.mark_changed(dest);
                 self.refresh_timeout(ctx, dest);
                 ctx.install_route(dest, from);
             }
@@ -360,12 +350,12 @@ impl RoutingProtocol for Rip {
             Route {
                 metric: Metric::ZERO,
                 next_hop: None,
-                changed: true,
                 timeout_timer: None,
                 gc_timer: None,
                 hold_until: None,
             },
         );
+        self.table.mark_changed(ctx.node());
         // Desynchronized first periodic update.
         let first = ctx
             .rng()
@@ -384,7 +374,7 @@ impl RoutingProtocol for Rip {
     fn on_message(&mut self, ctx: &mut ProtocolContext<'_>, from: NodeId, payload: &dyn Payload) {
         if payload.as_any().downcast_ref::<RipRequest>().is_some() {
             // Whole-table request: answer directly (split horizon applies).
-            self.send_update(ctx, from, None);
+            self.send_update(ctx, from, false);
             return;
         }
         let Some(message) = payload.as_any().downcast_ref::<DvMessage>() else {
@@ -409,7 +399,7 @@ impl RoutingProtocol for Rip {
     fn on_timer(&mut self, ctx: &mut ProtocolContext<'_>, token: TimerToken) {
         match token.kind() {
             timer::PERIODIC => {
-                self.send_to_all_up(ctx, None);
+                self.send_to_all_up(ctx, false);
                 // A full update covers any pending triggered changes.
                 self.table.clear_changed();
                 let jitter = self.config.periodic_jitter;
@@ -461,7 +451,7 @@ impl RoutingProtocol for Rip {
     fn on_link_up(&mut self, ctx: &mut ProtocolContext<'_>, neighbor: NodeId) {
         // Gratuitous full update teaches the returning neighbor quickly,
         // and a request learns its table without waiting for its periodic.
-        self.send_update(ctx, neighbor, None);
+        self.send_update(ctx, neighbor, false);
         ctx.send(neighbor, Rc::new(RipRequest));
     }
 }
@@ -516,7 +506,6 @@ mod tests {
                 Route {
                     metric: Metric::new(metric),
                     next_hop: nh.map(n),
-                    changed: false,
                     timeout_timer: None,
                     gc_timer: None,
                     hold_until: None,
@@ -529,7 +518,8 @@ mod tests {
     #[test]
     fn poison_reverse_advertises_infinity_back() {
         let t = table_with(&[(1, 2, Some(5)), (2, 1, Some(6))]);
-        let entries = build_entries(&t, n(5), SplitHorizon::PoisonReverse, None);
+        let entries: Vec<DvEntry> =
+            build_entries(&t, n(5), SplitHorizon::PoisonReverse, false).collect();
         assert_eq!(entries.len(), 2);
         let for_dest1 = entries.iter().find(|e| e.dest == n(1)).unwrap();
         assert_eq!(for_dest1.metric, Metric::INFINITY);
@@ -540,7 +530,7 @@ mod tests {
     #[test]
     fn simple_split_horizon_omits_routes() {
         let t = table_with(&[(1, 2, Some(5)), (2, 1, Some(6))]);
-        let entries = build_entries(&t, n(5), SplitHorizon::Simple, None);
+        let entries: Vec<DvEntry> = build_entries(&t, n(5), SplitHorizon::Simple, false).collect();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].dest, n(2));
     }
@@ -548,16 +538,25 @@ mod tests {
     #[test]
     fn disabled_split_horizon_advertises_everything() {
         let t = table_with(&[(1, 2, Some(5))]);
-        let entries = build_entries(&t, n(5), SplitHorizon::Disabled, None);
+        let entries: Vec<DvEntry> =
+            build_entries(&t, n(5), SplitHorizon::Disabled, false).collect();
         assert_eq!(entries[0].metric, Metric::new(2));
     }
 
     #[test]
     fn triggered_filter_restricts_destinations() {
-        let t = table_with(&[(1, 2, Some(5)), (2, 1, Some(6)), (3, 4, Some(6))]);
-        let only = [n(2), n(3)];
-        let entries = build_entries(&t, n(7), SplitHorizon::PoisonReverse, Some(&only));
+        let mut t = table_with(&[(1, 2, Some(5)), (2, 1, Some(6)), (3, 4, Some(6))]);
+        t.mark_changed(n(3));
+        t.mark_changed(n(2));
+        let entries: Vec<DvEntry> =
+            build_entries(&t, n(7), SplitHorizon::PoisonReverse, true).collect();
         let dests: Vec<NodeId> = entries.iter().map(|e| e.dest).collect();
         assert_eq!(dests, vec![n(2), n(3)]);
+        // The same entries, in the same order, as filtering the full
+        // advertisement.
+        let filtered: Vec<DvEntry> = build_entries(&t, n(7), SplitHorizon::PoisonReverse, false)
+            .filter(|e| dests.contains(&e.dest))
+            .collect();
+        assert_eq!(entries, filtered);
     }
 }

@@ -152,7 +152,7 @@ pub enum TriggerAction {
 /// Unified triggered-update scheduling for RIP and DBF under either
 /// [`DampingMode`].
 ///
-/// The caller keeps the actual change set (route change flags); the
+/// The caller keeps the actual change set (its changed destinations); the
 /// scheduler only decides *when* to flush it.
 ///
 /// # Examples

@@ -40,7 +40,7 @@ impl DvMessage {
     /// # Panics
     ///
     /// Panics if more than [`MAX_ENTRIES_PER_MESSAGE`] entries are supplied;
-    /// use [`pack_entries`] to split larger batches.
+    /// use [`send_packed`] to split larger batches.
     #[must_use]
     pub fn new(entries: impl IntoIterator<Item = DvEntry>) -> Self {
         let entries: InlineVec<DvEntry, MAX_ENTRIES_PER_MESSAGE> = entries.into_iter().collect();
@@ -64,44 +64,43 @@ impl Payload for DvMessage {
     }
 }
 
-/// Splits an arbitrary entry list into maximal messages.
+/// Packs `entries` into maximal messages and hands each to `send` as
+/// soon as it is full, so an advertisement streams from its source into
+/// inline message storage with no intermediate list. Every message but
+/// the last holds [`MAX_ENTRIES_PER_MESSAGE`] entries, and no message is
+/// empty: an empty source sends nothing.
 ///
 /// # Examples
 ///
 /// ```
-/// use routing_core::message::{pack_entries, DvEntry, MAX_ENTRIES_PER_MESSAGE};
+/// use routing_core::message::{send_packed, DvEntry, MAX_ENTRIES_PER_MESSAGE};
 /// use routing_core::metric::Metric;
 /// use netsim::ident::NodeId;
 ///
-/// let entries: Vec<DvEntry> = (0..60)
-///     .map(|i| DvEntry { dest: NodeId::new(i), metric: Metric::new(1) })
-///     .collect();
-/// let messages = pack_entries(entries);
-/// assert_eq!(messages.len(), 3);
-/// assert_eq!(messages[0].entries.len(), MAX_ENTRIES_PER_MESSAGE);
-/// assert_eq!(messages[2].entries.len(), 10);
+/// let entries = (0..60).map(|i| DvEntry { dest: NodeId::new(i), metric: Metric::new(1) });
+/// let mut sizes = Vec::new();
+/// send_packed(entries, |message| sizes.push(message.entries.len()));
+/// assert_eq!(sizes, [MAX_ENTRIES_PER_MESSAGE, MAX_ENTRIES_PER_MESSAGE, 10]);
 /// ```
-#[must_use]
-pub fn pack_entries(entries: impl IntoIterator<Item = DvEntry>) -> Vec<DvMessage> {
-    let mut messages = Vec::new();
+pub fn send_packed(entries: impl IntoIterator<Item = DvEntry>, mut send: impl FnMut(DvMessage)) {
     let mut batch: InlineVec<DvEntry, MAX_ENTRIES_PER_MESSAGE> = InlineVec::new();
     for entry in entries {
         batch.push(entry);
         if batch.len() == MAX_ENTRIES_PER_MESSAGE {
-            messages.push(DvMessage {
+            send(DvMessage {
                 entries: std::mem::take(&mut batch),
             });
         }
     }
     if !batch.is_empty() {
-        messages.push(DvMessage { entries: batch });
+        send(DvMessage { entries: batch });
     }
-    messages
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn entry(i: u32) -> DvEntry {
         DvEntry {
@@ -118,9 +117,16 @@ mod tests {
         assert_eq!(full.size_bytes(), 504);
     }
 
+    /// The messages `send_packed` sends for `entries`, in order.
+    fn packed(entries: impl IntoIterator<Item = DvEntry>) -> Vec<DvMessage> {
+        let mut messages = Vec::new();
+        send_packed(entries, |m| messages.push(m));
+        messages
+    }
+
     #[test]
     fn packing_preserves_order_and_contents() {
-        let packed = pack_entries((0..30).map(entry));
+        let packed = packed((0..30).map(entry));
         assert_eq!(packed.len(), 2);
         let flat: Vec<DvEntry> = packed.into_iter().flat_map(|m| m.entries).collect();
         assert_eq!(flat, (0..30).map(entry).collect::<Vec<_>>());
@@ -128,14 +134,32 @@ mod tests {
 
     #[test]
     fn packing_empty_produces_no_messages() {
-        assert!(pack_entries(vec![]).is_empty());
+        assert!(packed(vec![]).is_empty());
     }
 
     #[test]
     fn exact_multiple_has_no_trailing_empty_message() {
-        let packed = pack_entries((0..50).map(entry));
+        let packed = packed((0..50).map(entry));
         assert_eq!(packed.len(), 2);
         assert!(packed.iter().all(|m| m.entries.len() == 25));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn send_packed_streams_the_input_in_full_messages(count in 0u32..81) {
+            let input: Vec<DvEntry> = (0..count).map(entry).collect();
+            let messages = packed(input.iter().copied());
+            prop_assert!(messages.iter().all(|m| !m.entries.is_empty()));
+            prop_assert!(messages.iter().all(|m| m.entries.len() <= MAX_ENTRIES_PER_MESSAGE));
+            let full = messages.len().saturating_sub(1);
+            prop_assert!(messages[..full]
+                .iter()
+                .all(|m| m.entries.len() == MAX_ENTRIES_PER_MESSAGE));
+            let flat: Vec<DvEntry> = messages.into_iter().flat_map(|m| m.entries).collect();
+            prop_assert_eq!(flat, input);
+        }
     }
 
     #[test]

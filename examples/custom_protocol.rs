@@ -15,7 +15,7 @@ use netsim::ident::NodeId;
 use netsim::protocol::{Payload, RoutingProtocol, TimerToken};
 use netsim::simulator::ProtocolContext;
 use netsim::time::SimDuration;
-use routing_core::message::{pack_entries, DvEntry, DvMessage};
+use routing_core::message::{send_packed, DvEntry, DvMessage};
 use routing_core::metric::Metric;
 use std::collections::BTreeMap;
 use topology::mesh::MeshDegree;
@@ -81,9 +81,9 @@ impl RoutingProtocol for HotStandby {
         for slot in 0..ctx.peers().len() {
             let peer = ctx.peers()[slot];
             if peer.up {
-                for message in pack_entries(entries.clone()) {
+                send_packed(entries.iter().copied(), |message| {
                     ctx.send(peer.neighbor, std::rc::Rc::new(message));
-                }
+                });
             }
         }
         ctx.set_timer(SimDuration::from_secs(5), TimerToken::compose(PERIODIC, 0));

@@ -2,10 +2,12 @@
 //!
 //! Both protocols skip selection for a destination when an advertisement
 //! leaves the stored entry as it was and the destination is not marked
-//! unsettled (see `dbf::Dbf` and `bgp::Bgp`). In debug builds every skip
-//! asserts that a fresh selection returns the installed route, so each run
-//! below is an equivalence check between incremental and full selection:
-//! a skip that hides a route change panics the run.
+//! unsettled, and decide a changed entry from the current selection and
+//! that one entry unless the selected route's own entry got worse (see
+//! `dbf::Dbf` and `bgp::Bgp`). In debug builds every selection short of a
+//! full one asserts that a fresh selection returns the installed route,
+//! so each run below is an equivalence check between incremental and
+//! full selection: a shortcut that hides a route change panics the run.
 //!
 //! The generated scenarios aim at the paths where the stored entries stay
 //! put while the other inputs move: links that come back up (flaps and
@@ -17,7 +19,9 @@
 use bgp::{Bgp, BgpConfig, FlapConfig};
 use convergence::experiment::ProtocolFactory;
 use convergence::prelude::*;
-use netsim::time::SimDuration;
+use netsim::link::LinkConfig;
+use netsim::simulator::SimulatorBuilder;
+use netsim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 use topology::mesh::MeshDegree;
 
@@ -133,5 +137,34 @@ proptest! {
         })?;
         let summary = summarize(&result).expect("summary");
         prop_assert_eq!(summary.injected, summary.delivered + summary.drops.total());
+    }
+}
+
+/// On the square 0–1, 0–2, 1–3, 2–3, router 0 reaches 3 through 1 (the
+/// lower of two equal-cost neighbors). When link 1–3 fails, router 1 has
+/// no other route to 3 (its only alternate runs back through 0), so it
+/// withdraws 3 (BGP) or advertises it at infinity (DBF): the selected
+/// route's own entry goes away, and only a full selection finds 2.
+#[test]
+fn withdrawing_the_selected_route_falls_back_to_a_full_selection() {
+    for protocol in [ProtocolKind::Dbf, ProtocolKind::Bgp, ProtocolKind::Bgp3] {
+        let mut builder = SimulatorBuilder::new();
+        let n = builder.add_nodes(4);
+        for (a, b) in [(0, 1), (0, 2), (2, 3)] {
+            builder.add_link(n[a], n[b], LinkConfig::default()).unwrap();
+        }
+        let failing = builder.add_link(n[1], n[3], LinkConfig::default()).unwrap();
+        builder.seed(7);
+        let mut sim = builder.build().unwrap();
+        for &node in &n {
+            sim.install_protocol(node, protocol.build()).unwrap();
+        }
+        sim.start();
+        sim.run_until(SimTime::from_secs(60));
+        assert_eq!(sim.fib(n[0]).next_hop(n[3]), Some(n[1]), "{protocol:?}");
+        sim.schedule_link_failure(SimTime::from_secs(61), failing)
+            .unwrap();
+        sim.run_until(SimTime::from_secs(75));
+        assert_eq!(sim.fib(n[0]).next_hop(n[3]), Some(n[2]), "{protocol:?}");
     }
 }
