@@ -7,14 +7,15 @@
 //! The calendar keeps pending events in four stores, split by how far
 //! ahead they fall and how large their payload is:
 //!
-//! - Two FIFO *lanes* (`Lane`) hold the two frame events whose delay is
-//!   nearly always the same: a clean link's propagation delay and a data
-//!   packet's serialization delay. A lane takes its delay `d` from its
+//! - Two FIFO *lanes* hold the two frame events whose delay is nearly
+//!   always the same: a clean link's `FrameArrived` after its propagation
+//!   delay, and a data frame's `FrameSerialized` after the serialization
+//!   delay of the data packet size. A lane takes its delay `d` from its
 //!   first event; an event pushed onto it is due at `now + d`. The clock
 //!   never runs backwards and every push takes a fresh, strictly larger
 //!   sequence number, so each lane is already sorted by `(time, seq)` and
-//!   costs O(1) per push and pop. A lane entry holds its [`EventKind`]
-//!   inline.
+//!   costs O(1) per push and pop. A lane entry is 32 bytes of plain
+//!   fields: the key, the channel, and the frame handle or the epoch.
 //! - The *serialization heap* holds every other `FrameSerialized`:
 //!   control frames, and data frames whose size differs from the lane's
 //!   (go-back-N ACKs). They are due microseconds ahead, at most one per
@@ -23,18 +24,28 @@
 //!   seconds to minutes ahead, with their few fields inline in the key,
 //!   and the rare large events (injected packets, impaired or off-lane
 //!   arrivals, link events, impairment changes, restarts). Only those
-//!   large events keep their payload in a slab with a free list, so heap
+//!   large events keep their `EventKind` in the calendar's slab, so heap
 //!   sifts move small fixed-size keys and a steady-state run stops
 //!   allocating once the calendar reaches its high-water mark.
 //!
-//! [`EventQueue::schedule_reserved`] picks the store from the event's
-//! kind; [`EventQueue::schedule_after`] tries a lane first. Splitting
-//! keeps short-horizon frame events from sifting past the long-horizon
-//! timers, but changes no event's `(time, seq)` key:
-//! [`EventQueue::next_due`] scans the four heads once and names the
-//! least key as a [`Next`], and [`EventQueue::pop`] takes the event from
-//! there. The total pop order is therefore exactly the order a single
-//! heap would give.
+//! No event carries a frame. A `FrameArrived` or `InjectPacket` holds a
+//! 12-byte `Frame` handle, and the data packet or control message it
+//! names stays in the simulator's frame store (`link::Frames`: one slab
+//! of packets, one of control payloads) from the moment it is sent, or
+//! for a data packet scheduled or injected, until it is delivered or
+//! lost. The rare `SetImpairment` and `NodeRestart` box their payloads.
+//! So an `EventKind` is at most 24 bytes, and `const` assertions keep it
+//! and the lane entries at their sizes. The calendar's slab, the two
+//! frame slabs and the timer table are one `Slab` type with a free list.
+//!
+//! `EventQueue::schedule_reserved` picks the store from the event's kind;
+//! `EventQueue::schedule_arrival` and `EventQueue::schedule_data_serialized`
+//! try their lane first. Splitting keeps short-horizon frame events from
+//! sifting past the long-horizon timers, but changes no event's
+//! `(time, seq)` key: `EventQueue::next_due` scans the four heads once
+//! and names the least key as a `Next`, and `EventQueue::pop` takes the
+//! event from there. The total pop order is therefore exactly the order a
+//! single heap would give.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -42,8 +53,8 @@ use std::collections::{BinaryHeap, VecDeque};
 use crate::ident::{ChannelId, LinkId, NodeId};
 use crate::impairment::Impairment;
 use crate::link::Frame;
-use crate::packet::Packet;
 use crate::protocol::{RoutingProtocol, TimerId};
+use crate::slab::Slab;
 use crate::time::{SimDuration, SimTime};
 
 /// The total order of the calendar: an event's due time, then the
@@ -83,8 +94,9 @@ pub(crate) enum EventKind {
         link: LinkId,
         up: bool,
     },
-    /// A traffic source injects a data packet at its attachment node.
-    InjectPacket { packet: Packet },
+    /// A traffic source injects a data packet, already held as `frame`,
+    /// at its attachment node.
+    InjectPacket { frame: Frame },
     /// Tick `tick` of constant-bit-rate source `source` (an index into the
     /// simulator's source table) injects its packet. Only a source's next
     /// tick is ever pending; it runs under a sequence number reserved when
@@ -92,9 +104,11 @@ pub(crate) enum EventKind {
     CbrTick { source: usize, tick: u64 },
     /// The impairment of both channels of `link` changes to `impairment`
     /// (the onset or the end of a lossy period).
+    /// Boxed, since impairment changes are rare and the impairment is
+    /// the largest field of any event.
     SetImpairment {
         link: LinkId,
-        impairment: Impairment,
+        impairment: Box<Impairment>,
     },
     /// `node` reboots with cold routing state: its FIB is wiped, its
     /// pending protocol timers die and `protocol` replaces the crashed
@@ -105,13 +119,17 @@ pub(crate) enum EventKind {
     },
 }
 
+// Every event is moved into the calendar and out again, so it is kept
+// small: frames are handles, and the rare large payloads are boxed.
+const _: () = assert!(size_of::<EventKind>() <= 24);
+
 /// What a main-heap key carries besides its order: the fields of a timer
 /// or CBR tick inline, or the slab slot of a larger payload.
 #[derive(Debug, Clone, Copy)]
 enum HeapPayload {
     Timer(NodeId, TimerId),
     Cbr(usize, u64),
-    Slab(usize),
+    Slab(u32),
 }
 
 /// A main-heap key: the event's order and its inline payload.
@@ -170,31 +188,54 @@ earliest_first!(SerializedKey);
 /// empty and stay small.
 const INITIAL_CAPACITY: usize = 1024;
 
-/// A FIFO lane of the calendar (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Lane {
-    /// `FrameArrived` events of clean links: the propagation delay.
-    Arrival,
-    /// `FrameSerialized` events of data frames: the serialization delay
-    /// of the data packet size.
-    DataSerialization,
-}
-
-/// A pending lane event: its key and its payload, inline.
-#[derive(Debug)]
-struct LaneEvent {
+/// A pending lane event: its key, its channel and the one other field
+/// of its kind (a `Frame` or an epoch). Its fields are plain values, not
+/// an `EventKind`, so a push writes them straight into the lane.
+#[derive(Debug, Clone, Copy)]
+struct LaneEvent<P> {
     time: SimTime,
     seq: u64,
-    kind: EventKind,
+    channel: ChannelId,
+    payload: P,
 }
 
+const _: () = assert!(size_of::<LaneEvent<Frame>>() <= 32 && size_of::<LaneEvent<u64>>() <= 32);
+
 /// The events of one lane, in `(time, seq)` order by construction.
-#[derive(Debug, Default)]
-struct FifoLane {
+#[derive(Debug)]
+struct FifoLane<P> {
     /// The delay every event in the lane was scheduled with; set by the
     /// lane's first event.
     delay: Option<SimDuration>,
-    events: VecDeque<LaneEvent>,
+    events: VecDeque<LaneEvent<P>>,
+}
+
+impl<P> Default for FifoLane<P> {
+    fn default() -> Self {
+        FifoLane {
+            delay: None,
+            events: VecDeque::new(),
+        }
+    }
+}
+
+impl<P> FifoLane<P> {
+    /// Pushes `event`, scheduled `delay` after now, if `delay` is the
+    /// lane's delay (the lane's first event sets it), and tells whether
+    /// it did.
+    #[inline]
+    fn push(&mut self, delay: SimDuration, event: LaneEvent<P>) -> bool {
+        if *self.delay.get_or_insert(delay) != delay {
+            return false;
+        }
+        self.events.push_back(event);
+        true
+    }
+
+    /// The key of the lane's next event.
+    fn head(&self) -> Option<EventKey> {
+        self.events.front().map(|e| (e.time, e.seq))
+    }
 }
 
 /// Where the next event waits.
@@ -202,8 +243,8 @@ struct FifoLane {
 enum Source {
     Heap,
     Serialized,
-    /// Index into `EventQueue::lanes`.
-    Lane(usize),
+    Arrivals,
+    DataSerializations,
 }
 
 /// The next event of a queue as found by [`EventQueue::next_due`]: its
@@ -222,12 +263,14 @@ pub(crate) struct EventQueue {
     heap: BinaryHeap<HeapKey>,
     /// `FrameSerialized` events that ride no lane.
     serialized: BinaryHeap<SerializedKey>,
-    /// Indexed by [`Lane`].
-    lanes: [FifoLane; 2],
-    /// Payloads of `HeapPayload::Slab` heap events; `None` marks a free slot.
-    slab: Vec<Option<EventKind>>,
-    /// Recyclable slab slots (popped heap events release theirs).
-    free: Vec<usize>,
+    /// `FrameArrived` events of clean links: the propagation delay.
+    arrivals: FifoLane<Frame>,
+    /// `FrameSerialized` events of data frames, with their epoch: the
+    /// serialization delay of the data packet size.
+    data_serializations: FifoLane<u64>,
+    /// Payloads of `HeapPayload::Slab` heap events; a popped event frees
+    /// its slot.
+    slab: Slab<EventKind>,
     next_seq: u64,
     now: SimTime,
     /// Peak number of simultaneously pending events.
@@ -245,9 +288,9 @@ impl EventQueue {
         EventQueue {
             heap: BinaryHeap::with_capacity(INITIAL_CAPACITY),
             serialized: BinaryHeap::new(),
-            lanes: [FifoLane::default(), FifoLane::default()],
-            slab: Vec::new(),
-            free: Vec::new(),
+            arrivals: FifoLane::default(),
+            data_serializations: FifoLane::default(),
+            slab: Slab::default(),
             next_seq: 0,
             now: SimTime::ZERO,
             high_water: 0,
@@ -310,7 +353,7 @@ impl EventQueue {
             let payload = match kind {
                 EventKind::TimerFired { node, timer } => HeapPayload::Timer(node, timer),
                 EventKind::CbrTick { source, tick } => HeapPayload::Cbr(source, tick),
-                kind => HeapPayload::Slab(self.store(kind)),
+                kind => HeapPayload::Slab(self.slab.insert(kind)),
             };
             self.heap.push(HeapKey {
                 time: at,
@@ -321,34 +364,54 @@ impl EventQueue {
         self.note_len();
     }
 
-    /// Schedules `kind` at `now + delay` on `lane`, or in the store its
-    /// kind picks when `delay` is not the lane's delay. Either way the
-    /// event takes the next sequence number and pops exactly where
-    /// [`schedule`](Self::schedule) would put it.
+    /// Schedules the arrival of `frame` over `channel` `delay` from now:
+    /// on the arrival lane when `delay` is the lane's delay, otherwise in
+    /// the main heap. Either way the event takes the next sequence number
+    /// and pops exactly where [`schedule`](Self::schedule) would put it.
     #[inline]
-    pub(crate) fn schedule_after(&mut self, lane: Lane, delay: SimDuration, kind: EventKind) {
-        let time = self.now + delay;
-        let seq = self.reserve(1);
-        let fifo = &mut self.lanes[lane as usize];
-        if *fifo.delay.get_or_insert(delay) != delay {
-            self.schedule_reserved(time, seq, kind);
-            return;
+    pub(crate) fn schedule_arrival(
+        &mut self,
+        delay: SimDuration,
+        channel: ChannelId,
+        frame: Frame,
+    ) {
+        let (time, seq) = (self.now + delay, self.reserve(1));
+        let event = LaneEvent {
+            time,
+            seq,
+            channel,
+            payload: frame,
+        };
+        if self.arrivals.push(delay, event) {
+            self.note_len();
+        } else {
+            self.schedule_reserved(time, seq, EventKind::FrameArrived { channel, frame });
         }
-        fifo.events.push_back(LaneEvent { time, seq, kind });
-        self.note_len();
     }
 
-    /// Puts `kind` in a free slab slot and returns the slot.
-    fn store(&mut self, kind: EventKind) -> usize {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot] = Some(kind);
-                slot
-            }
-            None => {
-                self.slab.push(Some(kind));
-                self.slab.len() - 1
-            }
+    /// Schedules the end of a data frame's serialization on `channel`
+    /// (transmission `epoch`) `delay` from now: on the data serialization
+    /// lane when `delay` is the lane's delay, otherwise in the
+    /// serialization heap. It pops where [`schedule`](Self::schedule)
+    /// would put it.
+    #[inline]
+    pub(crate) fn schedule_data_serialized(
+        &mut self,
+        delay: SimDuration,
+        channel: ChannelId,
+        epoch: u64,
+    ) {
+        let (time, seq) = (self.now + delay, self.reserve(1));
+        let event = LaneEvent {
+            time,
+            seq,
+            channel,
+            payload: epoch,
+        };
+        if self.data_serializations.push(delay, event) {
+            self.note_len();
+        } else {
+            self.schedule_reserved(time, seq, EventKind::FrameSerialized { channel, epoch });
         }
     }
 
@@ -376,14 +439,14 @@ impl EventQueue {
                 });
             }
         }
-        for (ix, lane) in self.lanes.iter().enumerate() {
-            if let Some(head) = lane.events.front() {
-                if next.is_none_or(|n| (head.time, head.seq) < (n.time, n.seq)) {
-                    next = Some(Next {
-                        time: head.time,
-                        seq: head.seq,
-                        source: Source::Lane(ix),
-                    });
+        let lanes = [
+            (self.arrivals.head(), Source::Arrivals),
+            (self.data_serializations.head(), Source::DataSerializations),
+        ];
+        for (head, source) in lanes {
+            if let Some((time, seq)) = head {
+                if next.is_none_or(|n| (time, seq) < (n.time, n.seq)) {
+                    next = Some(Next { time, seq, source });
                 }
             }
         }
@@ -398,9 +461,21 @@ impl EventQueue {
     #[inline]
     pub(crate) fn pop(&mut self, next: Next) -> Option<(SimTime, u64, EventKind)> {
         let (time, seq, kind) = match next.source {
-            Source::Lane(ix) => {
-                let event = self.lanes.get_mut(ix)?.events.pop_front()?;
-                (event.time, event.seq, event.kind)
+            Source::Arrivals => {
+                let e = self.arrivals.events.pop_front()?;
+                let kind = EventKind::FrameArrived {
+                    channel: e.channel,
+                    frame: e.payload,
+                };
+                (e.time, e.seq, kind)
+            }
+            Source::DataSerializations => {
+                let e = self.data_serializations.events.pop_front()?;
+                let kind = EventKind::FrameSerialized {
+                    channel: e.channel,
+                    epoch: e.payload,
+                };
+                (e.time, e.seq, kind)
             }
             Source::Serialized => {
                 let key = self.serialized.pop()?;
@@ -415,11 +490,7 @@ impl EventQueue {
                 let kind = match key.payload {
                     HeapPayload::Timer(node, timer) => EventKind::TimerFired { node, timer },
                     HeapPayload::Cbr(source, tick) => EventKind::CbrTick { source, tick },
-                    HeapPayload::Slab(slot) => {
-                        let kind = self.slab.get_mut(slot)?.take()?;
-                        self.free.push(slot);
-                        kind
-                    }
+                    HeapPayload::Slab(slot) => self.slab.remove(slot)?,
                 };
                 (key.time, key.seq, kind)
             }
@@ -434,11 +505,8 @@ impl EventQueue {
     pub(crate) fn len(&self) -> usize {
         self.heap.len()
             + self.serialized.len()
-            + self
-                .lanes
-                .iter()
-                .map(|lane| lane.events.len())
-                .sum::<usize>()
+            + self.arrivals.events.len()
+            + self.data_serializations.events.len()
     }
 
     /// Peak number of simultaneously pending events over the queue's life.
@@ -460,6 +528,9 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ident::PacketId;
+    use crate::link::Frames;
+    use crate::packet::Packet;
     use std::collections::BTreeMap;
 
     fn marker(ch: u32) -> EventKind {
@@ -476,9 +547,22 @@ mod tests {
 
     fn channel_of(kind: &EventKind) -> u32 {
         match kind {
-            EventKind::FrameSerialized { channel, .. } => channel.index() as u32,
+            EventKind::FrameSerialized { channel, .. }
+            | EventKind::FrameArrived { channel, .. } => channel.index() as u32,
             _ => panic!("unexpected event"),
         }
+    }
+
+    /// A data frame of `bytes` bytes.
+    fn frame(bytes: u32) -> Frame {
+        let packet = Packet::new(
+            PacketId::new(0),
+            NodeId::new(0),
+            NodeId::new(1),
+            SimTime::ZERO,
+            bytes,
+        );
+        Frames::default().data(packet)
     }
 
     /// The calendar relies on its callers never to schedule in the past
@@ -554,7 +638,7 @@ mod tests {
             assert!(matches!(kind, EventKind::LinkFail { link } if link.index() == i as usize));
         }
         assert_eq!(q.len(), 0);
-        assert_eq!(q.slab.len(), 1, "one slot recycled a hundred times");
+        assert_eq!(q.slab.slots(), 1, "one slot recycled a hundred times");
     }
 
     /// Frame serializations, timers and CBR ticks carry their fields in
@@ -583,12 +667,12 @@ mod tests {
                 epoch: 8,
             },
         );
-        assert!(q.slab.is_empty(), "inline kinds take no slot");
+        assert_eq!(q.slab.slots(), 0, "inline kinds take no slot");
         let popped: Vec<_> = std::iter::from_fn(|| pop_any(&mut q))
             .map(|(_, _, kind)| describe(&kind))
             .collect();
         assert_eq!(popped, [(SERIALIZED, 3, 8), (CBR, 5, 9), (TIMER, 7, 41)]);
-        assert!(q.slab.is_empty() && q.free.is_empty());
+        assert_eq!(q.slab.slots(), 0);
     }
 
     /// A lazily fed block of reserved sequence numbers pops in exactly the
@@ -656,6 +740,7 @@ mod tests {
     const TIMER: u8 = 1;
     const CBR: u8 = 2;
     const SLAB: u8 = 3;
+    const ARRIVED: u8 = 4;
 
     fn describe(kind: &EventKind) -> Described {
         match *kind {
@@ -665,6 +750,9 @@ mod tests {
             EventKind::TimerFired { node, timer } => (TIMER, node.index() as u64, timer.0),
             EventKind::CbrTick { source, tick } => (CBR, source as u64, tick),
             EventKind::LinkFail { link } => (SLAB, link.index() as u64, 0),
+            EventKind::FrameArrived { channel, frame } => {
+                (ARRIVED, channel.index() as u64, frame.size_bytes() as u64)
+            }
             ref other => panic!("unexpected event {other:?}"),
         }
     }
@@ -778,19 +866,24 @@ mod tests {
                     model.schedule(at, &event);
                     queue.schedule(at, event);
                 }
-                1 | 2 => {
-                    // Arrival lane events stand in for `FrameArrived`, a
-                    // slab kind off its lane; data serializations go to
-                    // the serialization heap off theirs.
-                    let (lane, delays, kind) = if op == 1 {
-                        (Lane::Arrival, ARRIVAL_US, SLAB)
-                    } else {
-                        (Lane::DataSerialization, SERIALIZATION_US, SERIALIZED)
-                    };
-                    let delay = SimDuration::from_micros(delays[pick % delays.len()]);
-                    let event = routed_kind(kind, id());
-                    model.schedule(now + delay, &event);
-                    queue.schedule_after(lane, delay, event);
+                1 => {
+                    // Off its lane, an arrival goes to the main heap and
+                    // keeps its event in the slab.
+                    let delay = SimDuration::from_micros(ARRIVAL_US[pick % ARRIVAL_US.len()]);
+                    let id = id();
+                    let (channel, frame) = (ChannelId::new(id), frame(id * 7));
+                    model.schedule(now + delay, &EventKind::FrameArrived { channel, frame });
+                    queue.schedule_arrival(delay, channel, frame);
+                }
+                2 => {
+                    // Off its lane, a data serialization goes to the
+                    // serialization heap.
+                    let delay =
+                        SimDuration::from_micros(SERIALIZATION_US[pick % SERIALIZATION_US.len()]);
+                    let id = id();
+                    let (channel, epoch) = (ChannelId::new(id), u64::from(id) * 3);
+                    model.schedule(now + delay, &EventKind::FrameSerialized { channel, epoch });
+                    queue.schedule_data_serialized(delay, channel, epoch);
                 }
                 3 => {
                     let n = arg % 3 + 1;
@@ -860,12 +953,12 @@ mod tests {
         let mut q = EventQueue::new();
         let d = SimDuration::from_millis(1);
         q.schedule(SimTime::from_millis(1), marker(0));
-        q.schedule_after(Lane::Arrival, d, marker(1));
+        q.schedule_arrival(d, ChannelId::new(1), frame(1000));
         q.schedule(SimTime::from_millis(1), marker(2));
-        q.schedule_after(Lane::DataSerialization, d, marker(3));
+        q.schedule_data_serialized(d, ChannelId::new(3), 0);
         // A different delay than the lane's first one goes to the heap.
-        q.schedule_after(Lane::Arrival, SimDuration::ZERO, marker(4));
-        assert_eq!(q.lanes[Lane::Arrival as usize].events.len(), 1);
+        q.schedule_arrival(SimDuration::ZERO, ChannelId::new(4), frame(1000));
+        assert_eq!(q.arrivals.events.len(), 1);
         assert_eq!(q.len(), 5);
         let order: Vec<u32> = std::iter::from_fn(|| pop_any(&mut q))
             .map(|(_, _, k)| channel_of(&k))
@@ -892,13 +985,13 @@ mod tests {
     fn lane_pops_leave_the_slab_alone() {
         let mut q = EventQueue::new();
         for i in 0..10 {
-            q.schedule_after(Lane::Arrival, SimDuration::from_millis(1), marker(i));
+            q.schedule_arrival(SimDuration::from_millis(1), ChannelId::new(i), frame(1000));
         }
-        assert!(q.slab.is_empty(), "lane payloads are stored inline");
+        assert_eq!(q.slab.slots(), 0, "lane events are stored inline");
         let order: Vec<u32> = std::iter::from_fn(|| pop_any(&mut q))
             .map(|(_, _, k)| channel_of(&k))
             .collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
-        assert!(q.slab.is_empty() && q.free.is_empty());
+        assert_eq!(q.slab.slots(), 0);
     }
 }

@@ -76,6 +76,7 @@ pub mod packet;
 pub mod protocol;
 pub mod rng;
 pub mod simulator;
+mod slab;
 pub mod time;
 mod timers;
 pub mod trace;

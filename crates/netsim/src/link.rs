@@ -14,6 +14,7 @@ use crate::ident::NodeId;
 use crate::impairment::Impairment;
 use crate::packet::Packet;
 use crate::protocol::SharedPayload;
+use crate::slab::Slab;
 use crate::time::{SimDuration, SimTime};
 
 /// Per-link physical parameters.
@@ -77,41 +78,121 @@ impl LinkConfig {
     }
 }
 
-/// A control-plane message in flight.
-#[derive(Debug)]
-pub struct ControlFrame {
-    /// Sending node.
-    pub from: NodeId,
-    /// Receiving node.
-    pub to: NodeId,
-    /// Protocol payload. Shared, not owned: a protocol fanning one update
-    /// out to N neighbors clones the `Rc` handle N times while the
-    /// payload itself is allocated once.
-    pub payload: SharedPayload,
-    /// Reliable frames emulate a TCP session: they are never dropped by
-    /// queue overflow (the sender would have retransmitted), only by link
-    /// failure (after which the session itself resets).
-    pub reliable: bool,
+/// What a [`Frame`] carries, and so how a channel treats it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FrameKind {
+    /// A forwarded data packet.
+    Data,
+    /// A datagram routing-protocol message.
+    Control,
+    /// A routing-protocol message on a reliable session: it emulates a
+    /// TCP session, so queue overflow never drops it (the sender would
+    /// have retransmitted) and only link failure does (after which the
+    /// session itself resets).
+    Reliable,
 }
 
-/// Anything occupying a channel: a data packet or a control message.
-#[derive(Debug)]
-pub enum Frame {
-    /// A forwarded data packet.
-    Data(Packet),
-    /// A routing-protocol message.
-    Control(ControlFrame),
+/// Anything occupying a channel, as a handle: a data packet or a control
+/// message held in the simulator's [`Frames`], plus the two facts a
+/// channel needs inline, the wire size and the kind.
+///
+/// A frame's payload stays in one place from the moment it is sent (or,
+/// for a data packet, injected or scheduled for injection) until it is
+/// delivered or lost, while the handle is copied between the channel
+/// queues, the transmitter and the calendar.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Frame {
+    slot: u32,
+    bytes: u32,
+    kind: FrameKind,
 }
+
+const _: () = assert!(size_of::<Frame>() <= 16);
 
 impl Frame {
     /// Wire size used for serialization delay.
     #[must_use]
-    pub fn size_bytes(&self) -> usize {
-        match self {
-            Frame::Data(p) => p.size_bytes as usize,
-            // 20-byte header approximating IP+UDP/TCP overhead.
-            Frame::Control(c) => c.payload.size_bytes() + 20,
+    pub(crate) fn size_bytes(self) -> usize {
+        self.bytes as usize
+    }
+
+    /// Whether the frame is a data packet.
+    pub(crate) fn is_data(self) -> bool {
+        self.kind == FrameKind::Data
+    }
+
+    /// Whether the frame is a control message on a reliable session.
+    pub(crate) fn is_reliable(self) -> bool {
+        self.kind == FrameKind::Reliable
+    }
+}
+
+/// A frame's payload, taken out of [`Frames`] when the frame is delivered
+/// or lost.
+#[derive(Debug)]
+pub(crate) enum Contents {
+    /// A data packet.
+    Data(Packet),
+    /// A control message's payload. Its sender is the sending channel's
+    /// tail node.
+    Control(SharedPayload),
+}
+
+/// The payloads of every frame a simulator holds, each in its own slab
+/// slot, named by [`Frame`] handles.
+#[derive(Debug, Default)]
+pub(crate) struct Frames {
+    packets: Slab<Packet>,
+    control: Slab<SharedPayload>,
+}
+
+impl Frames {
+    /// Stores a data packet and returns its frame.
+    pub(crate) fn data(&mut self, packet: Packet) -> Frame {
+        let bytes = packet.size_bytes;
+        Frame {
+            slot: self.packets.insert(packet),
+            bytes,
+            kind: FrameKind::Data,
         }
+    }
+
+    /// Stores a control message of wire size `bytes` and returns its
+    /// frame.
+    pub(crate) fn control(&mut self, payload: SharedPayload, bytes: u32, reliable: bool) -> Frame {
+        Frame {
+            slot: self.control.insert(payload),
+            bytes,
+            kind: if reliable {
+                FrameKind::Reliable
+            } else {
+                FrameKind::Control
+            },
+        }
+    }
+
+    /// The packet of a data frame still held; `None` for a control frame.
+    pub(crate) fn packet_mut(&mut self, frame: Frame) -> Option<&mut Packet> {
+        if frame.is_data() {
+            self.packets.get_mut(frame.slot)
+        } else {
+            None
+        }
+    }
+
+    /// Takes a frame's payload out and frees its slot; `None` if the frame
+    /// is no longer held.
+    pub(crate) fn take(&mut self, frame: Frame) -> Option<Contents> {
+        if frame.is_data() {
+            self.packets.remove(frame.slot).map(Contents::Data)
+        } else {
+            self.control.remove(frame.slot).map(Contents::Control)
+        }
+    }
+
+    /// The numbers of data packets and control messages held.
+    pub(crate) fn len(&self) -> (usize, usize) {
+        (self.packets.len(), self.control.len())
     }
 }
 
@@ -149,8 +230,8 @@ pub(crate) enum EnqueueOutcome {
     StartTransmit(SimDuration),
     /// The frame joined the queue behind an ongoing transmission.
     Queued,
-    /// The queue was full and the frame was discarded.
-    Dropped(Frame),
+    /// The queue was full and the frame was refused.
+    Dropped,
 }
 
 impl Channel {
@@ -169,7 +250,7 @@ impl Channel {
     }
 
     /// [`LinkConfig::serialization_delay`] of `frame` on this channel.
-    fn serialization_delay(&mut self, frame: &Frame) -> SimDuration {
+    fn serialization_delay(&mut self, frame: Frame) -> SimDuration {
         let bytes = frame.size_bytes();
         if self.last_serialization.0 != bytes {
             self.last_serialization = (bytes, self.config.serialization_delay(bytes));
@@ -185,16 +266,14 @@ impl Channel {
     #[inline]
     pub(crate) fn offer(&mut self, frame: Frame) -> EnqueueOutcome {
         if self.transmitting.is_none() {
-            let delay = self.serialization_delay(&frame);
+            let delay = self.serialization_delay(frame);
             self.transmitting = Some(frame);
             EnqueueOutcome::StartTransmit(delay)
-        } else if self.queue.len() < self.config.queue_capacity
-            || matches!(&frame, Frame::Control(c) if c.reliable)
-        {
+        } else if self.queue.len() < self.config.queue_capacity || frame.is_reliable() {
             self.queue.push_back(frame);
             EnqueueOutcome::Queued
         } else {
-            EnqueueOutcome::Dropped(frame)
+            EnqueueOutcome::Dropped
         }
     }
 
@@ -205,7 +284,7 @@ impl Channel {
     pub(crate) fn finish_transmit(&mut self) -> Option<(Frame, Option<SimDuration>)> {
         let done = self.transmitting.take()?;
         let next_delay = self.queue.pop_front().map(|next| {
-            let delay = self.serialization_delay(&next);
+            let delay = self.serialization_delay(next);
             self.transmitting = Some(next);
             delay
         });
@@ -234,8 +313,8 @@ mod tests {
     use crate::protocol::Payload;
     use crate::time::SimTime;
 
-    fn data_frame(size: u32) -> Frame {
-        Frame::Data(Packet::new(
+    fn data_frame(frames: &mut Frames, size: u32) -> Frame {
+        frames.data(Packet::new(
             PacketId::new(0),
             NodeId::new(0),
             NodeId::new(1),
@@ -278,8 +357,9 @@ mod tests {
 
     #[test]
     fn first_frame_starts_transmitting() {
+        let mut frames = Frames::default();
         let mut ch = channel(2);
-        match ch.offer(data_frame(1250)) {
+        match ch.offer(data_frame(&mut frames, 1250)) {
             EnqueueOutcome::StartTransmit(d) => assert_eq!(d, SimDuration::from_millis(1)),
             other => panic!("expected StartTransmit, got {other:?}"),
         }
@@ -288,23 +368,28 @@ mod tests {
 
     #[test]
     fn overflow_drops_tail() {
+        let mut frames = Frames::default();
         let mut ch = channel(1);
         assert!(matches!(
-            ch.offer(data_frame(100)),
+            ch.offer(data_frame(&mut frames, 100)),
             EnqueueOutcome::StartTransmit(_)
         ));
-        assert!(matches!(ch.offer(data_frame(100)), EnqueueOutcome::Queued));
         assert!(matches!(
-            ch.offer(data_frame(100)),
-            EnqueueOutcome::Dropped(_)
+            ch.offer(data_frame(&mut frames, 100)),
+            EnqueueOutcome::Queued
+        ));
+        assert!(matches!(
+            ch.offer(data_frame(&mut frames, 100)),
+            EnqueueOutcome::Dropped
         ));
     }
 
     #[test]
     fn reliable_control_bypasses_capacity() {
+        let mut frames = Frames::default();
         let mut ch = channel(0);
         assert!(matches!(
-            ch.offer(data_frame(100)),
+            ch.offer(data_frame(&mut frames, 100)),
             EnqueueOutcome::StartTransmit(_)
         ));
 
@@ -318,28 +403,19 @@ mod tests {
                 self
             }
         }
-        let ctrl = Frame::Control(ControlFrame {
-            from: NodeId::new(0),
-            to: NodeId::new(1),
-            payload: Rc::new(Dummy),
-            reliable: true,
-        });
+        let ctrl = frames.control(Rc::new(Dummy), 30, true);
         assert!(matches!(ch.offer(ctrl), EnqueueOutcome::Queued));
 
-        let unreliable = Frame::Control(ControlFrame {
-            from: NodeId::new(0),
-            to: NodeId::new(1),
-            payload: Rc::new(Dummy),
-            reliable: false,
-        });
-        assert!(matches!(ch.offer(unreliable), EnqueueOutcome::Dropped(_)));
+        let unreliable = frames.control(Rc::new(Dummy), 30, false);
+        assert!(matches!(ch.offer(unreliable), EnqueueOutcome::Dropped));
     }
 
     #[test]
     fn finish_transmit_advances_queue() {
+        let mut frames = Frames::default();
         let mut ch = channel(4);
-        ch.offer(data_frame(1250));
-        ch.offer(data_frame(2500));
+        ch.offer(data_frame(&mut frames, 1250));
+        ch.offer(data_frame(&mut frames, 2500));
         let (_done, next) = ch.finish_transmit().unwrap();
         assert_eq!(next, Some(SimDuration::from_millis(2)));
         let (_done, next) = ch.finish_transmit().unwrap();
@@ -362,13 +438,10 @@ mod tests {
                 self
             }
         }
-        let control = |bytes: usize| {
-            Frame::Control(ControlFrame {
-                from: NodeId::new(0),
-                to: NodeId::new(1),
-                payload: Rc::new(Sized(bytes)),
-                reliable: true,
-            })
+        let mut frames = Frames::default();
+        // A control frame's wire size is its payload plus a 20-byte header.
+        let control = |frames: &mut Frames, bytes: usize| {
+            frames.control(Rc::new(Sized(bytes)), bytes as u32 + 20, true)
         };
         for bandwidth_bps in [3, 1_000_000, 10_000_000, 155_520_000] {
             let config = LinkConfig {
@@ -379,23 +452,23 @@ mod tests {
             let mut ch = Channel::new(NodeId::new(0), NodeId::new(1), config);
             // Data 1000 B, control 40 + 20 B, ACK 40 B, repeats and a
             // zero-size frame, so the memo both hits and misses.
-            let frames = || {
+            let mut offered = || {
                 [
-                    data_frame(1000),
-                    data_frame(1000),
-                    control(40),
-                    data_frame(40),
-                    data_frame(1000),
-                    control(480),
-                    control(480),
-                    data_frame(0),
-                    data_frame(40),
-                    data_frame(1000),
+                    data_frame(&mut frames, 1000),
+                    data_frame(&mut frames, 1000),
+                    control(&mut frames, 40),
+                    data_frame(&mut frames, 40),
+                    data_frame(&mut frames, 1000),
+                    control(&mut frames, 480),
+                    control(&mut frames, 480),
+                    data_frame(&mut frames, 0),
+                    data_frame(&mut frames, 40),
+                    data_frame(&mut frames, 1000),
                 ]
             };
-            let sizes: Vec<usize> = frames().iter().map(Frame::size_bytes).collect();
+            let sizes: Vec<usize> = offered().iter().map(|f| f.size_bytes()).collect();
             let mut delays = Vec::new();
-            for frame in frames() {
+            for frame in offered() {
                 if let EnqueueOutcome::StartTransmit(d) = ch.offer(frame) {
                     delays.push(d);
                 }
@@ -410,7 +483,7 @@ mod tests {
             assert_eq!(delays, expected, "{bandwidth_bps} b/s");
             // Offered to an idle channel one at a time, each frame starts
             // transmitting at once.
-            for (frame, want) in frames().into_iter().zip(&expected) {
+            for (frame, want) in offered().into_iter().zip(&expected) {
                 match ch.offer(frame) {
                     EnqueueOutcome::StartTransmit(d) => assert_eq!(d, *want),
                     other => panic!("expected StartTransmit, got {other:?}"),
@@ -422,13 +495,49 @@ mod tests {
 
     #[test]
     fn clear_returns_all_frames() {
+        let mut frames = Frames::default();
         let mut ch = channel(4);
-        ch.offer(data_frame(100));
-        ch.offer(data_frame(100));
-        ch.offer(data_frame(100));
+        let offered: Vec<Frame> = (0..3).map(|_| data_frame(&mut frames, 100)).collect();
+        for &frame in &offered {
+            ch.offer(frame);
+        }
         let lost = ch.clear();
         assert_eq!(lost.len(), 3);
+        assert_eq!(lost, offered);
         assert!(ch.transmitting.is_none());
         assert!(ch.queue.is_empty());
+    }
+
+    /// A frame's payload stays in the store until it is taken, once, and
+    /// a data frame's packet can be changed in place meanwhile.
+    #[test]
+    fn frames_hold_payloads_until_taken() {
+        #[derive(Debug)]
+        struct Dummy;
+        impl Payload for Dummy {
+            fn size_bytes(&self) -> usize {
+                10
+            }
+            fn as_any(&self) -> &dyn std::any::Any {
+                self
+            }
+        }
+        let mut frames = Frames::default();
+        let data = data_frame(&mut frames, 1000);
+        let ctrl = frames.control(Rc::new(Dummy), 30, false);
+        assert_eq!((data.size_bytes(), ctrl.size_bytes()), (1000, 30));
+        assert!(data.is_data() && !data.is_reliable());
+        assert!(!ctrl.is_data() && !ctrl.is_reliable());
+        assert_eq!(frames.len(), (1, 1));
+        frames.packet_mut(data).expect("held").ttl = 3;
+        assert!(frames.packet_mut(ctrl).is_none(), "not a data frame");
+        match frames.take(data) {
+            Some(Contents::Data(packet)) => assert_eq!(packet.ttl, 3),
+            other => panic!("expected the packet, got {other:?}"),
+        }
+        assert!(matches!(frames.take(ctrl), Some(Contents::Control(_))));
+        assert_eq!(frames.len(), (0, 0));
+        assert!(frames.take(data).is_none() && frames.take(ctrl).is_none());
+        assert!(frames.packet_mut(data).is_none());
     }
 }

@@ -9,11 +9,11 @@ use std::rc::Rc;
 
 use crate::app::AppAgent;
 use crate::error::{BuildError, EventBudgetExceeded};
-use crate::event::{EventKey, EventKind, EventQueue, FreshProtocol, Lane};
+use crate::event::{EventKey, EventKind, EventQueue, FreshProtocol};
 use crate::fib::Fib;
 use crate::ident::{ChannelId, LinkId, NodeId, PacketId};
 use crate::impairment::{Impairment, PPM_SCALE};
-use crate::link::{Channel, ControlFrame, EnqueueOutcome, Frame, LinkConfig};
+use crate::link::{Channel, Contents, EnqueueOutcome, Frame, Frames, LinkConfig};
 use crate::packet::{DropReason, Packet, DEFAULT_TTL};
 use crate::protocol::{RoutingProtocol, SharedPayload, TimerId, TimerToken};
 use crate::rng::SimRng;
@@ -308,6 +308,7 @@ impl SimulatorBuilder {
             protocols: (0..n).map(|_| None).collect(),
             apps: (0..n).map(|_| None).collect(),
             queue: EventQueue::new(),
+            frames: Frames::default(),
             timers: TimerSlab::new(),
             cbr_sources: Vec::new(),
             next_packet: 0,
@@ -334,6 +335,9 @@ pub struct Simulator {
     protocols: Vec<Option<Box<dyn RoutingProtocol>>>,
     apps: Vec<Option<Box<dyn AppAgent>>>,
     queue: EventQueue,
+    /// The payload of every frame the calendar and the channels hold a
+    /// handle to.
+    frames: Frames,
     timers: TimerSlab,
     cbr_sources: Vec<CbrState>,
     next_packet: u64,
@@ -381,6 +385,16 @@ impl Simulator {
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.queue.now()
+    }
+
+    /// The numbers of data packets and control messages the simulator
+    /// holds right now. A data packet is held from when it is scheduled
+    /// for injection (or injected) until it is delivered or dropped; a
+    /// control message from when it is sent until it is delivered or
+    /// lost. Both are zero once a run has drained its calendar.
+    #[must_use]
+    pub fn frames_in_flight(&self) -> (usize, usize) {
+        self.frames.len()
     }
 
     /// Engine counters.
@@ -607,7 +621,8 @@ impl Simulator {
         let id = PacketId::new(self.next_packet);
         self.next_packet += 1;
         let packet = Packet::new(id, src, dst, at, size_bytes).with_ttl(ttl);
-        self.queue.schedule(at, EventKind::InjectPacket { packet });
+        let frame = self.frames.data(packet);
+        self.queue.schedule(at, EventKind::InjectPacket { frame });
         Ok(id)
     }
 
@@ -739,8 +754,13 @@ impl Simulator {
             return Err(BuildError::NoSuchLink(link));
         }
         self.check_not_past(at)?;
-        self.queue
-            .schedule(at, EventKind::SetImpairment { link, impairment });
+        self.queue.schedule(
+            at,
+            EventKind::SetImpairment {
+                link,
+                impairment: Box::new(impairment),
+            },
+        );
         Ok(())
     }
 
@@ -906,7 +926,7 @@ impl Simulator {
     /// Processes `kind`, popped under calendar key `key`.
     fn handle(&mut self, key: EventKey, kind: EventKind) {
         match kind {
-            EventKind::InjectPacket { packet } => self.inject(packet),
+            EventKind::InjectPacket { frame } => self.inject(frame),
             EventKind::CbrTick { source, tick } => self.on_cbr_tick(source, tick),
             EventKind::FrameSerialized { channel, epoch } => {
                 self.on_frame_serialized(channel, epoch);
@@ -937,7 +957,7 @@ impl Simulator {
                 self.on_link_state_detected(node, link, up);
             }
             EventKind::SetImpairment { link, impairment } => {
-                self.apply_impairment(link, impairment);
+                self.apply_impairment(link, *impairment);
             }
             EventKind::NodeRestart { node, protocol } => {
                 self.on_node_restart(node, protocol.0);
@@ -945,16 +965,20 @@ impl Simulator {
         }
     }
 
-    /// A traffic source hands `packet` to its attachment router.
-    fn inject(&mut self, packet: Packet) {
+    /// A traffic source hands the packet of data frame `frame` to its
+    /// attachment router.
+    fn inject(&mut self, frame: Frame) {
+        let Some(&mut Packet { id, src, dst, .. }) = self.frames.packet_mut(frame) else {
+            return;
+        };
         self.stats.packets_injected += 1;
         self.record(TraceEvent::PacketInjected {
             time: self.now(),
-            id: packet.id,
-            src: packet.src,
-            dst: packet.dst,
+            id,
+            src,
+            dst,
         });
-        self.forward_packet(packet.src, packet);
+        self.forward_packet(src, frame);
     }
 
     /// Tick `tick` of CBR source `index`: keeps the source's next tick
@@ -977,7 +1001,8 @@ impl Simulator {
         let id = PacketId::new(state.first_packet + tick);
         let packet = Packet::new(id, source.src, source.dst, self.now(), source.size_bytes)
             .with_ttl(source.ttl);
-        self.inject(packet);
+        let frame = self.frames.data(packet);
+        self.inject(frame);
     }
 
     fn apply_impairment(&mut self, link: LinkId, impairment: Impairment) {
@@ -1036,13 +1061,13 @@ impl Simulator {
             return;
         };
         if let Some(d) = next_delay {
-            let data = matches!(ch.transmitting, Some(Frame::Data(_)));
+            let data = ch.transmitting.is_some_and(Frame::is_data);
             let epoch = ch.epoch;
             self.schedule_serialized(channel, epoch, d, data);
         }
         let ch = &self.channels[channel.index()];
         if !ch.up {
-            self.lose_frame(frame, self.channels[channel.index()].from);
+            self.lose_frame(frame, ch.from, DropReason::LinkDown);
             return;
         }
         let imp = ch.config.impairment;
@@ -1050,11 +1075,7 @@ impl Simulator {
         if imp.is_noop() {
             // The clean-link fast path draws nothing from the impairment
             // RNG, keeping unimpaired runs bit-identical.
-            self.queue.schedule_after(
-                Lane::Arrival,
-                propagation,
-                EventKind::FrameArrived { channel, frame },
-            );
+            self.queue.schedule_arrival(propagation, channel, frame);
             return;
         }
         self.impaired_departure(channel, frame, now + propagation, imp);
@@ -1073,7 +1094,7 @@ impl Simulator {
         /// 100%-loss link cannot spin the retransmission loop forever.
         const MAX_RETRANSMITS: u32 = 30;
 
-        let reliable = matches!(&frame, Frame::Control(c) if c.reliable);
+        let reliable = frame.is_reliable();
         let mut extra = SimDuration::ZERO;
         if imp.loss_ppm > 0 {
             if reliable {
@@ -1089,12 +1110,7 @@ impl Simulator {
             } else if self.draw_ppm() < imp.loss_ppm {
                 self.stats.frames_impaired += 1;
                 let from = self.channels[channel.index()].from;
-                match frame {
-                    Frame::Data(packet) => {
-                        self.record_drop(packet, from, DropReason::Impaired);
-                    }
-                    Frame::Control(_) => self.stats.control_messages_lost += 1,
-                }
+                self.lose_frame(frame, from, DropReason::Impaired);
                 return;
             }
         }
@@ -1133,27 +1149,28 @@ impl Simulator {
         };
         if !up {
             // Failed while the frame was propagating.
-            self.lose_frame(frame, from);
+            self.lose_frame(frame, from, DropReason::LinkDown);
             return;
         }
-        match frame {
-            Frame::Data(packet) => self.forward_packet(to, packet),
-            Frame::Control(ctrl) => {
-                self.dispatch(to, |proto, ctx| {
-                    proto.on_message(ctx, ctrl.from, &*ctrl.payload);
-                });
-            }
+        if frame.is_data() {
+            self.forward_packet(to, frame);
+        } else if let Some(Contents::Control(payload)) = self.frames.take(frame) {
+            // The channel's tail node sent the message.
+            self.dispatch(to, |proto, ctx| proto.on_message(ctx, from, &*payload));
         }
     }
 
-    fn lose_frame(&mut self, frame: Frame, at: NodeId) {
-        match frame {
-            Frame::Data(packet) => self.record_drop(packet, at, DropReason::LinkDown),
-            Frame::Control(_) => self.stats.control_messages_lost += 1,
+    /// Discards `frame` at node `at`: a data packet is dropped for
+    /// `reason`, a control message counts as lost. Frees its slot.
+    fn lose_frame(&mut self, frame: Frame, at: NodeId, reason: DropReason) {
+        match self.frames.take(frame) {
+            Some(Contents::Data(packet)) => self.record_drop(&packet, at, reason),
+            Some(Contents::Control(_)) => self.stats.control_messages_lost += 1,
+            None => {}
         }
     }
 
-    fn record_drop(&mut self, packet: Packet, at: NodeId, reason: DropReason) {
+    fn record_drop(&mut self, packet: &Packet, at: NodeId, reason: DropReason) {
         self.stats.packets_dropped += 1;
         self.record(TraceEvent::PacketDropped {
             time: self.now(),
@@ -1164,61 +1181,73 @@ impl Simulator {
         });
     }
 
-    /// Hop-by-hop forwarding: deliver locally, or decrement TTL, look up the
-    /// FIB and push the packet onto the outgoing channel.
-    fn forward_packet(&mut self, at: NodeId, mut packet: Packet) {
+    /// Hop-by-hop forwarding of data frame `frame`'s packet: deliver
+    /// locally, or decrement the TTL, look up the FIB and push the frame
+    /// onto the outgoing channel. The packet is changed in place.
+    fn forward_packet(&mut self, at: NodeId, frame: Frame) {
+        let Some(packet) = self.frames.packet_mut(frame) else {
+            return;
+        };
         if packet.dst == at {
-            self.stats.packets_delivered += 1;
-            self.record(TraceEvent::PacketDelivered {
-                time: self.now(),
-                id: packet.id,
-                node: at,
-                hops: packet.hops,
-                sent_at: packet.sent_at,
-            });
-            if self.apps[at.index()].is_some() {
-                self.dispatch_app(at, |app, ctx| app.on_packet(ctx, &packet));
-            }
+            self.deliver(frame, at);
             return;
         }
         if packet.ttl <= 1 {
-            self.record_drop(packet, at, DropReason::TtlExpired);
+            self.lose_frame(frame, at, DropReason::TtlExpired);
             return;
         }
-        packet.ttl -= 1;
-        let Some(next_hop) = self.nodes[at.index()].fib.next_hop(packet.dst) else {
-            self.record_drop(packet, at, DropReason::NoRoute);
+        let node = &self.nodes[at.index()];
+        let Some(next_hop) = node.fib.next_hop(packet.dst) else {
+            self.lose_frame(frame, at, DropReason::NoRoute);
             return;
         };
-        let node = &self.nodes[at.index()];
         let Some(out) = node.slot_of(next_hop).map(|slot| node.ports[slot].0) else {
             // A protocol installed a next hop that is not a neighbor; treat
             // as no route rather than corrupting the run.
             debug_assert!(false, "FIB at {at} points to non-neighbor {next_hop}");
-            self.record_drop(packet, at, DropReason::NoRoute);
+            self.lose_frame(frame, at, DropReason::NoRoute);
             return;
         };
+        packet.ttl -= 1;
         packet.hops += 1;
+        let id = packet.id;
         self.record(TraceEvent::PacketForwarded {
             time: self.now(),
-            id: packet.id,
+            id,
             node: at,
             next_hop,
         });
-        self.offer_frame(out, Frame::Data(packet), at);
+        self.offer_frame(out, frame, at);
+    }
+
+    /// Hands data frame `frame`'s packet to its destination `at` (and the
+    /// node's application agent, if any), freeing its slot.
+    fn deliver(&mut self, frame: Frame, at: NodeId) {
+        let Some(Contents::Data(packet)) = self.frames.take(frame) else {
+            return;
+        };
+        self.stats.packets_delivered += 1;
+        self.record(TraceEvent::PacketDelivered {
+            time: self.now(),
+            id: packet.id,
+            node: at,
+            hops: packet.hops,
+            sent_at: packet.sent_at,
+        });
+        if self.apps[at.index()].is_some() {
+            self.dispatch_app(at, |app, ctx| app.on_packet(ctx, &packet));
+        }
     }
 
     #[inline]
     fn offer_frame(&mut self, channel: ChannelId, frame: Frame, from: NodeId) {
-        let data = matches!(frame, Frame::Data(_));
         let epoch = self.channels[channel.index()].epoch;
         match self.channels[channel.index()].offer(frame) {
-            EnqueueOutcome::StartTransmit(d) => self.schedule_serialized(channel, epoch, d, data),
+            EnqueueOutcome::StartTransmit(d) => {
+                self.schedule_serialized(channel, epoch, d, frame.is_data());
+            }
             EnqueueOutcome::Queued => {}
-            EnqueueOutcome::Dropped(frame) => match frame {
-                Frame::Data(packet) => self.record_drop(packet, from, DropReason::QueueOverflow),
-                Frame::Control(_) => self.stats.control_messages_lost += 1,
-            },
+            EnqueueOutcome::Dropped => self.lose_frame(frame, from, DropReason::QueueOverflow),
         }
     }
 
@@ -1234,11 +1263,10 @@ impl Simulator {
         delay: SimDuration,
         data: bool,
     ) {
-        let kind = EventKind::FrameSerialized { channel, epoch };
         if data {
-            self.queue
-                .schedule_after(Lane::DataSerialization, delay, kind);
+            self.queue.schedule_data_serialized(delay, channel, epoch);
         } else {
+            let kind = EventKind::FrameSerialized { channel, epoch };
             self.queue.schedule(self.now() + delay, kind);
         }
     }
@@ -1323,7 +1351,7 @@ impl Simulator {
             };
             let from = self.channels[ch_id.index()].from;
             for frame in lost {
-                self.lose_frame(frame, from);
+                self.lose_frame(frame, from, DropReason::LinkDown);
             }
         }
         let detect = now + info.config.detection_delay;
@@ -1497,6 +1525,8 @@ impl ProtocolContext<'_> {
             self.sim.stats.control_messages_lost += 1;
             return;
         };
+        // The wire size adds a 20-byte header approximating IP+UDP/TCP
+        // overhead.
         let bytes = (payload.size_bytes() + 20) as u32;
         self.sim.stats.control_messages_sent += 1;
         self.sim.stats.control_bytes_sent += u64::from(bytes);
@@ -1509,12 +1539,7 @@ impl ProtocolContext<'_> {
             to,
             bytes,
         });
-        let frame = Frame::Control(ControlFrame {
-            from: self.node,
-            to,
-            payload,
-            reliable,
-        });
+        let frame = self.sim.frames.control(payload, bytes, reliable);
         self.sim.offer_frame(out, frame, self.node);
     }
 
@@ -1652,7 +1677,8 @@ impl AppContext<'_> {
         let packet = Packet::new(id, self.node, dst, self.sim.now(), size_bytes)
             .with_ttl(ttl)
             .with_tag(tag);
-        self.sim.inject(packet);
+        let frame = self.sim.frames.data(packet);
+        self.sim.inject(frame);
         id
     }
 

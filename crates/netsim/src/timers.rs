@@ -28,6 +28,7 @@
 use crate::event::EventKey;
 use crate::ident::NodeId;
 use crate::protocol::{TimerId, TimerToken};
+use crate::slab::Slab;
 
 /// Whether a pending timer belongs to the node's routing protocol or its
 /// application agent.
@@ -66,10 +67,9 @@ pub(crate) enum TimerPop {
 /// Slot-recycling store of armed timers.
 #[derive(Debug, Default)]
 pub(crate) struct TimerSlab {
-    slots: Vec<Option<TimerEntry>>,
+    slots: Slab<TimerEntry>,
     /// Bumped each time a slot is re-armed, invalidating stale ids.
     gens: Vec<u32>,
-    free: Vec<u32>,
 }
 
 impl TimerSlab {
@@ -79,46 +79,39 @@ impl TimerSlab {
 
     /// Arms a timer, returning its id.
     pub(crate) fn insert(&mut self, entry: TimerEntry) -> TimerId {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(entry);
-                self.gens[slot as usize] = self.gens[slot as usize].wrapping_add(1);
-                slot
+        let slot = self.slots.insert(entry);
+        let gen = match self.gens.get_mut(slot as usize) {
+            Some(gen) => {
+                *gen = gen.wrapping_add(1);
+                *gen
             }
             None => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "slot ids run out only past 2^32 armed timers, which exhaust memory first"
-                )]
-                let slot = u32::try_from(self.slots.len()).expect("timer slab overflow");
-                self.slots.push(Some(entry));
                 self.gens.push(0);
-                slot
+                0
             }
         };
-        TimerId((u64::from(self.gens[slot as usize]) << 32) | u64::from(slot))
+        TimerId((u64::from(gen) << 32) | u64::from(slot))
     }
 
     /// The slot of `id` if that timer is still armed.
-    fn armed_slot(&self, id: TimerId) -> Option<usize> {
-        let slot = (id.0 & u64::from(u32::MAX)) as usize;
+    fn armed_slot(&self, id: TimerId) -> Option<u32> {
+        let slot = (id.0 & u64::from(u32::MAX)) as u32;
         let gen = (id.0 >> 32) as u32;
-        let armed = self.gens.get(slot) == Some(&gen) && self.slots[slot].is_some();
+        let armed = self.gens.get(slot as usize) == Some(&gen) && self.slots.get(slot).is_some();
         armed.then_some(slot)
     }
 
     /// The entry of `id`, if that timer is still armed.
     pub(crate) fn get_mut(&mut self, id: TimerId) -> Option<&mut TimerEntry> {
         let slot = self.armed_slot(id)?;
-        self.slots[slot].as_mut()
+        self.slots.get_mut(slot)
     }
 
     /// Disarms `id` and returns its entry; `None` when the timer already
     /// fired, was cancelled, or the slot was reused since.
     pub(crate) fn take(&mut self, id: TimerId) -> Option<TimerEntry> {
         let slot = self.armed_slot(id)?;
-        self.free.push(slot as u32);
-        self.slots[slot].take()
+        self.slots.remove(slot)
     }
 
     /// Classifies the `TimerFired` event for `id` popped under `key` (see
@@ -140,21 +133,14 @@ impl TimerSlab {
     /// Disarms every timer for which `keep` returns `false` (node crash:
     /// the dying instance's timers go with it). Visits slots in index
     /// order.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&TimerEntry) -> bool) {
-        for (ix, slot) in self.slots.iter_mut().enumerate() {
-            if let Some(entry) = slot {
-                if !keep(entry) {
-                    *slot = None;
-                    self.free.push(ix as u32);
-                }
-            }
-        }
+    pub(crate) fn retain(&mut self, keep: impl FnMut(&TimerEntry) -> bool) {
+        self.slots.retain(keep);
     }
 
     /// Number of currently armed timers.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.slots.len()
     }
 }
 
@@ -238,6 +224,6 @@ mod tests {
             let id = slab.insert(entry(0, i));
             assert!(slab.take(id).is_some());
         }
-        assert_eq!(slab.slots.len(), 1, "one slot recycled a thousand times");
+        assert_eq!(slab.slots.slots(), 1, "one slot recycled a thousand times");
     }
 }

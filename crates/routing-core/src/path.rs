@@ -79,11 +79,11 @@ const MAX_CHUNKS: usize = 1 << (u32::BITS - CHUNK_BITS);
 
 /// The hop runs of every [`AsPath`] of one simulation.
 ///
-/// Runs sit back to back in chunks of [`CHUNK`] hops (a longer run gets a
+/// Runs sit back to back in chunks of 2^16 hops (a longer run gets a
 /// chunk of its own), so the table grows without copying what it holds;
-/// a handle's `start` is its chunk index above [`CHUNK_BITS`] bits of
-/// offset. A table holds at most [`MAX_CHUNKS`] chunks; the constructors
-/// return `None` rather than a handle past that.
+/// a handle's `start` is its chunk index above 16 bits of offset. A table
+/// holds at most 2^16 chunks; the constructors return `None` rather than
+/// a handle past that.
 #[derive(Clone, Default)]
 pub struct PathTable {
     chunks: Vec<Vec<NodeId>>,
